@@ -1,6 +1,8 @@
 // Shared helpers for the experiment harnesses.
 #pragma once
 
+#include <cerrno>
+#include <cmath>
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
@@ -22,29 +24,75 @@ inline void print_header(const std::string& experiment,
   std::printf("================================================================\n\n");
 }
 
+/// Exits 2 naming the flag whose value is missing or malformed — a typo
+/// must not silently run a different experiment.
+[[noreturn]] inline void bad_flag_value(const std::string& flag,
+                                        const char* value,
+                                        const char* expected) {
+  if (value == nullptr) {
+    std::fprintf(stderr, "%s: missing value (expected %s)\n", flag.c_str(),
+                 expected);
+  } else {
+    std::fprintf(stderr, "%s: bad value '%s' (expected %s)\n", flag.c_str(),
+                 value, expected);
+  }
+  std::exit(2);
+}
+
+/// When argv[i] is `name V` or `name=V`, returns V (advancing i past a
+/// separate value); nullptr when argv[i] is another argument. A `name`
+/// with no value exits 2.
+inline const char* flag_value(int argc, const char* const* argv, int& i,
+                              const std::string& name) {
+  const std::string arg = argv[i];
+  if (arg.size() > name.size() && arg.compare(0, name.size(), name) == 0 &&
+      arg[name.size()] == '=') {
+    return argv[i] + name.size() + 1;
+  }
+  if (arg != name) return nullptr;
+  if (i + 1 >= argc) bad_flag_value(name, nullptr, "a value");
+  return argv[++i];
+}
+
+/// `text` as a whole decimal integer >= `min`; exits 2 otherwise.
+inline std::size_t parse_count(const std::string& flag, const char* text,
+                               long long min) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || v < min) {
+    bad_flag_value(flag, text,
+                   min > 0 ? "a positive integer" : "a non-negative integer");
+  }
+  return static_cast<std::size_t>(v);
+}
+
+/// `text` as a whole finite number >= 0; exits 2 otherwise.
+inline double parse_non_negative(const std::string& flag, const char* text) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(v) ||
+      v < 0.0) {
+    bad_flag_value(flag, text, "a finite number >= 0");
+  }
+  return v;
+}
+
 /// Worker count for replication fan-out: `--jobs N` / `--jobs=N` on the
 /// command line wins, then the SMAC_JOBS environment variable, then
-/// hardware concurrency (both via ThreadPool::default_jobs()). Returns at
-/// least 1; malformed values fall through to the default. Results are
+/// hardware concurrency (both via ThreadPool::default_jobs()). A missing
+/// or malformed value (`--jobs 0`, `--jobs abc`) exits 2. Results are
 /// seed-determined and independent of this knob — it only changes
 /// wall-clock time.
 inline std::size_t jobs_option(int argc, const char* const* argv) {
-  auto parse = [](const char* text) -> std::size_t {
-    char* end = nullptr;
-    const long v = std::strtol(text, &end, 10);
-    return (end != text && *end == '\0' && v > 0)
-               ? static_cast<std::size_t>(v)
-               : 0;
-  };
+  std::size_t jobs = 0;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--jobs=", 0) == 0) {
-      if (const std::size_t v = parse(arg.c_str() + 7)) return v;
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      if (const std::size_t v = parse(argv[i + 1])) return v;
+    if (const char* v = flag_value(argc, argv, i, "--jobs")) {
+      jobs = parse_count("--jobs", v, 1);
     }
   }
-  return parallel::ThreadPool::default_jobs();
+  return jobs != 0 ? jobs : parallel::ThreadPool::default_jobs();
 }
 
 /// Fans fn(i) for i in [0, count) across `jobs` workers (inline when
@@ -76,37 +124,20 @@ inline void print_jobs(std::size_t jobs) {
 ///                   by orders; with both knobs, either target stops
 ///   --max-reps N    replication budget cap (0 = keep the bench default)
 /// Parsed into a parallel::StoppingRule template whose metric/confidence/
-/// min_reps/batch_size the bench chooses per table. Stop points are
-/// seed-determined and jobs-invariant (src/parallel/replication.hpp).
+/// min_reps/batch_size the bench chooses per table; a missing or
+/// malformed value (`--ci-target x`, a negative number) exits 2. Stop
+/// points are seed-determined and jobs-invariant
+/// (src/parallel/replication.hpp).
 inline parallel::StoppingRule stopping_option(int argc,
                                               const char* const* argv) {
-  auto parse_double = [](const char* text) -> double {
-    char* end = nullptr;
-    const double v = std::strtod(text, &end);
-    return (end != text && *end == '\0' && v > 0.0) ? v : 0.0;
-  };
-  auto parse_size = [](const char* text) -> std::size_t {
-    char* end = nullptr;
-    const long v = std::strtol(text, &end, 10);
-    return (end != text && *end == '\0' && v > 0)
-               ? static_cast<std::size_t>(v)
-               : 0;
-  };
   parallel::StoppingRule rule;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--ci-target=", 0) == 0) {
-      rule.ci_half_width_target = parse_double(arg.c_str() + 12);
-    } else if (arg == "--ci-target" && i + 1 < argc) {
-      rule.ci_half_width_target = parse_double(argv[i + 1]);
-    } else if (arg.rfind("--ci-rel=", 0) == 0) {
-      rule.ci_rel_target = parse_double(arg.c_str() + 9);
-    } else if (arg == "--ci-rel" && i + 1 < argc) {
-      rule.ci_rel_target = parse_double(argv[i + 1]);
-    } else if (arg.rfind("--max-reps=", 0) == 0) {
-      rule.max_reps = parse_size(arg.c_str() + 11);
-    } else if (arg == "--max-reps" && i + 1 < argc) {
-      rule.max_reps = parse_size(argv[i + 1]);
+    if (const char* v = flag_value(argc, argv, i, "--ci-target")) {
+      rule.ci_half_width_target = parse_non_negative("--ci-target", v);
+    } else if (const char* v = flag_value(argc, argv, i, "--ci-rel")) {
+      rule.ci_rel_target = parse_non_negative("--ci-rel", v);
+    } else if (const char* v = flag_value(argc, argv, i, "--max-reps")) {
+      rule.max_reps = parse_count("--max-reps", v, 0);
     }
   }
   return rule;

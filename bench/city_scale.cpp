@@ -32,6 +32,8 @@
 //                  invariant, so the deterministic artifact stays
 //                  byte-identical for any --jobs at a fixed --kernel
 //                  on/off state.
+// An unknown flag, a second output path, or a missing or malformed
+// value exits 2; an output file that cannot be written exits 1.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -84,14 +86,31 @@ std::vector<multihop::CityScaleConfig> scenarios(bool smoke,
   return out;
 }
 
-void write_results_json(const std::string& path,
-                        const std::vector<multihop::CityScaleConfig>& configs,
-                        const std::vector<multihop::CityScaleResult>& runs) {
+/// Opens `path` for writing; nullptr (after saying why) on failure.
+std::FILE* open_output(const std::string& path) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return;
   }
+  return out;
+}
+
+/// Closes a finished artifact; false (after saying why) if any write or
+/// the close failed, so a truncated file never passes for a result.
+bool close_output(std::FILE* out, const std::string& path) {
+  const bool write_failed = std::ferror(out) != 0;
+  if (std::fclose(out) != 0 || write_failed) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  return true;
+}
+
+bool write_results_json(const std::string& path,
+                        const std::vector<multihop::CityScaleConfig>& configs,
+                        const std::vector<multihop::CityScaleResult>& runs) {
+  std::FILE* out = open_output(path);
+  if (out == nullptr) return false;
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"benchmark\": \"city-scale multihop: spatial index + "
                     "class-dedup pricing\",\n");
@@ -146,16 +165,13 @@ void write_results_json(const std::string& path,
                  s + 1 < runs.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
+  return close_output(out, path);
 }
 
-void write_timings_json(const std::string& path,
+bool write_timings_json(const std::string& path,
                         const std::vector<multihop::CityScaleResult>& runs) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return;
-  }
+  std::FILE* out = open_output(path);
+  if (out == nullptr) return false;
   std::fprintf(out, "{\n  \"unit\": \"wall-clock ms (machine-dependent; "
                     "NOT part of the byte-identical contract)\",\n");
   std::fprintf(out, "  \"scenarios\": [\n");
@@ -185,7 +201,16 @@ void write_timings_json(const std::string& path,
     std::fprintf(out, "}%s\n", s + 1 < runs.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
+  return close_output(out, path);
+}
+
+int usage_error(const std::string& arg) {
+  std::fprintf(stderr,
+               "bench_city_scale: unexpected argument '%s'\n"
+               "usage: bench_city_scale [--jobs N] [--smoke] [--kernel "
+               "slot-loop|pdes] [--sim-slots N] [output.json]\n",
+               arg.c_str());
+  return 2;
 }
 
 }  // namespace
@@ -200,23 +225,24 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--smoke") {
       smoke = true;
-    } else if (arg == "--jobs" || arg.rfind("--jobs=", 0) == 0) {
-      if (arg == "--jobs") ++i;  // value consumed by jobs_option
-    } else if (arg == "--kernel" && i + 1 < argc) {
-      const std::string kernel = argv[++i];
-      if (kernel == "pdes") {
+    } else if (bench::flag_value(argc, argv, i, "--jobs") != nullptr) {
+      // Validated by jobs_option below.
+    } else if (const char* kernel =
+                   bench::flag_value(argc, argv, i, "--kernel")) {
+      if (std::string(kernel) == "pdes") {
         sim_kernel = multihop::MultihopKernel::kPdes;
-      } else if (kernel != "slot-loop") {
-        std::fprintf(stderr, "unknown --kernel %s (slot-loop|pdes)\n",
-                     kernel.c_str());
-        return 2;
+      } else if (std::string(kernel) != "slot-loop") {
+        bench::bad_flag_value("--kernel", kernel, "slot-loop or pdes");
       }
       sim_leg = true;
-    } else if (arg == "--sim-slots" && i + 1 < argc) {
-      sim_slots = std::strtoull(argv[++i], nullptr, 10);
+    } else if (const char* slots =
+                   bench::flag_value(argc, argv, i, "--sim-slots")) {
+      sim_slots = bench::parse_count("--sim-slots", slots, 0);
       sim_leg = sim_slots > 0;
-    } else if (!arg.empty() && arg[0] != '-') {
+    } else if (!arg.empty() && arg[0] != '-' && path.empty()) {
       path = arg;
+    } else {
+      return usage_error(arg);
     }
   }
   if (sim_leg && sim_slots == 0) sim_slots = 2000;
@@ -301,12 +327,14 @@ int main(int argc, char** argv) {
     std::printf("%s\n", sim_table.to_string().c_str());
   }
 
-  write_results_json(path, configs, runs);
   const std::string timings_path =
       path.size() > 5 && path.rfind(".json") == path.size() - 5
           ? path.substr(0, path.size() - 5) + "_timings.json"
           : path + "_timings.json";
-  write_timings_json(timings_path, runs);
+  if (!write_results_json(path, configs, runs) ||
+      !write_timings_json(timings_path, runs)) {
+    return 1;
+  }
   std::printf("\nwrote %s (deterministic) and %s (wall clock)\n",
               path.c_str(), timings_path.c_str());
   return kernels_diverged ? 1 : 0;

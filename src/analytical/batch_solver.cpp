@@ -61,10 +61,10 @@ enum class Rung : std::uint8_t {
 /// sequential try_solve_classes ladder it replaces.
 class ClassSolveMachine {
  public:
-  ClassSolveMachine(const ClassProfileInstance& instance, double* tau_slot)
+  ClassSolveMachine(const detail::ClassSolveRef& instance, double* tau_slot)
       : inst_(instance),
-        k_(instance.classes.class_count()),
-        n_(static_cast<int>(instance.classes.node_count())),
+        k_(instance.classes->class_count()),
+        n_(static_cast<int>(instance.classes->node_count())),
         x_(tau_slot) {
     best_.residual = std::numeric_limits<double>::infinity();
 
@@ -73,12 +73,12 @@ class ClassSolveMachine {
     // precision regardless of the caller's iteration budget.
     if (k_ == 1) {
       const TryTauResult tau = try_homogeneous_tau(
-          static_cast<double>(inst_.classes.window[0]), n_, inst_.max_stage,
+          static_cast<double>(inst_.classes->window[0]), n_, inst_.max_stage,
           inst_.packet_error_rate);
       if (usable(tau.diagnostics.status)) {
         result_.state.tau.assign(1, tau.tau);
         result_.state.p = detail::class_collision_probabilities(
-            result_.state.tau, inst_.classes.multiplicity);
+            result_.state.tau, inst_.classes->multiplicity);
         result_.state.converged =
             tau.diagnostics.status == SolveStatus::kConverged;
         result_.state.iterations = tau.diagnostics.iterations;
@@ -106,20 +106,20 @@ class ClassSolveMachine {
     // One solve_fixed_point iteration on the class map: p from the current
     // iterate, then x' = (1 − d)·τ(W, fail) + d·x with the max-norm step.
     detail::class_collision_probabilities_into(
-        x_, inst_.classes.multiplicity.data(), k_, prefix, suffix, p);
+        x_, inst_.classes->multiplicity.data(), k_, prefix, suffix, p);
     double step_norm = 0.0;
     for (std::size_t c = 0; c < k_; ++c) {
       const double fail =
           1.0 - (1.0 - p[c]) * (1.0 - inst_.packet_error_rate);
       const double fx =
-          transmission_probability(inst_.classes.window[c], fail,
+          transmission_probability(inst_.classes->window[c], fail,
                                    inst_.max_stage);
       const double next = (1.0 - damping_) * fx + damping_ * x_[c];
       step_norm = std::max(step_norm, std::abs(next - x_[c]));
       x_[c] = next;
     }
     residual_ = step_norm;
-    if (step_norm <= inst_.opts.tolerance) {
+    if (step_norm <= inst_.opts->tolerance) {
       finish_rung(/*converged=*/true, iter_);
     } else {
       ++iter_;
@@ -140,11 +140,11 @@ class ClassSolveMachine {
     for (;;) {
       switch (rung) {
         case Rung::kWarm: {
-          if (!inst_.opts.initial_tau.empty()) {
+          if (!inst_.opts->initial_tau.empty()) {
             const std::vector<double> warm =
-                collapse_initial_tau(inst_.opts.initial_tau, inst_.classes);
+                collapse_initial_tau(inst_.opts->initial_tau, *inst_.classes);
             if (!warm.empty()) {
-              begin_rung(rung, warm.data(), inst_.opts.damping, 1);
+              begin_rung(rung, warm.data(), inst_.opts->damping, 1);
               return;
             }
           }
@@ -159,8 +159,8 @@ class ClassSolveMachine {
           double mean_window = 0.0;
           for (std::size_t c = 0; c < k_; ++c) {
             mean_window +=
-                static_cast<double>(inst_.classes.multiplicity[c]) *
-                static_cast<double>(inst_.classes.window[c]);
+                static_cast<double>(inst_.classes->multiplicity[c]) *
+                static_cast<double>(inst_.classes->window[c]);
           }
           mean_window /= static_cast<double>(n_);
           const TryTauResult hom = try_homogeneous_tau(
@@ -173,30 +173,30 @@ class ClassSolveMachine {
             std::vector<double> seeded(k_);
             for (std::size_t c = 0; c < k_; ++c) {
               seeded[c] = transmission_probability(
-                  inst_.classes.window[c], fail_hom, inst_.max_stage);
+                  inst_.classes->window[c], fail_hom, inst_.max_stage);
             }
-            begin_rung(rung, seeded.data(), inst_.opts.damping, 1);
+            begin_rung(rung, seeded.data(), inst_.opts->damping, 1);
             return;
           }
           rung = Rung::kDamped;
           break;
         }
         case Rung::kDamped: {
-          begin_rung(rung, cold_start().data(), inst_.opts.damping, 1);
+          begin_rung(rung, cold_start().data(), inst_.opts->damping, 1);
           return;
         }
         case Rung::kRedamped: {
           begin_rung(rung, cold_start().data(),
-                     std::max(inst_.opts.damping, 0.85), 2);
+                     std::max(inst_.opts->damping, 0.85), 2);
           return;
         }
         case Rung::kRestart: {
           std::vector<double> hot(k_);
           for (std::size_t c = 0; c < k_; ++c) {
-            hot[c] = transmission_probability(inst_.classes.window[c], 0.9,
+            hot[c] = transmission_probability(inst_.classes->window[c], 0.9,
                                               inst_.max_stage);
           }
-          begin_rung(rung, hot.data(), std::max(inst_.opts.damping, 0.95), 2);
+          begin_rung(rung, hot.data(), std::max(inst_.opts->damping, 0.95), 2);
           return;
         }
         case Rung::kPolish: {
@@ -206,7 +206,7 @@ class ClassSolveMachine {
           // near-miss kDegraded outcomes into kConverged.
           if (!best_.converged && std::isfinite(best_.residual) &&
               best_.tau.size() == k_) {
-            begin_rung(rung, best_.tau.data(), inst_.opts.damping, 2);
+            begin_rung(rung, best_.tau.data(), inst_.opts->damping, 2);
             return;
           }
           finish();
@@ -222,7 +222,7 @@ class ClassSolveMachine {
   std::vector<double> cold_start() const {
     std::vector<double> cold(k_);
     for (std::size_t c = 0; c < k_; ++c) {
-      cold[c] = transmission_probability(inst_.classes.window[c], 0.0,
+      cold[c] = transmission_probability(inst_.classes->window[c], 0.0,
                                          inst_.max_stage);
     }
     return cold;
@@ -236,7 +236,7 @@ class ClassSolveMachine {
     }
     rung_ = rung;
     damping_ = damping;
-    budget_ = inst_.opts.max_iterations * iteration_scale;
+    budget_ = inst_.opts->max_iterations * iteration_scale;
     iter_ = 1;
     residual_ = 0.0;
     std::copy(start, start + k_, x_);
@@ -250,7 +250,7 @@ class ClassSolveMachine {
     state.tau.assign(x_, x_ + k_);
     detail::sanitize_probabilities(state.tau);
     state.p = detail::class_collision_probabilities(
-        state.tau, inst_.classes.multiplicity);
+        state.tau, inst_.classes->multiplicity);
     state.converged = converged;
     state.iterations = iterations;
     state.residual = residual_;
@@ -317,7 +317,7 @@ class ClassSolveMachine {
     return "damped";
   }
 
-  const ClassProfileInstance& inst_;
+  const detail::ClassSolveRef& inst_;
   std::size_t k_;
   int n_;
   double* x_;  ///< this instance's segment of the batch tau arena
@@ -339,6 +339,16 @@ class ClassSolveMachine {
 
 std::vector<TrySolveResult> try_solve_classes_batch(
     std::span<const ClassProfileInstance> instances) {
+  std::vector<detail::ClassSolveRef> refs(instances.size());
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    refs[i] = {&instances[i].classes, instances[i].max_stage,
+               instances[i].packet_error_rate, &instances[i].opts};
+  }
+  return detail::solve_classes_batch(refs);
+}
+
+std::vector<TrySolveResult> detail::solve_classes_batch(
+    std::span<const ClassSolveRef> instances) {
   const std::size_t count = instances.size();
   std::vector<TrySolveResult> results(count);
   if (count == 0) return results;
@@ -350,8 +360,8 @@ std::vector<TrySolveResult> try_solve_classes_batch(
   std::size_t max_k = 0;
   for (std::size_t i = 0; i < count; ++i) {
     offset[i] = total_k;
-    total_k += instances[i].classes.class_count();
-    max_k = std::max(max_k, instances[i].classes.class_count());
+    total_k += instances[i].classes->class_count();
+    max_k = std::max(max_k, instances[i].classes->class_count());
   }
   std::vector<double> tau_arena(total_k, 0.0);
   std::vector<double> prefix(max_k + 1);

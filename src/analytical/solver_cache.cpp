@@ -26,22 +26,48 @@ bool valid_solve_inputs(const std::vector<int>& w, int max_stage,
          per < 1.0;
 }
 
-}  // namespace
-
-std::size_t NetworkSolveCache::KeyHash::operator()(
-    const Key& key) const noexcept {
+/// One hash for owned and borrowed keys, so heterogeneous lookups land in
+/// the bucket the owned key was inserted into.
+std::size_t hash_key(std::span<const int> window,
+                     std::span<const int> multiplicity, int max_stage,
+                     double packet_error_rate) {
   std::uint64_t h = 0x243f6a8885a308d3ULL;
-  h = mix(h, static_cast<std::uint64_t>(key.window.size()));
-  for (std::size_t c = 0; c < key.window.size(); ++c) {
-    h = mix(h, static_cast<std::uint64_t>(key.window[c]));
-    h = mix(h, static_cast<std::uint64_t>(key.multiplicity[c]));
+  h = mix(h, static_cast<std::uint64_t>(window.size()));
+  for (std::size_t c = 0; c < window.size(); ++c) {
+    h = mix(h, static_cast<std::uint64_t>(window[c]));
+    h = mix(h, static_cast<std::uint64_t>(multiplicity[c]));
   }
-  h = mix(h, static_cast<std::uint64_t>(key.max_stage));
+  h = mix(h, static_cast<std::uint64_t>(max_stage));
   std::uint64_t per_bits = 0;
-  static_assert(sizeof(per_bits) == sizeof(key.packet_error_rate));
-  __builtin_memcpy(&per_bits, &key.packet_error_rate, sizeof(per_bits));
+  static_assert(sizeof(per_bits) == sizeof(packet_error_rate));
+  __builtin_memcpy(&per_bits, &packet_error_rate, sizeof(per_bits));
   h = mix(h, per_bits);
   return static_cast<std::size_t>(h);
+}
+
+}  // namespace
+
+bool NetworkSolveCache::KeyEqual::operator()(const KeyView& a,
+                                             const Key& b) const {
+  return a.hash == b.hash && a.max_stage == b.max_stage &&
+         a.packet_error_rate == b.packet_error_rate &&
+         std::ranges::equal(a.window, b.window) &&
+         std::ranges::equal(a.multiplicity, b.multiplicity);
+}
+
+NetworkSolveCache::KeyView NetworkSolveCache::view_of(
+    const ClassProfile& classes, int max_stage, double packet_error_rate) {
+  return {classes.window, classes.multiplicity, max_stage, packet_error_rate,
+          hash_key(classes.window, classes.multiplicity, max_stage,
+                   packet_error_rate)};
+}
+
+NetworkSolveCache::Key NetworkSolveCache::owned(const KeyView& view) {
+  return {{view.window.begin(), view.window.end()},
+          {view.multiplicity.begin(), view.multiplicity.end()},
+          view.max_stage,
+          view.packet_error_rate,
+          view.hash};
 }
 
 NetworkSolveCache::NetworkSolveCache(SolverOptions opts,
@@ -66,8 +92,7 @@ TrySolveResult NetworkSolveCache::solve(const std::vector<int>& w,
   }
 
   ClassProfile classes = classify_profile(w);
-  Key key{classes.window, classes.multiplicity, max_stage,
-          packet_error_rate};
+  const KeyView key = view_of(classes, max_stage, packet_error_rate);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (const auto it = cache_.find(key); it != cache_.end()) {
@@ -97,42 +122,50 @@ TrySolveResult NetworkSolveCache::solve(const std::vector<int>& w,
   } else {
     ++misses_;
     if (cache_.size() < max_entries_) {
-      cache_.emplace(std::move(key), std::move(collapsed));
+      cache_.emplace(owned(key), std::move(collapsed));
     }
   }
   return out;
 }
 
-std::optional<TrySolveResult> NetworkSolveCache::lookup_classes(
-    const ClassProfile& classes, int max_stage, double packet_error_rate,
-    std::uint64_t requests) const {
-  const Key key{classes.window, classes.multiplicity, max_stage,
-                packet_error_rate};
+std::vector<std::size_t> NetworkSolveCache::lookup_classes(
+    std::span<const ClassGroup> groups,
+    std::span<TrySolveResult> found) const {
+  std::vector<std::size_t> missed;
   std::lock_guard<std::mutex> lock(mutex_);
-  if (const auto it = cache_.find(key); it != cache_.end()) {
-    hits_ += requests;
-    return it->second;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    const ClassGroup& group = groups[g];
+    if (const auto it = cache_.find(view_of(*group.classes, group.max_stage,
+                                            group.packet_error_rate));
+        it != cache_.end()) {
+      hits_ += group.requests;
+      found[g] = it->second;
+    } else {
+      missed.push_back(g);
+    }
   }
-  return std::nullopt;
+  return missed;
 }
 
-void NetworkSolveCache::adopt_classes(const ClassProfile& classes,
-                                      int max_stage, double packet_error_rate,
-                                      TrySolveResult collapsed,
-                                      std::uint64_t requests) const {
-  Key key{classes.window, classes.multiplicity, max_stage,
-          packet_error_rate};
+void NetworkSolveCache::adopt_classes(
+    std::span<const ClassGroup> groups,
+    std::span<const TrySolveResult> solved) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (const auto it = cache_.find(key); it != cache_.end()) {
-    // A writer beat the caller to the key: same loser-observes-winner
-    // accounting as solve().
-    hits_ += requests;
-    return;
-  }
-  ++misses_;
-  hits_ += requests - 1;
-  if (cache_.size() < max_entries_) {
-    cache_.emplace(std::move(key), std::move(collapsed));
+  for (std::size_t m = 0; m < groups.size(); ++m) {
+    const ClassGroup& group = groups[m];
+    const KeyView key = view_of(*group.classes, group.max_stage,
+                                group.packet_error_rate);
+    if (cache_.contains(key)) {
+      // A writer beat the caller to the key: same loser-observes-winner
+      // accounting as solve().
+      hits_ += group.requests;
+      continue;
+    }
+    ++misses_;
+    hits_ += group.requests - 1;
+    if (cache_.size() < max_entries_) {
+      cache_.emplace(owned(key), solved[m]);
+    }
   }
 }
 

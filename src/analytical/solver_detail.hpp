@@ -10,7 +10,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <span>
 #include <vector>
+
+#include "analytical/fixed_point_solver.hpp"
 
 namespace smac::analytical::detail {
 
@@ -72,5 +75,19 @@ inline void sanitize_probabilities(std::vector<double>& xs) {
     x = std::clamp(x, 0.0, 1.0);
   }
 }
+
+/// One batch-kernel instance by reference. try_solve_classes_batch runs
+/// on these, and SolverService hands its borrowed cache-miss profiles to
+/// the kernel this way instead of copying each into a ClassProfileInstance.
+struct ClassSolveRef {
+  const ClassProfile* classes = nullptr;
+  int max_stage = 0;
+  double packet_error_rate = 0.0;
+  const SolverOptions* opts = nullptr;
+};
+
+/// try_solve_classes_batch over references: same contract, same bits.
+std::vector<TrySolveResult> solve_classes_batch(
+    std::span<const ClassSolveRef> instances);
 
 }  // namespace smac::analytical::detail

@@ -1,28 +1,33 @@
-// Async request layer over the batch solver and the canonical cache.
+// Batch request layer over the batch solver and the canonical cache.
 //
 // Callers that know several profiles ahead of needing the answers —
 // tournaments enumerating their mixes, deviation scans enumerating every
-// candidate window — submit() them all, then drain() once: the service
-// deduplicates the requests onto canonical symmetry-class keys, answers
-// what it can from the shared NetworkSolveCache, and solves the misses
-// through one try_solve_classes_batch lockstep call (chunked across a
-// parallel::ThreadPool when one is provided). Results are bitwise
-// identical to per-request NetworkSolveCache::solve calls, and the cache
-// traffic counters advance exactly as the same requests would have
-// advanced them sequentially — so stats printed by benches are
+// candidate window — submit() them all, then drain() once; callers that
+// already hold canonical class profiles (city-scale pricing: one local
+// game per node) hand them to solve_classes() in one synchronous call.
+// Both paths group the requests by canonical symmetry-class key in sorted
+// key order, answer what they can from the shared NetworkSolveCache, and
+// solve the misses through try_solve_classes_batch lockstep calls
+// (chunked across a parallel::ThreadPool when one is provided). Results
+// are bitwise identical to per-request NetworkSolveCache::solve calls,
+// and the cache traffic counters advance exactly as the same requests
+// would have advanced them sequentially — so stats printed by benches are
 // independent of batching and of --jobs.
 //
-// Threading: submit() and solve() are safe from any thread. drain() is
-// serialized internally; it must not be called from a task running on the
-// same ThreadPool the service chunks over (the pool's no-nested-blocking
-// rule). The default configuration has no pool and drains inline, which
+// Threading: submit(), solve() and solve_classes() are safe from any
+// thread. drain() is serialized internally. Neither drain() nor
+// solve_classes() may be called from a task running on the same
+// ThreadPool the service chunks over (the pool's no-nested-blocking
+// rule). The default configuration has no pool and solves inline, which
 // is always safe.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "analytical/batch_solver.hpp"
@@ -82,10 +87,6 @@ class SolverService {
     friend class SolverService;
     struct Request {
       std::vector<int> w;
-      /// Set (with class_level) by submit_classes: the request is already
-      /// in canonical class space and its result stays collapsed.
-      ClassProfile classes;
-      bool class_level = false;
       int max_stage = 0;
       double packet_error_rate = 0.0;
       TrySolveResult result;
@@ -106,23 +107,37 @@ class SolverService {
   Ticket submit(std::vector<int> w, int max_stage,
                 double packet_error_rate) const;
 
-  /// Enqueues one *pre-classified* request. `classes` must be canonical —
-  /// windows strictly ascending, multiplicities >= 1, exactly what
-  /// classify_profile produces (class_of may be empty; only the
-  /// window/multiplicity multiset is used here). The ticket's result
-  /// stays in class space (state size == class_count); callers expand
-  /// with their own class_of maps via expand_classes. Shares cache keys,
-  /// dedup groups, and traffic accounting with submit(), so a class-level
-  /// and a per-node request for the same multiset cost one solve. The
-  /// city-scale path (multihop::price_neighborhoods) lives on this entry:
-  /// a 10^4-node stage submits only its distinct neighborhood classes.
-  Ticket submit_classes(ClassProfile classes, int max_stage,
-                        double packet_error_rate) const;
+  /// What solve_classes returns: one class-space result (tau/p sized k)
+  /// per distinct canonical key among the requests, in key order, and for
+  /// every request the index of its key's result.
+  struct ClassBatch {
+    std::vector<TrySolveResult> results;
+    std::vector<std::uint32_t> key_of;  ///< request index → results index
+  };
 
-  /// Fulfills every pending request: answers duplicates and cached keys
-  /// from the NetworkSolveCache, batch-solves the distinct misses, adopts
-  /// the results. Requests submitted concurrently with a drain land in
-  /// the next drain.
+  /// Synchronous class-space batch: solves every request — canonical
+  /// ClassProfiles exactly as classify_profile produces them — at one
+  /// (max_stage, PER). Requests are grouped by canonical (window,
+  /// multiplicity, max_stage, PER) key in ascending key order, the order
+  /// drain() uses: each group counts as `requests` sequential solve()
+  /// calls on the cache (a hit: that many hits; a miss: one miss plus
+  /// the duplicates as hits), and misses are adopted in key order, which
+  /// decides the entries a cache at its insert cap keeps. Invalid keys
+  /// (a window < 1, max_stage < 0, PER outside [0, 1)) count one miss
+  /// per request and get the solver's kFailed/"invalid" result. A request
+  /// with no classes names no key: it gets the invalid result and counts
+  /// nothing. results.size() is the number of distinct (window,
+  /// multiplicity) multisets among the requests. Pending submit()
+  /// requests are not touched — they wait for the next drain().
+  ClassBatch solve_classes(std::span<const ClassProfile> requests,
+                           int max_stage, double packet_error_rate) const;
+
+  /// Fulfills every pending request: classifies each profile and runs
+  /// the same grouping as solve_classes — duplicates and cached keys are
+  /// answered from the NetworkSolveCache, the distinct misses are
+  /// batch-solved and adopted in key order — then expands each result to
+  /// its request's node order. Requests submitted concurrently with a
+  /// drain land in the next drain.
   void drain() const;
 
   /// Blocking single solve, bypassing the queue: exactly
@@ -137,6 +152,10 @@ class SolverService {
   const NetworkSolveCache& cache() const noexcept { return cache_; }
 
  private:
+  /// The grouping, lookup, solve and adoption pass behind solve_classes
+  /// and drain; one ClassGroup (requests = 1) per request.
+  ClassBatch solve_keyed(std::span<const ClassGroup> requests) const;
+
   Options options_;
   NetworkSolveCache cache_;
   mutable std::mutex queue_mutex_;  ///< guards pending_

@@ -2,6 +2,7 @@
 // length, normalized saturation throughput (paper §III).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "analytical/fixed_point_solver.hpp"
@@ -25,6 +26,13 @@ struct ChannelMetrics {
 ChannelMetrics channel_metrics(const std::vector<double>& tau,
                                const phy::Parameters& params,
                                phy::AccessMode mode);
+
+/// E[slot length] of `tau` in µs — channel_metrics(tau, …).t_slot_us,
+/// bitwise (the same products and sums in the same node order). `prefix`
+/// and `suffix` are caller scratch of tau.size() + 1 entries each, so a
+/// caller pricing many small networks allocates nothing per call.
+double slot_length_us(std::span<const double> tau, const phy::SlotTimes& t,
+                      double* prefix, double* suffix);
 
 /// Convenience: solve + measure for a homogeneous network of n nodes on
 /// window w.

@@ -8,6 +8,18 @@
 
 namespace smac::analytical {
 
+namespace {
+
+/// u = τ·((1 − p)(1 − PER)·g − e) / T_slot.
+double utility_rate(double tau, double p, const phy::Parameters& params,
+                    double t_slot_us) {
+  const double delivered = 1.0 - params.packet_error_rate;
+  return tau * ((1.0 - p) * delivered * params.gain - params.cost) /
+         t_slot_us;
+}
+
+}  // namespace
+
 std::vector<double> utility_rates(const NetworkState& state,
                                   const phy::Parameters& params,
                                   phy::AccessMode mode) {
@@ -15,14 +27,30 @@ std::vector<double> utility_rates(const NetworkState& state,
     throw std::invalid_argument("utility_rates: malformed network state");
   }
   const ChannelMetrics m = channel_metrics(state.tau, params, mode);
-  const double delivered = 1.0 - params.packet_error_rate;
   std::vector<double> u(state.tau.size());
   for (std::size_t i = 0; i < u.size(); ++i) {
-    u[i] = state.tau[i] *
-           ((1.0 - state.p[i]) * delivered * params.gain - params.cost) /
-           m.t_slot_us;
+    u[i] = utility_rate(state.tau[i], state.p[i], params, m.t_slot_us);
   }
   return u;
+}
+
+void class_utility_rates(const NetworkState& class_state,
+                         const ClassProfile& classes,
+                         const phy::Parameters& params, phy::AccessMode mode,
+                         std::vector<double>& scratch, std::span<double> out) {
+  const std::size_t n = classes.node_count();
+  scratch.resize(3 * n + 2);
+  double* tau = scratch.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    tau[i] = class_state.tau[static_cast<std::size_t>(classes.class_of[i])];
+  }
+  const double t_slot_us =
+      slot_length_us({tau, n}, params.slot_times(mode), tau + n,
+                     tau + 2 * n + 1);
+  for (std::size_t c = 0; c < out.size(); ++c) {
+    out[c] = utility_rate(class_state.tau[c], class_state.p[c], params,
+                          t_slot_us);
+  }
 }
 
 double homogeneous_utility_rate(double w, int n, const phy::Parameters& params,

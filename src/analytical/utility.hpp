@@ -15,6 +15,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "analytical/fixed_point_solver.hpp"
@@ -26,6 +27,18 @@ namespace smac::analytical {
 std::vector<double> utility_rates(const NetworkState& state,
                                   const phy::Parameters& params,
                                   phy::AccessMode mode);
+
+/// Per-class utility rates of a class-space solution (tau/p sized k):
+/// out[c] is bitwise utility_rates(expand_classes(class_state, classes),
+/// …)[i] for every node i of class c — the slot length is summed over
+/// `classes`' node order exactly as the expanded call sums it. `classes`
+/// must be canonical (classify_profile output: every class has a node);
+/// out.size() == class_count(). `scratch` is grown as needed and reused,
+/// so pricing many local games allocates nothing per call.
+void class_utility_rates(const NetworkState& class_state,
+                         const ClassProfile& classes,
+                         const phy::Parameters& params, phy::AccessMode mode,
+                         std::vector<double>& scratch, std::span<double> out);
 
 /// u for one node of a homogeneous network: all n nodes on window w.
 double homogeneous_utility_rate(double w, int n, const phy::Parameters& params,

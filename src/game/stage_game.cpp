@@ -95,43 +95,23 @@ std::vector<StageGame::ClassPayoffs> StageGame::try_class_utilities_batch(
     const std::vector<analytical::ClassProfile>& profiles,
     std::optional<double> per_override) const {
   const double per = per_override.value_or(params_.packet_error_rate);
-  std::vector<analytical::SolverService::Ticket> tickets(profiles.size());
-  for (std::size_t i = 0; i < profiles.size(); ++i) {
-    if (!profiles[i].window.empty()) {
-      tickets[i] = solver_.submit_classes(profiles[i],
-                                          params_.max_backoff_stage, per);
-    }
-  }
-  solver_.drain();
+  const analytical::SolverService::ClassBatch batch =
+      solver_.solve_classes(profiles, params_.max_backoff_stage, per);
   std::vector<ClassPayoffs> out(profiles.size());
   const double t_us = stage_duration_us();
+  std::vector<double> scratch;
   for (std::size_t i = 0; i < profiles.size(); ++i) {
-    if (profiles[i].window.empty()) {
-      out[i].diagnostics.status = analytical::SolveStatus::kFailed;
-      out[i].diagnostics.method = "invalid";
-      continue;
-    }
-    const analytical::TrySolveResult& solved = tickets[i].result();
+    const analytical::TrySolveResult& solved =
+        batch.results[batch.key_of[i]];
     out[i].diagnostics = solved.diagnostics;
     if (!analytical::usable(solved.diagnostics.status)) continue;
-    // utility_rates needs the full per-node vectors (the slot time is a
-    // global quantity), so expand, price, and compress back to one entry
-    // per class — the representative's value IS the class value, since
-    // nodes of a class share tau/p bit-for-bit.
-    const analytical::NetworkState full =
-        analytical::expand_classes(solved.state, profiles[i]);
-    const std::vector<double> u =
-        analytical::utility_rates(full, params_, mode_);
-    const std::size_t k = profiles[i].class_count();
-    out[i].utilities.assign(k, 0.0);
-    std::vector<char> seen(k, 0);
-    for (std::size_t node = 0; node < profiles[i].node_count(); ++node) {
-      const auto c = static_cast<std::size_t>(profiles[i].class_of[node]);
-      if (!seen[c]) {
-        seen[c] = 1;
-        out[i].utilities[c] = u[node] * t_us;
-      }
-    }
+    // Nodes of a class share tau/p bit for bit, so one rate per class is
+    // every node's rate; the slot length still sums this request's nodes
+    // in its own order, as the per-node path does.
+    out[i].utilities.resize(profiles[i].class_count());
+    analytical::class_utility_rates(solved.state, profiles[i], params_, mode_,
+                                    scratch, out[i].utilities);
+    for (double& v : out[i].utilities) v *= t_us;
   }
   return out;
 }

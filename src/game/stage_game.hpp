@@ -81,9 +81,12 @@ class StageGame {
   /// holds one stage payoff per *class* — the payoff every node of that
   /// class would get from try_stage_utilities on any expansion of the
   /// profile, bitwise (nodes of a class share tau/p exactly). This is the
-  /// city-scale entry point: a 10^4-node stage submits only its distinct
-  /// (neighborhood-size, window-mix, PER) classes and expands per node
-  /// afterwards. Profiles with no classes yield kFailed/"invalid".
+  /// city-scale entry point: the whole batch goes through one
+  /// SolverService::solve_classes call, so a 10^4-node stage solves only
+  /// its distinct (neighborhood-size, window-mix, PER) classes, and each
+  /// request is priced from scratch space reused across the batch.
+  /// Profiles with no classes yield kFailed/"invalid" and count no cache
+  /// traffic, like empty profiles on the per-node paths.
   struct ClassPayoffs {
     std::vector<double> utilities;  ///< per class, stage payoff u·T
     analytical::SolveDiagnostics diagnostics;

@@ -4,11 +4,11 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <optional>
 #include <stdexcept>
 #include <utility>
 
+#include "analytical/utility.hpp"
 #include "fault/fault_injector.hpp"
 #include "multihop/local_game.hpp"
 #include "multihop/mobility.hpp"
@@ -99,20 +99,16 @@ NeighborhoodPricing price_neighborhoods(const SpatialIndex& index,
   NeighborhoodPricing out;
   out.payoff.assign(index.node_count(), 0.0);
 
-  // One class request per active node. The canonical dedup lives in the
-  // SolverService/NetworkSolveCache layer: the drain groups identical
-  // (window, multiplicity) multisets onto one solve and tallies the
-  // duplicates as cache hits — so SolveCacheStats records exactly how
-  // much of the stage the symmetry collapse absorbed (the class-collapse
-  // regression test pins that).
-  std::map<std::pair<std::vector<int>, std::vector<int>>, std::size_t>
-      distinct;
-  struct NodeRef {
-    std::size_t node;
-    std::size_t self_class;  ///< node's own class within its local profile
-  };
-  std::vector<NodeRef> refs;
+  // One class request per active node, all in one solve_classes batch.
+  // The canonical dedup lives in the SolverService/NetworkSolveCache
+  // layer: the batch groups identical (window, multiplicity) multisets
+  // onto one solve and tallies the duplicates as cache hits — so
+  // SolveCacheStats records exactly how much of the stage the symmetry
+  // collapse absorbed (the class-collapse regression test pins that).
+  std::vector<std::size_t> nodes;
   std::vector<analytical::ClassProfile> requests;
+  nodes.reserve(index.active_count());
+  requests.reserve(index.active_count());
   std::vector<int> local;
   for (std::size_t i = 0; i < index.node_count(); ++i) {
     if (!index.active(i)) continue;
@@ -124,20 +120,30 @@ NeighborhoodPricing price_neighborhoods(const SpatialIndex& index,
     // Isolated node: the same 2-player floor as local_efficient_cw (a
     // 1-player "game" is degenerate; see local_game.hpp).
     if (local.size() == 1) local.push_back(profile[i]);
-    analytical::ClassProfile classes = analytical::classify_profile(local);
-    distinct.emplace(std::make_pair(classes.window, classes.multiplicity),
-                     refs.size());
-    refs.push_back({i, static_cast<std::size_t>(classes.class_of[0])});
-    requests.push_back(std::move(classes));
+    nodes.push_back(i);
+    requests.push_back(analytical::classify_profile(local));
   }
-  out.priced_nodes = refs.size();
-  out.distinct_classes = distinct.size();
+  const phy::Parameters& params = game.params();
+  const analytical::SolverService::ClassBatch batch =
+      game.solver_service().solve_classes(requests, params.max_backoff_stage,
+                                          params.packet_error_rate);
+  out.priced_nodes = requests.size();
+  out.distinct_classes = batch.results.size();
 
-  const auto priced = game.try_class_utilities_batch(requests);
-  for (std::size_t r = 0; r < refs.size(); ++r) {
-    if (analytical::usable(priced[r].diagnostics.status)) {
-      out.payoff[refs[r].node] = priced[r].utilities[refs[r].self_class];
-    }
+  // Each node's own class (class_of[0]) priced as
+  // StageGame::try_class_utilities_batch prices it, from reused scratch.
+  const double t_us = game.stage_duration_us();
+  std::vector<double> scratch;
+  std::vector<double> rates;
+  for (std::size_t r = 0; r < requests.size(); ++r) {
+    const analytical::TrySolveResult& solved =
+        batch.results[batch.key_of[r]];
+    if (!analytical::usable(solved.diagnostics.status)) continue;
+    rates.resize(requests[r].class_count());
+    analytical::class_utility_rates(solved.state, requests[r], params,
+                                    game.mode(), scratch, rates);
+    out.payoff[nodes[r]] =
+        rates[static_cast<std::size_t>(requests[r].class_of[0])] * t_us;
   }
   return out;
 }

@@ -4,12 +4,12 @@
 // incrementally current under random-waypoint mobility and FaultPlan
 // churn, local-game seeding + graph-TFT convergence per stage, and
 // class-deduplicated pricing of every node's closed-neighborhood local
-// game through StageGame::try_class_utilities_batch — so a 10^4-node
-// stage solves only its distinct (neighborhood-size, window-mix, PER)
-// classes instead of one fixed point per node. The per-stage output is
-// the Theorem-3 quasi-optimality fraction at scale: how many nodes still
-// earn >= 96% of their own local agreement's payoff after TFT drags the
-// component down to its minimum window.
+// game through one SolverService::solve_classes batch per profile — so a
+// 10^4-node stage solves only its distinct (neighborhood-size,
+// window-mix, PER) classes instead of one fixed point per node. The
+// per-stage output is the Theorem-3 quasi-optimality fraction at scale:
+// how many nodes still earn >= 96% of their own local agreement's payoff
+// after TFT drags the component down to its minimum window.
 //
 // Determinism: every field of CityScaleResult except the *_ms wall-clock
 // timings is a pure function of CityScaleConfig — independent of
@@ -50,7 +50,9 @@ struct CityScaleConfig {
   /// Also price every node's local game at the heterogeneous *seed*
   /// profile (the interesting dedup case); the converged profile is
   /// always priced. Costs roughly one solve per distinct seed
-  /// neighborhood — disable for n >= ~10^5 sweeps.
+  /// neighborhood: ~8·10^4 per stage at n = 10^5, about half a second
+  /// on 4 solver workers — half of such a stage — so sweeps that only
+  /// need the Theorem-3 fractions turn it off.
   bool price_seed_profile = true;
   /// Time build_topology_full on the initial layout for the oracle-vs-
   /// grid ratio (Θ(n²) — gate off beyond ~2·10^4 nodes).
@@ -126,14 +128,14 @@ double city_arena_side_m(std::size_t nodes, double range_m,
 /// same 2-player convention as local_efficient_cw). payoff[i] is the
 /// stage payoff node i earns in its local game — bitwise what
 /// try_stage_utilities on the expanded local profile would give it — and
-/// 0 for offline nodes and unusable solves. One request is submitted per
-/// node; the SolverService groups identical canonical classes onto one
-/// solve and counts the duplicates as cache hits, so SolveCacheStats
-/// measures the symmetry collapse directly.
+/// 0 for offline nodes and unusable solves. All nodes' class profiles go
+/// to one SolverService::solve_classes batch, which groups identical
+/// canonical classes onto one solve and counts the duplicates as cache
+/// hits, so SolveCacheStats measures the symmetry collapse directly.
 struct NeighborhoodPricing {
   std::vector<double> payoff;
   std::size_t priced_nodes = 0;
-  std::size_t distinct_classes = 0;  ///< canonical classes actually solved
+  std::size_t distinct_classes = 0;  ///< distinct classes in the batch
 };
 NeighborhoodPricing price_neighborhoods(const SpatialIndex& index,
                                         const std::vector<int>& profile,

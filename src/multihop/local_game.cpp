@@ -51,22 +51,36 @@ TftConvergence tft_min_convergence(const Topology& topology,
   TftConvergence out;
   out.trajectory.push_back(seed_profile);
   std::vector<int> current = std::move(seed_profile);
-  std::vector<int> next(current.size());
+  std::vector<int> next = current;
 
+  // Stage 1 sweeps every node. From then on only the neighbors of the
+  // nodes that changed in the previous stage can change, and pushing each
+  // changed window to its neighbors is the whole update: after a stage,
+  // W_i ≤ W_j for every neighbor j as it stood before, so an unchanged
+  // neighbor cannot lower W_i again.
+  std::vector<std::size_t> changed;
+  std::vector<std::size_t> frontier;
   for (int stage = 0; stage < max_stages; ++stage) {
-    bool changed = false;
-    for (std::size_t i = 0; i < current.size(); ++i) {
-      int w = current[i];
-      for (std::size_t j : topology.neighbors(i)) {
-        w = std::min(w, current[j]);
-      }
+    frontier.clear();
+    const auto lower = [&](std::size_t i, int w) {
+      if (w >= next[i]) return;
+      if (next[i] == current[i]) frontier.push_back(i);
       next[i] = w;
-      changed |= (w != current[i]);
+    };
+    if (stage == 0) {
+      for (std::size_t i = 0; i < current.size(); ++i) {
+        for (std::size_t j : topology.neighbors(i)) lower(i, current[j]);
+      }
+    } else {
+      for (std::size_t j : changed) {
+        for (std::size_t i : topology.neighbors(j)) lower(i, current[j]);
+      }
     }
-    if (!changed) break;
-    current = next;
+    if (frontier.empty()) break;
+    for (std::size_t i : frontier) current[i] = next[i];
     out.trajectory.push_back(current);
     ++out.stages;
+    changed.swap(frontier);
   }
 
   out.converged_w = *std::min_element(current.begin(), current.end());

@@ -26,7 +26,11 @@ std::vector<int> local_efficient_cw(const Topology& topology,
                                     int min_players = 2);
 
 /// Trajectory of the graph-TFT dynamics W_i^{k+1} = min_{j ∈ N(i) ∪ {i}}
-/// W_j^k from the seed profile until no window changes.
+/// W_j^k from the seed profile until no window changes. Stage 1 visits
+/// every node; each later stage visits only the neighbors of the nodes the
+/// previous stage changed (exact: an unchanged neighbor already bounds a
+/// node from above), so a stage costs O(edges at the frontier), not
+/// O(n + m). The topology's neighbor lists must be symmetric.
 struct TftConvergence {
   std::vector<std::vector<int>> trajectory;  ///< [stage][node]
   int stages = 0;          ///< stages until stable (0 = already stable)

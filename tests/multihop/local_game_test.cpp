@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "game/equilibrium.hpp"
+#include "util/rng.hpp"
 
 namespace smac::multihop {
 namespace {
@@ -143,6 +148,82 @@ TEST(TftConvergenceTest, Theorem3SeededConvergence) {
   // The min seed belongs to the sparsest neighborhood (a leaf).
   const int ne2 = game::EquilibriumFinder(game, 2).efficient_cw();
   EXPECT_EQ(conv.converged_w, ne2);
+}
+
+/// The plain graph-TFT sweep: every stage recomputes every node's
+/// closed-neighborhood minimum. tft_min_convergence must reproduce it
+/// exactly while visiting only the previous stage's frontier.
+TftConvergence full_sweep_tft(const Topology& topology,
+                              std::vector<int> current, int max_stages) {
+  TftConvergence out;
+  out.trajectory.push_back(current);
+  std::vector<int> next(current.size());
+  for (int stage = 0; stage < max_stages; ++stage) {
+    bool changed = false;
+    for (std::size_t i = 0; i < current.size(); ++i) {
+      int w = current[i];
+      for (const std::size_t j : topology.neighbors(i)) {
+        w = std::min(w, current[j]);
+      }
+      next[i] = w;
+      changed |= w != current[i];
+    }
+    if (!changed) break;
+    current = next;
+    out.trajectory.push_back(current);
+    ++out.stages;
+  }
+  out.converged_w = *std::min_element(current.begin(), current.end());
+  out.uniform = std::all_of(current.begin(), current.end(),
+                            [&](int w) { return w == current.front(); });
+  return out;
+}
+
+TEST(TftConvergenceTest, FrontierMatchesFullSweep) {
+  // Random unit-disk layouts from sparse (isolated nodes, many
+  // components) to dense (one component), seeded with random windows and
+  // with a uniform profile, each under several stage caps.
+  util::Rng rng(20260417);
+  int compared = 0;
+  bool saw_isolated = false;
+  bool saw_split = false;
+  bool saw_connected = false;
+  for (const double side : {4000.0, 2000.0, 900.0}) {
+    for (int layout = 0; layout < 4; ++layout) {
+      const auto n = static_cast<std::size_t>(rng.uniform_int(1, 160));
+      std::vector<Vec2> pos(n);
+      for (Vec2& p : pos) {
+        p = {rng.uniform_real(0.0, side), rng.uniform_real(0.0, side)};
+      }
+      const Topology topology(pos, 250.0);
+      for (std::size_t i = 0; i < n; ++i) {
+        saw_isolated |= topology.degree(i) == 0;
+      }
+      (topology.connected() ? saw_connected : saw_split) = true;
+      std::vector<int> random_seed(n);
+      for (int& w : random_seed) {
+        w = static_cast<int>(rng.uniform_int(1, 1024));
+      }
+      for (const auto& seed : {random_seed, std::vector<int>(n, 77)}) {
+        for (const int max_stages : {0, 1, 3, 10000}) {
+          const TftConvergence want =
+              full_sweep_tft(topology, seed, max_stages);
+          const TftConvergence got =
+              tft_min_convergence(topology, seed, max_stages);
+          EXPECT_EQ(got.trajectory, want.trajectory)
+              << "n " << n << " side " << side << " cap " << max_stages;
+          EXPECT_EQ(got.stages, want.stages);
+          EXPECT_EQ(got.converged_w, want.converged_w);
+          EXPECT_EQ(got.uniform, want.uniform);
+          ++compared;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(compared, 96);
+  EXPECT_TRUE(saw_isolated);
+  EXPECT_TRUE(saw_split);
+  EXPECT_TRUE(saw_connected);
 }
 
 }  // namespace
