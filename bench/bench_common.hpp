@@ -1,12 +1,15 @@
 // Shared helpers for the experiment harnesses.
 #pragma once
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "parallel/replication.hpp"
@@ -41,17 +44,67 @@ inline void print_header(const std::string& experiment,
 
 /// When argv[i] is `name V` or `name=V`, returns V (advancing i past a
 /// separate value); nullptr when argv[i] is another argument. A `name`
-/// with no value exits 2.
+/// with no value — last on the line, or followed by another `--flag` —
+/// exits 2.
 inline const char* flag_value(int argc, const char* const* argv, int& i,
-                              const std::string& name) {
-  const std::string arg = argv[i];
-  if (arg.size() > name.size() && arg.compare(0, name.size(), name) == 0 &&
+                              std::string_view name) {
+  const std::string_view arg = argv[i];
+  if (arg.size() > name.size() && arg.starts_with(name) &&
       arg[name.size()] == '=') {
     return argv[i] + name.size() + 1;
   }
   if (arg != name) return nullptr;
-  if (i + 1 >= argc) bad_flag_value(name, nullptr, "a value");
+  if (i + 1 >= argc || std::string_view(argv[i + 1]).starts_with("--")) {
+    bad_flag_value(std::string(name), nullptr, "a value");
+  }
   return argv[++i];
+}
+
+/// Checks a bench's whole command line before it does any work: every
+/// argument must be one of `flags` with its value (`--flag V` or
+/// `--flag=V`), one of `switches`, or — when `path` is given — a single
+/// output path, stored into *path. An unknown flag, a stray positional
+/// argument or a flag with no value exits 2 with a usage line, so a typo
+/// cannot silently run a different experiment.
+inline void check_args(int argc, const char* const* argv,
+                       std::initializer_list<std::string_view> flags,
+                       std::initializer_list<std::string_view> switches = {},
+                       std::string* path = nullptr) {
+  bool have_path = false;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    bool known = std::ranges::find(switches, arg) != switches.end();
+    for (auto flag = flags.begin(); !known && flag != flags.end(); ++flag) {
+      known = flag_value(argc, argv, i, *flag) != nullptr;
+    }
+    if (known) continue;
+    if (path != nullptr && !have_path && !arg.empty() && arg[0] != '-') {
+      *path = arg;
+      have_path = true;
+      continue;
+    }
+    std::string usage = argv[0];
+    for (const std::string_view flag : flags) {
+      usage.append(" [").append(flag).append(" V]");
+    }
+    for (const std::string_view s : switches) {
+      usage.append(" [").append(s).append("]");
+    }
+    if (path != nullptr) usage += " [output]";
+    std::fprintf(stderr, "unexpected argument '%s'\nusage: %s\n", argv[i],
+                 usage.c_str());
+    std::exit(2);
+  }
+}
+
+/// The last value a checked command line gives `name`; nullptr if none.
+inline const char* option_value(int argc, const char* const* argv,
+                                std::string_view name) {
+  const char* value = nullptr;
+  for (int i = 1; i < argc; ++i) {
+    if (const char* v = flag_value(argc, argv, i, name)) value = v;
+  }
+  return value;
 }
 
 /// `text` as a whole decimal integer >= `min`; exits 2 otherwise.

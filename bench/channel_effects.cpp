@@ -30,6 +30,7 @@ int exact_ne(const phy::Parameters& params, int n) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::check_args(argc, argv, {"--jobs"});
   bench::print_header(
       "Channel-realism ablations: PER, capture, backoff law",
       "paper §III idealizations relaxed one axis at a time",

@@ -34,9 +34,11 @@
 //                  on/off state.
 // An unknown flag, a second output path, or a missing or malformed
 // value exits 2; an output file that cannot be written exits 1.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -204,46 +206,28 @@ bool write_timings_json(const std::string& path,
   return close_output(out, path);
 }
 
-int usage_error(const std::string& arg) {
-  std::fprintf(stderr,
-               "bench_city_scale: unexpected argument '%s'\n"
-               "usage: bench_city_scale [--jobs N] [--smoke] [--kernel "
-               "slot-loop|pdes] [--sim-slots N] [output.json]\n",
-               arg.c_str());
-  return 2;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  bool sim_leg = false;
-  std::uint64_t sim_slots = 0;
-  multihop::MultihopKernel sim_kernel = multihop::MultihopKernel::kSlotLoop;
   std::string path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (bench::flag_value(argc, argv, i, "--jobs") != nullptr) {
-      // Validated by jobs_option below.
-    } else if (const char* kernel =
-                   bench::flag_value(argc, argv, i, "--kernel")) {
-      if (std::string(kernel) == "pdes") {
-        sim_kernel = multihop::MultihopKernel::kPdes;
-      } else if (std::string(kernel) != "slot-loop") {
-        bench::bad_flag_value("--kernel", kernel, "slot-loop or pdes");
-      }
-      sim_leg = true;
-    } else if (const char* slots =
-                   bench::flag_value(argc, argv, i, "--sim-slots")) {
-      sim_slots = bench::parse_count("--sim-slots", slots, 0);
-      sim_leg = sim_slots > 0;
-    } else if (!arg.empty() && arg[0] != '-' && path.empty()) {
-      path = arg;
-    } else {
-      return usage_error(arg);
+  bench::check_args(argc, argv, {"--jobs", "--kernel", "--sim-slots"},
+                    {"--smoke"}, &path);
+  const bool smoke = std::find(argv + 1, argv + argc,
+                               std::string_view("--smoke")) != argv + argc;
+  bool sim_leg = false;
+  multihop::MultihopKernel sim_kernel = multihop::MultihopKernel::kSlotLoop;
+  if (const char* kernel = bench::option_value(argc, argv, "--kernel")) {
+    if (std::string_view(kernel) == "pdes") {
+      sim_kernel = multihop::MultihopKernel::kPdes;
+    } else if (std::string_view(kernel) != "slot-loop") {
+      bench::bad_flag_value("--kernel", kernel, "slot-loop or pdes");
     }
+    sim_leg = true;
+  }
+  std::uint64_t sim_slots = 0;
+  if (const char* slots = bench::option_value(argc, argv, "--sim-slots")) {
+    sim_slots = bench::parse_count("--sim-slots", slots, 0);
+    sim_leg = sim_slots > 0;
   }
   if (sim_leg && sim_slots == 0) sim_slots = 2000;
   if (path.empty()) {

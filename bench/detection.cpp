@@ -50,6 +50,8 @@ double measured_rate(int w_agreed, int w_node0, std::uint64_t slots,
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::check_args(argc, argv,
+                    {"--jobs", "--ci-target", "--ci-rel", "--max-reps"});
   bench::print_header(
       "Contention-window misbehavior detection",
       "ref [3] (Kyasanur & Vaidya) enforcement companion",

@@ -146,6 +146,8 @@ struct FlagCount {
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::check_args(argc, argv, {"--jobs", "--out", "--ci-target",
+                                 "--ci-rel", "--max-reps"});
   bench::print_header(
       "Enforcement: online detection -> calibrated reaction -> rehabilitation",
       "robustness extension of paper §V.C/§V.D (detection + punishment)",
@@ -155,15 +157,9 @@ int main(int argc, char** argv) {
       "and multihop containment. Deterministic per-cell seeds.");
   const std::size_t jobs = bench::jobs_option(argc, argv);
   // Deliberately no jobs line: output must be byte-identical at any --jobs.
-  std::string out_path = "BENCH_enforcement.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[i + 1];
-    }
-  }
+  const char* out_flag = bench::option_value(argc, argv, "--out");
+  const std::string out_path =
+      out_flag != nullptr ? out_flag : "BENCH_enforcement.json";
 
   const phy::Parameters params = phy::Parameters::paper();
 

@@ -23,6 +23,7 @@ using namespace smac;
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::check_args(argc, argv, {"--jobs"});
   bench::print_header(
       "CW estimation accuracy and estimate-driven TFT stability",
       "paper §IV observation assumption (Kyasanur & Vaidya [3])",

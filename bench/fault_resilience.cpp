@@ -96,6 +96,8 @@ Cell run_cell(const game::StageGame& game, int w_coop, double churn,
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::check_args(argc, argv,
+                    {"--jobs", "--ci-target", "--ci-rel", "--max-reps"});
   bench::print_header(
       "Fault resilience: GTFT equilibrium recovery under churn + bursty loss",
       "robustness extension of paper §IV (no paper counterpart)",

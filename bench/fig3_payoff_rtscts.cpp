@@ -42,6 +42,7 @@ std::string ascii_bar(double value, double peak, int width = 48) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::check_args(argc, argv, {"--jobs"});
   bench::print_header(
       "Figure 3: normalized global payoff U/C vs common CW — RTS/CTS",
       "paper Figure 3",

@@ -25,6 +25,8 @@ using namespace smac;
 using smac::bench::sweep;
 
 int main(int argc, char** argv) {
+  bench::check_args(argc, argv,
+                    {"--jobs", "--ci-target", "--ci-rel", "--max-reps"});
   bench::print_header(
       "Multi-hop TFT dynamics: convergence vs diameter and mobility",
       "paper §VI (contagion of the minimum window)",

@@ -72,6 +72,7 @@ MobileRun run_mobile(int w_common, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::check_args(argc, argv, {"--jobs"});
   bench::print_header(
       "Multi-hop quasi-optimality under random-waypoint mobility",
       "paper §VII.B (W_m = 26; local payoff >= 96% of max; global within 3%)",

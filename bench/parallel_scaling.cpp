@@ -47,6 +47,7 @@ bool identical_metrics(const sim::SimBatch& a, const sim::SimBatch& b) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::check_args(argc, argv, {"--jobs"});
   bench::print_header(
       "Parallel replication scaling",
       "engine check (no paper artifact): ReplicationRunner determinism "

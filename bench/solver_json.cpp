@@ -13,11 +13,12 @@
 // kernel (try_solve_classes_batch) at batch sizes 1/16/256/4096, cold
 // (distinct profiles, no hints) and warm (re-solves seeded with their own
 // solution — the repeated-game stage pattern), plus one SolverService
-// drain of deduplicated requests.
+// batch of deduplicated requests.
 //
 // Usage: bench_solver_json [output.json]   (default BENCH_solver.json in
-// the working directory). Wall-clock numbers obviously vary by machine;
-// the JSON is a trajectory record, not a determinism surface.
+// the working directory; any other argument exits 2). Wall-clock numbers
+// obviously vary by machine; the JSON is a trajectory record, not a
+// determinism surface.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -28,6 +29,7 @@
 #include "analytical/batch_solver.hpp"
 #include "analytical/fixed_point_solver.hpp"
 #include "analytical/solver_service.hpp"
+#include "bench_common.hpp"
 
 namespace {
 
@@ -163,7 +165,8 @@ double solves_per_sec(double ns_per_solve) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string path = argc > 1 ? argv[1] : "BENCH_solver.json";
+  std::string path = "BENCH_solver.json";
+  bench::check_args(argc, argv, {}, {}, &path);
   const int reps = 31;  // odd: the median is a real sample
 
   std::vector<Point> points;
@@ -202,9 +205,9 @@ int main(int argc, char** argv) {
   });
 
   // Batch-kernel throughput trajectory (amortized ns/solve), plus one
-  // SolverService drain: 1024 requests over 512 distinct profiles — the
-  // dedup-then-batch path a tournament prefetch takes. A fresh service
-  // per sample keeps every drain cold.
+  // SolverService batch: 1024 requests over 512 distinct profiles — the
+  // dedup-then-batch path a deviation scan takes. A fresh service per
+  // sample keeps every batch cold.
   std::vector<ThroughputPoint> throughput;
   for (const int batch : {1, 16, 256, 4096}) {
     throughput.push_back(measure_throughput(batch));
@@ -215,6 +218,7 @@ int main(int argc, char** argv) {
   const double service_ns =
       median_ns(11, [&] {
         analytical::SolverService service;
+        std::vector<std::vector<int>> profiles;
         for (int r = 0; r < service_requests; ++r) {
           const auto& classes =
               service_instances[static_cast<std::size_t>(r % service_distinct)]
@@ -223,9 +227,9 @@ int main(int argc, char** argv) {
           for (std::size_t i = 0; i < w.size(); ++i) {
             w[i] = classes.window[static_cast<std::size_t>(classes.class_of[i])];
           }
-          (void)service.submit(std::move(w), 6, 0.0);
+          profiles.push_back(std::move(w));
         }
-        service.drain();
+        (void)service.solve_batch(profiles, 6, 0.0);
       }) /
       service_requests;
 
@@ -308,7 +312,7 @@ int main(int argc, char** argv) {
                 solves_per_sec(t.cold_ns), t.warm_ns,
                 solves_per_sec(t.warm_ns));
   }
-  std::printf("service drain: %d requests (%d distinct) at %.0f ns/request "
+  std::printf("service batch: %d requests (%d distinct) at %.0f ns/request "
               "(%.0f requests/s)\n",
               service_requests, service_distinct, service_ns,
               solves_per_sec(service_ns));

@@ -72,6 +72,7 @@ SimNe simulated_ne(phy::AccessMode mode, int n, int w_star,
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::check_args(argc, argv, {"--jobs"});
   bench::print_header(
       "Table II: Nash Equilibrium point — basic access",
       "paper Table II (paper: model 76/336/879, sim 75.6/337.4/880.5)",

@@ -65,6 +65,7 @@ SimNe simulated_ne(int n, int w_center, std::uint64_t slots_per_point,
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::check_args(argc, argv, {"--jobs"});
   bench::print_header(
       "Table III: Nash Equilibrium point — RTS/CTS access",
       "paper Table III (paper: model 22/48/116, sim 22.9/46.4/114.2)",

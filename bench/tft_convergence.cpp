@@ -33,6 +33,8 @@ std::vector<int> heterogeneous_starts(int n, int lo, int hi,
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::check_args(argc, argv,
+                    {"--jobs", "--ci-target", "--ci-rel", "--max-reps"});
   bench::print_header(
       "TFT / GTFT convergence",
       "paper §IV (TFT properties; GTFT tolerance parameters beta, r0)",

@@ -19,6 +19,8 @@ using namespace smac;
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::check_args(argc, argv,
+                    {"--jobs", "--ci-target", "--ci-rel", "--max-reps"});
   bench::print_header(
       "Strategy tournament: invasion resistance and round-robin scores",
       "paper §IV (TFT as 'the best strategy'), §V.D deterrence boundary",

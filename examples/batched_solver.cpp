@@ -1,11 +1,11 @@
-// Batched solver quickstart: submit 1000 profiles through SolverService,
-// drain once, print the throughput.
+// Batched solver quickstart: price 1000 profiles through SolverService
+// in one batch, print the throughput.
 //
 // The service deduplicates requests onto canonical symmetry-class keys,
 // answers repeats and permutations from its cache, and solves the
-// distinct misses through the lockstep batch kernel — every ticket's
-// result is bitwise identical to a one-at-a-time try_solve_network call
-// (see docs/SOLVER_API.md for the full contract).
+// distinct misses through the lockstep batch kernel — every result is
+// bitwise identical to a one-at-a-time try_solve_network call (see
+// docs/SOLVER_API.md for the full contract).
 //
 // Build & run:  ./build/examples/batched_solver [requests]
 #include <chrono>
@@ -26,28 +26,26 @@ int main(int argc, char** argv) {
 
   analytical::SolverService service;
 
-  // 1. Submit: a deviation-scan-shaped request stream — 20 cooperating
-  //    nodes at W = 128 with one deviant sweeping its window. Nothing is
-  //    solved yet; the service just queues the requests.
-  const auto t0 = Clock::now();
-  std::vector<analytical::SolverService::Ticket> tickets;
-  tickets.reserve(static_cast<std::size_t>(requests));
+  // 1. A deviation-scan-shaped request stream: 20 cooperating nodes at
+  //    W = 128 with one deviant sweeping its window.
+  std::vector<std::vector<int>> profiles;
+  profiles.reserve(static_cast<std::size_t>(requests));
   for (int r = 0; r < requests; ++r) {
     std::vector<int> profile(20, 128);
     profile[0] = 1 + r % 127;  // the deviant's window, revisited cyclically
-    tickets.push_back(service.submit(std::move(profile), 6, 0.0));
+    profiles.push_back(std::move(profile));
   }
 
-  // 2. Drain: one lockstep batch over the distinct class systems; repeats
-  //    of the same deviant window are cache hits.
-  service.drain();
+  // 2. One batch: a lockstep solve over the distinct class systems;
+  //    repeats of the same deviant window are cache hits.
+  const auto t0 = Clock::now();
+  const std::vector<analytical::TrySolveResult> results =
+      service.solve_batch(profiles, 6, 0.0);
   const auto t1 = Clock::now();
 
-  // 3. Redeem the tickets (already fulfilled — result() would also have
-  //    drained for us on first use).
   double tau_sum = 0.0;
-  for (const auto& ticket : tickets) {
-    tau_sum += ticket.result().state.tau[0];  // the deviant's attempt rate
+  for (const auto& result : results) {
+    tau_sum += result.state.tau[0];  // the deviant's attempt rate
   }
 
   const double us =

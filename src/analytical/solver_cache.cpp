@@ -1,7 +1,6 @@
 #include "analytical/solver_cache.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 namespace smac::analytical {
 
@@ -82,12 +81,10 @@ TrySolveResult NetworkSolveCache::solve(const std::vector<int>& w,
                                         int max_stage,
                                         double packet_error_rate) const {
   if (!valid_solve_inputs(w, max_stage, packet_error_rate)) {
-    // Invalid inputs are not worth an entry: report the miss and return
-    // the same kFailed/"invalid" result try_solve_network produces.
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++misses_;
-    }
+    // Invalid inputs are not worth an entry: report the miss (an empty
+    // profile names no key, so it counts nothing) and return the same
+    // kFailed/"invalid" result try_solve_network produces.
+    if (!w.empty()) tally(0, 1);
     return try_solve_network(w, max_stage, opts_, packet_error_rate);
   }
 
@@ -175,62 +172,9 @@ void NetworkSolveCache::tally(std::uint64_t hits, std::uint64_t misses) const {
   misses_ += misses;
 }
 
-std::optional<std::vector<double>> NetworkSolveCache::neighbor_hint(
-    const ClassProfile& classes, int max_stage,
-    double packet_error_rate) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const Key* best_key = nullptr;
-  const TrySolveResult* best_value = nullptr;
-  long long best_distance = 0;
-  for (const auto& [key, value] : cache_) {
-    if (key.max_stage != max_stage ||
-        key.packet_error_rate != packet_error_rate ||
-        key.multiplicity != classes.multiplicity ||
-        !usable(value.diagnostics.status)) {
-      continue;
-    }
-    long long distance = 0;
-    for (std::size_t c = 0; c < key.window.size(); ++c) {
-      distance += std::abs(static_cast<long long>(key.window[c]) -
-                           static_cast<long long>(classes.window[c]));
-    }
-    if (distance == 0) continue;  // exact key: that is a hit, not a hint
-    if (best_key == nullptr || distance < best_distance ||
-        (distance == best_distance && key.window < best_key->window)) {
-      best_key = &key;
-      best_value = &value;
-      best_distance = distance;
-    }
-  }
-  if (best_value == nullptr) return std::nullopt;
-  return best_value->state.tau;
-}
-
-std::size_t NetworkSolveCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return cache_.size();
-}
-
-std::uint64_t NetworkSolveCache::hits() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return hits_;
-}
-
-std::uint64_t NetworkSolveCache::misses() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return misses_;
-}
-
 SolveCacheStats NetworkSolveCache::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return {cache_.size(), hits_, misses_};
-}
-
-void NetworkSolveCache::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  cache_.clear();
-  hits_ = 0;
-  misses_ = 0;
 }
 
 }  // namespace smac::analytical

@@ -14,7 +14,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -58,7 +57,8 @@ class NetworkSolveCache {
 
   /// Cached equivalent of try_solve_network(w, max_stage, opts, per) —
   /// bitwise equal to the direct call (both run the collapsed kernel on
-  /// the canonical class system).
+  /// the canonical class system). Invalid inputs count one miss and are
+  /// not inserted; an empty profile names no key and counts nothing.
   TrySolveResult solve(const std::vector<int>& w, int max_stage,
                        double packet_error_rate) const;
 
@@ -90,25 +90,10 @@ class NetworkSolveCache {
                      std::span<const TrySolveResult> solved) const;
 
   /// Bumps the traffic counters without touching entries — for batching
-  /// layers that answer requests outside the cache (e.g. warm-started
-  /// solves that must not be inserted).
+  /// layers that answer requests outside the cache (invalid keys).
   void tally(std::uint64_t hits, std::uint64_t misses) const;
 
-  /// Deterministic warm-start hint: the class tau of the cached usable
-  /// entry with the same (multiplicity, max_stage, PER) and the smallest
-  /// L1 window distance (lexicographically smallest window on ties).
-  /// Scans the cache (O(size)); nullopt when nothing matches. Solutions
-  /// started from a hint may differ from cold solves in the last ulp, so
-  /// they must never be adopted back into the cache.
-  std::optional<std::vector<double>> neighbor_hint(
-      const ClassProfile& classes, int max_stage,
-      double packet_error_rate) const;
-
-  std::size_t size() const;
-  std::uint64_t hits() const;
-  std::uint64_t misses() const;
   SolveCacheStats stats() const;
-  void clear();
 
  private:
   /// Canonical class key: (distinct windows asc, multiplicities,

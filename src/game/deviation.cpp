@@ -56,7 +56,7 @@ BestDeviation best_shortsighted_deviation(const StageGame& game, int n,
   // The objective is not guaranteed unimodal across the whole range for
   // every δ_s, and w_coop is small enough that an exhaustive scan is
   // cheap. Every candidate's one-deviant profile is known upfront, so the
-  // scan submits them as one solver batch (w_coop itself first — the
+  // scan prices them in one solver batch (w_coop itself first — the
   // conforming baseline) instead of solving inline per candidate.
   std::vector<int> candidates;
   candidates.reserve(static_cast<std::size_t>(w_coop));
@@ -80,7 +80,7 @@ BestDeviation best_shortsighted_deviation(const StageGame& game, int n,
     const int w = candidates[idx];
     // Unusable solves fall back to the sequential path, which (like
     // stage_utilities) evaluates utilities from the sanitized state
-    // regardless of status — a cache hit after the batch drain.
+    // regardless of status — a cache hit after the batch.
     const double deviator =
         analytical::usable(payoffs[idx].diagnostics.status)
             ? payoffs[idx].utilities[0]

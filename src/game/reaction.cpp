@@ -140,7 +140,7 @@ void ReactionPolicy::open_episode(std::size_t offender, int first_stage) {
 
   // Calibration: what did the deviant gain per stage, and what does a
   // punished stage cost *it* (the deviant keeps ŵ; the crowd jams)? One
-  // batched submission covers the three asymmetric what-if profiles.
+  // batch covers the three asymmetric what-if profiles.
   const std::size_t n = series_.size();
   std::vector<std::vector<int>> profiles(3);
   profiles[0].assign(n, config_.w_agreed);            // all-compliant

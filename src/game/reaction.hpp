@@ -21,8 +21,8 @@
 //             the other way starves it back. The episode length is
 //             calibrated: the three what-if profiles (all-compliant
 //             baseline, deviant-vs-crowd, deviant-vs-jamming-crowd) are
-//             solved in one batched StageGame submission (the PR 6
-//             SolverService), and the episode runs until the deviant's
+//             solved in one StageGame::try_stage_utilities_batch
+//             call, and the episode runs until the deviant's
 //             loss repays its estimated stolen utility times a penalty
 //             margin;
 //   rehab   — when the episode ends the offender's evidence is cleared

@@ -31,25 +31,8 @@ std::vector<double> StageGame::utility_rates(const std::vector<int>& w) const {
   return analytical::utility_rates(solved.state, params_, mode_);
 }
 
-std::vector<double> StageGame::stage_utilities(
-    const std::vector<int>& w) const {
-  std::vector<double> u = utility_rates(w);
-  const double t_us = stage_duration_us();
-  for (double& v : u) v *= t_us;
-  return u;
-}
-
-StageGame::StagePayoffs StageGame::try_stage_utilities(
-    const std::vector<int>& w, std::optional<double> per_override) const {
-  if (w.empty()) {
-    StagePayoffs out;
-    out.diagnostics.status = analytical::SolveStatus::kFailed;
-    out.diagnostics.method = "invalid";
-    return out;
-  }
-  const double per = per_override.value_or(params_.packet_error_rate);
-  const analytical::TrySolveResult solved =
-      solver_.solve(w, params_.max_backoff_stage, per);
+StageGame::StagePayoffs StageGame::payoffs_of(
+    const analytical::TrySolveResult& solved) const {
   StagePayoffs out;
   out.diagnostics = solved.diagnostics;
   if (analytical::usable(solved.diagnostics.status)) {
@@ -60,33 +43,29 @@ StageGame::StagePayoffs StageGame::try_stage_utilities(
   return out;
 }
 
+std::vector<double> StageGame::stage_utilities(
+    const std::vector<int>& w) const {
+  std::vector<double> u = utility_rates(w);
+  const double t_us = stage_duration_us();
+  for (double& v : u) v *= t_us;
+  return u;
+}
+
+StageGame::StagePayoffs StageGame::try_stage_utilities(
+    const std::vector<int>& w, std::optional<double> per_override) const {
+  const double per = per_override.value_or(params_.packet_error_rate);
+  return payoffs_of(solver_.solve(w, params_.max_backoff_stage, per));
+}
+
 std::vector<StageGame::StagePayoffs> StageGame::try_stage_utilities_batch(
     const std::vector<std::vector<int>>& profiles,
     std::optional<double> per_override) const {
   const double per = per_override.value_or(params_.packet_error_rate);
-  std::vector<analytical::SolverService::Ticket> tickets(profiles.size());
-  for (std::size_t i = 0; i < profiles.size(); ++i) {
-    if (!profiles[i].empty()) {
-      tickets[i] =
-          solver_.submit(profiles[i], params_.max_backoff_stage, per);
-    }
-  }
-  solver_.drain();
+  const std::vector<analytical::TrySolveResult> solved =
+      solver_.solve_batch(profiles, params_.max_backoff_stage, per);
   std::vector<StagePayoffs> out(profiles.size());
-  const double t_us = stage_duration_us();
   for (std::size_t i = 0; i < profiles.size(); ++i) {
-    if (profiles[i].empty()) {
-      out[i].diagnostics.status = analytical::SolveStatus::kFailed;
-      out[i].diagnostics.method = "invalid";
-      continue;
-    }
-    const analytical::TrySolveResult& solved = tickets[i].result();
-    out[i].diagnostics = solved.diagnostics;
-    if (analytical::usable(solved.diagnostics.status)) {
-      out[i].utilities =
-          analytical::utility_rates(solved.state, params_, mode_);
-      for (double& v : out[i].utilities) v *= t_us;
-    }
+    out[i] = payoffs_of(solved[i]);
   }
   return out;
 }
@@ -119,13 +98,11 @@ std::vector<StageGame::ClassPayoffs> StageGame::try_class_utilities_batch(
 void StageGame::prefetch_profiles(const std::vector<std::vector<int>>& profiles,
                                   std::optional<double> per_override) const {
   const double per = per_override.value_or(params_.packet_error_rate);
-  bool submitted = false;
-  for (const std::vector<int>& w : profiles) {
-    if (w.empty()) continue;
-    solver_.submit(w, params_.max_backoff_stage, per);
-    submitted = true;
+  std::vector<analytical::ClassProfile> classes(profiles.size());
+  for (std::size_t i = 0; i < profiles.size(); ++i) {
+    classes[i] = analytical::classify_profile(profiles[i]);
   }
-  if (submitted) solver_.drain();
+  (void)solver_.solve_classes(classes, params_.max_backoff_stage, per);
 }
 
 double StageGame::homogeneous_utility_rate(int w, int n) const {

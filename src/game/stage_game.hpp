@@ -57,7 +57,8 @@ class StageGame {
   /// through a thread-safe memo keyed on (profile, max_stage, PER), so
   /// repeated games and tournaments that revisit the same profile —
   /// especially after a fault knocks the history back to a prior state —
-  /// pay for each solve once.
+  /// pay for each solve once. An empty profile yields kFailed/"invalid"
+  /// with no utilities and counts no cache traffic.
   struct StagePayoffs {
     std::vector<double> utilities;
     analytical::SolveDiagnostics diagnostics;
@@ -66,12 +67,11 @@ class StageGame {
       const std::vector<int>& w,
       std::optional<double> per_override = std::nullopt) const;
 
-  /// Batched try_stage_utilities: submits every profile to the solver
-  /// service, drains once, and returns the payoffs in input order. Each
-  /// element is bitwise equal to the corresponding sequential
-  /// try_stage_utilities call (the batch kernel's identity contract);
-  /// only the solver work is shared — empty profiles short-circuit to the
-  /// same kFailed/"invalid" payoffs as the sequential path.
+  /// Batched try_stage_utilities: prices every profile through one
+  /// SolverService::solve_batch call and returns the payoffs in input
+  /// order. Each element is bitwise equal to the corresponding sequential
+  /// try_stage_utilities call, cache traffic included (the batch kernel's
+  /// identity contract); only the solver work is shared.
   std::vector<StagePayoffs> try_stage_utilities_batch(
       const std::vector<std::vector<int>>& profiles,
       std::optional<double> per_override = std::nullopt) const;
@@ -95,10 +95,10 @@ class StageGame {
       const std::vector<analytical::ClassProfile>& profiles,
       std::optional<double> per_override = std::nullopt) const;
 
-  /// Warms the solve cache for a set of profiles in one batched drain.
-  /// Later utility_rates / try_stage_utilities calls on these profiles
-  /// (or any permutation of them) are cache hits. Invalid profiles are
-  /// ignored.
+  /// Warms the solve cache for a set of profiles in one
+  /// SolverService::solve_classes batch. Later utility_rates /
+  /// try_stage_utilities calls on these profiles (or any permutation of
+  /// them) are cache hits. Invalid profiles add no entry.
   void prefetch_profiles(const std::vector<std::vector<int>>& profiles,
                          std::optional<double> per_override =
                              std::nullopt) const;
@@ -130,6 +130,9 @@ class StageGame {
   }
 
  private:
+  /// Stage payoffs u·T of a per-node solve (none when it is unusable).
+  StagePayoffs payoffs_of(const analytical::TrySolveResult& solved) const;
+
   phy::Parameters params_;
   phy::AccessMode mode_;
   mutable std::mutex cache_mutex_;

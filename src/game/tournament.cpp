@@ -162,7 +162,7 @@ std::vector<std::vector<bool>> Tournament::invasion_matrix(
   }
   // Every pair's stage-0 profiles (one mutant among residents, and the
   // pure-resident counterfactual) are known upfront: warm the shared
-  // solve cache in one batched drain so the fan-out's opening solves are
+  // solve cache in one batch so the fan-out's opening solves are
   // hits instead of duplicated misses across workers.
   if (const std::vector<int> opening = opening_windows(roster);
       !opening.empty()) {

@@ -123,20 +123,6 @@ DetectStatus OnlineDetector::try_observe_window(std::size_t opponent,
   return try_observe(opponent, tau * slots, config_.slots_per_stage);
 }
 
-void OnlineDetector::observe(std::size_t opponent, double attempts,
-                             std::uint64_t slots) {
-  if (try_observe(opponent, attempts, slots) != DetectStatus::kOk) {
-    throw std::invalid_argument("OnlineDetector::observe: invalid input");
-  }
-}
-
-void OnlineDetector::observe_window(std::size_t opponent, int observed_w) {
-  if (try_observe_window(opponent, observed_w) != DetectStatus::kOk) {
-    throw std::invalid_argument(
-        "OnlineDetector::observe_window: invalid input");
-  }
-}
-
 const OnlineVerdict& OnlineDetector::verdict(std::size_t opponent) const {
   if (opponent >= state_.size()) {
     throw std::out_of_range("OnlineDetector::verdict: opponent out of range");

@@ -133,10 +133,6 @@ class OnlineDetector {
   /// opponent out of range or observed_w < 1.
   DetectStatus try_observe_window(std::size_t opponent, int observed_w);
 
-  /// Throwing wrappers for callers that prefer exceptions at the edges.
-  void observe(std::size_t opponent, double attempts, std::uint64_t slots);
-  void observe_window(std::size_t opponent, int observed_w);
-
   const OnlineVerdict& verdict(std::size_t opponent) const;
   bool flagged(std::size_t opponent) const {
     return verdict(opponent).flagged;

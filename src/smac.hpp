@@ -11,10 +11,8 @@
 #pragma once
 
 // util — numerics, RNG, statistics, I/O helpers
-#include "util/config.hpp"
 #include "util/csv.hpp"
 #include "util/fixed_point.hpp"
-#include "util/logging.hpp"
 #include "util/optimize.hpp"
 #include "util/rng.hpp"
 #include "util/root_finding.hpp"

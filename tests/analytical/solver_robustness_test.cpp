@@ -134,21 +134,19 @@ TEST(NetworkSolveCache, HitsAndMissesAreCounted) {
   NetworkSolveCache cache;
   const std::vector<int> w{16, 32};
   const TrySolveResult first = cache.solve(w, 5, 0.0);
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 0u);
   const TrySolveResult second = cache.solve(w, 5, 0.0);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().size, 1u);
   for (std::size_t i = 0; i < w.size(); ++i) {
     EXPECT_EQ(first.state.tau[i], second.state.tau[i]);
   }
   // Distinct PER / max_stage are distinct keys.
   (void)cache.solve(w, 5, 0.1);
   (void)cache.solve(w, 6, 0.0);
-  EXPECT_EQ(cache.misses(), 3u);
-  EXPECT_EQ(cache.size(), 3u);
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.stats().misses, 3u);
+  EXPECT_EQ(cache.stats().size, 3u);
 }
 
 TEST(NetworkSolveCache, MatchesDirectSolve) {
@@ -180,8 +178,9 @@ TEST(NetworkSolveCache, ConcurrentMixedProfileLookupsAreSafe) {
   for (int t = 1; t < kThreads; ++t) {
     EXPECT_EQ(tau0[static_cast<std::size_t>(t)], tau0[0]);
   }
-  EXPECT_GE(cache.hits() + cache.misses(), 80u);
-  EXPECT_EQ(cache.size(), 3u);
+  const SolveCacheStats stats = cache.stats();
+  EXPECT_GE(stats.hits + stats.misses, 80u);
+  EXPECT_EQ(stats.size, 3u);
 }
 
 }  // namespace

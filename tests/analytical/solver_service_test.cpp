@@ -1,13 +1,13 @@
-// SolverService: async submit/drain and synchronous solve_classes
-// semantics over the canonical cache.
+// SolverService: solve_batch and solve_classes semantics over the
+// canonical cache.
 //
 // The service's contract (src/analytical/solver_service.hpp): every
-// ticket resolves to bits equal to a direct NetworkSolveCache::solve /
+// batched result has the bits of a direct NetworkSolveCache::solve /
 // try_solve_network call, the cache traffic counters advance exactly as
-// the same requests would have sequentially, pool-chunked drains change
-// nothing, and tickets can be redeemed lazily (result() drains on
-// demand). solve_classes groups canonical class profiles the way drain()
-// groups per-node profiles: same results, same counters, same entries.
+// the same requests would have sequentially, and pool-chunked batches
+// change nothing. solve_classes groups canonical class profiles the way
+// solve_batch groups per-node profiles: same results, same counters,
+// same entries.
 #include "analytical/solver_service.hpp"
 
 #include <gtest/gtest.h>
@@ -46,14 +46,11 @@ TEST(SolverServiceTest, TicketsMatchDirectSolves) {
   SolverService service;
   const std::vector<std::vector<int>> profiles{
       {16, 16, 32}, {32, 16, 16}, {1, 1024}, {8, 8, 8, 8}};
-  std::vector<SolverService::Ticket> tickets;
-  for (const auto& w : profiles) tickets.push_back(service.submit(w, 6, 0.1));
-  EXPECT_EQ(service.pending(), profiles.size());
-  service.drain();
-  EXPECT_EQ(service.pending(), 0u);
+  const std::vector<TrySolveResult> results =
+      service.solve_batch(profiles, 6, 0.1);
+  ASSERT_EQ(results.size(), profiles.size());
   for (std::size_t i = 0; i < profiles.size(); ++i) {
-    ASSERT_TRUE(tickets[i].ready());
-    expect_matches_direct(tickets[i].result(), profiles[i], 6, 0.1,
+    expect_matches_direct(results[i], profiles[i], 6, 0.1,
                           service.cache().options());
   }
 }
@@ -61,77 +58,68 @@ TEST(SolverServiceTest, TicketsMatchDirectSolves) {
 TEST(SolverServiceTest, StatsMirrorSequentialRequests) {
   // {16,16,32} and {32,16,16} collapse to one canonical key; sequential
   // solve() calls would count 2 misses (two distinct keys) + 2 hits (the
-  // permutation and the repeat). A single drain must tally identically.
+  // permutation and the repeat). A single batch must tally identically.
   SolverService service;
-  service.submit({16, 16, 32}, 6, 0.1);
-  service.submit({32, 16, 16}, 6, 0.1);
-  service.submit({1, 1024}, 6, 0.1);
-  service.submit({16, 16, 32}, 6, 0.1);
-  service.drain();
+  const std::vector<std::vector<int>> profiles{
+      {16, 16, 32}, {32, 16, 16}, {1, 1024}, {16, 16, 32}};
+  service.solve_batch(profiles, 6, 0.1);
   const SolveCacheStats stats = service.cache_stats();
   EXPECT_EQ(stats.size, 2u);
   EXPECT_EQ(stats.misses, 2u);
   EXPECT_EQ(stats.hits, 2u);
 
-  // A second drain of an already-cached profile is pure hits.
-  service.submit({16, 32, 16}, 6, 0.1);
-  service.drain();
+  // A second batch of an already-cached profile is pure hits.
+  service.solve_batch(std::vector<std::vector<int>>{{16, 32, 16}}, 6, 0.1);
   EXPECT_EQ(service.cache_stats().hits, 3u);
   EXPECT_EQ(service.cache_stats().misses, 2u);
 }
 
-TEST(SolverServiceTest, ResultDrainsOnDemand) {
-  SolverService service;
-  SolverService::Ticket ticket = service.submit({64, 64, 8}, 6, 0.0);
-  EXPECT_FALSE(ticket.ready());
-  expect_matches_direct(ticket.result(), {64, 64, 8}, 6, 0.0,
-                        service.cache().options());  // implicit drain
-  EXPECT_TRUE(ticket.ready());
-  EXPECT_EQ(service.pending(), 0u);
-}
-
 TEST(SolverServiceTest, InvalidRequestsFailLikeDirectCalls) {
   SolverService service;
-  SolverService::Ticket empty = service.submit({}, 6, 0.0);
-  SolverService::Ticket bad_window = service.submit({0, 16}, 6, 0.0);
-  SolverService::Ticket bad_per = service.submit({16}, 6, 1.0);
-  service.drain();
-  for (const auto* ticket : {&empty, &bad_window, &bad_per}) {
-    EXPECT_EQ(ticket->result().diagnostics.status, SolveStatus::kFailed);
-    EXPECT_STREQ(ticket->result().diagnostics.method, "invalid");
+  const std::vector<TrySolveResult> batched = service.solve_batch(
+      std::vector<std::vector<int>>{{}, {0, 16}}, 6, 0.0);
+  const std::vector<TrySolveResult> bad_per =
+      service.solve_batch(std::vector<std::vector<int>>{{16}}, 6, 1.0);
+  for (const TrySolveResult* result :
+       {&batched[0], &batched[1], &bad_per[0]}) {
+    EXPECT_EQ(result->diagnostics.status, SolveStatus::kFailed);
+    EXPECT_STREQ(result->diagnostics.method, "invalid");
   }
   // Invalid requests tally as misses without inserting (same as
-  // NetworkSolveCache::solve).
-  EXPECT_EQ(service.cache_stats().misses, 3u);
+  // NetworkSolveCache::solve); the empty profile names no key and counts
+  // nothing.
+  EXPECT_EQ(service.cache_stats().misses, 2u);
   EXPECT_EQ(service.cache_stats().size, 0u);
+
+  // solve() follows the same empty-profile rule.
+  const TrySolveResult empty = service.solve({}, 6, 0.0);
+  EXPECT_EQ(empty.diagnostics.status, SolveStatus::kFailed);
+  EXPECT_STREQ(empty.diagnostics.method, "invalid");
+  EXPECT_EQ(service.cache_stats().misses, 2u);
+  EXPECT_EQ(service.cache_stats().hits, 0u);
 }
 
 TEST(SolverServiceTest, PoolChunkedDrainIsBitIdentical) {
+  // 80 distinct misses: more than one pool chunk.
   parallel::ThreadPool pool(2);
   SolverService::Options pooled;
   pooled.pool = &pool;
-  pooled.chunk_size = 2;
   SolverService with_pool{pooled};
   SolverService without_pool;
 
   std::vector<std::vector<int>> profiles;
-  for (int w = 1; w <= 9; ++w) {
+  for (int w = 1; w <= 80; ++w) {
     profiles.push_back({w, 2 * w, 2 * w, 64});
   }
-  std::vector<SolverService::Ticket> pooled_tickets;
-  std::vector<SolverService::Ticket> serial_tickets;
-  for (const auto& w : profiles) {
-    pooled_tickets.push_back(with_pool.submit(w, 6, 0.2));
-    serial_tickets.push_back(without_pool.submit(w, 6, 0.2));
-  }
-  with_pool.drain();
-  without_pool.drain();
+  const std::vector<TrySolveResult> a = with_pool.solve_batch(profiles, 6,
+                                                              0.2);
+  const std::vector<TrySolveResult> b = without_pool.solve_batch(profiles, 6,
+                                                                 0.2);
   for (std::size_t i = 0; i < profiles.size(); ++i) {
-    expect_bits_equal(pooled_tickets[i].result().state.tau,
-                      serial_tickets[i].result().state.tau);
-    expect_bits_equal(pooled_tickets[i].result().state.p,
-                      serial_tickets[i].result().state.p);
+    expect_bits_equal(a[i].state.tau, b[i].state.tau);
+    expect_bits_equal(a[i].state.p, b[i].state.p);
   }
+  EXPECT_EQ(with_pool.cache_stats().misses, 80u);
   EXPECT_EQ(with_pool.cache_stats().misses,
             without_pool.cache_stats().misses);
   EXPECT_EQ(with_pool.cache_stats().hits, without_pool.cache_stats().hits);
@@ -141,39 +129,13 @@ TEST(SolverServiceTest, BlockingSolveSharesTheCache) {
   SolverService service;
   const TrySolveResult first = service.solve({16, 16, 128}, 6, 0.1);
   EXPECT_EQ(service.cache_stats().misses, 1u);
-  SolverService::Ticket ticket = service.submit({128, 16, 16}, 6, 0.1);
-  service.drain();  // permutation of the cached key: a hit
+  const std::vector<TrySolveResult> batched = service.solve_batch(
+      std::vector<std::vector<int>>{{128, 16, 16}}, 6, 0.1);
+  // A permutation of the cached key: a hit.
   EXPECT_EQ(service.cache_stats().hits, 1u);
-  expect_bits_equal(ticket.result().state.tau,
+  expect_bits_equal(batched[0].state.tau,
                     {first.state.tau[2], first.state.tau[0],
                      first.state.tau[1]});
-}
-
-TEST(SolverServiceTest, WarmStartNeighborsAnswersWithoutPoisoningCache) {
-  SolverService::Options options;
-  options.warm_start_neighbors = true;
-  SolverService service{options};
-
-  // Prime a neighbor key, then request a nearby profile.
-  service.solve({16, 16, 64}, 6, 0.1);
-  ASSERT_EQ(service.cache_stats().size, 1u);
-  SolverService::Ticket ticket = service.submit({16, 16, 72}, 6, 0.1);
-  service.drain();
-  EXPECT_TRUE(usable(ticket.result().diagnostics.status));
-  // Hinted solves are answered but never inserted: cached values stay
-  // pure functions of the key.
-  EXPECT_EQ(service.cache_stats().size, 1u);
-  EXPECT_EQ(service.cache_stats().misses, 2u);
-
-  // The hinted result must still be the same fixed point the cold solve
-  // finds, to solver tolerance; bit equality is explicitly NOT promised
-  // in this mode.
-  const TrySolveResult cold =
-      try_solve_network({16, 16, 72}, 6, service.cache().options(), 0.1);
-  ASSERT_EQ(ticket.result().state.tau.size(), cold.state.tau.size());
-  for (std::size_t i = 0; i < cold.state.tau.size(); ++i) {
-    EXPECT_NEAR(ticket.result().state.tau[i], cold.state.tau[i], 1e-9);
-  }
 }
 
 TEST(SolverServiceTest, SolveClassesCountsLikeSequentialSolves) {
@@ -221,42 +183,40 @@ TEST(SolverServiceTest, SolveClassesCountsLikeSequentialSolves) {
 
 TEST(SolverServiceTest, SolveClassesMatchesDrainAtTheInsertCap) {
   // Both paths adopt misses in canonical key order, so a cache that fills
-  // up mid-batch keeps the same entries either way — and the pool
-  // changes nothing.
+  // up mid-batch keeps the same entries either way — and the pool, over
+  // more than one chunk of misses, changes nothing.
   parallel::ThreadPool pool(3);
   SolverService::Options capped;
   capped.max_cache_entries = 5;
   SolverService::Options pooled = capped;
   pooled.pool = &pool;
-  pooled.chunk_size = 2;
   SolverService by_class{pooled};
-  SolverService by_ticket{capped};
+  SolverService by_batch{capped};
 
+  constexpr int kWindows = 72;
   std::vector<std::vector<int>> profiles;
   for (int round = 0; round < 2; ++round) {
     profiles.clear();
-    for (int w = 1; w <= 12; ++w) {
+    for (int w = 1; w <= kWindows; ++w) {
       profiles.push_back({8 * w + round, 16, 16, 64});
       profiles.push_back({64, 16, 8 * w + round, 16});  // permutation
     }
     std::vector<ClassProfile> classes;
-    std::vector<SolverService::Ticket> tickets;
-    for (const auto& w : profiles) {
-      classes.push_back(classify_profile(w));
-      tickets.push_back(by_ticket.submit(w, 6, 0.05));
-    }
+    for (const auto& w : profiles) classes.push_back(classify_profile(w));
     const SolverService::ClassBatch batch =
         by_class.solve_classes(classes, 6, 0.05);
-    by_ticket.drain();
+    const std::vector<TrySolveResult> per_node =
+        by_batch.solve_batch(profiles, 6, 0.05);
     for (std::size_t i = 0; i < profiles.size(); ++i) {
       const TrySolveResult& collapsed = batch.results[batch.key_of[i]];
       const NetworkState expanded =
           expand_classes(collapsed.state, classes[i]);
-      expect_bits_equal(expanded.tau, tickets[i].result().state.tau);
-      expect_bits_equal(expanded.p, tickets[i].result().state.p);
+      expect_bits_equal(expanded.tau, per_node[i].state.tau);
+      expect_bits_equal(expanded.p, per_node[i].state.p);
     }
     const SolveCacheStats a = by_class.cache_stats();
-    const SolveCacheStats b = by_ticket.cache_stats();
+    const SolveCacheStats b = by_batch.cache_stats();
+    EXPECT_EQ(a.misses, static_cast<std::uint64_t>((round + 1) * kWindows));
     EXPECT_EQ(a.size, 5u);
     EXPECT_EQ(a.size, b.size);
     EXPECT_EQ(a.hits, b.hits);
@@ -268,13 +228,13 @@ TEST(SolverServiceTest, SolveClassesMatchesDrainAtTheInsertCap) {
   // five, the smallest keys: windows {8,16,64}, then {16,24,64} through
   // {16,48,64} (w = 2 collapses to {16,64}, which sorts after them).
   std::uint64_t probe_hits = 0;
-  for (int w = 1; w <= 12; ++w) {
+  for (int w = 1; w <= kWindows; ++w) {
     const std::uint64_t a0 = by_class.cache_stats().hits;
-    const std::uint64_t b0 = by_ticket.cache_stats().hits;
+    const std::uint64_t b0 = by_batch.cache_stats().hits;
     by_class.solve({8 * w, 16, 16, 64}, 6, 0.05);
-    by_ticket.solve({8 * w, 16, 16, 64}, 6, 0.05);
+    by_batch.solve({8 * w, 16, 16, 64}, 6, 0.05);
     const std::uint64_t a_hit = by_class.cache_stats().hits - a0;
-    EXPECT_EQ(a_hit, by_ticket.cache_stats().hits - b0) << "w " << 8 * w;
+    EXPECT_EQ(a_hit, by_batch.cache_stats().hits - b0) << "w " << 8 * w;
     const bool smallest = w == 1 || (w >= 3 && w <= 6);
     EXPECT_EQ(a_hit, smallest ? 1u : 0u) << "w " << 8 * w;
     probe_hits += a_hit;

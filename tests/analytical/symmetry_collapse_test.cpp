@@ -101,7 +101,7 @@ TEST(SymmetryCollapse, CacheHitsOnPermutedProfiles) {
   NetworkSolveCache cache;
   const std::vector<int> w = mixed_profile(12, {32, 256});
   const TrySolveResult first = cache.solve(w, 5, 0.0);
-  ASSERT_EQ(cache.misses(), 1u);
+  ASSERT_EQ(cache.stats().misses, 1u);
   for (const std::uint64_t seed : {3u, 5u, 9u}) {
     const std::vector<int> pw = shuffled(w, seed);
     const TrySolveResult again = cache.solve(pw, 5, 0.0);
@@ -111,9 +111,9 @@ TEST(SymmetryCollapse, CacheHitsOnPermutedProfiles) {
     }
   }
   // Every permutation collapses to the same canonical key: no new misses.
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_GE(cache.hits(), 3u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().size, 1u);
+  EXPECT_GE(cache.stats().hits, 3u);
   // And the permuted hit is bitwise the permuted original solution.
   const std::vector<int> pw = shuffled(w, 3u);
   const TrySolveResult hit = cache.solve(pw, 5, 0.0);

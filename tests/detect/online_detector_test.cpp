@@ -87,8 +87,6 @@ TEST(OnlineDetectorTest, TryObserveRejectsInvalidInputUntouched) {
   EXPECT_EQ(d.try_observe_window(0, 0), DetectStatus::kInvalidInput);
   EXPECT_EQ(d.try_observe_window(kN, 16), DetectStatus::kInvalidInput);
   EXPECT_EQ(d.verdict(0).observations, 0);  // state untouched
-  EXPECT_THROW(d.observe(0, 1.0, 0), std::invalid_argument);
-  EXPECT_THROW(d.observe_window(0, 0), std::invalid_argument);
   EXPECT_THROW(d.verdict(kN), std::out_of_range);
   EXPECT_THROW(d.rehabilitate(kN), std::out_of_range);
 }
@@ -116,7 +114,9 @@ TEST(OnlineDetectorTest, DesignCheatRateFlagsWithinTwoStages) {
   const std::uint64_t slots = 200;
   int stages = 0;
   while (!d.flagged(0) && stages < 10) {
-    d.observe(0, d.tau_alt() * static_cast<double>(slots), slots);
+    ASSERT_EQ(d.try_observe(0, d.tau_alt() * static_cast<double>(slots),
+                            slots),
+              DetectStatus::kOk);
     ++stages;
   }
   EXPECT_TRUE(d.flagged(0));
@@ -130,7 +130,7 @@ TEST(OnlineDetectorTest, QuarterWindowCheatFlagsWithinThreeStages) {
   auto d = make();
   int stages = 0;
   while (!d.flagged(1) && stages < 10) {
-    d.observe_window(1, kW / 4);
+    ASSERT_EQ(d.try_observe_window(1, kW / 4), DetectStatus::kOk);
     ++stages;
   }
   EXPECT_TRUE(d.flagged(1));
@@ -139,7 +139,9 @@ TEST(OnlineDetectorTest, QuarterWindowCheatFlagsWithinThreeStages) {
 
 TEST(OnlineDetectorTest, FlagLatchesAndFreezesEvidence) {
   auto d = make();
-  while (!d.flagged(0)) d.observe_window(0, 2);
+  while (!d.flagged(0)) {
+    ASSERT_EQ(d.try_observe_window(0, 2), DetectStatus::kOk);
+  }
   const double at_flag = d.verdict(0).evidence;
   const int obs_at_flag = d.verdict(0).observations;
   // Subsequent compliant reads are frozen no-ops until rehabilitation.
@@ -154,14 +156,18 @@ TEST(OnlineDetectorTest, FlagLatchesAndFreezesEvidence) {
 
 TEST(OnlineDetectorTest, RehabilitationClearsStateButNotTheCounter) {
   auto d = make();
-  while (!d.flagged(0)) d.observe_window(0, 2);
+  while (!d.flagged(0)) {
+    ASSERT_EQ(d.try_observe_window(0, 2), DetectStatus::kOk);
+  }
   d.rehabilitate(0);
   EXPECT_FALSE(d.flagged(0));
   EXPECT_EQ(d.verdict(0).observations, 0);
   EXPECT_DOUBLE_EQ(d.verdict(0).evidence, 0.0);
   EXPECT_EQ(d.verdict(0).flagged_at, -1);
   // A repeat offender is re-flagged by fresh evidence...
-  while (!d.flagged(0)) d.observe_window(0, 2);
+  while (!d.flagged(0)) {
+    ASSERT_EQ(d.try_observe_window(0, 2), DetectStatus::kOk);
+  }
   EXPECT_EQ(d.flags_raised(), 2);  // ...and the cumulative count remembers.
   // Other opponents were never touched.
   EXPECT_EQ(d.verdict(1).observations, 0);
@@ -174,15 +180,17 @@ TEST(OnlineDetectorTest, EvidenceFloorBoundsComplianceCredit) {
   auto fresh = make();
   int cold = 0;
   while (!fresh.flagged(0)) {
-    fresh.observe_window(0, kW / 4);
+    ASSERT_EQ(fresh.try_observe_window(0, kW / 4), DetectStatus::kOk);
     ++cold;
   }
   auto credited = make();
-  for (int k = 0; k < 50; ++k) credited.observe_window(0, kW);
+  for (int k = 0; k < 50; ++k) {
+    ASSERT_EQ(credited.try_observe_window(0, kW), DetectStatus::kOk);
+  }
   EXPECT_NEAR(credited.verdict(0).evidence, credited.evidence_floor(), 1e-9);
   int warm = 0;
   while (!credited.flagged(0)) {
-    credited.observe_window(0, kW / 4);
+    ASSERT_EQ(credited.try_observe_window(0, kW / 4), DetectStatus::kOk);
     ++warm;
   }
   EXPECT_LE(warm, cold + 1);
@@ -190,9 +198,10 @@ TEST(OnlineDetectorTest, EvidenceFloorBoundsComplianceCredit) {
 
 TEST(OnlineDetectorTest, SuspectStreakTracksPositiveIncrements) {
   auto d = make();
-  d.observe_window(0, kW / 4);
+  ASSERT_EQ(d.try_observe_window(0, kW / 4), DetectStatus::kOk);
   EXPECT_EQ(d.verdict(0).suspect_streak, 1);
-  d.observe_window(0, kW);  // compliant read resets the streak
+  // A compliant read resets the streak.
+  ASSERT_EQ(d.try_observe_window(0, kW), DetectStatus::kOk);
   EXPECT_EQ(d.verdict(0).suspect_streak, 0);
 }
 
