@@ -7,10 +7,11 @@
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <initializer_list>
 #include <string>
 #include <string_view>
-#include <utility>
+#include <thread>
 
 #include "parallel/replication.hpp"
 #include "parallel/thread_pool.hpp"
@@ -132,35 +133,21 @@ inline double parse_non_negative(const std::string& flag, const char* text) {
   return v;
 }
 
-/// Worker count for replication fan-out: `--jobs N` / `--jobs=N` on the
-/// command line wins, then the SMAC_JOBS environment variable, then
-/// hardware concurrency (both via ThreadPool::default_jobs()). A missing
-/// or malformed value (`--jobs 0`, `--jobs abc`) exits 2. Results are
-/// seed-determined and independent of this knob — it only changes
-/// wall-clock time.
+/// Worker count for replication fan-out (`parallel::ThreadPool(jobs)`):
+/// `--jobs N` / `--jobs=N` on the command line wins, then the SMAC_JOBS
+/// environment variable, then hardware concurrency. A missing or
+/// malformed value (`--jobs 0`, `--jobs abc`) exits 2, and so does a set
+/// but malformed SMAC_JOBS (`0`, `abc`), even when `--jobs` overrides it.
+/// Results are seed-determined and independent of this knob — it only
+/// changes wall-clock time.
 inline std::size_t jobs_option(int argc, const char* const* argv) {
-  std::size_t jobs = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (const char* v = flag_value(argc, argv, i, "--jobs")) {
-      jobs = parse_count("--jobs", v, 1);
-    }
+  const char* env = std::getenv("SMAC_JOBS");
+  const std::size_t env_jobs = env ? parse_count("SMAC_JOBS", env, 1) : 0;
+  if (const char* v = option_value(argc, argv, "--jobs")) {
+    return parse_count("--jobs", v, 1);
   }
-  return jobs != 0 ? jobs : parallel::ThreadPool::default_jobs();
-}
-
-/// Fans fn(i) for i in [0, count) across `jobs` workers (inline when
-/// jobs <= 1 or there is at most one index). Each index must be a
-/// self-contained experiment with its own fixed seed writing into a
-/// per-index slot; callers reduce the slots in index order afterwards, so
-/// printed tables are byte-identical for any jobs value.
-template <class Fn>
-inline void sweep(std::size_t count, std::size_t jobs, Fn&& fn) {
-  if (jobs <= 1 || count <= 1) {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
-  parallel::ThreadPool pool(jobs);
-  pool.for_each_index(count, std::forward<Fn>(fn));
+  return env_jobs != 0 ? std::min(env_jobs, parallel::ThreadPool::kMaxThreads)
+                       : parallel::ThreadPool::default_jobs();
 }
 
 inline void print_jobs(std::size_t jobs) {
@@ -184,14 +171,14 @@ inline void print_jobs(std::size_t jobs) {
 inline parallel::StoppingRule stopping_option(int argc,
                                               const char* const* argv) {
   parallel::StoppingRule rule;
-  for (int i = 1; i < argc; ++i) {
-    if (const char* v = flag_value(argc, argv, i, "--ci-target")) {
-      rule.ci_half_width_target = parse_non_negative("--ci-target", v);
-    } else if (const char* v = flag_value(argc, argv, i, "--ci-rel")) {
-      rule.ci_rel_target = parse_non_negative("--ci-rel", v);
-    } else if (const char* v = flag_value(argc, argv, i, "--max-reps")) {
-      rule.max_reps = parse_count("--max-reps", v, 0);
-    }
+  if (const char* v = option_value(argc, argv, "--ci-target")) {
+    rule.ci_half_width_target = parse_non_negative("--ci-target", v);
+  }
+  if (const char* v = option_value(argc, argv, "--ci-rel")) {
+    rule.ci_rel_target = parse_non_negative("--ci-rel", v);
+  }
+  if (const char* v = option_value(argc, argv, "--max-reps")) {
+    rule.max_reps = parse_count("--max-reps", v, 0);
   }
   return rule;
 }
@@ -214,6 +201,41 @@ inline parallel::StoppingRule resolve_stopping(parallel::StoppingRule rule,
 /// without it).
 inline void print_stopping(const parallel::StoppingReport& report) {
   std::printf("%s\n", report.summary().c_str());
+}
+
+/// JSON object naming the machine and build a timing file came from —
+/// `nproc`, CPU model, compiler and build type — so timings from
+/// different hosts are never compared blind. SMAC_BUILD_TYPE is set per
+/// bench target in bench/CMakeLists.txt.
+inline std::string host_json() {
+  std::string cpu = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    const auto colon = line.find(':');
+    if (line.starts_with("model name") && colon != std::string::npos) {
+      cpu = line.substr(std::min(colon + 2, line.size()));
+      break;
+    }
+  }
+#if defined(__clang__)
+  const std::string compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  const std::string compiler = "gcc " __VERSION__;
+#else
+  const std::string compiler = "unknown";
+#endif
+  const auto quote = [](const std::string& text) {
+    std::string out = "\"";
+    for (const char c : text) {
+      if (c == '"' || c == '\\') out += '\\';
+      out += c;
+    }
+    return out + '"';
+  };
+  return "{\"nproc\": " + std::to_string(std::thread::hardware_concurrency()) +
+         ", \"cpu_model\": " + quote(cpu) +
+         ", \"compiler\": " + quote(compiler) +
+         ", \"build_type\": " + quote(SMAC_BUILD_TYPE) + "}";
 }
 
 }  // namespace smac::bench

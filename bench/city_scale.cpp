@@ -176,6 +176,7 @@ bool write_timings_json(const std::string& path,
   if (out == nullptr) return false;
   std::fprintf(out, "{\n  \"unit\": \"wall-clock ms (machine-dependent; "
                     "NOT part of the byte-identical contract)\",\n");
+  std::fprintf(out, "  \"host\": %s,\n", bench::host_json().c_str());
   std::fprintf(out, "  \"scenarios\": [\n");
   for (std::size_t s = 0; s < runs.size(); ++s) {
     const multihop::CityScaleResult& r = runs[s];
@@ -243,12 +244,12 @@ int main(int argc, char** argv) {
 
   const auto configs = scenarios(smoke, jobs, sim_slots, sim_kernel);
   std::vector<multihop::CityScaleResult> runs(configs.size());
-  bench::sweep(configs.size(), /*jobs=*/1, [&](std::size_t s) {
-    // Scenarios run sequentially (each already fans its solver misses
-    // across `jobs`); memory, not CPU, is the reason — two 10^5-node
-    // runs side by side double the index + trajectory footprint.
+  // Scenarios run sequentially (each already fans its solver misses
+  // across `jobs`); memory, not CPU, is the reason — two 10^5-node runs
+  // side by side double the index + trajectory footprint.
+  for (std::size_t s = 0; s < configs.size(); ++s) {
     runs[s] = multihop::run_city_scale(configs[s]);
-  });
+  }
 
   util::TextTable table({"n", "stage", "online", "edges", "W_m",
                          "classes(seed)", "classes(conv)", "quasi>=96%",

@@ -31,10 +31,9 @@ double measured_rate(int w_agreed, int w_node0, std::uint64_t slots,
                      const sim::DetectorConfig& config, int runs) {
   const parallel::StoppingRule rule = bench::resolve_stopping(
       g_rule, "flagged", static_cast<std::size_t>(runs), 4);
-  const parallel::ReplicationRunner runner(
-      {rule.max_reps, 0xdec0 + static_cast<std::uint64_t>(w_node0), g_jobs});
-  const auto summary = runner.run_sequential(
-      {"flagged"}, rule, [&](std::uint64_t seed, std::size_t /*index*/) {
+  const auto summary = parallel::run_sequential(
+      {"flagged"}, rule, 0xdec0 + static_cast<std::uint64_t>(w_node0), g_jobs,
+      [&](std::uint64_t seed, std::size_t /*index*/) {
         sim::SimConfig sc;
         sc.seed = seed;
         std::vector<int> profile(5, w_agreed);

@@ -156,6 +156,7 @@ int main(int argc, char** argv) {
       "invasion flip, flag latency, deviant profitability, false flags,\n"
       "and multihop containment. Deterministic per-cell seeds.");
   const std::size_t jobs = bench::jobs_option(argc, argv);
+  parallel::ThreadPool pool(jobs);
   // Deliberately no jobs line: output must be byte-identical at any --jobs.
   const char* out_flag = bench::option_value(argc, argv, "--out");
   const std::string out_path =
@@ -181,7 +182,7 @@ int main(int argc, char** argv) {
     bool on = false;
   };
   std::vector<Flip> flips(residents.size() * deviants.size());
-  bench::sweep(flips.size(), jobs, [&](std::size_t k) {
+  pool.for_each_index(flips.size(), [&](std::size_t k) {
     const auto& res = residents[k / deviants.size()];
     const auto& dev = deviants[k % deviants.size()];
     flips[k].off = unenforced.resists_invasion(res, dev);
@@ -219,7 +220,7 @@ int main(int argc, char** argv) {
 
   std::vector<GridCell> cells(2 * noise_levels.size() *
                               filter_variants.size());
-  bench::sweep(cells.size(), jobs, [&](std::size_t k) {
+  pool.for_each_index(cells.size(), [&](std::size_t k) {
     const int deviant = static_cast<int>(k / (noise_levels.size() *
                                               filter_variants.size()));
     const std::size_t rest =
@@ -269,7 +270,7 @@ int main(int argc, char** argv) {
   const int reps = 20;
   std::vector<int> flag_slots(noise_levels.size() *
                               static_cast<std::size_t>(reps));
-  bench::sweep(flag_slots.size(), jobs, [&](std::size_t k) {
+  pool.for_each_index(flag_slots.size(), [&](std::size_t k) {
     const double noise = noise_levels[k / static_cast<std::size_t>(reps)];
     const game::ReactionConfig rc = reaction_config(w_star, false);
     std::vector<std::unique_ptr<game::Strategy>> pop;
@@ -312,12 +313,11 @@ int main(int argc, char** argv) {
   {
     const parallel::StoppingRule rule = bench::resolve_stopping(
         bench::stopping_option(argc, argv), "deviant delta", 6, 3);
-    const parallel::ReplicationRunner runner(
-        {rule.max_reps, kBaseSeed ^ 0x5eedULL, jobs});
-    const auto summary = runner.run_sequential(
+    const auto summary = parallel::run_sequential(
         {"deviant payoff", "counterfactual", "deviant delta",
          "first flag stage"},
-        rule, [&](std::uint64_t seed, std::size_t /*index*/) {
+        rule, kBaseSeed ^ 0x5eedULL, jobs,
+        [&](std::uint64_t seed, std::size_t /*index*/) {
           const GridCell cell =
               run_grid_cell(rtscts, w_star, 0, 0.05, false, seed);
           return std::vector<double>{

@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
   const std::vector<double> churn_rates{0.0, 0.02, 0.05};
   const std::vector<double> burst_pers{0.0, 0.25, 0.5};
   std::vector<Cell> cells(churn_rates.size() * burst_pers.size());
-  bench::sweep(cells.size(), jobs, [&](std::size_t k) {
+  parallel::ThreadPool(jobs).for_each_index(cells.size(), [&](std::size_t k) {
     const double churn = churn_rates[k / burst_pers.size()];
     const double per_bad = burst_pers[k % burst_pers.size()];
     cells[k] = run_cell(game, w_coop, churn, per_bad, 0.0,
@@ -207,7 +207,7 @@ int main(int argc, char** argv) {
       }
     }
     std::vector<game::ForgivenessCell> grid(specs.size());
-    bench::sweep(specs.size(), jobs, [&](std::size_t k) {
+    parallel::ThreadPool(jobs).for_each_index(specs.size(), [&](std::size_t k) {
       grid[k] = game::run_forgiveness_cell(game, specs[k]);
     });
     util::TextTable table({"noise", "filter", "strategy", "final W",
@@ -234,7 +234,7 @@ int main(int argc, char** argv) {
     util::TextTable slot_table(
         {"PER_bad", "bad-state slots", "throughput", "error slots"});
     std::vector<sim::SimResult> runs(burst_pers.size());
-    bench::sweep(runs.size(), jobs, [&](std::size_t k) {
+    parallel::ThreadPool(jobs).for_each_index(runs.size(), [&](std::size_t k) {
       sim::SimConfig config;
       config.mode = phy::AccessMode::kRtsCts;
       config.seed = parallel::stream_seed(kBaseSeed ^ 0x51a7, k);
@@ -267,10 +267,9 @@ int main(int argc, char** argv) {
   {
     const parallel::StoppingRule rule = bench::resolve_stopping(
         bench::stopping_option(argc, argv), "recovery stages", 6, 3);
-    const parallel::ReplicationRunner runner(
-        {rule.max_reps, kBaseSeed ^ 0x5eedULL, jobs});
-    const auto summary = runner.run_sequential(
+    const auto summary = parallel::run_sequential(
         {"final W", "stable from", "recovery stages"}, rule,
+        kBaseSeed ^ 0x5eedULL, jobs,
         [&](std::uint64_t seed, std::size_t /*index*/) {
           const Cell cell = run_cell(game, w_coop, 0.02, 0.25, 0.0, seed,
                                      true);

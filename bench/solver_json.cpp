@@ -243,6 +243,7 @@ int main(int argc, char** argv) {
                     "full kernel\",\n");
   std::fprintf(out, "  \"unit\": \"median ns/solve over %d samples\",\n",
                reps);
+  std::fprintf(out, "  \"host\": %s,\n", bench::host_json().c_str());
   std::fprintf(out, "  \"points\": [\n");
   for (std::size_t i = 0; i < points.size(); ++i) {
     const Point& p = points[i];

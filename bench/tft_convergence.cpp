@@ -57,14 +57,15 @@ int main(int argc, char** argv) {
     int stable_from = 0;
     bool sim_agrees = false;
   };
-  const parallel::ReplicationRunner trials({4, 100, jobs});
-  const auto rows = trials.run(
-      [&](std::uint64_t seed, std::size_t /*trial*/) {
+  std::vector<TrialRow> rows(4);
+  parallel::ThreadPool(jobs).for_each_index(
+      rows.size(), [&](std::size_t trial) {
+        const std::uint64_t seed = parallel::stream_seed(100, trial);
         const auto starts =
             heterogeneous_starts(n, 40, 400, parallel::stream_seed(seed, 0));
         std::vector<std::unique_ptr<game::Strategy>> model_pop;
         std::vector<std::unique_ptr<game::Strategy>> sim_pop;
-        TrialRow row;
+        TrialRow& row = rows[trial];
         for (int w : starts) {
           model_pop.push_back(std::make_unique<game::TitForTat>(w));
           sim_pop.push_back(std::make_unique<game::TitForTat>(w));
@@ -81,7 +82,6 @@ int main(int argc, char** argv) {
         row.converged = model_result.converged_cw.value_or(-1);
         row.stable_from = model_result.stable_from;
         row.sim_agrees = sim_result.converged_cw == model_result.converged_cw;
-        return row;
       });
   util::TextTable tft({"trial", "initial windows", "converged W",
                        "stable from stage", "sim agrees"});
@@ -133,9 +133,8 @@ int main(int argc, char** argv) {
   //    are jobs-invariant.
   const parallel::StoppingRule rule = bench::resolve_stopping(
       bench::stopping_option(argc, argv), "stable stage", 16, 4);
-  const parallel::ReplicationRunner adaptive({rule.max_reps, 100, jobs});
-  const auto summary = adaptive.run_sequential(
-      {"converged W", "stable stage", "sim agrees"}, rule,
+  const auto summary = parallel::run_sequential(
+      {"converged W", "stable stage", "sim agrees"}, rule, 100, jobs,
       [&](std::uint64_t seed, std::size_t /*trial*/) {
         const auto starts =
             heterogeneous_starts(n, 40, 400, parallel::stream_seed(seed, 0));

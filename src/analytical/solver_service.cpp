@@ -5,7 +5,6 @@
 #include <bit>
 #include <compare>
 #include <cstdint>
-#include <future>
 #include <span>
 #include <utility>
 
@@ -220,18 +219,14 @@ SolverService::ClassBatch SolverService::solve_classes(
   // the pool itself) cannot change a single bit of any result.
   std::vector<TrySolveResult> solved(instances.size());
   if (options_.pool != nullptr && instances.size() > 1) {
-    std::vector<std::future<void>> chunks;
-    for (std::size_t begin = 0; begin < instances.size();
-         begin += kChunkSize) {
-      const std::size_t length =
-          std::min(kChunkSize, instances.size() - begin);
-      chunks.push_back(options_.pool->submit([&, begin, length] {
-        std::vector<TrySolveResult> part = detail::solve_classes_batch(
-            {instances.data() + begin, length});
-        std::move(part.begin(), part.end(), solved.begin() + begin);
-      }));
-    }
-    for (auto& chunk : chunks) chunk.get();
+    const std::size_t chunks = (instances.size() + kChunkSize - 1) / kChunkSize;
+    options_.pool->for_each_index(chunks, [&](std::size_t c) {
+      const std::size_t begin = c * kChunkSize;
+      const std::size_t length = std::min(kChunkSize, instances.size() - begin);
+      std::vector<TrySolveResult> part = detail::solve_classes_batch(
+          {instances.data() + begin, length});
+      std::move(part.begin(), part.end(), solved.begin() + begin);
+    });
   } else if (!instances.empty()) {
     solved = detail::solve_classes_batch(instances);
   }

@@ -21,8 +21,8 @@
 //
 // Threading: every member is safe from any thread; concurrent batches
 // share the cache under its lock and solve their misses independently.
-// Neither batch call may run in a task on the same ThreadPool the
-// service chunks over (the pool's no-nested-blocking rule). The default
+// Neither batch call may run inside a for_each_index of the ThreadPool
+// the service chunks over (the pool's no-nested-blocking rule). The default
 // configuration has no pool and solves inline, which is always safe.
 #pragma once
 

@@ -21,16 +21,6 @@ util::Rng stream_rng(std::uint64_t base_seed, std::uint64_t index) noexcept {
   return util::Rng(stream_seed(base_seed, index));
 }
 
-std::string error_message(const std::exception_ptr& error) {
-  try {
-    std::rethrow_exception(error);
-  } catch (const std::exception& e) {
-    return e.what();
-  } catch (...) {
-    return "non-standard exception";
-  }
-}
-
 const char* to_string(StopReason reason) noexcept {
   switch (reason) {
     case StopReason::kCiTarget:
@@ -76,8 +66,7 @@ std::string StoppingReport::summary() const {
 namespace detail {
 
 ResolvedStoppingRule resolve_stopping_rule(
-    const StoppingRule& rule, const std::vector<std::string>& metric_names,
-    std::size_t plan_replications) {
+    const StoppingRule& rule, const std::vector<std::string>& metric_names) {
   if (metric_names.empty()) {
     throw std::invalid_argument("StoppingRule: no metrics to watch");
   }
@@ -107,10 +96,10 @@ ResolvedStoppingRule resolve_stopping_rule(
   if (!std::isfinite(rule.ci_rel_target) || rule.ci_rel_target < 0.0) {
     throw std::invalid_argument("StoppingRule: bad relative CI target");
   }
-  r.max_reps = rule.max_reps != 0 ? rule.max_reps : plan_replications;
-  if (r.max_reps == 0) {
+  if (rule.max_reps == 0) {
     throw std::invalid_argument("StoppingRule: zero max_reps");
   }
+  r.max_reps = rule.max_reps;
   r.min_reps = rule.min_reps < 2 ? 2 : rule.min_reps;
   if (r.min_reps > r.max_reps) r.min_reps = r.max_reps;
   r.batch = rule.batch_size != 0 ? rule.batch_size : kDefaultStoppingBatch;
@@ -123,14 +112,5 @@ ResolvedStoppingRule resolve_stopping_rule(
 }
 
 }  // namespace detail
-
-ReplicationRunner::ReplicationRunner(ReplicationPlan plan)
-    : plan_(plan),
-      jobs_(plan.jobs == 0 ? ThreadPool::default_jobs() : plan.jobs) {
-  if (plan_.replications == 0) {
-    throw std::invalid_argument("ReplicationRunner: zero replications");
-  }
-  if (jobs_ > ThreadPool::kMaxThreads) jobs_ = ThreadPool::kMaxThreads;
-}
 
 }  // namespace smac::parallel

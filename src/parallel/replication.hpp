@@ -21,14 +21,16 @@
 // (3) makes the aggregate a pure function of the per-replication outputs.
 // Together: bit-identical results for jobs=1 and jobs=N, any N.
 //
-// Sequential stopping (run_sequential) extends the contract: batches are
-// fixed runs of consecutive indices, the stop criterion is evaluated on
-// the index-ordered aggregate at batch boundaries only, and seeds stay
-// stream_seed(B, r) — so the stop point is jobs-invariant and a stopped
-// run's first k replications are bit-identical to a fixed-N run's.
+// run_sequential is the one replication call. It runs batches — fixed
+// runs of consecutive indices — on one ThreadPool, evaluates the stop
+// criterion on the index-ordered aggregate at batch boundaries only, and
+// keeps seeds at stream_seed(B, r), so the stop point is jobs-invariant
+// and a stopped run's first k replications are bit-identical to a fixed-N
+// run's (a rule with no CI target is a fixed-N run of rule.max_reps).
 // Reduction is streaming: rows fold into util::RunningStats as each batch
 // completes (O(batch) memory), with the same flop sequence as buffering
-// all rows and calling util::summarize_replications.
+// all rows and calling util::summarize_replications. There is one failure
+// path: a batch always drains, then its lowest failing index is rethrown.
 //
 // SplitMix64 (rather than Rng::jump()) derives the streams because it is
 // O(1) random access — replication 999 does not require stepping through
@@ -42,10 +44,8 @@
 #include <cstdint>
 #include <exception>
 #include <limits>
-#include <memory>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -64,52 +64,6 @@ std::uint64_t stream_seed(std::uint64_t base_seed,
 
 /// Convenience: an Rng already seeded for replication `index`.
 util::Rng stream_rng(std::uint64_t base_seed, std::uint64_t index) noexcept;
-
-/// What a batch does when one replication throws.
-enum class FailurePolicy {
-  /// Rethrow the first (lowest-index) failure after the batch drains.
-  kFailFast,
-  /// Record the failure, keep the default-constructed result slot, and
-  /// keep going; errors come back alongside the results.
-  kCollect,
-};
-
-/// How to fan a batch of replications across cores.
-struct ReplicationPlan {
-  std::size_t replications = 1;
-  std::uint64_t base_seed = 1;
-  /// Worker threads; 1 runs inline on the caller, 0 means
-  /// ThreadPool::default_jobs() (SMAC_JOBS env or hardware concurrency).
-  std::size_t jobs = 1;
-  FailurePolicy failure_policy = FailurePolicy::kFailFast;
-};
-
-/// One replication that threw instead of returning.
-struct ReplicationError {
-  std::size_t index = 0;
-  std::string message;
-};
-
-/// what() of a captured exception, or "non-standard exception".
-std::string error_message(const std::exception_ptr& error);
-
-/// Results of a batch run under FailurePolicy::kCollect: result slots in
-/// index order (failed slots default-constructed) plus the error records.
-template <class R>
-struct ReplicationBatch {
-  std::vector<R> results;
-  std::vector<ReplicationError> errors;  ///< sorted by index
-
-  /// True when every replication returned normally.
-  bool ok() const noexcept { return errors.empty(); }
-  /// Whether replication `i` produced a valid result.
-  bool succeeded(std::size_t i) const noexcept {
-    for (const ReplicationError& e : errors) {
-      if (e.index == i) return false;
-    }
-    return true;
-  }
-};
 
 /// Sequential-stopping policy: replicate in deterministic batches until
 /// the watched metric's confidence-interval half-width falls below target
@@ -136,7 +90,8 @@ struct StoppingRule {
   double confidence = 0.95;
   /// Never stop before this many replications have been executed.
   std::size_t min_reps = 2;
-  /// Hard replication ceiling; 0 falls back to plan.replications.
+  /// Hard replication ceiling — the replication count of a fixed-N run.
+  /// Must be > 0; run_sequential throws std::invalid_argument otherwise.
   std::size_t max_reps = 0;
   /// Replications per batch (the stop criterion is evaluated at batch
   /// boundaries, and at most this many rows are buffered at once);
@@ -158,7 +113,7 @@ const char* to_string(StopReason reason) noexcept;
 /// What a sequential (or streamed fixed-N) run actually did.
 struct StoppingReport {
   std::size_t replications = 0;  ///< replication indices executed
-  std::size_t samples = 0;       ///< successful rows aggregated
+  std::size_t samples = 0;       ///< rows aggregated
   std::size_t metric_index = 0;  ///< index of the watched metric
   std::string metric;            ///< name of the watched metric
   double achieved_half_width = 0.0;  ///< watched CI half-width at stop
@@ -196,10 +151,8 @@ struct StoppingReport {
 struct ReplicationSummary {
   std::vector<std::string> metric_names;
   /// Across-replication mean / stddev / 95% CI / extrema per metric,
-  /// aggregated in index order over the *successful* rows only.
+  /// aggregated in index order.
   std::vector<util::MetricSummary> metrics;
-  /// Failed replications (empty unless the plan collects failures).
-  std::vector<ReplicationError> errors;
   /// Replications executed, achieved precision, and the stop reason.
   StoppingReport stopping;
   /// Largest number of result rows held in memory at any instant —
@@ -210,8 +163,8 @@ struct ReplicationSummary {
 namespace detail {
 
 /// StoppingRule with defaults resolved and inputs validated (throws
-/// std::invalid_argument on unknown metric, bad confidence, or bad
-/// targets).
+/// std::invalid_argument on unknown metric, bad confidence, bad targets,
+/// or a zero max_reps).
 struct ResolvedStoppingRule {
   std::size_t watched = 0;
   std::size_t min_reps = 2;
@@ -224,198 +177,89 @@ struct ResolvedStoppingRule {
 };
 
 ResolvedStoppingRule resolve_stopping_rule(
-    const StoppingRule& rule, const std::vector<std::string>& metric_names,
-    std::size_t plan_replications);
+    const StoppingRule& rule, const std::vector<std::string>& metric_names);
 
 }  // namespace detail
 
-/// Fans N independent replications of a callable experiment across a
-/// thread pool, honoring the determinism contract above.
-class ReplicationRunner {
- public:
-  explicit ReplicationRunner(ReplicationPlan plan);
+/// Runs a metric-row experiment — fn(seed, index) returns one double per
+/// entry of `metric_names` and is called with seed
+/// stream_seed(base_seed, index) — in deterministic batches of
+/// consecutive indices fanned over ThreadPool(jobs) (1 runs inline on the
+/// caller, 0 means ThreadPool::default_jobs()). fn is invoked
+/// concurrently for distinct indices when jobs > 1. After each batch the
+/// rows are folded into per-metric running statistics in index order and
+/// discarded, so memory stays O(batch size); the run stops once the
+/// rule's CI target is met (never before min_reps) or rule.max_reps is
+/// exhausted. The stop point, the report and every aggregate are
+/// bit-identical at any jobs value, and bit-identical to buffering every
+/// row and calling util::summarize_replications. If any replication of a
+/// batch throws, the batch still drains, then the exception of its lowest
+/// failing index is rethrown.
+template <class Fn>
+ReplicationSummary run_sequential(std::vector<std::string> metric_names,
+                                  const StoppingRule& rule,
+                                  std::uint64_t base_seed, std::size_t jobs,
+                                  Fn&& fn) {
+  const detail::ResolvedStoppingRule r =
+      detail::resolve_stopping_rule(rule, metric_names);
+  ReplicationSummary out;
+  std::vector<util::RunningStats> acc(metric_names.size());
+  std::vector<std::vector<double>> batch_rows(r.batch);
+  std::vector<std::exception_ptr> batch_errors(r.batch);
+  ThreadPool pool(jobs);
 
-  const ReplicationPlan& plan() const noexcept { return plan_; }
-  /// Resolved worker count (plan.jobs with 0 already expanded).
-  std::size_t jobs() const noexcept { return jobs_; }
-
-  /// Runs fn(seed, index) for index in [0, replications) and returns the
-  /// results in index order regardless of scheduling. The result type
-  /// must be default-constructible. fn is invoked concurrently for
-  /// distinct indices when jobs() > 1; with jobs() == 1 everything runs
-  /// inline on the calling thread (no pool is created).
-  ///
-  /// Failure behavior follows plan().failure_policy: kFailFast propagates
-  /// the first exception (remaining indices may never run); kCollect
-  /// swallows per-replication failures, leaving those slots
-  /// default-constructed (use run_collect to also get the error records).
-  template <class Fn>
-  auto run(Fn&& fn) const
-      -> std::vector<std::invoke_result_t<Fn&, std::uint64_t, std::size_t>> {
-    using R = std::invoke_result_t<Fn&, std::uint64_t, std::size_t>;
-    if (plan_.failure_policy == FailurePolicy::kCollect) {
-      return run_collect(std::forward<Fn>(fn)).results;
-    }
-    std::vector<R> results(plan_.replications);
-    auto one = [&](std::size_t i) {
-      results[i] = fn(stream_seed(plan_.base_seed, i), i);
-    };
-    if (jobs_ == 1 || plan_.replications <= 1) {
-      for (std::size_t i = 0; i < plan_.replications; ++i) one(i);
-    } else {
-      ThreadPool pool(jobs_);
-      pool.for_each_index(plan_.replications, one);
-    }
-    return results;
-  }
-
-  /// Collect-and-continue batch: every index runs to completion no matter
-  /// how many throw; failures come back as ReplicationError records
-  /// (sorted by index) with their result slots default-constructed.
-  /// Error capture is per-index, so the batch — errors included — is as
-  /// deterministic as the experiment itself.
-  template <class Fn>
-  auto run_collect(Fn&& fn) const -> ReplicationBatch<
-      std::invoke_result_t<Fn&, std::uint64_t, std::size_t>> {
-    using R = std::invoke_result_t<Fn&, std::uint64_t, std::size_t>;
-    ReplicationBatch<R> batch;
-    batch.results.resize(plan_.replications);
-    std::vector<std::string> messages(plan_.replications);
-    std::vector<std::uint8_t> failed(plan_.replications, 0);
-    auto one = [&](std::size_t i) {
+  std::size_t executed = 0;
+  StopReason reason = StopReason::kMaxReps;
+  while (executed < r.max_reps) {
+    const std::size_t count = std::min(r.batch, r.max_reps - executed);
+    pool.for_each_index(count, [&](std::size_t k) {
+      batch_errors[k] = nullptr;
       try {
-        batch.results[i] = fn(stream_seed(plan_.base_seed, i), i);
-      } catch (const std::exception& e) {
-        failed[i] = 1;
-        messages[i] = e.what();
+        const std::size_t index = executed + k;
+        batch_rows[k] = fn(stream_seed(base_seed, index), index);
       } catch (...) {
-        failed[i] = 1;
-        messages[i] = "non-standard exception";
+        batch_errors[k] = std::current_exception();
       }
-    };
-    if (jobs_ == 1 || plan_.replications <= 1) {
-      for (std::size_t i = 0; i < plan_.replications; ++i) one(i);
-    } else {
-      ThreadPool pool(jobs_);
-      pool.for_each_index(plan_.replications, one);
+    });
+    out.peak_buffered_rows = std::max(out.peak_buffered_rows, count);
+    // Reduce this batch in index order, then release the rows.
+    for (std::size_t k = 0; k < count; ++k) {
+      if (batch_errors[k]) std::rethrow_exception(batch_errors[k]);
+      const std::vector<double>& row = batch_rows[k];
+      if (row.size() != metric_names.size()) {
+        throw std::invalid_argument(
+            "run_sequential: row width != metric count");
+      }
+      for (std::size_t m = 0; m < row.size(); ++m) acc[m].add(row[m]);
+      batch_rows[k] = {};
     }
-    for (std::size_t i = 0; i < plan_.replications; ++i) {
-      if (failed[i] != 0) batch.errors.push_back({i, std::move(messages[i])});
-    }
-    return batch;
-  }
-
-  /// Runs a metric-row experiment — fn(seed, index) returns one double
-  /// per entry of `metric_names` — as a *streaming* reduction: rows are
-  /// folded into per-metric running statistics in index order as each
-  /// batch completes and then discarded, so memory stays O(batch size)
-  /// regardless of the replication count. The aggregates are bit-identical
-  /// to buffering every row and calling util::summarize_replications
-  /// (identical flop sequence), and bit-identical at any jobs value.
-  /// Under FailurePolicy::kCollect, failed replications surface in
-  /// `errors` and the aggregates cover the successful rows only.
-  template <class Fn>
-  ReplicationSummary run_summarized(std::vector<std::string> metric_names,
-                                    Fn&& fn) const {
-    StoppingRule fixed;  // target 0: never stops early, streams all N
-    fixed.max_reps = plan_.replications;
-    return run_sequential(std::move(metric_names), fixed,
-                          std::forward<Fn>(fn));
-  }
-
-  /// Sequential-stopping replication: executes deterministic batches of
-  /// fn(seed, index) — seeds are stream_seed(base, index), identical to a
-  /// fixed-N run — and after each batch evaluates the watched metric's
-  /// CI half-width over the index-ordered aggregate, stopping as soon as
-  /// the rule's target is met (never before min_reps) or max_reps is
-  /// exhausted. Because batch boundaries and the aggregate are pure
-  /// functions of the replication indices, the stop point, the report,
-  /// and every summary are bit-identical at any jobs value; a stopped
-  /// run's k replications are exactly the first k of the fixed-N run.
-  /// Rows are reduced on the fly: memory is O(batch size).
-  template <class Fn>
-  ReplicationSummary run_sequential(std::vector<std::string> metric_names,
-                                    const StoppingRule& rule,
-                                    Fn&& fn) const {
-    const detail::ResolvedStoppingRule r = detail::resolve_stopping_rule(
-        rule, metric_names, plan_.replications);
-    ReplicationSummary out;
-    std::vector<util::RunningStats> acc(metric_names.size());
-    std::vector<std::vector<double>> batch_rows(r.batch);
-    std::vector<std::exception_ptr> batch_errors(r.batch);
-    std::unique_ptr<ThreadPool> pool;
-    if (jobs_ > 1 && r.max_reps > 1) pool = std::make_unique<ThreadPool>(jobs_);
-
-    std::size_t executed = 0;
-    StopReason reason = StopReason::kMaxReps;
-    while (executed < r.max_reps) {
-      const std::size_t count = std::min(r.batch, r.max_reps - executed);
-      auto one = [&](std::size_t k) {
-        batch_errors[k] = nullptr;
-        try {
-          const std::size_t index = executed + k;
-          batch_rows[k] = fn(stream_seed(plan_.base_seed, index), index);
-        } catch (...) {
-          batch_errors[k] = std::current_exception();
-        }
-      };
-      if (!pool || count <= 1) {
-        for (std::size_t k = 0; k < count; ++k) one(k);
-      } else {
-        pool->for_each_index(count, one);
-      }
-      out.peak_buffered_rows = std::max(out.peak_buffered_rows, count);
-      // Reduce this batch in index order, then release the rows.
-      for (std::size_t k = 0; k < count; ++k) {
-        if (batch_errors[k]) {
-          if (plan_.failure_policy == FailurePolicy::kFailFast) {
-            std::rethrow_exception(batch_errors[k]);
-          }
-          out.errors.push_back(
-              {executed + k, error_message(batch_errors[k])});
-          continue;
-        }
-        const std::vector<double>& row = batch_rows[k];
-        if (row.size() != metric_names.size()) {
-          throw std::invalid_argument(
-              "run_sequential: row width != metric count");
-        }
-        for (std::size_t m = 0; m < row.size(); ++m) acc[m].add(row[m]);
-        batch_rows[k] = {};
-      }
-      executed += count;
-      if ((r.target > 0.0 || r.rel > 0.0) && executed >= r.min_reps &&
-          acc[r.watched].count() >= 2) {
-        const double half_width = acc[r.watched].ci_halfwidth(r.z);
-        const bool abs_met = r.target > 0.0 && half_width <= r.target;
-        const bool rel_met =
-            r.rel > 0.0 &&
-            half_width <= r.rel * std::abs(acc[r.watched].mean());
-        if (abs_met || rel_met) {
-          reason = StopReason::kCiTarget;
-          break;
-        }
+    executed += count;
+    if ((r.target > 0.0 || r.rel > 0.0) && executed >= r.min_reps &&
+        acc[r.watched].count() >= 2) {
+      const double half_width = acc[r.watched].ci_halfwidth(r.z);
+      const bool abs_met = r.target > 0.0 && half_width <= r.target;
+      const bool rel_met =
+          r.rel > 0.0 && half_width <= r.rel * std::abs(acc[r.watched].mean());
+      if (abs_met || rel_met) {
+        reason = StopReason::kCiTarget;
+        break;
       }
     }
-
-    out.metrics = util::summaries_from_stats(metric_names, acc);
-    out.stopping.replications = executed;
-    out.stopping.samples = acc[r.watched].count();
-    out.stopping.metric_index = r.watched;
-    out.stopping.metric = metric_names[r.watched];
-    out.stopping.achieved_half_width = acc[r.watched].ci_halfwidth(r.z);
-    out.stopping.target_half_width = r.target;
-    out.stopping.target_rel_half_width = r.rel;
-    out.stopping.watched_mean = acc[r.watched].mean();
-    out.stopping.confidence = r.confidence;
-    out.stopping.reason = reason;
-    out.metric_names = std::move(metric_names);
-    return out;
   }
 
- private:
-  ReplicationPlan plan_;
-  std::size_t jobs_;
-};
+  out.metrics = util::summaries_from_stats(metric_names, acc);
+  out.stopping.replications = executed;
+  out.stopping.samples = acc[r.watched].count();
+  out.stopping.metric_index = r.watched;
+  out.stopping.metric = metric_names[r.watched];
+  out.stopping.achieved_half_width = acc[r.watched].ci_halfwidth(r.z);
+  out.stopping.target_half_width = r.target;
+  out.stopping.target_rel_half_width = r.rel;
+  out.stopping.watched_mean = acc[r.watched].mean();
+  out.stopping.confidence = r.confidence;
+  out.stopping.reason = reason;
+  out.metric_names = std::move(metric_names);
+  return out;
+}
 
 }  // namespace smac::parallel

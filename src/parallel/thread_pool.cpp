@@ -18,11 +18,12 @@ std::size_t ThreadPool::default_jobs() {
   return hw == 0 ? 1 : std::min(static_cast<std::size_t>(hw), kMaxThreads);
 }
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) threads = default_jobs();
-  threads = std::clamp<std::size_t>(threads, 1, kMaxThreads);
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
+ThreadPool::ThreadPool(std::size_t threads)
+    : size_(std::clamp<std::size_t>(threads == 0 ? default_jobs() : threads,
+                                     1, kMaxThreads)) {
+  if (size_ == 1) return;  // for_each_index runs on the caller
+  workers_.reserve(size_);
+  for (std::size_t i = 0; i < size_; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
 }
@@ -34,6 +35,17 @@ ThreadPool::~ThreadPool() {
   }
   cv_.notify_all();
   for (std::thread& worker : workers_) worker.join();
+}
+
+std::future<void> ThreadPool::submit(std::function<void()> lane) {
+  auto task = std::make_shared<std::packaged_task<void()>>(std::move(lane));
+  std::future<void> future = task->get_future();
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    queue_.emplace_back([task] { (*task)(); });
+  }
+  cv_.notify_one();
+  return future;
 }
 
 void ThreadPool::worker_loop() {

@@ -2,13 +2,19 @@
 //
 // The pool exists to run *independent* work items — Monte-Carlo
 // replications, tournament mixes, parameter-sweep points — never to
-// parallelize inside a simulator. Determinism contract: the pool makes no
-// ordering or placement guarantees, so any caller that wants reproducible
-// results must (a) make every submitted task self-contained (own Rng, own
-// simulator instance — no component may share a util::Rng across threads)
-// and (b) write each task's output into a slot indexed by the task, then
-// reduce in index order. parallel::ReplicationRunner packages exactly that
-// pattern.
+// parallelize inside a simulator. Its one entry point is for_each_index;
+// every fan-out in the library and the benches is
+// `ThreadPool(jobs).for_each_index(count, fn)`. A pool of one spawns no
+// thread and runs for_each_index on the caller, as does any call with at
+// most one index, so the serial path stays thread-free.
+//
+// Determinism contract: the pool makes no ordering or placement
+// guarantees, so any caller that wants reproducible results must (a) make
+// every index self-contained (own Rng, own simulator instance — no
+// component may share a util::Rng across threads) and (b) write each
+// index's output into a slot of its own, then reduce in index order.
+// parallel::run_sequential (replication.hpp) packages exactly that
+// pattern for replicated metric rows.
 #pragma once
 
 #include <algorithm>
@@ -21,48 +27,32 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace smac::parallel {
 
-/// Fixed set of worker threads consuming a FIFO task queue.
+/// Fixed set of worker threads (none in a pool of one) consuming a FIFO
+/// task queue.
 ///
-/// Tasks must not submit further work to the same pool and block on it
-/// (nested for_each_index deadlocks a fully busy pool); fan-out happens at
-/// one level, the experiment driver.
+/// An index must not call for_each_index on the same pool and block on it
+/// (a nested call deadlocks a fully busy pool); fan-out happens at one
+/// level, in the code that runs the experiment.
 class ThreadPool {
  public:
-  /// Spawns `threads` workers; 0 means default_jobs(). The count is
-  /// clamped to [1, kMaxThreads].
+  /// A pool of `threads` lanes; 0 means default_jobs(). The count is
+  /// clamped to [1, kMaxThreads]. A pool of one spawns no thread.
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t size() const noexcept { return workers_.size(); }
+  std::size_t size() const noexcept { return size_; }
 
   /// Job count used when callers pass 0: the SMAC_JOBS environment
   /// variable when set to a positive integer, otherwise
   /// std::thread::hardware_concurrency() (at least 1).
   static std::size_t default_jobs();
-
-  /// Enqueues a nullary callable; the future carries its result or
-  /// exception.
-  template <class F>
-  auto submit(F&& f) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
-    using R = std::invoke_result_t<std::decay_t<F>>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
-    std::future<R> future = task->get_future();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      queue_.emplace_back([task] { (*task)(); });
-    }
-    cv_.notify_one();
-    return future;
-  }
 
   /// Runs fn(i) for every i in [0, count), distributing indices across the
   /// workers, and blocks until all complete. Indices are claimed from a
@@ -70,13 +60,18 @@ class ThreadPool {
   /// be safe to call concurrently for distinct indices and should write
   /// results into per-index slots. If any invocation throws, the first
   /// exception (in worker-completion order) is rethrown after all workers
-  /// stop claiming new indices; some indices may then never run.
+  /// stop claiming new indices; some indices may then never run. A pool
+  /// of one, or a count of at most one, runs fn(0), fn(1), … in order on
+  /// the calling thread.
   template <class Fn>
   void for_each_index(std::size_t count, Fn&& fn) {
-    if (count == 0) return;
+    if (size_ == 1 || count <= 1) {
+      for (std::size_t i = 0; i < count; ++i) fn(i);
+      return;
+    }
     auto next = std::make_shared<std::atomic<std::size_t>>(0);
     auto failed = std::make_shared<std::atomic<bool>>(false);
-    const std::size_t lanes = std::min(size(), count);
+    const std::size_t lanes = std::min(size_, count);
     std::vector<std::future<void>> lanes_done;
     lanes_done.reserve(lanes);
     for (std::size_t lane = 0; lane < lanes; ++lane) {
@@ -107,8 +102,12 @@ class ThreadPool {
   static constexpr std::size_t kMaxThreads = 256;
 
  private:
+  /// Enqueues one lane of for_each_index; the future carries its
+  /// exception.
+  std::future<void> submit(std::function<void()> lane);
   void worker_loop();
 
+  std::size_t size_;
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_;
   std::mutex mutex_;

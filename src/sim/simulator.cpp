@@ -270,37 +270,29 @@ std::vector<double> replicated_metric_row(const SimResult& r) {
 
 }  // namespace
 
-SimBatch run_replicated(const SimConfig& config,
-                        const std::vector<int>& cw_profile,
-                        std::uint64_t slots, std::size_t replications,
-                        std::size_t jobs) {
+parallel::ReplicationSummary run_replicated(const SimConfig& config,
+                                            const std::vector<int>& cw_profile,
+                                            std::uint64_t slots,
+                                            std::size_t replications,
+                                            std::size_t jobs) {
   parallel::StoppingRule fixed;  // target 0: stream all N, never stop early
   fixed.max_reps = replications;
   return run_replicated(config, cw_profile, slots, fixed, jobs);
 }
 
-SimBatch run_replicated(const SimConfig& config,
-                        const std::vector<int>& cw_profile,
-                        std::uint64_t slots,
-                        const parallel::StoppingRule& rule,
-                        std::size_t jobs) {
-  if (rule.max_reps == 0) {
-    throw std::invalid_argument("run_replicated: rule.max_reps == 0");
-  }
-  const parallel::ReplicationRunner runner(
-      {rule.max_reps, config.seed, jobs});
-  auto summary = runner.run_sequential(
-      replicated_metric_names(), rule,
+parallel::ReplicationSummary run_replicated(const SimConfig& config,
+                                            const std::vector<int>& cw_profile,
+                                            std::uint64_t slots,
+                                            const parallel::StoppingRule& rule,
+                                            std::size_t jobs) {
+  return parallel::run_sequential(
+      replicated_metric_names(), rule, config.seed, jobs,
       [&](std::uint64_t seed, std::size_t /*index*/) {
         SimConfig replica = config;
         replica.seed = seed;
         Simulator simulator(replica, cw_profile);
         return replicated_metric_row(simulator.run_slots(slots));
       });
-  SimBatch batch;
-  batch.metrics = std::move(summary.metrics);
-  batch.stopping = std::move(summary.stopping);
-  return batch;
 }
 
 }  // namespace smac::sim

@@ -136,42 +136,36 @@ class Simulator {
   std::uint64_t total_slots_ = 0;
 };
 
-/// Streaming aggregate of a replicated Monte-Carlo batch of one simulator
-/// configuration. Individual SimResult windows are reduced on the fly
-/// (replication r ran with seed parallel::stream_seed(config.seed, r));
-/// only the across-replication aggregates and the stopping report are
-/// retained, so memory is O(batch size) regardless of replication count.
-/// To inspect a single replication, rebuild it: Simulator with
-/// config.seed = parallel::stream_seed(config.seed, r).
-struct SimBatch {
-  /// Across-replication aggregates: throughput, collision/idle fractions,
-  /// mean payoff rate, Jain fairness of payoff, mean tau, mean p.
-  std::vector<util::MetricSummary> metrics;
-  /// Replications executed, achieved CI half-width, and stop reason.
-  parallel::StoppingReport stopping;
-};
-
-/// Metric names of SimBatch::metrics, in column order.
+/// Metric names of a replicated batch's ReplicationSummary::metrics, in
+/// column order: throughput, collision/idle fractions, mean payoff rate,
+/// Jain fairness of payoff, mean tau, mean p.
 const std::vector<std::string>& replicated_metric_names();
+
+/// Simulator-level name for run_replicated's result.
+using SimBatch = parallel::ReplicationSummary;
 
 /// Runs `replications` independent copies of (config, cw_profile) for
 /// `slots` slots each, fanned over `jobs` threads (1 = serial inline,
-/// 0 = ThreadPool::default_jobs()). config.seed acts as the base seed of
-/// the replication family; results are bit-identical for any `jobs`
-/// (see src/parallel/replication.hpp for the determinism contract).
-SimBatch run_replicated(const SimConfig& config,
-                        const std::vector<int>& cw_profile,
-                        std::uint64_t slots, std::size_t replications,
-                        std::size_t jobs = 1);
+/// 0 = ThreadPool::default_jobs()), and reduces them on the fly.
+/// config.seed acts as the base seed of the replication family:
+/// replication r runs with seed parallel::stream_seed(config.seed, r), so
+/// a single replication is rebuilt as a Simulator with that seed. Results
+/// are bit-identical for any `jobs` (see src/parallel/replication.hpp for
+/// the determinism contract).
+parallel::ReplicationSummary run_replicated(const SimConfig& config,
+                                            const std::vector<int>& cw_profile,
+                                            std::uint64_t slots,
+                                            std::size_t replications,
+                                            std::size_t jobs = 1);
 
 /// Sequential-stopping variant: replicates in deterministic batches until
 /// `rule`'s CI half-width target is met or rule.max_reps (must be > 0) is
 /// exhausted. The first k replications are bit-identical to the fixed-N
 /// overload's; the stop point is jobs-invariant.
-SimBatch run_replicated(const SimConfig& config,
-                        const std::vector<int>& cw_profile,
-                        std::uint64_t slots,
-                        const parallel::StoppingRule& rule,
-                        std::size_t jobs = 1);
+parallel::ReplicationSummary run_replicated(const SimConfig& config,
+                                            const std::vector<int>& cw_profile,
+                                            std::uint64_t slots,
+                                            const parallel::StoppingRule& rule,
+                                            std::size_t jobs = 1);
 
 }  // namespace smac::sim

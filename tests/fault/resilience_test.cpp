@@ -5,6 +5,7 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "fault/degradation.hpp"
@@ -16,6 +17,7 @@
 #include "multihop/adaptive.hpp"
 #include "multihop/multihop_simulator.hpp"
 #include "parallel/replication.hpp"
+#include "parallel/thread_pool.hpp"
 #include "phy/parameters.hpp"
 #include "sim/simulator.hpp"
 
@@ -138,13 +140,15 @@ TEST(FaultRepeatedGame, ReplicatedFaultRunsAreJobCountInvariant) {
     row.push_back(static_cast<double>(result.degradation.lost_observations));
     return row;
   };
-  parallel::ReplicationPlan plan;
-  plan.replications = 8;
-  plan.base_seed = 0xfa57;
-  plan.jobs = 1;
-  const auto serial = parallel::ReplicationRunner(plan).run(experiment);
-  plan.jobs = 4;
-  const auto parallel_run = parallel::ReplicationRunner(plan).run(experiment);
+  auto replicate = [&](std::size_t jobs) {
+    std::vector<std::vector<double>> rows(8);
+    parallel::ThreadPool(jobs).for_each_index(rows.size(), [&](std::size_t r) {
+      rows[r] = experiment(parallel::stream_seed(0xfa57, r), r);
+    });
+    return rows;
+  };
+  const auto serial = replicate(1);
+  const auto parallel_run = replicate(4);
   ASSERT_EQ(serial.size(), parallel_run.size());
   for (std::size_t r = 0; r < serial.size(); ++r) {
     ASSERT_EQ(serial[r].size(), parallel_run[r].size());
@@ -155,63 +159,27 @@ TEST(FaultRepeatedGame, ReplicatedFaultRunsAreJobCountInvariant) {
   }
 }
 
-TEST(FailurePolicy, CollectRecordsErrorsInIndexOrder) {
-  parallel::ReplicationPlan plan;
-  plan.replications = 6;
-  plan.base_seed = 3;
-  plan.jobs = 2;
-  plan.failure_policy = parallel::FailurePolicy::kCollect;
-  const auto batch =
-      parallel::ReplicationRunner(plan).run_collect(
-          [](std::uint64_t, std::size_t i) -> int {
-            if (i == 1 || i == 4) throw std::runtime_error("boom");
-            return static_cast<int>(i) * 10;
-          });
-  EXPECT_FALSE(batch.ok());
-  ASSERT_EQ(batch.errors.size(), 2u);
-  EXPECT_EQ(batch.errors[0].index, 1u);
-  EXPECT_EQ(batch.errors[0].message, "boom");
-  EXPECT_EQ(batch.errors[1].index, 4u);
-  EXPECT_FALSE(batch.succeeded(1));
-  EXPECT_TRUE(batch.succeeded(2));
-  ASSERT_EQ(batch.results.size(), 6u);
-  EXPECT_EQ(batch.results[1], 0);  // default-constructed slot
-  EXPECT_EQ(batch.results[5], 50);
-}
-
+// One failure path: a batch always drains, then its lowest failing index
+// is rethrown — the same error at any job count.
 TEST(FailurePolicy, FailFastPropagatesFirstError) {
-  parallel::ReplicationPlan plan;
-  plan.replications = 4;
-  plan.jobs = 1;
-  EXPECT_THROW(parallel::ReplicationRunner(plan).run(
-                   [](std::uint64_t, std::size_t i) -> int {
-                     if (i == 2) throw std::runtime_error("boom");
-                     return 0;
-                   }),
-               std::runtime_error);
-}
-
-TEST(FailurePolicy, SummarizedAggregatesSkipFailedRows) {
-  parallel::ReplicationPlan plan;
-  plan.replications = 5;
-  plan.jobs = 1;
-  plan.failure_policy = parallel::FailurePolicy::kCollect;
-  const auto summary = parallel::ReplicationRunner(plan).run_summarized(
-      {"value"}, [](std::uint64_t, std::size_t i) -> std::vector<double> {
-        if (i == 2) throw std::runtime_error("boom");
-        return {static_cast<double>(i)};
-      });
-  ASSERT_EQ(summary.errors.size(), 1u);
-  EXPECT_EQ(summary.errors[0].index, 2u);
-  EXPECT_EQ(summary.errors[0].message, "boom");
-  // The streaming reduction drops failed replications entirely: the mean
-  // covers the successful rows {0, 1, 3, 4} only and the sample count
-  // reflects that.
-  ASSERT_EQ(summary.metrics.size(), 1u);
-  EXPECT_EQ(summary.metrics[0].count, 4u);
-  EXPECT_DOUBLE_EQ(summary.metrics[0].mean, 2.0);
-  EXPECT_EQ(summary.stopping.replications, 5u);
-  EXPECT_EQ(summary.stopping.samples, 4u);
+  parallel::StoppingRule rule;
+  rule.max_reps = 8;
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    std::string message;
+    try {
+      (void)parallel::run_sequential(
+          {"value"}, rule, 3, jobs,
+          [](std::uint64_t, std::size_t i) -> std::vector<double> {
+            if (i == 2 || i == 5) {
+              throw std::runtime_error("boom at " + std::to_string(i));
+            }
+            return {static_cast<double>(i)};
+          });
+    } catch (const std::runtime_error& e) {
+      message = e.what();
+    }
+    EXPECT_EQ(message, "boom at 2") << "jobs " << jobs;
+  }
 }
 
 TEST(DegradationReport, MergeAndSummary) {

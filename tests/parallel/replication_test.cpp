@@ -55,47 +55,67 @@ TEST(StreamSeedTest, AdjacentStreamsAreIndependent) {
   EXPECT_LT(same, 3);
 }
 
-TEST(ReplicationRunnerTest, ResultsInIndexOrder) {
-  const parallel::ReplicationRunner runner({16, 9, 4});
-  const auto out = runner.run(
-      [](std::uint64_t /*seed*/, std::size_t index) { return 3 * index; });
-  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], 3 * i);
-}
-
 TEST(ReplicationRunnerTest, SeedsMatchStreamDerivation) {
-  const parallel::ReplicationRunner runner({8, 1234, 2});
-  const auto seeds = runner.run(
-      [](std::uint64_t seed, std::size_t /*index*/) { return seed; });
+  parallel::StoppingRule rule;
+  rule.max_reps = 8;
+  std::vector<std::uint64_t> seeds(rule.max_reps, 0);
+  const auto summary = parallel::run_sequential(
+      {"index"}, rule, 1234, 2, [&](std::uint64_t seed, std::size_t index) {
+        seeds[index] = seed;
+        return std::vector<double>{static_cast<double>(index)};
+      });
+  EXPECT_EQ(summary.stopping.replications, 8u);
   for (std::size_t i = 0; i < seeds.size(); ++i) {
     EXPECT_EQ(seeds[i], parallel::stream_seed(1234, i));
   }
 }
 
 TEST(ReplicationRunnerTest, ZeroReplicationsThrows) {
-  EXPECT_THROW(parallel::ReplicationRunner({0, 1, 1}),
+  bool called = false;
+  EXPECT_THROW(parallel::run_sequential(
+                   {"value"}, parallel::StoppingRule{}, 1, 1,
+                   [&](std::uint64_t, std::size_t) {
+                     called = true;
+                     return std::vector<double>{1.0};
+                   }),
                std::invalid_argument);
+  EXPECT_FALSE(called);
 }
 
-// Rng-driven payload: jobs must not change a single bit of any result.
+// Rng-driven payload: jobs must not change a single bit of any
+// replication's result, nor of the aggregate.
 TEST(ReplicationRunnerTest, JobsInvarianceBitIdentical) {
-  auto experiment = [](std::uint64_t seed, std::size_t /*index*/) {
-    util::Rng rng(seed);
-    double acc = 0.0;
-    for (int i = 0; i < 1000; ++i) acc += rng.uniform01();
-    return acc;
+  parallel::StoppingRule rule;
+  rule.max_reps = 32;
+  auto run = [&](std::size_t jobs, std::vector<double>& values) {
+    values.assign(rule.max_reps, 0.0);
+    return parallel::run_sequential(
+        {"sum"}, rule, 77, jobs, [&](std::uint64_t seed, std::size_t index) {
+          util::Rng rng(seed);
+          double acc = 0.0;
+          for (int i = 0; i < 1000; ++i) acc += rng.uniform01();
+          values[index] = acc;
+          return std::vector<double>{acc};
+        });
   };
-  const auto serial = parallel::ReplicationRunner({32, 77, 1}).run(experiment);
-  const auto wide = parallel::ReplicationRunner({32, 77, 4}).run(experiment);
+  std::vector<double> serial;
+  std::vector<double> wide;
+  const auto serial_summary = run(1, serial);
+  const auto wide_summary = run(4, wide);
   ASSERT_EQ(serial.size(), wide.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(std::memcmp(&serial[i], &wide[i], sizeof(double)), 0);
   }
+  EXPECT_EQ(std::memcmp(&serial_summary.metrics[0].mean,
+                        &wide_summary.metrics[0].mean, sizeof(double)),
+            0);
 }
 
 TEST(ReplicationRunnerTest, SummarizedAggregatesMatchHandComputation) {
-  const parallel::ReplicationRunner runner({4, 1, 2});
-  const auto summary = runner.run_summarized(
-      {"value"}, [](std::uint64_t /*seed*/, std::size_t index) {
+  parallel::StoppingRule rule;
+  rule.max_reps = 4;
+  const auto summary = parallel::run_sequential(
+      {"value"}, rule, 1, 2, [](std::uint64_t /*seed*/, std::size_t index) {
         return std::vector<double>{static_cast<double>(index + 1)};
       });
   ASSERT_EQ(summary.metrics.size(), 1u);
@@ -108,6 +128,34 @@ TEST(ReplicationRunnerTest, SummarizedAggregatesMatchHandComputation) {
   EXPECT_NEAR(m.ci95, 1.96 * std::sqrt(5.0 / 3.0) / 2.0, 1e-12);
   EXPECT_DOUBLE_EQ(m.min, 1.0);
   EXPECT_DOUBLE_EQ(m.max, 4.0);
+}
+
+// The replication count has one home, StoppingRule::max_reps, and one
+// check, in run_sequential: every replicated entry point rejects zero.
+TEST(ReplicatedEntryPointsTest, ZeroMaxRepsThrows) {
+  parallel::StoppingRule rule;
+  rule.max_reps = 0;
+
+  const std::vector<int> sim_profile{32, 64, 64, 64};
+  EXPECT_THROW(
+      sim::run_replicated(sim::SimConfig{}, sim_profile, 1000, rule, 1),
+      std::invalid_argument);
+
+  std::vector<multihop::Vec2> pos;
+  for (int i = 0; i < 4; ++i) pos.push_back({i * 200.0, 0.0});
+  const multihop::Topology topo(pos, 250.0);
+  EXPECT_THROW(multihop::run_replicated(multihop::MultihopConfig{}, topo,
+                                        std::vector<int>(4, 32), 1000, rule,
+                                        1),
+               std::invalid_argument);
+
+  const game::StageGame game(phy::Parameters::paper(),
+                             phy::AccessMode::kBasic);
+  const auto roster = game::standard_roster(game, 3, 32);
+  const game::Tournament tournament(game, 3, 4, 1);
+  EXPECT_THROW(
+      tournament.play_mix_replicated(roster[0], roster[1], 1, rule),
+      std::invalid_argument);
 }
 
 void expect_metrics_bit_identical(

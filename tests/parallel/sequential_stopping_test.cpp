@@ -8,7 +8,7 @@
 //   * streaming reduction buffers at most one batch of rows while
 //     producing aggregates bit-identical to buffering every row and
 //     calling util::summarize_replications;
-//   * stop reasons, min_reps, batch boundaries, failure collection, and
+//   * stop reasons, min_reps, batch boundaries, fail-fast failures, and
 //     rule validation behave as documented.
 #include "parallel/replication.hpp"
 
@@ -36,6 +36,13 @@ std::vector<double> noisy_row(std::uint64_t seed, std::size_t /*index*/) {
 
 const std::vector<std::string> kNames{"noisy", "constant"};
 
+// A rule with no CI target: a fixed-N streaming run of n replications.
+StoppingRule fixed_n(std::size_t n) {
+  StoppingRule rule;
+  rule.max_reps = n;
+  return rule;
+}
+
 void expect_bit_identical(const std::vector<util::MetricSummary>& a,
                           const std::vector<util::MetricSummary>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -52,12 +59,11 @@ void expect_bit_identical(const std::vector<util::MetricSummary>& a,
 }
 
 TEST(SequentialStoppingTest, StreamingTenThousandMatchesBufferedBitwise) {
-  // The ISSUE acceptance criterion: a 10^4-replication run_summarized
-  // stays O(batch_size) in memory while matching the buffered reduction.
+  // A 10^4-replication fixed-N run stays O(batch_size) in memory while
+  // matching the buffered reduction.
   const std::size_t n = 10000;
-  const ReplicationRunner runner({n, 42, 1});
   const ReplicationSummary streamed =
-      runner.run_summarized(kNames, noisy_row);
+      run_sequential(kNames, fixed_n(n), 42, 1, noisy_row);
 
   std::vector<std::vector<double>> rows;
   rows.reserve(n);
@@ -84,9 +90,9 @@ TEST(SequentialStoppingTest, StopPointIsJobsInvariant) {
   rule.max_reps = 2000;
 
   const ReplicationSummary s1 =
-      ReplicationRunner({1, 7, 1}).run_sequential(kNames, rule, noisy_row);
+      run_sequential(kNames, rule, 7, 1, noisy_row);
   const ReplicationSummary s4 =
-      ReplicationRunner({1, 7, 4}).run_sequential(kNames, rule, noisy_row);
+      run_sequential(kNames, rule, 7, 4, noisy_row);
 
   EXPECT_EQ(s1.stopping.replications, s4.stopping.replications);
   EXPECT_EQ(s1.stopping.samples, s4.stopping.samples);
@@ -104,9 +110,8 @@ TEST(SequentialStoppingTest, StoppedRunPrefixMatchesFixedN) {
   rule.batch_size = 16;
   rule.max_reps = 2000;
 
-  const ReplicationRunner runner({1, 7, 1});
   const ReplicationSummary stopped =
-      runner.run_sequential(kNames, rule, noisy_row);
+      run_sequential(kNames, rule, 7, 1, noisy_row);
   ASSERT_EQ(stopped.stopping.reason, StopReason::kCiTarget);
   EXPECT_TRUE(stopped.stopping.target_met());
   const std::size_t k = stopped.stopping.replications;
@@ -119,7 +124,7 @@ TEST(SequentialStoppingTest, StoppedRunPrefixMatchesFixedN) {
   // A fixed-N run over exactly k replications sees the same seeds in the
   // same order — its aggregates must be bit-identical to the stopped run.
   const ReplicationSummary fixed =
-      ReplicationRunner({k, 7, 1}).run_summarized(kNames, noisy_row);
+      run_sequential(kNames, fixed_n(k), 7, 1, noisy_row);
   expect_bit_identical(stopped.metrics, fixed.metrics);
   EXPECT_LE(stopped.stopping.achieved_half_width,
             rule.ci_half_width_target);
@@ -133,7 +138,7 @@ TEST(SequentialStoppingTest, ZeroVarianceMetricStopsAtFirstBoundary) {
   rule.max_reps = 100;
 
   const ReplicationSummary s =
-      ReplicationRunner({1, 3, 1}).run_sequential(kNames, rule, noisy_row);
+      run_sequential(kNames, rule, 3, 1, noisy_row);
   EXPECT_EQ(s.stopping.replications, 8u);
   EXPECT_EQ(s.stopping.reason, StopReason::kCiTarget);
   EXPECT_EQ(s.stopping.achieved_half_width, 0.0);
@@ -149,7 +154,7 @@ TEST(SequentialStoppingTest, MinRepsDelaysStopToCoveringBoundary) {
   rule.max_reps = 100;
 
   const ReplicationSummary s =
-      ReplicationRunner({1, 3, 1}).run_sequential(kNames, rule, noisy_row);
+      run_sequential(kNames, rule, 3, 1, noisy_row);
   EXPECT_EQ(s.stopping.replications, 24u);
   EXPECT_EQ(s.stopping.reason, StopReason::kCiTarget);
 }
@@ -162,7 +167,7 @@ TEST(SequentialStoppingTest, UnreachableTargetRunsToMaxReps) {
   rule.max_reps = 64;
 
   const ReplicationSummary s =
-      ReplicationRunner({1, 11, 1}).run_sequential(kNames, rule, noisy_row);
+      run_sequential(kNames, rule, 11, 1, noisy_row);
   EXPECT_EQ(s.stopping.replications, 64u);
   EXPECT_EQ(s.stopping.reason, StopReason::kMaxReps);
   EXPECT_FALSE(s.stopping.target_met());
@@ -177,13 +182,11 @@ TEST(SequentialStoppingTest, WiderConfidenceNeedsMoreReplications) {
   rule.max_reps = 4000;
 
   rule.confidence = 0.90;
-  const std::size_t reps90 = ReplicationRunner({1, 5, 1})
-                                 .run_sequential(kNames, rule, noisy_row)
-                                 .stopping.replications;
+  const std::size_t reps90 =
+      run_sequential(kNames, rule, 5, 1, noisy_row).stopping.replications;
   rule.confidence = 0.99;
-  const std::size_t reps99 = ReplicationRunner({1, 5, 1})
-                                 .run_sequential(kNames, rule, noisy_row)
-                                 .stopping.replications;
+  const std::size_t reps99 =
+      run_sequential(kNames, rule, 5, 1, noisy_row).stopping.replications;
   // A 99% interval is wider than a 90% one at the same sample count, so
   // reaching the same half-width target must take at least as many reps.
   EXPECT_GE(reps99, reps90);
@@ -200,7 +203,7 @@ TEST(SequentialStoppingTest, RelativeTargetStopsEarly) {
   rule.max_reps = 2000;
 
   const ReplicationSummary s =
-      ReplicationRunner({1, 7, 1}).run_sequential(kNames, rule, noisy_row);
+      run_sequential(kNames, rule, 7, 1, noisy_row);
   EXPECT_EQ(s.stopping.reason, StopReason::kCiTarget);
   EXPECT_TRUE(s.stopping.target_met());
   EXPECT_LT(s.stopping.replications, rule.max_reps);
@@ -222,9 +225,9 @@ TEST(SequentialStoppingTest, RelativeStopPointIsJobsInvariant) {
   rule.max_reps = 2000;
 
   const ReplicationSummary s1 =
-      ReplicationRunner({1, 7, 1}).run_sequential(kNames, rule, noisy_row);
+      run_sequential(kNames, rule, 7, 1, noisy_row);
   const ReplicationSummary s4 =
-      ReplicationRunner({1, 7, 4}).run_sequential(kNames, rule, noisy_row);
+      run_sequential(kNames, rule, 7, 4, noisy_row);
   EXPECT_EQ(s1.stopping.replications, s4.stopping.replications);
   EXPECT_EQ(s1.stopping.reason, s4.stopping.reason);
   expect_bit_identical(s1.metrics, s4.metrics);
@@ -240,12 +243,12 @@ TEST(SequentialStoppingTest, AbsoluteAndRelativeTargetsCombineAsOr) {
   rule.max_reps = 256;
 
   const ReplicationSummary abs_only =
-      ReplicationRunner({1, 11, 1}).run_sequential(kNames, rule, noisy_row);
+      run_sequential(kNames, rule, 11, 1, noisy_row);
   EXPECT_EQ(abs_only.stopping.reason, StopReason::kMaxReps);
 
   rule.ci_rel_target = 0.5;  // trivially met almost immediately
   const ReplicationSummary both =
-      ReplicationRunner({1, 11, 1}).run_sequential(kNames, rule, noisy_row);
+      run_sequential(kNames, rule, 11, 1, noisy_row);
   EXPECT_EQ(both.stopping.reason, StopReason::kCiTarget);
   EXPECT_TRUE(both.stopping.target_met());
   EXPECT_LT(both.stopping.replications, abs_only.stopping.replications);
@@ -262,8 +265,8 @@ TEST(SequentialStoppingTest, RelativeTargetUnreachableOnZeroMeanMetric) {
   rule.batch_size = 8;
   rule.max_reps = 64;
 
-  const ReplicationSummary s = ReplicationRunner({1, 13, 1}).run_sequential(
-      {"centered"}, rule, [](std::uint64_t seed, std::size_t index) {
+  const ReplicationSummary s = run_sequential(
+      {"centered"}, rule, 13, 1, [](std::uint64_t seed, std::size_t index) {
         // Deterministic alternating pair: mean exactly 0 at boundaries.
         (void)seed;
         return std::vector<double>{index % 2 == 0 ? 1.0 : -1.0};
@@ -276,48 +279,27 @@ TEST(SequentialStoppingTest, RelativeTargetUnreachableOnZeroMeanMetric) {
 }
 
 TEST(SequentialStoppingTest, ValidatesRelativeTargetInputs) {
-  const ReplicationRunner runner({4, 1, 1});
-  StoppingRule rule;
+  // Every rule keeps a valid budget, so each throw is the named input's.
+  StoppingRule rule = fixed_n(4);
   rule.ci_rel_target = -0.1;
-  EXPECT_THROW(runner.run_sequential(kNames, rule, noisy_row),
+  EXPECT_THROW(run_sequential(kNames, rule, 1, 1, noisy_row),
                std::invalid_argument);
-  rule = {};
+  rule = fixed_n(4);
   rule.ci_rel_target = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(runner.run_sequential(kNames, rule, noisy_row),
+  EXPECT_THROW(run_sequential(kNames, rule, 1, 1, noisy_row),
                std::invalid_argument);
-  rule = {};
+  rule = fixed_n(4);
   rule.ci_rel_target = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(runner.run_sequential(kNames, rule, noisy_row),
+  EXPECT_THROW(run_sequential(kNames, rule, 1, 1, noisy_row),
                std::invalid_argument);
-}
-
-TEST(SequentialStoppingTest, CollectedFailuresAreExcludedFromAggregates) {
-  ReplicationPlan plan{12, 9, 1};
-  plan.failure_policy = FailurePolicy::kCollect;
-  StoppingRule rule;
-  rule.max_reps = 12;
-  rule.batch_size = 4;
-
-  const ReplicationSummary s =
-      ReplicationRunner(plan).run_sequential(
-          {"value"}, rule, [](std::uint64_t, std::size_t index) {
-            if (index % 3 == 2) throw std::runtime_error("boom");
-            return std::vector<double>{static_cast<double>(index)};
-          });
-  EXPECT_EQ(s.stopping.replications, 12u);
-  EXPECT_EQ(s.stopping.samples, 8u);
-  ASSERT_EQ(s.errors.size(), 4u);
-  EXPECT_EQ(s.errors[0].index, 2u);
-  EXPECT_EQ(s.errors[0].message, "boom");
-  EXPECT_EQ(s.metrics[0].count, 8u);
 }
 
 TEST(SequentialStoppingTest, FailFastRethrowsFromBatch) {
   StoppingRule rule;
   rule.max_reps = 8;
   EXPECT_THROW(
-      ReplicationRunner({8, 9, 1}).run_sequential(
-          {"value"}, rule,
+      run_sequential(
+          {"value"}, rule, 9, 1,
           [](std::uint64_t, std::size_t index) {
             if (index == 3) throw std::runtime_error("dead");
             return std::vector<double>{1.0};
@@ -326,28 +308,27 @@ TEST(SequentialStoppingTest, FailFastRethrowsFromBatch) {
 }
 
 TEST(SequentialStoppingTest, ValidatesRuleInputs) {
-  const ReplicationRunner runner({4, 1, 1});
-  StoppingRule rule;
+  // Every rule keeps a valid budget, so each throw is the named input's.
+  StoppingRule rule = fixed_n(4);
   rule.metric = "no-such-metric";
-  EXPECT_THROW(runner.run_sequential(kNames, rule, noisy_row),
+  EXPECT_THROW(run_sequential(kNames, rule, 1, 1, noisy_row),
                std::invalid_argument);
-  rule = {};
+  rule = fixed_n(4);
   rule.confidence = 1.5;
   rule.ci_half_width_target = 0.1;
-  EXPECT_THROW(runner.run_sequential(kNames, rule, noisy_row),
+  EXPECT_THROW(run_sequential(kNames, rule, 1, 1, noisy_row),
                std::invalid_argument);
-  rule = {};
+  rule = fixed_n(4);
   rule.ci_half_width_target =
       std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(runner.run_sequential(kNames, rule, noisy_row),
+  EXPECT_THROW(run_sequential(kNames, rule, 1, 1, noisy_row),
                std::invalid_argument);
   // Empty metric list: nothing to watch.
-  rule = {};
-  EXPECT_THROW(runner.run_sequential({}, rule, noisy_row),
+  rule = fixed_n(4);
+  EXPECT_THROW(run_sequential({}, rule, 1, 1, noisy_row),
                std::invalid_argument);
-  // A zero-replication plan is rejected before any rule applies.
-  EXPECT_THROW(ReplicationRunner({0, 1, 1}).run_sequential(kNames, {},
-                                                           noisy_row),
+  // A zero budget is rejected.
+  EXPECT_THROW(run_sequential(kNames, fixed_n(0), 1, 1, noisy_row),
                std::invalid_argument);
 }
 
@@ -355,8 +336,8 @@ TEST(SequentialStoppingTest, RowWidthMismatchThrows) {
   StoppingRule rule;
   rule.max_reps = 4;
   EXPECT_THROW(
-      ReplicationRunner({4, 1, 1}).run_sequential(
-          kNames, rule,
+      run_sequential(
+          kNames, rule, 1, 1,
           [](std::uint64_t, std::size_t) {
             return std::vector<double>{1.0};  // two metrics expected
           }),
@@ -370,14 +351,14 @@ TEST(SequentialStoppingTest, SummaryLineNamesTheStop) {
   rule.batch_size = 4;
   rule.max_reps = 32;
   const ReplicationSummary stopped =
-      ReplicationRunner({1, 3, 1}).run_sequential(kNames, rule, noisy_row);
+      run_sequential(kNames, rule, 3, 1, noisy_row);
   const std::string seq = stopped.stopping.summary();
   EXPECT_NE(seq.find("sequential stopping"), std::string::npos);
   EXPECT_NE(seq.find("ci-target"), std::string::npos);
   EXPECT_NE(seq.find("constant"), std::string::npos);
 
   const ReplicationSummary fixed =
-      ReplicationRunner({6, 3, 1}).run_summarized(kNames, noisy_row);
+      run_sequential(kNames, fixed_n(6), 3, 1, noisy_row);
   const std::string fix = fixed.stopping.summary();
   EXPECT_NE(fix.find("fixed-N"), std::string::npos);
 }

@@ -6,35 +6,11 @@
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace smac::parallel {
 namespace {
-
-TEST(ThreadPoolTest, SubmitReturnsValueThroughFuture) {
-  ThreadPool pool(2);
-  auto f = pool.submit([] { return 41 + 1; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPoolTest, SubmitPropagatesException) {
-  ThreadPool pool(2);
-  auto f = pool.submit([]() -> int {
-    throw std::runtime_error("task failed");
-  });
-  EXPECT_THROW(f.get(), std::runtime_error);
-}
-
-TEST(ThreadPoolTest, ManyTasksAllComplete) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 200; ++i) {
-    futures.push_back(pool.submit([&counter] { ++counter; }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 200);
-}
 
 TEST(ThreadPoolTest, ForEachIndexCoversEveryIndexExactlyOnce) {
   ThreadPool pool(4);
@@ -78,6 +54,27 @@ TEST(ThreadPoolTest, ForEachIndexPropagatesFirstException) {
                           }),
       std::runtime_error);
   EXPECT_LE(ran.load(), 49);
+}
+
+// A pool of one spawns no thread: for_each_index runs every index in
+// order on the calling thread. Any pool does the same for a single index.
+TEST(ThreadPoolTest, PoolOfOneRunsOnTheCaller) {
+  const std::thread::id caller = std::this_thread::get_id();
+  ThreadPool pool(1);
+  EXPECT_EQ(pool.size(), 1u);
+  std::vector<std::size_t> order;
+  pool.for_each_index(5, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+
+  ThreadPool wide(4);
+  std::thread::id ran_on;
+  wide.for_each_index(1, [&](std::size_t) {
+    ran_on = std::this_thread::get_id();
+  });
+  EXPECT_EQ(ran_on, caller);
 }
 
 TEST(ThreadPoolTest, ZeroRequestsDefaultJobs) {
