@@ -157,6 +157,7 @@ MultihopResult assemble_result(const MultihopConfig& config,
 
   std::vector<std::size_t> transmitters;
   std::vector<char> is_tx(n);
+  std::vector<std::uint8_t> heard(n);
   std::vector<int> outcome(n);
 
   auto tx_of = [&](std::size_t j) { return is_tx[j] != 0; };
@@ -178,7 +179,6 @@ MultihopResult assemble_result(const MultihopConfig& config,
                    : 0.0;
 
     transmitters.clear();
-    std::fill(is_tx.begin(), is_tx.end(), 0);
     for (std::size_t i = 0; i < n; ++i) {
       if (active_[i] != 0 && nodes_[i].ready()) {
         transmitters.push_back(i);
@@ -199,27 +199,29 @@ MultihopResult assemble_result(const MultihopConfig& config,
       }
       outcome[i] = out;
     }
-
-    // Local channel time. A crashed node senses nothing and accrues no
-    // local time.
-    for (std::size_t i = 0; i < n; ++i) {
-      if (active_[i] == 0) continue;
-      const bool self_tx = is_tx[i] != 0;
-      tally[i].local_time_us += detail::local_slot_time_us(
-          topology_, i, times_, self_tx,
-          self_tx && detail::on_air_success(outcome[i]), tx_of,
-          [&](std::size_t j) { return detail::on_air_success(outcome[j]); });
+    // Every outcome is known now: push each transmitter's on-air class
+    // to itself and the neighbors that hear it.
+    for (std::size_t i : transmitters) {
+      detail::mark_heard(topology_, i, detail::on_air_success(outcome[i]),
+                         heard);
     }
 
-    // Apply outcomes to backoff state and counters. Crashed nodes freeze
-    // their backoff until they rejoin.
+    // One pass accrues local time and applies outcomes, clearing the
+    // marks for the next slot. A crashed node senses nothing, accrues no
+    // local time and freezes its backoff until it rejoins.
     for (std::size_t i = 0; i < n; ++i) {
+      const std::uint8_t mark = heard[i];
+      heard[i] = 0;
       if (active_[i] == 0) continue;
-      if (!is_tx[i]) {
+      tally[i].local_time_us +=
+          detail::slot_time_us(times_, mark != 0,
+                               (mark & detail::kHeardSuccess) != 0);
+      if (is_tx[i] != 0) {
+        is_tx[i] = 0;
+        detail::apply_outcome(outcome[i], tally[i], nodes_[i]);
+      } else {
         nodes_[i].observe_slot();
-        continue;
       }
-      detail::apply_outcome(outcome[i], tally[i], nodes_[i]);
     }
     ++total_slots_;
   }

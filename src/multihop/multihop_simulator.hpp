@@ -17,7 +17,10 @@
 // Each node accrues *local* channel time per slot: σ if no transmitter in
 // its range, T_s if a successful transmission is in range, else T_c, which
 // matches the paper's assumption that a node and its neighbors sense the
-// same channel state. Payoffs are (n_s·g − n_e·e)/local time.
+// same channel state. Payoffs are (n_s·g − n_e·e)/local time. The slot
+// loop pushes that state from the transmitters to their neighbors, so a
+// slot costs O(n + Σ_tx deg) — one pass over the nodes plus the
+// transmitters' neighbor lists — not O(Σ_i deg i).
 //
 // Two interchangeable kernels realize the model (MultihopConfig::kernel):
 // the serial global slot loop (the oracle) and a conservative

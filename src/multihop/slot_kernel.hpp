@@ -20,6 +20,13 @@
 // owning its stream. (The per-node DcfNode backoff streams are
 // sequential, but they are only ever advanced by the owning kernel/LP
 // in slot order, so they need no counter derivation.)
+//
+// Both kernels classify with classify_transmitter, apply outcomes with
+// apply_outcome and reduce with assemble_result. Local channel time has
+// one rule, slot_time_us, reached two ways: the slot loop pushes each
+// transmitter's mark to its neighbors (mark_heard), while the PDES kernel
+// pulls it per owned node (local_slot_time_us), because a region knows a
+// fringe transmitter's outcome only by replaying it on demand.
 #pragma once
 
 #include <cstdint>
@@ -120,10 +127,33 @@ inline int classify_transmitter(const Topology& topology, std::size_t i,
              : (receiver_jammed ? kOutcomeHiddenLoss : kOutcomeSuccess);
 }
 
-/// Local channel time node i accrues this slot: σ if no transmitter in
-/// range (incl. self), T_s if some in-range transmission succeeded on
-/// air, else T_c. success_of(j) must hold on_air_success of *transmitting*
-/// neighbor j's outcome.
+/// The local slot length rule, written once: σ if no transmitter is in
+/// range (self included), T_s if some in-range transmission succeeded on
+/// air, else T_c.
+inline double slot_time_us(const phy::SlotTimes& times, bool any_tx,
+                           bool any_success) noexcept {
+  return !any_tx ? times.sigma_us : any_success ? times.ts_us : times.tc_us;
+}
+
+/// Bits of a node's per-slot heard mark (push form, below).
+inline constexpr std::uint8_t kHeardTx = 1;       ///< a transmitter in range
+inline constexpr std::uint8_t kHeardSuccess = 2;  ///< one succeeded on air
+
+/// Push form of the local time (slot loop): transmitter t ORs its mark
+/// into its own and every neighbor's heard byte, so after all
+/// transmitters have pushed, slot_time_us of a node's bits is its local
+/// slot length. O(deg t) per transmitter; relies on symmetric adjacency
+/// (a Topology invariant).
+inline void mark_heard(const Topology& topology, std::size_t t,
+                       bool success, std::vector<std::uint8_t>& heard) {
+  const std::uint8_t mark = success ? kHeardTx | kHeardSuccess : kHeardTx;
+  heard[t] |= mark;
+  for (std::size_t j : topology.neighbors(t)) heard[j] |= mark;
+}
+
+/// Pull form of the local time (PDES kernel): node i's slot length from
+/// its own and its neighbors' transmissions. success_of(j) must hold
+/// on_air_success of *transmitting* neighbor j's outcome.
 template <class IsTx, class SuccessOf>
 inline double local_slot_time_us(const Topology& topology, std::size_t i,
                                  const phy::SlotTimes& times, bool self_tx,
@@ -142,7 +172,7 @@ inline double local_slot_time_us(const Topology& topology, std::size_t i,
       }
     }
   }
-  return !any_tx ? times.sigma_us : any_success ? times.ts_us : times.tc_us;
+  return slot_time_us(times, any_tx, any_success);
 }
 
 /// Per-node accumulators of one measurement window (shared so the two

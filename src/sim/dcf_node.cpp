@@ -33,10 +33,6 @@ void DcfNode::set_cw(int cw) {
   draw_backoff();
 }
 
-void DcfNode::observe_slot() noexcept {
-  if (counter_ > 0) --counter_;
-}
-
 void DcfNode::on_success() {
   ++counters_.attempts;
   ++counters_.successes;

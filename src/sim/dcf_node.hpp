@@ -7,6 +7,10 @@
 // fresh packet is always waiting, so the post-success state immediately
 // begins a new backoff. Time is counted in *channel slots* (idle σ,
 // success T_s, collision T_c), exactly the embedding Bianchi's model uses.
+// A run of k idle slots only counts the backoff down, so a saturated
+// simulator may advance it in one observe_slots(k) call; with Poisson
+// sources an arrival in any slot can start a new backoff, so those step
+// one slot at a time.
 #pragma once
 
 #include <cstdint>
@@ -58,8 +62,17 @@ class DcfNode {
   bool ready() const noexcept { return counter_ == 0; }
 
   /// Advances one channel slot in which this node did NOT transmit
-  /// (idle, or busy by others). Decrements the backoff counter.
-  void observe_slot() noexcept;
+  /// (idle, or busy by others). Decrements the backoff counter. Inline:
+  /// both slot loops call it for every listening node every slot.
+  void observe_slot() noexcept {
+    if (counter_ > 0) --counter_;
+  }
+
+  /// Advances `slots` channel slots at once: the same state as `slots`
+  /// observe_slot() calls.
+  void observe_slots(std::int64_t slots) noexcept {
+    counter_ = counter_ > slots ? counter_ - slots : 0;
+  }
 
   /// Outcome callbacks for a slot in which this node transmitted.
   void on_success();

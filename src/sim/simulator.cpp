@@ -1,6 +1,8 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "parallel/replication.hpp"
@@ -40,10 +42,12 @@ Simulator::Simulator(SimConfig config, const std::vector<int>& cw_profile)
                    [](const fault::SlotEvent& a, const fault::SlotEvent& b) {
                      return a.slot < b.slot;
                    });
-  if (config_.arrival_rate_pps < 0.0) {
-    throw std::invalid_argument("Simulator: negative arrival rate");
+  if (!(config_.arrival_rate_pps >= 0.0) ||
+      !std::isfinite(config_.arrival_rate_pps)) {
+    throw std::invalid_argument("Simulator: arrival rate not finite and >= 0");
   }
-  if (config_.capture_probability < 0.0 || config_.capture_probability > 1.0) {
+  if (!(config_.capture_probability >= 0.0 &&
+        config_.capture_probability <= 1.0)) {
     throw std::invalid_argument("Simulator: capture probability outside [0,1]");
   }
   if (cw_profile.empty()) {
@@ -77,24 +81,59 @@ void Simulator::set_profile(const std::vector<int>& cw_profile) {
   }
 }
 
-void Simulator::step(WindowAccumulator& acc) {
+void Simulator::step(WindowAccumulator& acc, std::uint64_t max_slots,
+                     double duration_us) {
   // Faults resolve at the slot boundary: scripted events first, then one
   // step of the bursty-loss chain (no draws when the plan is empty).
-  while (next_fault_event_ < config_.faults.events.size() &&
-         config_.faults.events[next_fault_event_].slot <= total_slots_) {
-    const fault::SlotEvent& e = config_.faults.events[next_fault_event_++];
+  const std::vector<fault::SlotEvent>& events = config_.faults.events;
+  while (next_fault_event_ < events.size() &&
+         events[next_fault_event_].slot <= total_slots_) {
+    const fault::SlotEvent& e = events[next_fault_event_++];
     node_up_[e.node] = e.kind == fault::FaultKind::kJoin ? 1 : 0;
   }
   fault_channel_.step();
   if (fault_channel_.bad()) ++acc.bad_state_slots;
-  const double effective_per =
-      fault_channel_.effective_per(config_.params.packet_error_rate);
 
   ready_scratch_.clear();
+  std::int64_t min_counter = std::numeric_limits<std::int64_t>::max();
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (node_active(i) && nodes_[i].ready()) ready_scratch_.push_back(i);
+    if (!node_active(i)) continue;
+    const std::int64_t counter = nodes_[i].counter();
+    if (counter == 0) ready_scratch_.push_back(i);
+    min_counter = std::min(min_counter, counter);
   }
 
+  if (saturated() && min_counter > 0) {
+    // Idle run: every online counter is >= min_counter, so the next
+    // min_counter slots are idle unless a scripted event changes the
+    // online set first. Jump them at once, stepping the chain and adding
+    // σ slot by slot (the per-slot draw and summation order) and stopping
+    // where the window ends.
+    std::uint64_t run =
+        std::min(static_cast<std::uint64_t>(min_counter), max_slots);
+    if (next_fault_event_ < events.size()) {
+      run = std::min(run, events[next_fault_event_].slot - total_slots_);
+    }
+    std::uint64_t idle = 0;
+    for (;;) {
+      acc.elapsed_us += times_.sigma_us;
+      if (++idle == run || acc.elapsed_us >= duration_us) break;
+      fault_channel_.step();
+      if (fault_channel_.bad()) ++acc.bad_state_slots;
+    }
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      if (node_active(i)) {
+        nodes_[i].observe_slots(static_cast<std::int64_t>(idle));
+      }
+    }
+    acc.idle_slots += idle;
+    acc.slots += idle;
+    total_slots_ += idle;
+    return;
+  }
+
+  const double effective_per =
+      fault_channel_.effective_per(config_.params.packet_error_rate);
   double slot_us = 0.0;
   if (ready_scratch_.empty()) {
     slot_us = times_.sigma_us;
@@ -218,7 +257,9 @@ SimResult Simulator::run_for(double duration_us) {
   for (auto& node : nodes_) node.reset_counters();
   std::fill(backlog_time_integral_.begin(), backlog_time_integral_.end(), 0.0);
   WindowAccumulator acc;
-  while (acc.elapsed_us < duration_us) step(acc);
+  while (acc.elapsed_us < duration_us) {
+    step(acc, std::numeric_limits<std::uint64_t>::max(), duration_us);
+  }
   SimResult result = finalize(nodes_, config_.params, acc.elapsed_us,
                               acc.slots, acc.idle_slots, acc.success_slots,
                               acc.collision_slots, acc.error_slots,
@@ -235,7 +276,9 @@ SimResult Simulator::run_slots(std::uint64_t n) {
   for (auto& node : nodes_) node.reset_counters();
   std::fill(backlog_time_integral_.begin(), backlog_time_integral_.end(), 0.0);
   WindowAccumulator acc;
-  while (acc.slots < n) step(acc);
+  while (acc.slots < n) {
+    step(acc, n - acc.slots, std::numeric_limits<double>::infinity());
+  }
   SimResult result = finalize(nodes_, config_.params, acc.elapsed_us,
                               acc.slots, acc.idle_slots, acc.success_slots,
                               acc.collision_slots, acc.error_slots,

@@ -9,6 +9,13 @@
 // The simulator keeps backoff state across measurement windows so the
 // adaptive runtime (repeated game) and the §V.C search protocol can chain
 // stages without re-warming.
+//
+// With saturated sources a slot where no counter is 0 starts an idle run
+// as long as the smallest online counter, and the simulator jumps it at
+// once (DcfNode::observe_slots), cut short by the window's end or the
+// next scripted event; the Gilbert–Elliott chain still steps, and σ is
+// still added, once per slot. Poisson sources draw arrivals every slot,
+// and any arrival can start a backoff, so they step slot by slot.
 #pragma once
 
 #include <cstdint>
@@ -117,7 +124,11 @@ class Simulator {
 
  private:
   struct WindowAccumulator;
-  void step(WindowAccumulator& acc);
+  /// Advances the channel by one slot, or by a whole saturated idle run
+  /// of at most `max_slots` slots that stops once acc.elapsed_us reaches
+  /// `duration_us`.
+  void step(WindowAccumulator& acc, std::uint64_t max_slots,
+            double duration_us);
   bool node_active(std::size_t i) const noexcept {
     return node_up_[i] != 0 && (saturated() || backlog_[i] > 0);
   }

@@ -82,7 +82,9 @@ TEST(FaultRepeatedGame, CrashedPlayerEarnsZeroAndKeepsWindow) {
     EXPECT_EQ(record.cw[2], 32) << "stage " << k;  // window frozen
     EXPECT_EQ(record.utility[2], 0.0) << "stage " << k;
     for (std::size_t i = 0; i < 4; ++i) {
-      if (i != 2) EXPECT_GT(record.utility[i], 0.0);
+      if (i != 2) {
+        EXPECT_GT(record.utility[i], 0.0);
+      }
     }
   }
   EXPECT_EQ(result.degradation.crash_events, 1);

@@ -1,6 +1,8 @@
 // Channel-noise (PER), capture effect, and backoff-policy ablations.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "analytical/backoff_chain.hpp"
 #include "analytical/fixed_point_solver.hpp"
 #include "analytical/utility.hpp"
@@ -118,6 +120,8 @@ TEST(CaptureTest, ValidatesProbability) {
   config.capture_probability = 1.5;
   EXPECT_THROW(Simulator(config, {32, 32}), std::invalid_argument);
   config.capture_probability = -0.1;
+  EXPECT_THROW(Simulator(config, {32, 32}), std::invalid_argument);
+  config.capture_probability = std::nan("");
   EXPECT_THROW(Simulator(config, {32, 32}), std::invalid_argument);
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -40,6 +41,11 @@ TEST(PoissonRngTest, MeanAndVarianceMatch) {
 
 TEST(NonSaturatedTest, RejectsNegativeRate) {
   EXPECT_THROW(Simulator(poisson_config(-1.0), {32}), std::invalid_argument);
+  EXPECT_THROW(Simulator(poisson_config(std::nan("")), {32}),
+               std::invalid_argument);
+  EXPECT_THROW(
+      Simulator(poisson_config(std::numeric_limits<double>::infinity()), {32}),
+      std::invalid_argument);
 }
 
 TEST(NonSaturatedTest, SaturatedDefaultUnchanged) {

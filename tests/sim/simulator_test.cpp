@@ -165,5 +165,170 @@ TEST(SimulatorTest, AggressiveNodeDominatesThroughput) {
   EXPECT_GT(r.node[0].successes, 3 * r.node[1].successes);
 }
 
+// Window totals that one batched window and a run of one-slot windows
+// can both produce: slot classes and per-node counters summed, elapsed
+// time summed in window order.
+struct WindowTotals {
+  double elapsed_us = 0.0;
+  std::uint64_t slots = 0;
+  std::uint64_t idle = 0;
+  std::uint64_t success = 0;
+  std::uint64_t collision = 0;
+  std::uint64_t error = 0;
+  std::uint64_t capture = 0;
+  std::uint64_t bad_state = 0;
+  std::vector<NodeCounters> node;
+
+  void add(const SimResult& r) {
+    elapsed_us += r.elapsed_us;
+    slots += r.slots;
+    idle += r.idle_slots;
+    success += r.success_slots;
+    collision += r.collision_slots;
+    error += r.error_slots;
+    capture += r.capture_slots;
+    bad_state += r.bad_state_slots;
+    node.resize(r.node.size());
+    for (std::size_t i = 0; i < r.node.size(); ++i) {
+      node[i].attempts += r.node[i].attempts;
+      node[i].successes += r.node[i].successes;
+      node[i].collisions += r.node[i].collisions;
+    }
+  }
+};
+
+void expect_same_counters(const std::vector<NodeCounters>& a,
+                          const std::vector<NodeCounters>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].attempts, b[i].attempts) << "node " << i;
+    EXPECT_EQ(a[i].successes, b[i].successes) << "node " << i;
+    EXPECT_EQ(a[i].collisions, b[i].collisions) << "node " << i;
+  }
+}
+
+void expect_same_totals(const WindowTotals& a, const WindowTotals& b) {
+  EXPECT_EQ(a.elapsed_us, b.elapsed_us);
+  EXPECT_EQ(a.slots, b.slots);
+  EXPECT_EQ(a.idle, b.idle);
+  EXPECT_EQ(a.success, b.success);
+  EXPECT_EQ(a.collision, b.collision);
+  EXPECT_EQ(a.error, b.error);
+  EXPECT_EQ(a.capture, b.capture);
+  EXPECT_EQ(a.bad_state, b.bad_state);
+  expect_same_counters(a.node, b.node);
+}
+
+void expect_same_result(const SimResult& a, const SimResult& b) {
+  EXPECT_EQ(a.elapsed_us, b.elapsed_us);
+  EXPECT_EQ(a.slots, b.slots);
+  EXPECT_EQ(a.idle_slots, b.idle_slots);
+  EXPECT_EQ(a.success_slots, b.success_slots);
+  EXPECT_EQ(a.collision_slots, b.collision_slots);
+  EXPECT_EQ(a.error_slots, b.error_slots);
+  EXPECT_EQ(a.capture_slots, b.capture_slots);
+  EXPECT_EQ(a.bad_state_slots, b.bad_state_slots);
+  expect_same_counters(a.node, b.node);
+  EXPECT_EQ(a.mean_backlog, b.mean_backlog);
+  EXPECT_EQ(a.throughput, b.throughput);
+  EXPECT_EQ(a.payoff_rate, b.payoff_rate);
+  EXPECT_EQ(a.measured_tau, b.measured_tau);
+  EXPECT_EQ(a.measured_p, b.measured_p);
+}
+
+struct BatchingCase {
+  const char* name;
+  SimConfig config;
+  std::vector<int> profile;
+  bool toggle_node = false;  ///< crash node 1 for the second window
+};
+
+std::vector<BatchingCase> batching_cases() {
+  const std::vector<int> wide{64, 128, 256, 512};
+  std::vector<BatchingCase> cases;
+  cases.push_back({"beb", make_config(phy::AccessMode::kBasic, 21), wide});
+
+  SimConfig mild = make_config(phy::AccessMode::kBasic, 22);
+  mild.backoff_policy = BackoffPolicy::kMild;
+  cases.push_back({"mild", mild, {16, 32, 64, 128, 256}});
+
+  SimConfig constant = make_config(phy::AccessMode::kRtsCts, 23);
+  constant.backoff_policy = BackoffPolicy::kConstant;
+  cases.push_back({"constant", constant, {48, 96, 192}});
+
+  // Crash and join events in every window, two of them on adjacent
+  // slots; most slots of the wide profile are idle, so they fall inside
+  // idle runs.
+  SimConfig scripted = make_config(phy::AccessMode::kBasic, 24);
+  for (const fault::SlotEvent& e : std::vector<fault::SlotEvent>{
+           {150, 0, fault::FaultKind::kCrash},
+           {2900, 0, fault::FaultKind::kJoin},
+           {7777, 3, fault::FaultKind::kCrash},
+           {7778, 3, fault::FaultKind::kJoin},
+           {12001, 2, fault::FaultKind::kCrash},
+           {21003, 1, fault::FaultKind::kCrash},
+           {24011, 2, fault::FaultKind::kJoin},
+           {26017, 1, fault::FaultKind::kJoin},
+           {26500, 0, fault::FaultKind::kCrash}}) {
+    scripted.faults.events.push_back(e);
+  }
+  cases.push_back({"scripted", scripted, wide});
+
+  SimConfig chain = make_config(phy::AccessMode::kBasic, 25);
+  chain.faults.channel.p_good_to_bad = 0.05;
+  chain.faults.channel.p_bad_to_good = 0.3;
+  chain.faults.channel.per_bad = 0.5;
+  cases.push_back({"gilbert-elliott", chain, wide});
+
+  cases.push_back(
+      {"set_node_online", make_config(phy::AccessMode::kBasic, 26), wide,
+       true});
+
+  SimConfig capture = make_config(phy::AccessMode::kBasic, 27);
+  capture.capture_probability = 0.4;
+  capture.params.packet_error_rate = 0.1;
+  cases.push_back({"capture+per", capture, {8, 16, 16, 32, 64}});
+
+  SimConfig poisson = make_config(phy::AccessMode::kBasic, 28);
+  poisson.arrival_rate_pps = 40.0;
+  cases.push_back({"unsaturated", poisson, {16, 32, 64}, true});
+  return cases;
+}
+
+TEST(SimulatorTest, BatchedWindowsMatchSlotBySlotStepping) {
+  // A one-slot window can never jump an idle run, so a simulator driven
+  // one slot at a time is the per-slot reference for batched windows.
+  constexpr std::uint64_t kSlots = 20000;
+  constexpr double kDurationUs = 1.5e6;
+  for (const BatchingCase& c : batching_cases()) {
+    SCOPED_TRACE(c.name);
+    Simulator batched(c.config, c.profile);
+    Simulator stepped(c.config, c.profile);
+
+    WindowTotals got;
+    WindowTotals want;
+    got.add(batched.run_slots(kSlots));
+    for (std::uint64_t s = 0; s < kSlots; ++s) want.add(stepped.run_slots(1));
+    expect_same_totals(got, want);
+
+    if (c.toggle_node) {
+      batched.set_node_online(1, false);
+      stepped.set_node_online(1, false);
+    }
+    got = {};
+    want = {};
+    got.add(batched.run_for(kDurationUs));
+    while (want.elapsed_us < kDurationUs) want.add(stepped.run_slots(1));
+    expect_same_totals(got, want);
+    EXPECT_EQ(batched.total_slots(), stepped.total_slots());
+
+    if (c.toggle_node) {
+      batched.set_node_online(1, true);
+      stepped.set_node_online(1, true);
+    }
+    expect_same_result(batched.run_slots(5000), stepped.run_slots(5000));
+  }
+}
+
 }  // namespace
 }  // namespace smac::sim
