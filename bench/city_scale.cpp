@@ -14,7 +14,8 @@
 //                                  any --jobs, pinned by
 //                                  tests/parallel/city_scale_invariance_test.cpp
 //   BENCH_city_scale_timings.json  wall-clock build/update/solve-dedup
-//                                  timings; machine-dependent by nature.
+//                                  timings and the --jobs that produced
+//                                  them; machine-dependent by nature.
 //
 // Usage: bench_city_scale [--jobs N] [--smoke] [--kernel K]
 //                         [--sim-slots N] [output.json]
@@ -171,12 +172,14 @@ bool write_results_json(const std::string& path,
 }
 
 bool write_timings_json(const std::string& path,
-                        const std::vector<multihop::CityScaleResult>& runs) {
+                        const std::vector<multihop::CityScaleResult>& runs,
+                        std::size_t jobs) {
   std::FILE* out = open_output(path);
   if (out == nullptr) return false;
   std::fprintf(out, "{\n  \"unit\": \"wall-clock ms (machine-dependent; "
                     "NOT part of the byte-identical contract)\",\n");
   std::fprintf(out, "  \"host\": %s,\n", bench::host_json().c_str());
+  std::fprintf(out, "  \"jobs\": %zu,\n", jobs);
   std::fprintf(out, "  \"scenarios\": [\n");
   for (std::size_t s = 0; s < runs.size(); ++s) {
     const multihop::CityScaleResult& r = runs[s];
@@ -317,7 +320,7 @@ int main(int argc, char** argv) {
           ? path.substr(0, path.size() - 5) + "_timings.json"
           : path + "_timings.json";
   if (!write_results_json(path, configs, runs) ||
-      !write_timings_json(timings_path, runs)) {
+      !write_timings_json(timings_path, runs, jobs)) {
     return 1;
   }
   std::printf("\nwrote %s (deterministic) and %s (wall clock)\n",

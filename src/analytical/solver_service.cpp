@@ -218,18 +218,13 @@ SolverService::ClassBatch SolverService::solve_classes(
   // one is configured. Instances are independent, so the chunking (and
   // the pool itself) cannot change a single bit of any result.
   std::vector<TrySolveResult> solved(instances.size());
-  if (options_.pool != nullptr && instances.size() > 1) {
-    const std::size_t chunks = (instances.size() + kChunkSize - 1) / kChunkSize;
-    options_.pool->for_each_index(chunks, [&](std::size_t c) {
-      const std::size_t begin = c * kChunkSize;
-      const std::size_t length = std::min(kChunkSize, instances.size() - begin);
-      std::vector<TrySolveResult> part = detail::solve_classes_batch(
-          {instances.data() + begin, length});
-      std::move(part.begin(), part.end(), solved.begin() + begin);
-    });
-  } else if (!instances.empty()) {
-    solved = detail::solve_classes_batch(instances);
-  }
+  parallel::for_each_chunk(
+      options_.pool, instances.size(), kChunkSize,
+      [&](std::size_t begin, std::size_t end) {
+        std::vector<TrySolveResult> part = detail::solve_classes_batch(
+            {instances.data() + begin, end - begin});
+        std::move(part.begin(), part.end(), solved.begin() + begin);
+      });
 
   cache_.adopt_classes(misses, solved);  // in key order
   for (std::size_t m = 0; m < missed.size(); ++m) {

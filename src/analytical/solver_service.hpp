@@ -98,6 +98,8 @@ class SolverService {
 
   SolveCacheStats cache_stats() const { return cache_.stats(); }
   const NetworkSolveCache& cache() const noexcept { return cache_; }
+  /// The pool miss batches chunk over (Options::pool; may be null).
+  parallel::ThreadPool* pool() const noexcept { return options_.pool; }
 
  private:
   Options options_;

@@ -31,9 +31,9 @@ class StageGame {
   StageGame(phy::Parameters params, phy::AccessMode mode);
 
   /// Same, with explicit SolverService options — the way to hand the
-  /// owned service a ThreadPool (city-scale pricing chunks its miss
-  /// batches across it; results stay bitwise jobs-invariant per the
-  /// service contract). The pool, if any, must outlive this game.
+  /// owned service a ThreadPool (city-scale pricing chunks its per-node
+  /// loops and miss batches across it; results stay bitwise
+  /// jobs-invariant). The pool, if any, must outlive this game.
   StageGame(phy::Parameters params, phy::AccessMode mode,
             analytical::SolverService::Options solver_options);
 

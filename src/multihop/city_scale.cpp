@@ -105,24 +105,31 @@ NeighborhoodPricing price_neighborhoods(const SpatialIndex& index,
   // onto one solve and tallies the duplicates as cache hits — so
   // SolveCacheStats records exactly how much of the stage the symmetry
   // collapse absorbed (the class-collapse regression test pins that).
+  // The per-node build and pricing run on the service's pool in node
+  // chunks, each writing only its own requests[r] / payoff[nodes[r]].
+  parallel::ThreadPool* const pool = game.solver_service().pool();
   std::vector<std::size_t> nodes;
-  std::vector<analytical::ClassProfile> requests;
   nodes.reserve(index.active_count());
-  requests.reserve(index.active_count());
-  std::vector<int> local;
   for (std::size_t i = 0; i < index.node_count(); ++i) {
-    if (!index.active(i)) continue;
-    local.clear();
-    local.push_back(profile[i]);
-    for (const std::size_t j : index.neighbors(i)) {
-      local.push_back(profile[j]);
-    }
-    // Isolated node: the same 2-player floor as local_efficient_cw (a
-    // 1-player "game" is degenerate; see local_game.hpp).
-    if (local.size() == 1) local.push_back(profile[i]);
-    nodes.push_back(i);
-    requests.push_back(analytical::classify_profile(local));
+    if (index.active(i)) nodes.push_back(i);
   }
+  std::vector<analytical::ClassProfile> requests(nodes.size());
+  const auto classify = [&](std::size_t begin, std::size_t end) {
+    std::vector<int> local;
+    for (std::size_t r = begin; r < end; ++r) {
+      const std::size_t i = nodes[r];
+      local.assign(1, profile[i]);
+      for (const std::size_t j : index.neighbors(i)) {
+        local.push_back(profile[j]);
+      }
+      // Isolated node: the same 2-player floor as local_efficient_cw (a
+      // 1-player "game" is degenerate; see local_game.hpp).
+      if (local.size() == 1) local.push_back(profile[i]);
+      requests[r] = analytical::classify_profile(local);
+    }
+  };
+  parallel::for_each_chunk(pool, nodes.size(), SpatialIndex::kNodeChunk,
+                           classify);
   const phy::Parameters& params = game.params();
   const analytical::SolverService::ClassBatch batch =
       game.solver_service().solve_classes(requests, params.max_backoff_stage,
@@ -131,20 +138,24 @@ NeighborhoodPricing price_neighborhoods(const SpatialIndex& index,
   out.distinct_classes = batch.results.size();
 
   // Each node's own class (class_of[0]) priced as
-  // StageGame::try_class_utilities_batch prices it, from reused scratch.
+  // StageGame::try_class_utilities_batch prices it, from per-chunk scratch.
   const double t_us = game.stage_duration_us();
-  std::vector<double> scratch;
-  std::vector<double> rates;
-  for (std::size_t r = 0; r < requests.size(); ++r) {
-    const analytical::TrySolveResult& solved =
-        batch.results[batch.key_of[r]];
-    if (!analytical::usable(solved.diagnostics.status)) continue;
-    rates.resize(requests[r].class_count());
-    analytical::class_utility_rates(solved.state, requests[r], params,
-                                    game.mode(), scratch, rates);
-    out.payoff[nodes[r]] =
-        rates[static_cast<std::size_t>(requests[r].class_of[0])] * t_us;
-  }
+  const auto price = [&](std::size_t begin, std::size_t end) {
+    std::vector<double> scratch;
+    std::vector<double> rates;
+    for (std::size_t r = begin; r < end; ++r) {
+      const analytical::TrySolveResult& solved =
+          batch.results[batch.key_of[r]];
+      if (!analytical::usable(solved.diagnostics.status)) continue;
+      rates.resize(requests[r].class_count());
+      analytical::class_utility_rates(solved.state, requests[r], params,
+                                      game.mode(), scratch, rates);
+      out.payoff[nodes[r]] =
+          rates[static_cast<std::size_t>(requests[r].class_of[0])] * t_us;
+    }
+  };
+  parallel::for_each_chunk(pool, requests.size(), SpatialIndex::kNodeChunk,
+                           price);
   return out;
 }
 
@@ -155,10 +166,15 @@ CityScaleResult run_city_scale(const CityScaleConfig& config) {
   if (config.stages < 1) {
     throw std::invalid_argument("run_city_scale: stages < 1");
   }
+  if (!(config.mobility_dt_s >= 0.0) ||
+      !std::isfinite(config.mobility_dt_s)) {
+    throw std::invalid_argument(
+        "run_city_scale: mobility_dt_s not finite >= 0");
+  }
   const double arena = city_arena_side_m(config.nodes, config.range_m,
                                          config.target_mean_degree);
 
-  // The pool (when any) must outlive the game that chunks over it.
+  // The pool (when any) must outlive the game and index that use it.
   std::optional<parallel::ThreadPool> pool;
   analytical::SolverService::Options solver_options;
   if (config.solver_jobs > 1) {
@@ -187,7 +203,7 @@ CityScaleResult run_city_scale(const CityScaleConfig& config) {
   result.arena_m = arena;
 
   const auto t_build = Clock::now();
-  SpatialIndex index(mobility.positions(), config.range_m);
+  SpatialIndex index(mobility.positions(), config.range_m, solver_options.pool);
   result.build_ms = ms_since(t_build);
 
   if (config.time_oracle) {

@@ -13,11 +13,12 @@
 //
 // Determinism: every field of CityScaleResult except the *_ms wall-clock
 // timings is a pure function of CityScaleConfig — independent of
-// solver_jobs (the SolverService pool-chunking contract) and of spatial-
-// index bucket insertion order. bench/city_scale.cpp keeps the JSON it
-// emits byte-identical at any --jobs by writing timings to a separate
-// artifact; tests/parallel/city_scale_invariance_test.cpp pins the
-// invariance.
+// solver_jobs (the pool runs fixed chunks that each write their own
+// slots; bucket surgery, churn, seeding, TFT and the cache's grouping
+// and adoption stay serial) and of spatial-index bucket insertion order.
+// bench/city_scale.cpp keeps the JSON it emits byte-identical at any
+// --jobs by writing timings to a separate artifact;
+// tests/parallel/city_scale_invariance_test.cpp pins the invariance.
 #pragma once
 
 #include <cstddef>
@@ -57,7 +58,9 @@ struct CityScaleConfig {
   /// Time build_topology_full on the initial layout for the oracle-vs-
   /// grid ratio (Θ(n²) — gate off beyond ~2·10^4 nodes).
   bool time_oracle = false;
-  /// SolverService pool width for miss batches. Scheduling only: results
+  /// Width of the pipeline's one pool: the SpatialIndex scans, the
+  /// per-node request build and pricing of price_neighborhoods, and the
+  /// SolverService miss batches all run on it. Scheduling only: results
   /// are bitwise identical at any value.
   std::size_t solver_jobs = 1;
   /// Slot-level simulation leg: when sim_slots > 0 each stage also runs
@@ -131,7 +134,8 @@ double city_arena_side_m(std::size_t nodes, double range_m,
 /// 0 for offline nodes and unusable solves. All nodes' class profiles go
 /// to one SolverService::solve_classes batch, which groups identical
 /// canonical classes onto one solve and counts the duplicates as cache
-/// hits, so SolveCacheStats measures the symmetry collapse directly.
+/// hits, so SolveCacheStats measures the symmetry collapse directly. The
+/// per-node loops run on the game's SolverService pool, if it has one.
 struct NeighborhoodPricing {
   std::vector<double> payoff;
   std::size_t priced_nodes = 0;

@@ -1,5 +1,6 @@
 #include "multihop/mobility.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace smac::multihop {
@@ -7,14 +8,16 @@ namespace smac::multihop {
 RandomWaypointModel::RandomWaypointModel(MobilityConfig config,
                                          std::size_t node_count)
     : config_(config), rng_(config.seed) {
-  if (!(config.width_m > 0.0) || !(config.height_m > 0.0)) {
-    throw std::invalid_argument("RandomWaypointModel: non-positive area");
+  if (!(config.width_m > 0.0) || !(config.height_m > 0.0) ||
+      !std::isfinite(config.width_m) || !std::isfinite(config.height_m)) {
+    throw std::invalid_argument("RandomWaypointModel: area not finite > 0");
   }
-  if (config.v_min_mps < 0.0 || config.v_max_mps < config.v_min_mps) {
+  if (!(config.v_min_mps >= 0.0) || !(config.v_max_mps >= config.v_min_mps) ||
+      !std::isfinite(config.v_max_mps)) {
     throw std::invalid_argument("RandomWaypointModel: bad speed range");
   }
-  if (config.pause_s < 0.0) {
-    throw std::invalid_argument("RandomWaypointModel: negative pause");
+  if (!(config.pause_s >= 0.0) || !std::isfinite(config.pause_s)) {
+    throw std::invalid_argument("RandomWaypointModel: pause not finite >= 0");
   }
   if (node_count == 0) {
     throw std::invalid_argument("RandomWaypointModel: zero nodes");
@@ -42,7 +45,9 @@ void RandomWaypointModel::pick_new_leg(NodeState& node) {
 }
 
 void RandomWaypointModel::advance(double dt_s) {
-  if (dt_s < 0.0) throw std::invalid_argument("advance: negative dt");
+  if (!(dt_s >= 0.0) || !std::isfinite(dt_s)) {
+    throw std::invalid_argument("advance: dt not finite and >= 0");
+  }
   for (auto& node : nodes_) {
     double remaining = dt_s;
     while (remaining > 0.0) {

@@ -6,6 +6,8 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "parallel/thread_pool.hpp"
+
 namespace smac::multihop {
 namespace {
 
@@ -61,10 +63,11 @@ void diff_sorted(const std::vector<std::size_t>& before,
 
 }  // namespace
 
-SpatialIndex::SpatialIndex(std::vector<Vec2> positions, double range_m)
+SpatialIndex::SpatialIndex(std::vector<Vec2> positions, double range_m,
+                           parallel::ThreadPool* pool)
     : range_m_(range_m), positions_(std::move(positions)),
       active_(positions_.size(), 1), active_count_(positions_.size()),
-      moved_scratch_(positions_.size(), 0) {
+      moved_scratch_(positions_.size(), 0), pool_(pool) {
   if (!(range_m > 0.0)) {
     throw std::invalid_argument("SpatialIndex: range <= 0");
   }
@@ -148,11 +151,20 @@ void SpatialIndex::update_positions(const std::vector<Vec2>& positions) {
       ++stats.rebucketed;
     }
   }
-  // Phase 2: every active moved node gets a fresh stencil scan; unmoved
-  // neighbors are patched in place, moved ones rebuild themselves.
-  for (const std::size_t m : moved) {
+  // Phase 2: every active moved node gets a fresh stencil scan (on the
+  // pool: scans only read positions and buckets); then, in mover order,
+  // unmoved neighbors are patched in place and moved ones adopt theirs.
+  std::vector<std::vector<std::size_t>> scans(moved.size());
+  const auto scan_movers = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t r = begin; r < end; ++r) {
+      if (active_[moved[r]]) scans[r] = scan(moved[r]);
+    }
+  };
+  parallel::for_each_chunk(pool_, moved.size(), kNodeChunk, scan_movers);
+  for (std::size_t r = 0; r < moved.size(); ++r) {
+    const std::size_t m = moved[r];
     if (!active_[m]) continue;
-    std::vector<std::size_t> fresh = scan(m);
+    std::vector<std::size_t>& fresh = scans[r];
     diff_sorted(
         neighbors_[m], fresh,
         [&](std::size_t j) {
@@ -299,9 +311,12 @@ void SpatialIndex::full_build(std::span<const std::size_t> build_order) {
     cell_of_[i] = key;
     bucket_add(key, i);
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (active_[i]) neighbors_[i] = scan(i);
-  }
+  const auto scan_nodes = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      if (active_[i]) neighbors_[i] = scan(i);
+    }
+  };
+  parallel::for_each_chunk(pool_, n, kNodeChunk, scan_nodes);
 }
 
 void SpatialIndex::validate_positions(const std::vector<Vec2>& positions) {

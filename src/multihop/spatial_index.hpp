@@ -26,6 +26,10 @@
 // insertion order or hash iteration order. The `build_order` constructor
 // exists so tests can prove that (tests/multihop/spatial_index_test.cpp,
 // `ctest -L topology`).
+//
+// With a parallel::ThreadPool, the full build's and update_positions'
+// stencil scans run on it in kNodeChunk-node chunks; all else stays on the
+// caller, so results equal the pool-less index's.
 #pragma once
 
 #include <cstddef>
@@ -37,10 +41,18 @@
 #include "multihop/geometry.hpp"
 #include "multihop/topology.hpp"
 
+namespace smac::parallel {
+class ThreadPool;
+}
+
 namespace smac::multihop {
 
 class SpatialIndex {
  public:
+  /// Nodes per pool task in the pooled per-node loops (this index's scans
+  /// and price_neighborhoods). Scheduling only.
+  static constexpr std::size_t kNodeChunk = 2048;
+
   /// What the last update_positions / move_node call actually did.
   struct UpdateStats {
     std::size_t moved = 0;       ///< nodes whose position changed
@@ -50,8 +62,10 @@ class SpatialIndex {
 
   /// Full build over `positions` (all nodes active). Throws
   /// std::invalid_argument on range <= 0 or a non-finite coordinate;
-  /// an empty position set is allowed.
-  SpatialIndex(std::vector<Vec2> positions, double range_m);
+  /// an empty position set is allowed. `pool` (not owned; must outlive
+  /// the index) runs the stencil scans; nullptr runs them on the caller.
+  SpatialIndex(std::vector<Vec2> positions, double range_m,
+               parallel::ThreadPool* pool = nullptr);
 
   /// Full build with an explicit active mask (mask.size() == n; inactive
   /// nodes hold a position but join no neighbor set) — the churn oracle.
@@ -130,6 +144,7 @@ class SpatialIndex {
   std::vector<std::vector<std::size_t>> neighbors_;
   std::vector<std::uint8_t> moved_scratch_;
   UpdateStats last_update_;
+  parallel::ThreadPool* pool_ = nullptr;
 };
 
 }  // namespace smac::multihop

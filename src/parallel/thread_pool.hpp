@@ -1,10 +1,11 @@
 // Fixed-size thread pool for embarrassingly parallel experiment fan-out.
 //
 // The pool exists to run *independent* work items — Monte-Carlo
-// replications, tournament mixes, parameter-sweep points — never to
-// parallelize inside a simulator. Its one entry point is for_each_index;
-// every fan-out in the library and the benches is
-// `ThreadPool(jobs).for_each_index(count, fn)`. A pool of one spawns no
+// replications, tournament mixes, parameter-sweep points, fixed chunks of
+// a per-node loop — never to parallelize inside a simulator. Its one
+// entry point is for_each_index; every fan-out in the library and the
+// benches is `ThreadPool(jobs).for_each_index(count, fn)`, or
+// for_each_chunk on top of it for index ranges. A pool of one spawns no
 // thread and runs for_each_index on the caller, as does any call with at
 // most one index, so the serial path stays thread-free.
 //
@@ -114,5 +115,22 @@ class ThreadPool {
   std::condition_variable cv_;
   bool stop_ = false;
 };
+
+/// Runs fn(begin, end) over [0, count) cut into `chunk`-index ranges
+/// (chunk >= 1), one for_each_index task each on `pool`; a null pool, or a
+/// count within one chunk, runs fn(0, count) on the caller. fn writes
+/// only its range's slots, so no result depends on the pool or the cut.
+template <class Fn>
+void for_each_chunk(ThreadPool* pool, std::size_t count, std::size_t chunk,
+                    Fn&& fn) {
+  if (count == 0) return;
+  if (pool == nullptr || count <= chunk) {
+    fn(std::size_t{0}, count);
+    return;
+  }
+  pool->for_each_index((count + chunk - 1) / chunk, [&](std::size_t c) {
+    fn(c * chunk, std::min(count, (c + 1) * chunk));
+  });
+}
 
 }  // namespace smac::parallel

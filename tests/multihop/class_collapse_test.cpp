@@ -4,11 +4,13 @@
 // pinned — a silent regression in classify_profile or the SolverService
 // grouping would show up here as a class-count blowup or a hit-rate
 // collapse long before it shows up as wall-clock. Also pins the pricing
-// identity: the class-space payoff equals the per-node
-// try_stage_utilities payoff bitwise.
+// identity (the class-space payoff equals the per-node
+// try_stage_utilities payoff bitwise) and run_city_scale's config checks.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "game/stage_game.hpp"
@@ -102,6 +104,30 @@ TEST(ClassCollapseTest, ClassPayoffMatchesPerNodePricingBitwise) {
     ++compared;
   }
   EXPECT_GE(compared, 20u);
+}
+
+TEST(CityScaleTest, RejectsInvalidConfigUpFront) {
+  // Each of these throws before any stage runs: an infinite speed or dt
+  // would hang the first mobility step, and a NaN dt would run stage 1
+  // with no movers.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  CityScaleConfig bad;
+  bad.nodes = 0;
+  EXPECT_THROW(run_city_scale(bad), std::invalid_argument);
+  bad = CityScaleConfig{};
+  bad.stages = 0;
+  EXPECT_THROW(run_city_scale(bad), std::invalid_argument);
+  for (const double dt : {-1.0, inf, nan}) {
+    bad = CityScaleConfig{};
+    bad.mobility_dt_s = dt;
+    EXPECT_THROW(run_city_scale(bad), std::invalid_argument) << dt;
+  }
+  for (const double v : {inf, nan}) {
+    bad = CityScaleConfig{};
+    bad.v_max_mps = v;
+    EXPECT_THROW(run_city_scale(bad), std::invalid_argument) << v;
+  }
 }
 
 }  // namespace

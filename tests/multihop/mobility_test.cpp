@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 namespace smac::multihop {
 namespace {
@@ -25,6 +26,28 @@ TEST(MobilityTest, ValidatesConstruction) {
   EXPECT_THROW(RandomWaypointModel(bad, 10), std::invalid_argument);
   EXPECT_THROW(RandomWaypointModel(paper_mobility(), 0),
                std::invalid_argument);
+
+  // Non-finite inputs: an infinite speed would hang advance(), an
+  // infinite arena place nodes at infinity, a NaN input give NaN positions.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double v : {inf, nan}) {
+    bad = paper_mobility();
+    bad.width_m = v;
+    EXPECT_THROW(RandomWaypointModel(bad, 10), std::invalid_argument);
+    bad = paper_mobility();
+    bad.height_m = v;
+    EXPECT_THROW(RandomWaypointModel(bad, 10), std::invalid_argument);
+    bad = paper_mobility();
+    bad.v_max_mps = v;
+    EXPECT_THROW(RandomWaypointModel(bad, 10), std::invalid_argument);
+    bad = paper_mobility();
+    bad.pause_s = v;
+    EXPECT_THROW(RandomWaypointModel(bad, 10), std::invalid_argument);
+  }
+  bad = paper_mobility();
+  bad.v_min_mps = nan;
+  EXPECT_THROW(RandomWaypointModel(bad, 10), std::invalid_argument);
 }
 
 TEST(MobilityTest, NodesStayInArea) {
@@ -73,6 +96,13 @@ TEST(MobilityTest, ZeroDtIsNoop) {
   model.advance(0.0);
   EXPECT_EQ(model.positions(), before);
   EXPECT_THROW(model.advance(-1.0), std::invalid_argument);
+  // A non-finite dt throws too: +inf would never return, NaN would
+  // silently move nothing.
+  EXPECT_THROW(model.advance(std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_THROW(model.advance(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_EQ(model.positions(), before);
 }
 
 TEST(MobilityTest, DeterministicForSeed) {

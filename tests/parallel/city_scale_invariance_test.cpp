@@ -1,18 +1,22 @@
 // City-scale determinism pins (`ctest -L parallel`): every deterministic
 // field of CityScaleResult is a pure function of CityScaleConfig —
-// independent of the SolverService pool width (--jobs) and of spatial-
-// index bucket insertion order. This is the test behind the bench's
-// byte-identical-JSON claim (bench/city_scale.cpp): the JSON writer only
-// prints the fields compared here.
+// independent of the pipeline's pool width (--jobs) and of spatial-
+// index bucket insertion order — and price_neighborhoods' per-node
+// payoffs are the same bits with and without a pool. This is the test
+// behind the bench's byte-identical-JSON claim (bench/city_scale.cpp): the
+// JSON writer only prints the fields compared here.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <numeric>
 #include <vector>
 
+#include "analytical/solver_service.hpp"
+#include "game/stage_game.hpp"
 #include "multihop/city_scale.hpp"
 #include "multihop/local_game.hpp"
 #include "multihop/spatial_index.hpp"
+#include "parallel/thread_pool.hpp"
 #include "phy/parameters.hpp"
 #include "util/rng.hpp"
 
@@ -50,23 +54,72 @@ void expect_identical(const CityScaleResult& a, const CityScaleResult& b) {
 }
 
 TEST(CityScaleInvarianceTest, JobsOneVersusFourBitwiseEqual) {
-  CityScaleConfig config;
-  config.nodes = 1000;
-  config.stages = 2;
-  config.seed = 2026;
+  // 1000 nodes fit one node chunk, so only the solver misses fan out;
+  // 10^4 nodes span several, so the index scans and the per-node request
+  // build and pricing run on the pool too.
+  constexpr std::size_t kChunked = 10000;
+  static_assert(kChunked > 2 * SpatialIndex::kNodeChunk);
+  for (const std::size_t nodes : {std::size_t{1000}, kChunked}) {
+    SCOPED_TRACE(nodes);
+    CityScaleConfig config;
+    config.nodes = nodes;
+    config.stages = 2;
+    config.seed = 2026;
 
-  config.solver_jobs = 1;
-  const CityScaleResult sequential = run_city_scale(config);
-  config.solver_jobs = 4;
-  const CityScaleResult pooled = run_city_scale(config);
+    config.solver_jobs = 1;
+    const CityScaleResult sequential = run_city_scale(config);
+    config.solver_jobs = 4;
+    const CityScaleResult pooled = run_city_scale(config);
 
-  expect_identical(sequential, pooled);
+    expect_identical(sequential, pooled);
 
-  // And the run did something: mobility moved nodes, churn fired, pricing
-  // covered the active set.
-  EXPECT_GT(sequential.stage.at(1).update.moved, 0u);
-  EXPECT_GT(sequential.stage.at(0).priced_nodes, 900u);
-  EXPECT_GT(sequential.cache.hits, 0u);
+    // And the run did something: mobility moved nodes, churn fired,
+    // pricing covered the active set.
+    EXPECT_GT(sequential.stage.at(1).update.moved, 0u);
+    EXPECT_GT(sequential.stage.at(0).priced_nodes, nodes * 9 / 10);
+    EXPECT_GT(sequential.cache.hits, 0u);
+  }
+}
+
+TEST(CityScaleInvarianceTest, PricingPayoffsMatchWithAndWithoutPool) {
+  // Per node, not just the aggregate fractions: price_neighborhoods on a
+  // game whose SolverService has a pool writes the same payoff bits as
+  // on a pool-less game, at the heterogeneous seed profile and at a
+  // churned index (inactive nodes price nothing).
+  constexpr std::size_t kNodes = 10000;
+  const double arena = city_arena_side_m(kNodes, 250.0, 12.0);
+  util::Rng rng(8080);
+  std::vector<Vec2> pos(kNodes);
+  for (Vec2& p : pos) {
+    p = {rng.uniform_real(0.0, arena), rng.uniform_real(0.0, arena)};
+  }
+  parallel::ThreadPool pool(4);
+  SpatialIndex index(pos, 250.0, &pool);
+  for (std::size_t i = 0; i < kNodes; i += 37) index.remove_node(i);
+
+  const game::StageGame serial_game(phy::Parameters::paper(),
+                                    phy::AccessMode::kRtsCts);
+  analytical::SolverService::Options options;
+  options.pool = &pool;
+  const game::StageGame pooled_game(phy::Parameters::paper(),
+                                    phy::AccessMode::kRtsCts, options);
+  ASSERT_EQ(pooled_game.solver_service().pool(), &pool);
+
+  const std::vector<int> seeds = local_efficient_cw(index.topology(),
+                                                    serial_game);
+  const NeighborhoodPricing serial =
+      price_neighborhoods(index, seeds, serial_game);
+  const NeighborhoodPricing pooled =
+      price_neighborhoods(index, seeds, pooled_game);
+  ASSERT_EQ(serial.payoff.size(), pooled.payoff.size());
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    // Bitwise, node by node.
+    EXPECT_EQ(serial.payoff[i], pooled.payoff[i]) << "node " << i;
+  }
+  EXPECT_EQ(serial.priced_nodes, pooled.priced_nodes);
+  EXPECT_EQ(serial.distinct_classes, pooled.distinct_classes);
+  EXPECT_EQ(serial.priced_nodes, index.active_count());
+  EXPECT_GT(serial.priced_nodes, 2 * SpatialIndex::kNodeChunk);
 }
 
 TEST(CityScaleInvarianceTest, RepeatedRunsAreBitwiseStable) {

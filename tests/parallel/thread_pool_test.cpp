@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace smac::parallel {
@@ -75,6 +77,42 @@ TEST(ThreadPoolTest, PoolOfOneRunsOnTheCaller) {
     ran_on = std::this_thread::get_id();
   });
   EXPECT_EQ(ran_on, caller);
+}
+
+// for_each_chunk cuts [0, count) into fixed ranges, one task each; a null
+// pool, or a count within one chunk, makes one call on the caller.
+TEST(ThreadPoolTest, ForEachChunkCoversFixedRangesOnce) {
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> visits(1000);
+  std::vector<std::atomic<std::size_t>> range_end(visits.size());
+  for_each_chunk(&pool, visits.size(), 64,
+                 [&](std::size_t begin, std::size_t end) {
+                   range_end[begin] = end;
+                   for (std::size_t i = begin; i < end; ++i) ++visits[i];
+                 });
+  for (std::size_t i = 0; i < visits.size(); ++i) {
+    EXPECT_EQ(visits[i].load(), 1) << "index " << i;
+    const std::size_t want =
+        i % 64 != 0 ? 0 : std::min(i + 64, visits.size());
+    EXPECT_EQ(range_end[i].load(), want) << "index " << i;
+  }
+
+  const std::thread::id caller = std::this_thread::get_id();
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    std::vector<std::pair<std::size_t, std::size_t>> calls;
+    const std::size_t count = p == nullptr ? 1000 : 64;
+    for_each_chunk(p, count, 64, [&](std::size_t begin, std::size_t end) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      calls.emplace_back(begin, end);
+    });
+    EXPECT_EQ(calls, (std::vector<std::pair<std::size_t, std::size_t>>{
+                         {0, count}}));
+  }
+  bool called = false;
+  for_each_chunk(&pool, 0, 64, [&](std::size_t, std::size_t) {
+    called = true;
+  });
+  EXPECT_FALSE(called);
 }
 
 TEST(ThreadPoolTest, ZeroRequestsDefaultJobs) {
