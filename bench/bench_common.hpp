@@ -18,6 +18,26 @@
 
 namespace smac::bench {
 
+/// Opens `path` for writing; nullptr (after saying why) on failure.
+inline std::FILE* open_output(const std::string& path) {
+  std::FILE* out = std::fopen(path.c_str(), "w");
+  if (out == nullptr) {
+    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
+  }
+  return out;
+}
+
+/// Closes a finished artifact; false (after saying why) if any write or
+/// the close failed, so a truncated file never passes for a result.
+inline bool close_output(std::FILE* out, const std::string& path) {
+  const bool write_failed = std::ferror(out) != 0;
+  if (std::fclose(out) != 0 || write_failed) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  return true;
+}
+
 inline void print_header(const std::string& experiment,
                          const std::string& paper_ref,
                          const std::string& description) {

@@ -4,8 +4,7 @@
 // (multihop::run_city_scale, docs/CITY_SCALE.md): spatial-hash topology
 // with incremental mobility updates, local-game seeding, graph-TFT, and
 // class-deduplicated neighborhood pricing, reporting the Theorem-3
-// quasi-optimality fraction at each scale. The Θ(n²) oracle build is
-// timed where feasible (n ≤ 10^4) so the superlinear gap is on record.
+// quasi-optimality fraction at each scale.
 //
 // Artifact split — the determinism contract:
 //   BENCH_city_scale.json          deterministic results only (class
@@ -67,52 +66,28 @@ std::vector<multihop::CityScaleConfig> scenarios(bool smoke,
   if (smoke) {
     base.nodes = 1000;
     base.stages = 2;
-    base.time_oracle = true;
     out.push_back(base);
     return out;
   }
   base.nodes = 1000;
   base.stages = 4;
-  base.time_oracle = true;
   out.push_back(base);
 
   base.nodes = 10000;
   base.stages = 3;
-  base.time_oracle = true;  // ~5·10^7 pair checks: slow but on record
   out.push_back(base);
 
   base.nodes = 100000;
   base.stages = 2;
-  base.time_oracle = false;  // Θ(n²) = 5·10^9 pairs — out of budget
   base.price_seed_profile = false;  // ~n distinct seed classes at 10^5
   out.push_back(base);
   return out;
 }
 
-/// Opens `path` for writing; nullptr (after saying why) on failure.
-std::FILE* open_output(const std::string& path) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-  }
-  return out;
-}
-
-/// Closes a finished artifact; false (after saying why) if any write or
-/// the close failed, so a truncated file never passes for a result.
-bool close_output(std::FILE* out, const std::string& path) {
-  const bool write_failed = std::ferror(out) != 0;
-  if (std::fclose(out) != 0 || write_failed) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  return true;
-}
-
 bool write_results_json(const std::string& path,
                         const std::vector<multihop::CityScaleConfig>& configs,
                         const std::vector<multihop::CityScaleResult>& runs) {
-  std::FILE* out = open_output(path);
+  std::FILE* out = bench::open_output(path);
   if (out == nullptr) return false;
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"benchmark\": \"city-scale multihop: spatial index + "
@@ -168,13 +143,13 @@ bool write_results_json(const std::string& path,
                  s + 1 < runs.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
-  return close_output(out, path);
+  return bench::close_output(out, path);
 }
 
 bool write_timings_json(const std::string& path,
                         const std::vector<multihop::CityScaleResult>& runs,
                         std::size_t jobs) {
-  std::FILE* out = open_output(path);
+  std::FILE* out = bench::open_output(path);
   if (out == nullptr) return false;
   std::fprintf(out, "{\n  \"unit\": \"wall-clock ms (machine-dependent; "
                     "NOT part of the byte-identical contract)\",\n");
@@ -185,13 +160,8 @@ bool write_timings_json(const std::string& path,
     const multihop::CityScaleResult& r = runs[s];
     std::fprintf(out,
                  "    {\"nodes\": %zu, \"grid_build_ms\": %.3f, "
-                 "\"incremental_update_ms\": %.3f, \"solve_dedup_ms\": %.3f, "
-                 "\"oracle_build_ms\": %.3f, \"oracle_vs_grid\": %.2f",
-                 r.nodes, r.build_ms, r.update_ms, r.solve_ms,
-                 r.oracle_build_ms,
-                 r.oracle_build_ms >= 0.0 && r.build_ms > 0.0
-                     ? r.oracle_build_ms / r.build_ms
-                     : -1.0);
+                 "\"incremental_update_ms\": %.3f, \"solve_dedup_ms\": %.3f",
+                 r.nodes, r.build_ms, r.update_ms, r.solve_ms);
     if (r.sim_ms > 0.0) {
       // pdes_speedup: serial slot loop over the configured kernel; > 1
       // means the PDES kernel won wall clock (expect ~1.0 on a 1-core
@@ -207,7 +177,7 @@ bool write_timings_json(const std::string& path,
     std::fprintf(out, "}%s\n", s + 1 < runs.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
-  return close_output(out, path);
+  return bench::close_output(out, path);
 }
 
 }  // namespace
@@ -278,10 +248,6 @@ int main(int argc, char** argv) {
                 "updates %.2f ms, pricing %.2f ms, cache %zu/%zu hits",
                 r.nodes, r.arena_m, r.build_ms, r.update_ms,
                 r.solve_ms, r.cache.hits, r.cache.hits + r.cache.misses);
-    if (r.oracle_build_ms >= 0.0) {
-      std::printf(", oracle build %.2f ms (%.1fx grid)", r.oracle_build_ms,
-                  r.build_ms > 0.0 ? r.oracle_build_ms / r.build_ms : 0.0);
-    }
     if (r.sim_ms > 0.0) {
       std::printf(", sim %.2f ms", r.sim_ms);
       if (r.sim_oracle_ms >= 0.0 && r.sim_ms > 0.0) {

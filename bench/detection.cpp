@@ -8,6 +8,7 @@
 // completing the trust pipeline (search finds W_c*, the detector guards
 // it, GTFT meters the punishment).
 #include <cstdio>
+#include <stdexcept>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -39,9 +40,12 @@ double measured_rate(int w_agreed, int w_node0, std::uint64_t slots,
         std::vector<int> profile(5, w_agreed);
         profile[0] = w_node0;
         sim::Simulator simulator(sc, profile);
-        const auto verdicts = sim::detect_misbehavior(
+        const sim::TryDetectResult detected = sim::try_detect_misbehavior(
             simulator.run_slots(slots), w_agreed, 6, config);
-        return std::vector<double>{verdicts[0].flagged ? 1.0 : 0.0};
+        if (!detected.ok()) {
+          throw std::invalid_argument("bench_detection: detector input");
+        }
+        return std::vector<double>{detected.verdicts[0].flagged ? 1.0 : 0.0};
       });
   return summary.metrics[0].mean;
 }

@@ -29,7 +29,8 @@ int main() {
 
   // Lemma 1: a strictly increasing profile.
   const std::vector<int> profile{20, 40, 80, 160, 320};
-  const auto state = analytical::solve_network(profile, params.max_backoff_stage);
+  const auto state =
+      analytical::try_solve_network(profile, params.max_backoff_stage).state;
   const auto u_model = game.stage_utilities(profile);
 
   sim::SimConfig config;

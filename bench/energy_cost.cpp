@@ -45,7 +45,8 @@ int main() {
   for (int w0 : {w_star, w_star / 8}) {
     std::vector<int> profile(n, w_star);
     profile[0] = w0;
-    const auto state = analytical::solve_network(profile, params.max_backoff_stage);
+    const auto state =
+        analytical::try_solve_network(profile, params.max_backoff_stage).state;
     const auto mw = phy::node_power_draw_mw(state.tau, state.p, params,
                                             phy::AccessMode::kBasic, power);
     draw.add_row({w0 == w_star ? "all at W_c*" : "node0 undercuts to W_c*/8",

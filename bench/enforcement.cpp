@@ -24,7 +24,8 @@
 // reduced in grid order — stdout is byte-identical for any jobs value (the
 // acceptance check diffs --jobs 1 against --jobs 4, so nothing here may
 // print the job count). Also writes BENCH_enforcement.json (--out PATH to
-// move it): flag latency in stages and deviant payoff delta vs honest.
+// move it): flag latency in stages and deviant payoff delta vs honest;
+// a file that cannot be written exits 1.
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -378,11 +379,8 @@ int main(int argc, char** argv) {
 
   // -------------------------------------------------------------------
   // JSON artifact: flag latency and deviant payoff delta vs honest.
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
-    return 1;
-  }
+  std::FILE* out = bench::open_output(out_path);
+  if (out == nullptr) return 1;
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"benchmark\": \"enforcement invasion matrix\",\n");
   std::fprintf(out,
@@ -441,7 +439,7 @@ int main(int argc, char** argv) {
                mh_enf.punishment_episodes, mh_enf.punished_stages,
                mh_enf.rehabilitations);
   std::fprintf(out, "}\n");
-  std::fclose(out);
+  if (!bench::close_output(out, out_path)) return 1;
   std::printf("wrote %s\n\n", out_path.c_str());
 
   std::printf(

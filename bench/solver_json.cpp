@@ -15,8 +15,14 @@
 // solution — the repeated-game stage pattern), plus one SolverService
 // batch of deduplicated requests.
 //
+// Damping ablation: SolverOptions::damping ∈ {0, 0.25, 0.5, 0.75} on
+// k >= 2 profiles (k = 1 goes to the scalar Brent path, where damping
+// never acts), with the ladder's iterations, retries and final rung —
+// deterministic counts — next to the median time of each solve.
+//
 // Usage: bench_solver_json [output.json]   (default BENCH_solver.json in
-// the working directory; any other argument exits 2). Wall-clock numbers
+// the working directory; any other argument exits 2, an output that cannot
+// be written exits 1). Wall-clock numbers
 // obviously vary by machine; the JSON is a trajectory record, not a
 // determinism surface.
 #include <algorithm>
@@ -24,12 +30,14 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analytical/batch_solver.hpp"
 #include "analytical/fixed_point_solver.hpp"
 #include "analytical/solver_service.hpp"
 #include "bench_common.hpp"
+#include "support/reference_solver.hpp"
 
 namespace {
 
@@ -162,6 +170,41 @@ double solves_per_sec(double ns_per_solve) {
   return ns_per_solve > 0.0 ? 1e9 / ns_per_solve : 0.0;
 }
 
+/// One damping-ablation row: what the retry ladder did on one profile at
+/// one damping, and the median wall clock of that solve.
+struct DampingRow {
+  const char* profile = "";
+  double damping = 0.0;
+  analytical::SolveDiagnostics diagnostics;
+  double ns = 0.0;
+};
+
+std::vector<DampingRow> damping_ablation(int reps) {
+  std::vector<int> two_class(20, 32);
+  std::fill(two_class.begin() + 15, two_class.end(), 128);
+  const std::pair<const char*, std::vector<int>> profiles[] = {
+      {"15x32+5x128", two_class},
+      {"mix(50,3)", class_mixed_profile(50, 3)},
+      {"mix(100,6)", class_mixed_profile(100, 6)},
+  };
+  std::vector<DampingRow> rows;
+  for (const auto& [label, profile] : profiles) {
+    for (const double damping : {0.0, 0.25, 0.5, 0.75}) {
+      analytical::SolverOptions opts;
+      opts.damping = damping;
+      DampingRow row;
+      row.profile = label;
+      row.damping = damping;
+      row.ns = median_ns(reps, [&] {
+        row.diagnostics =
+            analytical::try_solve_network(profile, 6, opts).diagnostics;
+      });
+      rows.push_back(row);
+    }
+  }
+  return rows;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -232,12 +275,10 @@ int main(int argc, char** argv) {
         (void)service.solve_batch(profiles, 6, 0.0);
       }) /
       service_requests;
+  const std::vector<DampingRow> damping = damping_ablation(5);
 
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return 1;
-  }
+  std::FILE* out = bench::open_output(path);
+  if (out == nullptr) return 1;
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"benchmark\": \"heterogeneous solver, collapsed vs "
                     "full kernel\",\n");
@@ -288,9 +329,22 @@ int main(int argc, char** argv) {
                "\"ns_per_request\": %.0f, \"requests_per_sec\": %.0f}\n",
                service_requests, service_distinct, service_ns,
                solves_per_sec(service_ns));
-  std::fprintf(out, "  }\n");
+  std::fprintf(out, "  },\n");
+  std::fprintf(out, "  \"damping_ablation\": [\n");
+  for (std::size_t i = 0; i < damping.size(); ++i) {
+    const DampingRow& d = damping[i];
+    std::fprintf(out,
+                 "    {\"profile\": \"%s\", \"damping\": %.2f, "
+                 "\"iterations\": %d, \"retries\": %d, \"rung\": \"%s\", "
+                 "\"status\": \"%s\", \"median_ns\": %.0f}%s\n",
+                 d.profile, d.damping, d.diagnostics.iterations,
+                 d.diagnostics.retries, d.diagnostics.method,
+                 analytical::to_string(d.diagnostics.status), d.ns,
+                 i + 1 < damping.size() ? "," : "");
+  }
+  std::fprintf(out, "  ]\n");
   std::fprintf(out, "}\n");
-  std::fclose(out);
+  if (!bench::close_output(out, path)) return 1;
 
   // Mirror to stdout so CI logs capture the trajectory without artifacts.
   std::printf("%-5s %-3s %12s %14s %9s %14s\n", "n", "k", "full ns",
@@ -317,6 +371,16 @@ int main(int argc, char** argv) {
               "(%.0f requests/s)\n",
               service_requests, service_distinct, service_ns,
               solves_per_sec(service_ns));
+  std::printf("damping ablation (max_stage 6; iterations and retries are "
+              "deterministic):\n");
+  std::printf("%-12s %7s %10s %7s %-9s %-9s %12s\n", "profile", "damping",
+              "iterations", "retries", "rung", "status", "median ns");
+  for (const DampingRow& d : damping) {
+    std::printf("%-12s %7.2f %10d %7d %-9s %-9s %12.0f\n", d.profile,
+                d.damping, d.diagnostics.iterations, d.diagnostics.retries,
+                d.diagnostics.method,
+                analytical::to_string(d.diagnostics.status), d.ns);
+  }
   std::printf("wrote %s\n", path.c_str());
   return 0;
 }

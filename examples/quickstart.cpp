@@ -35,7 +35,8 @@ int main(int argc, char** argv) {
   //    aggressive node among conservative ones.
   std::vector<int> profile(static_cast<std::size_t>(n), 128);
   profile[0] = 16;  // the selfish one
-  const auto state = analytical::solve_network(profile, params.max_backoff_stage);
+  const auto state =
+      analytical::try_solve_network(profile, params.max_backoff_stage).state;
   const auto metrics = analytical::channel_metrics(state.tau, params, mode);
   const auto utilities = analytical::utility_rates(state, params, mode);
   std::printf("heterogeneous profile (node 0 plays W=16, others W=128):\n");

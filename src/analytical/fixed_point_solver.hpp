@@ -15,8 +15,9 @@
 // expanding back to per-node vectors afterwards — O(k) per iteration
 // instead of O(n), identical fixed point (nodes of one class are
 // exchangeable, so the solution is class-symmetric). The k = 1 case
-// delegates to the scalar Brent path; the pre-collapse full-dimension
-// kernel is kept as try_solve_network_full for validation.
+// delegates to the scalar Brent path. The pre-collapse full-dimension
+// kernel lives outside the library, as the test-support reference
+// tests/support/reference_solver.hpp.
 #pragma once
 
 #include <cstdint>
@@ -113,7 +114,8 @@ ClassProfile classify_profile(const std::vector<int>& w);
 
 /// Expands a class-space solution (tau/p of size k) to per-node vectors
 /// in the original node order. Nodes of one class get bitwise-identical
-/// values, so solve_network(perm(w)) == perm(solve_network(w)) exactly.
+/// values, so try_solve_network(perm(w)) == perm(try_solve_network(w))
+/// exactly.
 NetworkState expand_classes(const NetworkState& class_state,
                             const ClassProfile& classes);
 
@@ -125,59 +127,38 @@ TrySolveResult try_solve_classes(const ClassProfile& classes, int max_stage,
                                  const SolverOptions& opts = {},
                                  double packet_error_rate = 0.0);
 
-/// Non-throwing heterogeneous solve with a retry ladder. Never throws and
-/// never returns non-finite values: on non-convergence it escalates —
-/// a homogeneous-mean seeded start, stronger damping, and a restart from
-/// a high-collision initial point — and reports how far it got in the
-/// diagnostics. Invalid inputs (empty profile, w < 1, PER outside [0, 1))
-/// yield kFailed with an empty state instead of throwing.
-/// Sweeps and repeated games should prefer this entry point; the throwing
-/// solve_network below delegates here.
-TrySolveResult try_solve_network(const std::vector<int>& w, int max_stage,
-                                 const SolverOptions& opts = {},
-                                 double packet_error_rate = 0.0);
-
-/// Pre-collapse reference kernel: the full 2n-dimensional damped ladder
-/// iterating one equation per *node*. Kept for validation — tests and
-/// bench_solver_json assert the collapsed kernel agrees to <= 1e-12 —
-/// and for profiling the collapse win. Same contract as
-/// try_solve_network (initial_tau honored per node when sized n).
-TrySolveResult try_solve_network_full(const std::vector<int>& w,
-                                      int max_stage,
-                                      const SolverOptions& opts = {},
-                                      double packet_error_rate = 0.0);
-
-/// Non-throwing homogeneous τ: Brent first, plain bisection as the
-/// fallback rung (the bracket [0, 1] always holds a sign change). Invalid
-/// inputs yield kFailed with τ = 0.
-TryTauResult try_homogeneous_tau(double w, int n, int max_stage,
-                                 double packet_error_rate = 0.0);
-
-/// Solves the heterogeneous system for contention-window profile `w`
-/// (one entry per node, each >= 1) with maximum backoff stage `max_stage`.
-/// For n = 1 the collision probability is identically zero.
-/// Throws std::invalid_argument on empty or invalid profiles; otherwise
-/// delegates to try_solve_network (same retry ladder, NetworkState::
-/// converged reflects SolveStatus::kConverged).
+/// The heterogeneous solve for contention-window profile `w` (one entry
+/// per node) with maximum backoff stage `max_stage`, through a retry
+/// ladder. Never throws and never returns non-finite values: on
+/// non-convergence it escalates — a homogeneous-mean seeded start,
+/// stronger damping, and a restart from a high-collision initial point —
+/// and reports how far it got in the diagnostics (NetworkState::converged
+/// reflects SolveStatus::kConverged). Invalid inputs (empty profile,
+/// w < 1, max_stage < 0, PER outside [0, 1) or NaN) yield kFailed,
+/// method "invalid", with an empty state. For n = 1 the collision
+/// probability is identically zero.
 /// `packet_error_rate` adds channel-noise losses: the backoff chain
 /// escalates on failure probability 1 − (1 − p_i)(1 − PER), while the
 /// returned NetworkState::p stays the *collision* probability (channel
 /// feedback), matching the utility u = τ((1−p)(1−PER)g − e)/T_slot.
-NetworkState solve_network(const std::vector<int>& w, int max_stage,
-                           const SolverOptions& opts = {},
-                           double packet_error_rate = 0.0);
+TrySolveResult try_solve_network(const std::vector<int>& w, int max_stage,
+                                 const SolverOptions& opts = {},
+                                 double packet_error_rate = 0.0);
 
-/// Homogeneous fast path: all n nodes on window `w`. Solved as a scalar
-/// root problem (Brent), typically ~40 evaluations, machine precision.
-/// `w` is continuous to support inverting τ ↦ W.
+/// Homogeneous τ (all n nodes on the continuous window `w`, which lets
+/// window_for_tau invert τ ↦ W): Brent first, typically ~40 evaluations
+/// to machine precision, plain bisection as the fallback rung (the
+/// bracket [0, 1] always holds a sign change). Invalid inputs (n < 1,
+/// w < 1 or non-finite, max_stage < 0, PER outside [0, 1) or NaN) yield
+/// kFailed, method "invalid", with τ = 0.
+TryTauResult try_homogeneous_tau(double w, int n, int max_stage,
+                                 double packet_error_rate = 0.0);
+
+/// Per-node state of the homogeneous fixed point (try_homogeneous_tau).
+/// Throws std::invalid_argument on invalid inputs and std::runtime_error
+/// when the root search reports kFailed.
 NetworkState solve_network_homogeneous(double w, int n, int max_stage,
                                        double packet_error_rate = 0.0);
-
-/// τ of the homogeneous fixed point only (cheap; used inside sweeps).
-/// Throws std::invalid_argument on bad inputs and std::runtime_error when
-/// even the try_homogeneous_tau ladder reports kFailed.
-double homogeneous_tau(double w, int n, int max_stage,
-                       double packet_error_rate = 0.0);
 
 /// Inverts the homogeneous model: the (continuous) window w such that the
 /// n-node fixed point transmits with probability `tau_target`. Monotone
@@ -185,6 +166,7 @@ double homogeneous_tau(double w, int n, int max_stage,
 /// to >= 1 when even w = 1 yields τ < tau_target, and clamped to the
 /// expansion cap kWindowForTauCap when no window up to the cap reaches a
 /// τ as small as `tau_target` (instead of aborting a sweep mid-run).
+/// Throws like solve_network_homogeneous.
 double window_for_tau(double tau_target, int n, int max_stage);
 
 /// Upper clamp of window_for_tau's bracket expansion.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "analytical/solver_detail.hpp"
+
 namespace smac::analytical {
 
 namespace {
@@ -15,14 +17,6 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
   h *= 0xbf58476d1ce4e5b9ULL;
   h ^= h >> 27;
   return h;
-}
-
-bool valid_solve_inputs(const std::vector<int>& w, int max_stage,
-                        double per) {
-  const bool windows_valid =
-      std::all_of(w.begin(), w.end(), [](int wi) { return wi >= 1; });
-  return !w.empty() && windows_valid && max_stage >= 0 && per >= 0.0 &&
-         per < 1.0;
 }
 
 /// One hash for owned and borrowed keys, so heterogeneous lookups land in
@@ -80,12 +74,12 @@ NetworkSolveCache::NetworkSolveCache(SolverOptions opts,
 TrySolveResult NetworkSolveCache::solve(const std::vector<int>& w,
                                         int max_stage,
                                         double packet_error_rate) const {
-  if (!valid_solve_inputs(w, max_stage, packet_error_rate)) {
+  if (w.empty() || !detail::valid_solve_inputs(*std::ranges::min_element(w),
+                                               max_stage, packet_error_rate)) {
     // Invalid inputs are not worth an entry: report the miss (an empty
-    // profile names no key, so it counts nothing) and return the same
-    // kFailed/"invalid" result try_solve_network produces.
+    // profile names no key, so it counts nothing).
     if (!w.empty()) tally(0, 1);
-    return try_solve_network(w, max_stage, opts_, packet_error_rate);
+    return detail::invalid_solve();
   }
 
   ClassProfile classes = classify_profile(w);

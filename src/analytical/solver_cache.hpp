@@ -2,7 +2,7 @@
 //
 // Equilibrium sweeps, repeated games, and tournaments revisit the same
 // contention-window profiles thousands of times (TFT trajectories spend
-// most stages on one of a handful of profiles). solve_network resolves
+// most stages on one of a handful of profiles). try_solve_network resolves
 // each call from scratch; this cache memoizes class-space solutions on
 // the *canonical symmetry-class key* (sorted distinct windows +
 // multiplicities, max_stage, PER) in a hashed container — so concurrent

@@ -17,6 +17,24 @@
 
 namespace smac::analytical::detail {
 
+/// The solver's one input check, shared by every entry point: windows
+/// finite and >= 1, max_stage >= 0, and 0 <= PER < 1. Every bound is
+/// written so that NaN fails it. A profile passes its smallest window.
+inline bool valid_solve_inputs(double min_window, int max_stage,
+                               double packet_error_rate) {
+  return min_window >= 1.0 && std::isfinite(min_window) && max_stage >= 0 &&
+         packet_error_rate >= 0.0 && packet_error_rate < 1.0;
+}
+
+/// Every solve path's answer to inputs that fail valid_solve_inputs:
+/// kFailed, method "invalid", an empty state.
+inline TrySolveResult invalid_solve() {
+  TrySolveResult out;
+  out.diagnostics.status = SolveStatus::kFailed;
+  out.diagnostics.method = "invalid";
+  return out;
+}
+
 /// x^e for integer e >= 0 by binary exponentiation: O(log e) multiplies
 /// with a deterministic operation order (std::pow(double, double) would
 /// work but routes through exp/log on some libms).

@@ -19,24 +19,18 @@ namespace {
 /// results do not depend on it.
 constexpr std::size_t kChunkSize = 64;
 
+/// A canonical class key (non-empty, windows strictly ascending, every
+/// multiplicity >= 1) whose solve inputs pass the solver's one check.
 bool valid_class_key(const ClassProfile& classes, int max_stage, double per) {
   if (classes.window.empty() ||
       classes.window.size() != classes.multiplicity.size()) {
     return false;
   }
   for (std::size_t c = 0; c < classes.window.size(); ++c) {
-    if (classes.window[c] < 1 || classes.multiplicity[c] < 1) return false;
+    if (classes.multiplicity[c] < 1) return false;
     if (c > 0 && classes.window[c] <= classes.window[c - 1]) return false;
   }
-  return max_stage >= 0 && per >= 0.0 && per < 1.0;
-}
-
-/// try_solve_network's answer to invalid inputs.
-TrySolveResult invalid_result() {
-  TrySolveResult out;
-  out.diagnostics.status = SolveStatus::kFailed;
-  out.diagnostics.method = "invalid";
-  return out;
+  return detail::valid_solve_inputs(classes.window.front(), max_stage, per);
 }
 
 /// Canonical key order: window, then multiplicity, both lexicographic
@@ -195,7 +189,7 @@ SolverService::ClassBatch SolverService::solve_classes(
       valid_slot.push_back(g);
       continue;
     }
-    out.results[g] = invalid_result();
+    out.results[g] = detail::invalid_solve();
     if (!group.classes->window.empty()) invalid += group.requests;
   }
   cache_.tally(0, invalid);

@@ -14,11 +14,12 @@ namespace smac::game {
 RateGame::RateGame(RateGameConfig config) : config_(std::move(config)) {
   config_.params.validate();
   if (config_.n < 2) throw std::invalid_argument("RateGame: n < 2");
-  if (config_.bit_error_rate < 0.0 || config_.bit_error_rate >= 1.0) {
+  if (!(config_.bit_error_rate >= 0.0) || !(config_.bit_error_rate < 1.0)) {
     throw std::invalid_argument("RateGame: bit_error_rate outside [0,1)");
   }
   if (!(config_.min_payload_bits > 0.0) ||
-      config_.max_payload_bits < config_.min_payload_bits) {
+      !(config_.max_payload_bits >= config_.min_payload_bits) ||
+      !std::isfinite(config_.max_payload_bits)) {
     throw std::invalid_argument("RateGame: bad payload range");
   }
   if (config_.w_common < 0) throw std::invalid_argument("RateGame: w_common < 0");
@@ -31,8 +32,13 @@ RateGame::RateGame(RateGameConfig config) : config_(std::move(config)) {
     w_common_ = config_.w_common;
   }
 
-  tau_ = analytical::homogeneous_tau(static_cast<double>(w_common_), config_.n,
-                                     config_.params.max_backoff_stage);
+  const analytical::TryTauResult tau = analytical::try_homogeneous_tau(
+      static_cast<double>(w_common_), config_.n,
+      config_.params.max_backoff_stage);
+  if (!analytical::usable(tau.diagnostics.status)) {
+    throw std::runtime_error("RateGame: homogeneous tau root finding failed");
+  }
+  tau_ = tau.tau;
   q_slot_ = tau_ * std::pow(1.0 - tau_, config_.n - 1);
   p_idle_ = std::pow(1.0 - tau_, config_.n);
   gain_per_bit_ = config_.params.gain / config_.params.payload_bits;
@@ -98,7 +104,8 @@ std::vector<double> RateGame::utility_rates(
     throw std::invalid_argument("RateGame: profile size != n");
   }
   for (double bits : payload_bits) {
-    if (bits < config_.min_payload_bits || bits > config_.max_payload_bits) {
+    if (!(bits >= config_.min_payload_bits) ||
+        !(bits <= config_.max_payload_bits)) {
       throw std::invalid_argument("RateGame: payload outside configured range");
     }
   }

@@ -206,14 +206,6 @@ CityScaleResult run_city_scale(const CityScaleConfig& config) {
   SpatialIndex index(mobility.positions(), config.range_m, solver_options.pool);
   result.build_ms = ms_since(t_build);
 
-  if (config.time_oracle) {
-    const auto t_oracle = Clock::now();
-    const Topology oracle =
-        build_topology_full(mobility.positions(), config.range_m);
-    result.oracle_build_ms = ms_since(t_oracle);
-    (void)oracle;
-  }
-
   int seen_crashes = 0;
   int seen_joins = 0;
   for (int k = 0; k < config.stages; ++k) {

@@ -55,9 +55,6 @@ struct CityScaleConfig {
   /// on 4 solver workers — half of such a stage — so sweeps that only
   /// need the Theorem-3 fractions turn it off.
   bool price_seed_profile = true;
-  /// Time build_topology_full on the initial layout for the oracle-vs-
-  /// grid ratio (Θ(n²) — gate off beyond ~2·10^4 nodes).
-  bool time_oracle = false;
   /// Width of the pipeline's one pool: the SpatialIndex scans, the
   /// per-node request build and pricing of price_neighborhoods, and the
   /// SolverService miss batches all run on it. Scheduling only: results
@@ -114,8 +111,7 @@ struct CityScaleResult {
   double build_ms = 0.0;        ///< initial SpatialIndex full build
   double update_ms = 0.0;       ///< total incremental updates + churn
   double solve_ms = 0.0;        ///< total class-dedup pricing
-  double oracle_build_ms = -1.0;  ///< Θ(n²) build, -1 when not timed
-  double sim_ms = 0.0;            ///< slot-sim leg, configured kernel
+  double sim_ms = 0.0;          ///< slot-sim leg, configured kernel
   /// Slot-loop oracle wall clock when sim_compare_kernels is on, -1
   /// otherwise; sim_oracle_ms / sim_ms is the PDES speedup column.
   double sim_oracle_ms = -1.0;

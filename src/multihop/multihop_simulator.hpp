@@ -164,8 +164,7 @@ class MultihopSimulator {
 };
 
 /// One-shot serial slot-loop run — THE oracle the PDES differential and
-/// fuzz tiers compare against (the same pattern build_topology_full
-/// serves for the spatial index). Ignores config.kernel.
+/// fuzz tiers compare against. Ignores config.kernel.
 MultihopResult run_multihop_slot_loop(const MultihopConfig& config,
                                       const Topology& topology,
                                       const std::vector<int>& cw_profile,

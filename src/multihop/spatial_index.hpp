@@ -21,7 +21,7 @@
 // the pair scan's cost; an empty index is valid (node_count() == 0).
 //
 // Determinism: neighbor lists are kept sorted ascending — the same order
-// the O(n²) oracle (build_topology_full) produces — so results are a pure
+// an O(n²) pair scan produces — so results are a pure
 // function of (positions, range, active set) and never of bucket
 // insertion order or hash iteration order. The `build_order` constructor
 // exists so tests can prove that (tests/multihop/spatial_index_test.cpp,

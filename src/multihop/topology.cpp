@@ -27,22 +27,6 @@ Topology::Topology(std::vector<Vec2> positions, double range_m,
   }
 }
 
-Topology build_topology_full(const std::vector<Vec2>& positions,
-                             double range_m) {
-  if (!(range_m > 0.0)) throw std::invalid_argument("Topology: range <= 0");
-  if (positions.empty()) throw std::invalid_argument("Topology: no nodes");
-  std::vector<std::vector<std::size_t>> neighbors(positions.size());
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    for (std::size_t j = i + 1; j < positions.size(); ++j) {
-      if (in_range(positions[i], positions[j], range_m)) {
-        neighbors[i].push_back(j);
-        neighbors[j].push_back(i);
-      }
-    }
-  }
-  return Topology(positions, range_m, std::move(neighbors));
-}
-
 bool Topology::are_neighbors(std::size_t a, std::size_t b) const {
   const auto& na = neighbors_.at(a);
   return std::binary_search(na.begin(), na.end(), b);

@@ -13,15 +13,14 @@ class Topology {
  public:
   /// Builds the neighbor lists of the unit-disk graph through the
   /// uniform-grid SpatialIndex — O(n + m) expected for bounded-density
-  /// layouts (m = edge count), against the old Θ(n²) pair scan, which
-  /// survives as build_topology_full (the test oracle). Requires finite
-  /// coordinates; throws std::invalid_argument otherwise. The complexity
-  /// contract lives in spatial_index.hpp and docs/CITY_SCALE.md.
+  /// layouts (m = edge count), against Θ(n²) for a pair scan. Requires
+  /// finite coordinates; throws std::invalid_argument otherwise. The
+  /// complexity contract lives in spatial_index.hpp and
+  /// docs/CITY_SCALE.md.
   Topology(const std::vector<Vec2>& positions, double range_m);
 
   /// Adopts a prebuilt adjacency (each list ascending-sorted, symmetric;
-  /// trusted, not re-verified). Used by SpatialIndex::topology() and
-  /// build_topology_full.
+  /// trusted, not re-verified). Used by SpatialIndex::topology().
   Topology(std::vector<Vec2> positions, double range_m,
            std::vector<std::vector<std::size_t>> neighbors);
 
@@ -53,10 +52,5 @@ class Topology {
   std::vector<Vec2> positions_;
   std::vector<std::vector<std::size_t>> neighbors_;
 };
-
-/// The original Θ(n²) all-pairs scan, kept as the ground-truth oracle the
-/// `ctest -L topology` property tests compare the grid path against.
-Topology build_topology_full(const std::vector<Vec2>& positions,
-                             double range_m);
 
 }  // namespace smac::multihop

@@ -32,6 +32,8 @@ const char* to_string(StopReason reason) noexcept {
 }
 
 std::string StoppingReport::summary() const {
+  // Every replication adds one sample of the watched metric, so the
+  // "(N samples)" count is the replication count.
   char buffer[320];
   const bool has_abs = target_half_width > 0.0;
   const bool has_rel = target_rel_half_width > 0.0;
@@ -51,14 +53,15 @@ std::string StoppingReport::summary() const {
     std::snprintf(buffer, sizeof(buffer),
                   "sequential stopping: %zu replications (%zu samples), "
                   "metric \"%s\" %.0f%% CI +/- %.6g (%s, stop: %s)",
-                  replications, samples, metric.c_str(), confidence * 100.0,
-                  achieved_half_width, target, to_string(reason));
+                  replications, replications, metric.c_str(),
+                  confidence * 100.0, achieved_half_width, target,
+                  to_string(reason));
   } else {
     std::snprintf(buffer, sizeof(buffer),
                   "fixed-N streaming: %zu replications (%zu samples), "
                   "metric \"%s\" %.0f%% CI +/- %.6g",
-                  replications, samples, metric.c_str(), confidence * 100.0,
-                  achieved_half_width);
+                  replications, replications, metric.c_str(),
+                  confidence * 100.0, achieved_half_width);
   }
   return buffer;
 }

@@ -113,7 +113,6 @@ const char* to_string(StopReason reason) noexcept;
 /// What a sequential (or streamed fixed-N) run actually did.
 struct StoppingReport {
   std::size_t replications = 0;  ///< replication indices executed
-  std::size_t samples = 0;       ///< rows aggregated
   std::size_t metric_index = 0;  ///< index of the watched metric
   std::string metric;            ///< name of the watched metric
   double achieved_half_width = 0.0;  ///< watched CI half-width at stop
@@ -249,7 +248,6 @@ ReplicationSummary run_sequential(std::vector<std::string> metric_names,
 
   out.metrics = util::summaries_from_stats(metric_names, acc);
   out.stopping.replications = executed;
-  out.stopping.samples = acc[r.watched].count();
   out.stopping.metric_index = r.watched;
   out.stopping.metric = metric_names[r.watched];
   out.stopping.achieved_half_width = acc[r.watched].ci_halfwidth(r.z);

@@ -244,9 +244,15 @@ EstimationRuntimeResult EstimatingRuntime::play(int stages) {
         modal_w = w;
       }
     }
-    const auto verdicts = detect_misbehavior(stage, modal_w, max_stage_);
+    const TryDetectResult detected =
+        try_detect_misbehavior(stage, modal_w, max_stage_);
+    if (!detected.ok()) {
+      throw std::invalid_argument("EstimatingRuntime: detector input invalid");
+    }
     flags_->resize(n);
-    for (std::size_t i = 0; i < n; ++i) (*flags_)[i] = verdicts[i].flagged;
+    for (std::size_t i = 0; i < n; ++i) {
+      (*flags_)[i] = detected.verdicts[i].flagged;
+    }
     result.flags_per_stage.push_back(*flags_);
     result.history.push_back(std::move(record));
   }

@@ -15,22 +15,12 @@ namespace {
 // the normal quantile (and Wald thresholds) unrepresentable.
 constexpr double kMinRepresentableRate = 1e-12;
 
+/// Significance inside (0, 1) and representable, tolerance finite and
+/// >= 0; NaN fails every bound.
 bool config_valid(const DetectorConfig& config) noexcept {
   return config.significance > kMinRepresentableRate &&
          config.significance < 1.0 - kMinRepresentableRate &&
          config.tolerance >= 0.0 && std::isfinite(config.tolerance);
-}
-
-void validate(const DetectorConfig& config) {
-  if (!(config.significance > 0.0) || !(config.significance < 1.0)) {
-    throw std::invalid_argument("detector: significance outside (0,1)");
-  }
-  if (config.tolerance < 0.0) {
-    throw std::invalid_argument("detector: negative tolerance");
-  }
-  if (!config_valid(config)) {
-    throw std::invalid_argument("detector: configuration not representable");
-  }
 }
 
 }  // namespace
@@ -40,10 +30,11 @@ TryDetectResult try_detect_misbehavior(const SimResult& observed,
                                        const DetectorConfig& config) {
   TryDetectResult result;
   if (!config_valid(config) || observed.slots == 0 ||
-      observed.node.empty() || w_agreed < 1 || max_stage < 0) {
+      observed.node.empty()) {
     result.status = DetectStatus::kInvalidInput;
     return result;
   }
+  // w_agreed < 1 and max_stage < 0 fail the solver's own input check.
   const int n = static_cast<int>(observed.node.size());
   const auto compliant =
       analytical::try_homogeneous_tau(w_agreed, n, max_stage);
@@ -75,45 +66,34 @@ TryDetectResult try_detect_misbehavior(const SimResult& observed,
   return result;
 }
 
-std::vector<MisbehaviorVerdict> detect_misbehavior(
-    const SimResult& observed, int w_agreed, int max_stage,
-    const DetectorConfig& config) {
-  validate(config);
-  if (observed.slots == 0 || observed.node.empty()) {
-    throw std::invalid_argument("detect_misbehavior: empty observation");
-  }
-  if (w_agreed < 1) {
-    throw std::invalid_argument("detect_misbehavior: w_agreed < 1");
-  }
-  auto result = try_detect_misbehavior(observed, w_agreed, max_stage, config);
-  if (!result.ok()) {
-    throw std::invalid_argument("detect_misbehavior: invalid input");
-  }
-  return std::move(result.verdicts);
-}
-
 std::uint64_t expected_detection_slots(int w_agreed, int w_cheat, int n,
                                        int max_stage,
                                        const DetectorConfig& config,
                                        double power) {
-  validate(config);
-  if (w_agreed < 1 || w_cheat < 1 || n < 2) {
+  if (!config_valid(config)) {
+    throw std::invalid_argument(
+        "detector: significance or tolerance outside its range");
+  }
+  if (w_agreed < 1 || w_cheat < 1 || n < 2 || max_stage < 0) {
     throw std::invalid_argument("expected_detection_slots: bad arguments");
   }
   if (!(power > 0.0) || !(power < 1.0)) {
     throw std::invalid_argument("expected_detection_slots: power outside (0,1)");
   }
-  const double tau_compliant =
-      analytical::homogeneous_tau(w_agreed, n, max_stage);
+  const auto compliant =
+      analytical::try_homogeneous_tau(w_agreed, n, max_stage);
+  if (!analytical::usable(compliant.diagnostics.status)) {
+    throw std::runtime_error("expected_detection_slots: root finding failed");
+  }
   const double tau_tolerated =
-      std::min(tau_compliant * (1.0 + config.tolerance), 1.0);
+      std::min(compliant.tau * (1.0 + config.tolerance), 1.0);
 
   // The cheater's τ against n−1 compliant opponents: solve its chain with
   // the collision feedback of the compliant crowd.
   std::vector<int> profile(static_cast<std::size_t>(n), w_agreed);
   profile[0] = w_cheat;
-  const auto state = analytical::solve_network(profile, max_stage);
-  const double tau_cheat = state.tau[0];
+  const double tau_cheat =
+      analytical::try_solve_network(profile, max_stage).state.tau[0];
   if (tau_cheat <= tau_tolerated) return 0;  // no detectable excess
 
   // `power` survived the (0,1) check, but values one ulp from 1 still

@@ -51,20 +51,14 @@ struct TryDetectResult {
 
 /// Tests every node in `observed` against the compliance hypothesis
 /// "configured window = w_agreed" (homogeneous model with
-/// observed.node.size() players, backoff stage m). Throws on empty
-/// observations or invalid configuration.
-std::vector<MisbehaviorVerdict> detect_misbehavior(
-    const SimResult& observed, int w_agreed, int max_stage,
-    const DetectorConfig& config = {});
-
-/// Non-throwing form of detect_misbehavior, following the
-/// analytical::SolveStatus convention: empty observations, w_agreed < 1,
-/// max_stage < 0, or an out-of-range configuration (significance outside
-/// (0,1) or too extreme to represent 1 − α in double, negative or
-/// non-finite tolerance) yield DetectStatus::kInvalidInput with no
-/// verdicts instead of a throw. A tolerance that pushes the tolerated τ
-/// to ≥ 1 is valid input: no observable rate exceeds it, so every verdict
-/// is unflagged (z clamped at 0) rather than NaN.
+/// observed.node.size() players, backoff stage m). Never throws, following
+/// the analytical::SolveStatus convention: empty observations,
+/// w_agreed < 1, max_stage < 0, or an out-of-range configuration
+/// (significance outside (0,1) or too extreme to represent 1 − α in
+/// double, negative or non-finite tolerance) yield
+/// DetectStatus::kInvalidInput with no verdicts. A tolerance that pushes
+/// the tolerated τ to ≥ 1 is valid input: no observable rate exceeds it,
+/// so every verdict is unflagged (z clamped at 0) rather than NaN.
 TryDetectResult try_detect_misbehavior(const SimResult& observed,
                                        int w_agreed, int max_stage,
                                        const DetectorConfig& config = {});

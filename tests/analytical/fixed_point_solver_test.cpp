@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "analytical/backoff_chain.hpp"
 
@@ -11,13 +13,29 @@ namespace {
 
 constexpr int kM = 6;
 
+/// Per-node state of a solve on valid input.
+NetworkState solve(const std::vector<int>& w, int max_stage) {
+  return try_solve_network(w, max_stage).state;
+}
+
+/// Homogeneous τ on valid input; the root search must not fail.
+double tau_hom(double w, int n, int max_stage) {
+  const TryTauResult r = try_homogeneous_tau(w, n, max_stage);
+  EXPECT_TRUE(usable(r.diagnostics.status)) << "w=" << w << " n=" << n;
+  return r.tau;
+}
+
 TEST(SolveNetworkTest, RejectsBadProfiles) {
-  EXPECT_THROW(solve_network({}, kM), std::invalid_argument);
-  EXPECT_THROW(solve_network({32, 0}, kM), std::invalid_argument);
+  for (const std::vector<int>& w : {std::vector<int>{}, {32, 0}}) {
+    const TrySolveResult r = try_solve_network(w, kM);
+    EXPECT_EQ(r.diagnostics.status, SolveStatus::kFailed);
+    EXPECT_STREQ(r.diagnostics.method, "invalid");
+    EXPECT_TRUE(r.state.tau.empty());
+  }
 }
 
 TEST(SolveNetworkTest, SingleNodeHasNoCollisions) {
-  const NetworkState s = solve_network({32}, kM);
+  const NetworkState s = solve({32}, kM);
   EXPECT_TRUE(s.converged);
   EXPECT_NEAR(s.p[0], 0.0, 1e-12);
   EXPECT_NEAR(s.tau[0], 2.0 / 33.0, 1e-10);
@@ -25,7 +43,7 @@ TEST(SolveNetworkTest, SingleNodeHasNoCollisions) {
 
 TEST(SolveNetworkTest, SolutionSatisfiesBothEquationFamilies) {
   const std::vector<int> w{16, 32, 64, 128, 256};
-  const NetworkState s = solve_network(w, kM);
+  const NetworkState s = solve(w, kM);
   ASSERT_TRUE(s.converged);
   for (std::size_t i = 0; i < w.size(); ++i) {
     // τ_i = τ(W_i, p_i)
@@ -40,7 +58,7 @@ TEST(SolveNetworkTest, SolutionSatisfiesBothEquationFamilies) {
 }
 
 TEST(SolveNetworkTest, HomogeneousProfileYieldsEqualSolution) {
-  const NetworkState s = solve_network(std::vector<int>(10, 64), kM);
+  const NetworkState s = solve(std::vector<int>(10, 64), kM);
   ASSERT_TRUE(s.converged);
   for (std::size_t i = 1; i < 10; ++i) {
     EXPECT_NEAR(s.tau[i], s.tau[0], 1e-10);
@@ -51,7 +69,7 @@ TEST(SolveNetworkTest, HomogeneousProfileYieldsEqualSolution) {
 TEST(SolveNetworkTest, AgreesWithScalarHomogeneousPath) {
   for (int n : {2, 5, 20}) {
     for (int w : {8, 64, 512}) {
-      const NetworkState het = solve_network(std::vector<int>(n, w), kM);
+      const NetworkState het = solve(std::vector<int>(n, w), kM);
       const NetworkState hom = solve_network_homogeneous(w, n, kM);
       EXPECT_NEAR(het.tau[0], hom.tau[0], 1e-8) << "n=" << n << " w=" << w;
       EXPECT_NEAR(het.p[0], hom.p[0], 1e-8);
@@ -62,7 +80,7 @@ TEST(SolveNetworkTest, AgreesWithScalarHomogeneousPath) {
 TEST(SolveNetworkTest, Lemma1MonotonicityInProfiles) {
   // Paper Lemma 1: W_i > W_j ⇒ p_i > p_j and τ_i < τ_j.
   const std::vector<int> w{16, 32, 64, 128};
-  const NetworkState s = solve_network(w, kM);
+  const NetworkState s = solve(w, kM);
   for (std::size_t i = 1; i < w.size(); ++i) {
     EXPECT_LT(s.tau[i], s.tau[i - 1]) << "larger window must transmit less";
     EXPECT_GT(s.p[i], s.p[i - 1]) << "larger window must see more collisions";
@@ -71,14 +89,14 @@ TEST(SolveNetworkTest, Lemma1MonotonicityInProfiles) {
 
 TEST(SolveNetworkTest, EqualWindowsEqualOutcomes) {
   const std::vector<int> w{64, 16, 64, 16};
-  const NetworkState s = solve_network(w, kM);
+  const NetworkState s = solve(w, kM);
   EXPECT_NEAR(s.tau[0], s.tau[2], 1e-10);
   EXPECT_NEAR(s.tau[1], s.tau[3], 1e-10);
   EXPECT_NEAR(s.p[0], s.p[2], 1e-10);
 }
 
 TEST(SolveNetworkTest, ExtremeHeterogeneityConverges) {
-  const NetworkState s = solve_network({1, 4096}, kM);
+  const NetworkState s = solve({1, 4096}, kM);
   EXPECT_TRUE(s.converged);
   EXPECT_GT(s.tau[0], s.tau[1]);
   // The W=1 node almost always transmits; the other sees p near τ_0.
@@ -86,11 +104,11 @@ TEST(SolveNetworkTest, ExtremeHeterogeneityConverges) {
 }
 
 TEST(SolveNetworkTest, ManyAggressiveNodesConverge) {
-  const NetworkState s = solve_network(std::vector<int>(30, 2), kM);
+  const NetworkState s = solve(std::vector<int>(30, 2), kM);
   EXPECT_TRUE(s.converged);
   EXPECT_GT(s.p[0], 0.7);  // heavy contention (m = 6 backoff still softens it)
   // Without exponential backoff the same profile is far more contended.
-  const NetworkState s0 = solve_network(std::vector<int>(30, 2), 0);
+  const NetworkState s0 = solve(std::vector<int>(30, 2), 0);
   EXPECT_TRUE(s0.converged);
   EXPECT_GT(s0.p[0], 0.99);
 }
@@ -100,7 +118,7 @@ TEST(HomogeneousTauTest, MatchesBianchiSymmetricSolution) {
   // machine precision.
   for (int n : {2, 10, 50}) {
     for (double w : {8.0, 32.0, 321.5}) {
-      const double tau = homogeneous_tau(w, n, kM);
+      const double tau = tau_hom(w, n, kM);
       const double p = 1.0 - std::pow(1.0 - tau, n - 1);
       EXPECT_NEAR(tau, transmission_probability_cont(w, p, kM), 1e-12);
     }
@@ -108,23 +126,25 @@ TEST(HomogeneousTauTest, MatchesBianchiSymmetricSolution) {
 }
 
 TEST(HomogeneousTauTest, DecreasesWithWAndN) {
-  EXPECT_GT(homogeneous_tau(16, 5, kM), homogeneous_tau(64, 5, kM));
-  EXPECT_GT(homogeneous_tau(64, 2, kM), homogeneous_tau(64, 20, kM));
+  EXPECT_GT(tau_hom(16, 5, kM), tau_hom(64, 5, kM));
+  EXPECT_GT(tau_hom(64, 2, kM), tau_hom(64, 20, kM));
 }
 
 TEST(HomogeneousTauTest, SingleNodeShortCircuit) {
-  EXPECT_DOUBLE_EQ(homogeneous_tau(31, 1, kM), 2.0 / 32.0);
+  EXPECT_DOUBLE_EQ(tau_hom(31, 1, kM), 2.0 / 32.0);
 }
 
 TEST(HomogeneousTauTest, RejectsBadInput) {
-  EXPECT_THROW(homogeneous_tau(0.5, 5, kM), std::invalid_argument);
-  EXPECT_THROW(homogeneous_tau(8.0, 0, kM), std::invalid_argument);
+  EXPECT_STREQ(try_homogeneous_tau(0.5, 5, kM).diagnostics.method, "invalid");
+  EXPECT_STREQ(try_homogeneous_tau(8.0, 0, kM).diagnostics.method, "invalid");
+  EXPECT_THROW(solve_network_homogeneous(0.5, 5, kM), std::invalid_argument);
+  EXPECT_THROW(solve_network_homogeneous(8.0, 0, kM), std::invalid_argument);
 }
 
 TEST(WindowForTauTest, InvertsHomogeneousTau) {
   for (int n : {2, 5, 20}) {
     for (double w : {4.0, 77.0, 880.0}) {
-      const double tau = homogeneous_tau(w, n, kM);
+      const double tau = tau_hom(w, n, kM);
       const double w_back = window_for_tau(tau, n, kM);
       EXPECT_NEAR(w_back, w, w * 1e-5) << "n=" << n << " w=" << w;
     }
@@ -148,7 +168,7 @@ class ProfileSweep
     : public ::testing::TestWithParam<std::vector<int>> {};
 
 TEST_P(ProfileSweep, ConvergesWithTinyResidual) {
-  const NetworkState s = solve_network(GetParam(), kM);
+  const NetworkState s = solve(GetParam(), kM);
   EXPECT_TRUE(s.converged);
   EXPECT_LT(s.residual, 1e-12);
   for (double tau : s.tau) {

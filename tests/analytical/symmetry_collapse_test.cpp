@@ -2,14 +2,14 @@
 //
 // The collapsed kernel solves the k-class system and expands per node, so
 // three properties must hold exactly or to tight tolerance:
-//   1. permutation equivariance, *bitwise*: solve_network(perm(w)) equals
-//      the permuted solve_network(w) (canonical class ordering makes the
-//      arithmetic identical regardless of node order);
+//   1. permutation equivariance, *bitwise*: try_solve_network(perm(w))
+//      equals the permuted try_solve_network(w) (canonical class ordering
+//      makes the arithmetic identical regardless of node order);
 //   2. the canonical cache hits on permutations of solved profiles and
 //      returns bitwise-identical expansions;
-//   3. the collapsed kernel agrees with the retained full-dimension
-//      reference (try_solve_network_full) to <= 1e-12 across a grid of
-//      (n, class-mix, PER) profiles — the acceptance bound of ISSUE 4.
+//   3. the collapsed kernel agrees with the full-dimension reference
+//      (try_solve_network_full, tests/support/reference_solver.hpp) to
+//      <= 1e-12 across a grid of (n, class-mix, PER) profiles.
 #include <algorithm>
 #include <cstddef>
 #include <numeric>
@@ -19,6 +19,7 @@
 #include "analytical/fixed_point_solver.hpp"
 #include "analytical/solver_cache.hpp"
 #include "gtest/gtest.h"
+#include "support/reference_solver.hpp"
 #include "util/rng.hpp"
 
 namespace smac::analytical {
@@ -62,7 +63,7 @@ TEST(ClassifyProfile, HomogeneousIsOneClass) {
 
 TEST(SymmetryCollapse, PermutationEquivariantBitwise) {
   const std::vector<int> w = mixed_profile(23, {16, 128, 1024});
-  const NetworkState base = solve_network(w, 5, {}, 0.1);
+  const NetworkState base = try_solve_network(w, 5, {}, 0.1).state;
   for (const std::uint64_t seed : {11u, 29u, 77u}) {
     // Permute the profile and carry the permutation alongside.
     std::vector<std::size_t> order(w.size());
@@ -74,7 +75,7 @@ TEST(SymmetryCollapse, PermutationEquivariantBitwise) {
     std::vector<int> pw(w.size());
     for (std::size_t i = 0; i < w.size(); ++i) pw[i] = w[order[i]];
 
-    const NetworkState permuted = solve_network(pw, 5, {}, 0.1);
+    const NetworkState permuted = try_solve_network(pw, 5, {}, 0.1).state;
     ASSERT_TRUE(permuted.converged);
     for (std::size_t i = 0; i < w.size(); ++i) {
       // Bitwise: the collapsed kernel computes the identical canonical
@@ -87,7 +88,7 @@ TEST(SymmetryCollapse, PermutationEquivariantBitwise) {
 
 TEST(SymmetryCollapse, EqualWindowsShareBitwiseOutcomes) {
   const std::vector<int> w{512, 16, 512, 16, 512, 90, 16};
-  const NetworkState state = solve_network(w, 6);
+  const NetworkState state = try_solve_network(w, 6).state;
   for (std::size_t i = 0; i < w.size(); ++i) {
     for (std::size_t j = i + 1; j < w.size(); ++j) {
       if (w[i] != w[j]) continue;
@@ -209,7 +210,7 @@ TEST(SymmetryCollapse, ExpandClassesPreservesNodeOrder) {
   ASSERT_EQ(collapsed.state.tau.size(), classes.class_count());
   const NetworkState expanded = expand_classes(collapsed.state, classes);
   ASSERT_EQ(expanded.tau.size(), w.size());
-  const NetworkState direct = solve_network(w, 5);
+  const NetworkState direct = try_solve_network(w, 5).state;
   for (std::size_t i = 0; i < w.size(); ++i) {
     EXPECT_EQ(expanded.tau[i], direct.tau[i]);
     EXPECT_EQ(expanded.p[i], direct.p[i]);

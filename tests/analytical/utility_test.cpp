@@ -15,7 +15,8 @@ constexpr auto kBasic = phy::AccessMode::kBasic;
 constexpr auto kRtsCts = phy::AccessMode::kRtsCts;
 
 TEST(UtilityRatesTest, MatchesManualFormula) {
-  const NetworkState s = solve_network({32, 64}, kParams.max_backoff_stage);
+  const NetworkState s =
+      try_solve_network({32, 64}, kParams.max_backoff_stage).state;
   const auto u = utility_rates(s, kParams, kBasic);
   ASSERT_EQ(u.size(), 2u);
   // Recompute u_0 by hand: τ((1−p)g − e)/T_slot.
@@ -36,7 +37,7 @@ TEST(UtilityRatesTest, RejectsMalformedState) {
 TEST(UtilityTest, Lemma1PayoffOrdering) {
   // W_i > W_j ⇒ U_i < U_j (larger window is disfavored).
   const NetworkState s =
-      solve_network({16, 64, 256}, kParams.max_backoff_stage);
+      try_solve_network({16, 64, 256}, kParams.max_backoff_stage).state;
   const auto u = utility_rates(s, kParams, kBasic);
   EXPECT_GT(u[0], u[1]);
   EXPECT_GT(u[1], u[2]);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "game/equilibrium.hpp"
 #include "game/stage_game.hpp"
 
@@ -29,6 +32,21 @@ TEST(RateGameTest, ValidatesConfiguration) {
   bad.max_payload_bits = 10.0;
   bad.min_payload_bits = 100.0;
   EXPECT_THROW(RateGame{bad}, std::invalid_argument);
+  // Non-finite input is rejected, not turned into a silent answer.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  bad = base_config();
+  bad.bit_error_rate = nan;
+  EXPECT_THROW(RateGame{bad}, std::invalid_argument);
+  bad = base_config();
+  bad.max_payload_bits = inf;
+  EXPECT_THROW(RateGame{bad}, std::invalid_argument);
+  bad = base_config();
+  bad.max_payload_bits = nan;
+  EXPECT_THROW(RateGame{bad}, std::invalid_argument);
+  bad = base_config();
+  bad.min_payload_bits = nan;
+  EXPECT_THROW(RateGame{bad}, std::invalid_argument);
 }
 
 TEST(RateGameTest, DefaultsToMacGameEfficientWindow) {
@@ -45,6 +63,9 @@ TEST(RateGameTest, RejectsBadProfiles) {
   std::vector<double> out_of_range(10, 1024.0);
   out_of_range[3] = 1e9;
   EXPECT_THROW(game.utility_rates(out_of_range), std::invalid_argument);
+  std::vector<double> not_a_number(10, 1024.0);
+  not_a_number[5] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(game.utility_rates(not_a_number), std::invalid_argument);
 }
 
 TEST(RateGameTest, LongerFramesWinSharedClockAtZeroBer) {

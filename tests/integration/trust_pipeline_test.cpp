@@ -39,8 +39,10 @@ TEST(TrustPipelineTest, SearchThenGuardThenEnforce) {
 
   // --- Phase 2: the detector certifies the network compliant. ---
   const auto clean = simulator.run_slots(150000);
-  for (const auto& verdict :
-       sim::detect_misbehavior(clean, w_agreed, params.max_backoff_stage)) {
+  const sim::TryDetectResult certified =
+      sim::try_detect_misbehavior(clean, w_agreed, params.max_backoff_stage);
+  ASSERT_TRUE(certified.ok());
+  for (const auto& verdict : certified.verdicts) {
     EXPECT_FALSE(verdict.flagged);
   }
 

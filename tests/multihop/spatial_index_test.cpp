@@ -21,8 +21,7 @@
 namespace smac::multihop {
 namespace {
 
-// Independent O(n²) oracle (not build_topology_full, so the test does not
-// assume the production oracle it also checks): active-masked pair scan.
+// Independent O(n²) oracle: active-masked pair scan.
 std::vector<std::vector<std::size_t>> oracle_neighbors(
     const std::vector<Vec2>& pos, double range_m,
     const std::vector<std::uint8_t>& active) {
@@ -74,11 +73,12 @@ TEST(SpatialIndexTest, MatchesOracleOnRandomLayouts) {
     const auto pos = random_layout(c.n, c.side, 0xA11CE + c.n);
     const SpatialIndex index(pos, c.range);
     expect_matches_oracle(index, std::vector<std::uint8_t>(c.n, 1));
-    // And the production oracle agrees with the grid-routed Topology.
+    // And the grid-routed Topology agrees with the pair scan.
     const Topology grid(pos, c.range);
-    const Topology full = build_topology_full(pos, c.range);
+    const auto want =
+        oracle_neighbors(pos, c.range, std::vector<std::uint8_t>(c.n, 1));
     for (std::size_t i = 0; i < c.n; ++i) {
-      EXPECT_EQ(grid.neighbors(i), full.neighbors(i)) << "node " << i;
+      EXPECT_EQ(grid.neighbors(i), want[i]) << "node " << i;
     }
   }
 }

@@ -74,7 +74,6 @@ TEST(SequentialStoppingTest, StreamingTenThousandMatchesBufferedBitwise) {
 
   expect_bit_identical(streamed.metrics, buffered);
   EXPECT_EQ(streamed.stopping.replications, n);
-  EXPECT_EQ(streamed.stopping.samples, n);
   EXPECT_EQ(streamed.stopping.reason, StopReason::kMaxReps);
   EXPECT_FALSE(streamed.stopping.target_met());
   // O(batch) memory, self-reported: never more than one batch buffered.
@@ -95,7 +94,6 @@ TEST(SequentialStoppingTest, StopPointIsJobsInvariant) {
       run_sequential(kNames, rule, 7, 4, noisy_row);
 
   EXPECT_EQ(s1.stopping.replications, s4.stopping.replications);
-  EXPECT_EQ(s1.stopping.samples, s4.stopping.samples);
   EXPECT_EQ(s1.stopping.reason, s4.stopping.reason);
   EXPECT_EQ(std::memcmp(&s1.stopping.achieved_half_width,
                         &s4.stopping.achieved_half_width, sizeof(double)),

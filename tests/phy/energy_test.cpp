@@ -73,7 +73,7 @@ TEST(NodePowerDrawTest, BoundedByRadioStates) {
 
 TEST(NodePowerDrawTest, AggressorBurnsMore) {
   const PowerProfile power;
-  const auto state = analytical::solve_network({8, 256}, 6);
+  const auto state = analytical::try_solve_network({8, 256}, 6).state;
   const auto draw =
       node_power_draw_mw(state.tau, state.p, kParams, AccessMode::kBasic,
                          power);
@@ -83,7 +83,7 @@ TEST(NodePowerDrawTest, AggressorBurnsMore) {
 TEST(NodePowerDrawTest, QuietChannelApproachesIdleDraw) {
   const PowerProfile power;
   // Two nodes with enormous windows: the channel is mostly σ-slots.
-  const auto state = analytical::solve_network({4096, 4096}, 6);
+  const auto state = analytical::try_solve_network({4096, 4096}, 6).state;
   const auto draw =
       node_power_draw_mw(state.tau, state.p, kParams, AccessMode::kBasic,
                          power);

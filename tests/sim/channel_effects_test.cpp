@@ -32,20 +32,22 @@ TEST(PerTest, ParametersValidatePer) {
 
 TEST(PerTest, SolverEscalatesOnCombinedFailure) {
   // With PER > 0 nodes retry more, so τ drops even without extra nodes.
-  const double tau_clean = analytical::homogeneous_tau(64, 5, 6, 0.0);
-  const double tau_noisy = analytical::homogeneous_tau(64, 5, 6, 0.3);
+  const double tau_clean = analytical::try_homogeneous_tau(64, 5, 6, 0.0).tau;
+  const double tau_noisy = analytical::try_homogeneous_tau(64, 5, 6, 0.3).tau;
   EXPECT_LT(tau_noisy, tau_clean);
   // Single node: failure probability equals PER exactly.
-  const double tau_single = analytical::homogeneous_tau(64, 1, 6, 0.3);
+  const double tau_single = analytical::try_homogeneous_tau(64, 1, 6, 0.3).tau;
   EXPECT_NEAR(tau_single, analytical::transmission_probability_cont(64, 0.3, 6),
               1e-12);
 }
 
 TEST(PerTest, SolverRejectsBadPer) {
-  EXPECT_THROW(analytical::homogeneous_tau(64, 5, 6, 1.0),
-               std::invalid_argument);
-  EXPECT_THROW(analytical::solve_network({32, 32}, 6, {}, -0.1),
-               std::invalid_argument);
+  EXPECT_STREQ(
+      analytical::try_homogeneous_tau(64, 5, 6, 1.0).diagnostics.method,
+      "invalid");
+  EXPECT_STREQ(
+      analytical::try_solve_network({32, 32}, 6, {}, -0.1).diagnostics.method,
+      "invalid");
 }
 
 TEST(PerTest, SimulatorMatchesModelUnderNoise) {
@@ -107,9 +109,10 @@ TEST(PerTest, NoiseShiftsEfficientNeDownward) {
   EXPECT_LT(w_star_noisy, w_star_clean);
   // The windows should roughly compensate the escalation: τ at the noisy
   // optimum stays near τ at the clean optimum.
-  const double tau_clean = analytical::homogeneous_tau(w_star_clean, 10, 6, 0.0);
+  const double tau_clean =
+      analytical::try_homogeneous_tau(w_star_clean, 10, 6, 0.0).tau;
   const double tau_noisy =
-      analytical::homogeneous_tau(w_star_noisy, 10, 6, 0.4);
+      analytical::try_homogeneous_tau(w_star_noisy, 10, 6, 0.4).tau;
   EXPECT_NEAR(tau_noisy, tau_clean, 0.35 * tau_clean);
 }
 

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "analytical/fixed_point_solver.hpp"
 #include "util/stats.hpp"
@@ -14,6 +17,15 @@ SimConfig make_config(std::uint64_t seed) {
   SimConfig config;
   config.seed = seed;
   return config;
+}
+
+/// Verdicts of a detection on valid input.
+std::vector<MisbehaviorVerdict> verdicts_of(const SimResult& observed,
+                                            int w_agreed, int max_stage) {
+  TryDetectResult result =
+      try_detect_misbehavior(observed, w_agreed, max_stage);
+  EXPECT_TRUE(result.ok());
+  return std::move(result.verdicts);
 }
 
 TEST(NormalQuantileTest, KnownValues) {
@@ -34,17 +46,26 @@ TEST(NormalQuantileTest, InvertsCdf) {
 
 TEST(DetectorTest, ValidatesInput) {
   SimResult empty;
-  EXPECT_THROW(detect_misbehavior(empty, 64, 6), std::invalid_argument);
+  EXPECT_EQ(try_detect_misbehavior(empty, 64, 6).status,
+            DetectStatus::kInvalidInput);
   Simulator sim(make_config(1), {64, 64});
   const auto r = sim.run_slots(1000);
-  EXPECT_THROW(detect_misbehavior(r, 0, 6), std::invalid_argument);
+  EXPECT_EQ(try_detect_misbehavior(r, 0, 6).status,
+            DetectStatus::kInvalidInput);
   DetectorConfig bad;
   bad.significance = 0.0;
-  EXPECT_THROW(detect_misbehavior(r, 64, 6, bad), std::invalid_argument);
+  EXPECT_EQ(try_detect_misbehavior(r, 64, 6, bad).status,
+            DetectStatus::kInvalidInput);
+  EXPECT_THROW(expected_detection_slots(64, 16, 5, 6, bad),
+               std::invalid_argument);
   bad = DetectorConfig{};
   bad.tolerance = -0.1;
-  EXPECT_THROW(detect_misbehavior(r, 64, 6, bad), std::invalid_argument);
+  EXPECT_EQ(try_detect_misbehavior(r, 64, 6, bad).status,
+            DetectStatus::kInvalidInput);
+  EXPECT_THROW(expected_detection_slots(64, 16, 5, 6, bad),
+               std::invalid_argument);
   EXPECT_THROW(expected_detection_slots(64, 16, 1, 6), std::invalid_argument);
+  EXPECT_THROW(expected_detection_slots(64, 16, 5, -1), std::invalid_argument);
 }
 
 TEST(DetectorTest, CompliantNetworkIsNotFlagged) {
@@ -54,7 +75,7 @@ TEST(DetectorTest, CompliantNetworkIsNotFlagged) {
   int tests = 0;
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     Simulator sim(make_config(100 + seed), std::vector<int>(5, 64));
-    const auto verdicts = detect_misbehavior(sim.run_slots(80000), 64, 6);
+    const auto verdicts = verdicts_of(sim.run_slots(80000), 64, 6);
     for (const auto& v : verdicts) {
       ++tests;
       if (v.flagged) ++flags;
@@ -67,7 +88,7 @@ TEST(DetectorTest, AggressiveCheaterIsFlagged) {
   std::vector<int> profile(5, 64);
   profile[2] = 16;  // cheats 4x
   Simulator sim(make_config(7), profile);
-  const auto verdicts = detect_misbehavior(sim.run_slots(100000), 64, 6);
+  const auto verdicts = verdicts_of(sim.run_slots(100000), 64, 6);
   EXPECT_TRUE(verdicts[2].flagged);
   EXPECT_GT(verdicts[2].z_score, verdicts[0].z_score);
   for (std::size_t i = 0; i < verdicts.size(); ++i) {
@@ -83,31 +104,16 @@ TEST(DetectorTest, MarginalCheaterEscapesTolerance) {
   std::vector<int> profile(5, 64);
   profile[0] = 62;
   Simulator sim(make_config(8), profile);
-  const auto verdicts = detect_misbehavior(sim.run_slots(200000), 64, 6);
+  const auto verdicts = verdicts_of(sim.run_slots(200000), 64, 6);
   EXPECT_FALSE(verdicts[0].flagged);
 }
 
 TEST(DetectorTest, VerdictFieldsAreCoherent) {
   Simulator sim(make_config(9), std::vector<int>(4, 32));
-  const auto verdicts = detect_misbehavior(sim.run_slots(50000), 32, 6);
+  const auto verdicts = verdicts_of(sim.run_slots(50000), 32, 6);
   for (const auto& v : verdicts) {
     EXPECT_GT(v.tau_expected, 0.0);
     EXPECT_NEAR(v.tau_observed, v.tau_expected, 0.25 * v.tau_expected);
-  }
-}
-
-TEST(TryDetectTest, MatchesThrowingPathOnValidInput) {
-  std::vector<int> profile(5, 64);
-  profile[2] = 16;
-  Simulator sim(make_config(7), profile);
-  const auto observed = sim.run_slots(100000);
-  const auto thrown = detect_misbehavior(observed, 64, 6);
-  const auto tried = try_detect_misbehavior(observed, 64, 6);
-  ASSERT_TRUE(tried.ok());
-  ASSERT_EQ(tried.verdicts.size(), thrown.size());
-  for (std::size_t i = 0; i < thrown.size(); ++i) {
-    EXPECT_DOUBLE_EQ(tried.verdicts[i].z_score, thrown[i].z_score);
-    EXPECT_EQ(tried.verdicts[i].flagged, thrown[i].flagged);
   }
 }
 
@@ -131,12 +137,12 @@ TEST(TryDetectTest, ReportsInvalidInputInsteadOfThrowing) {
             DetectStatus::kInvalidInput);
   // A significance too small to represent 1 − α in double would make the
   // quantile (and every downstream threshold) meaningless — invalid, and
-  // the throwing path agrees.
+  // the throwing expected_detection_slots agrees.
   bad = DetectorConfig{};
   bad.significance = 1e-300;
   EXPECT_EQ(try_detect_misbehavior(observed, 64, 6, bad).status,
             DetectStatus::kInvalidInput);
-  EXPECT_THROW(detect_misbehavior(observed, 64, 6, bad),
+  EXPECT_THROW(expected_detection_slots(64, 16, 5, 6, bad),
                std::invalid_argument);
   EXPECT_STREQ(to_string(DetectStatus::kOk), "ok");
   EXPECT_STREQ(to_string(DetectStatus::kInvalidInput), "invalid-input");
@@ -183,10 +189,11 @@ TEST(DetectionSlotsTest, VanishingExcessHitsTheCapNotUndefinedBehavior) {
   // sliver (~1e-10 relative): the sample-size formula blows past uint64
   // and must return the sentinel instead of casting a non-representable
   // double (undefined behavior).
-  const double tau_compliant = analytical::homogeneous_tau(64, 5, 6);
+  const double tau_compliant = analytical::try_homogeneous_tau(64, 5, 6).tau;
   std::vector<int> profile(5, 64);
   profile[0] = 16;
-  const double tau_cheat = analytical::solve_network(profile, 6).tau[0];
+  const double tau_cheat =
+      analytical::try_solve_network(profile, 6).state.tau[0];
   ASSERT_GT(tau_cheat, tau_compliant);
   DetectorConfig config;
   config.tolerance = tau_cheat * (1.0 - 1e-10) / tau_compliant - 1.0;
@@ -228,12 +235,12 @@ TEST(DetectionSlotsTest, PredictionMatchesSimulatedDetection) {
   int flagged_short = 0;
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     Simulator sim_long(make_config(300 + seed), profile);
-    if (detect_misbehavior(sim_long.run_slots(3 * predicted), 64, 6)[0]
+    if (verdicts_of(sim_long.run_slots(3 * predicted), 64, 6)[0]
             .flagged) {
       ++flagged_long;
     }
     Simulator sim_short(make_config(400 + seed), profile);
-    if (detect_misbehavior(sim_short.run_slots(std::max<std::uint64_t>(
+    if (verdicts_of(sim_short.run_slots(std::max<std::uint64_t>(
                                predicted / 16, 20)),
                            64, 6)[0]
             .flagged) {
