@@ -31,7 +31,7 @@ int main() {
   const std::vector<int> profile{20, 40, 80, 160, 320};
   const auto state =
       analytical::try_solve_network(profile, params.max_backoff_stage).state;
-  const auto u_model = game.stage_utilities(profile);
+  const auto u_model = game.try_stage_utilities(profile).utilities;
 
   sim::SimConfig config;
   config.seed = 0xde71a7;

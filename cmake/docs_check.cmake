@@ -1,6 +1,7 @@
 # docs_check.cmake — fail on dangling file references in the docs.
 #
-# Scans README.md, DESIGN.md, EXPERIMENTS.md and docs/*.md for
+# Scans README.md, DESIGN.md, EXPERIMENTS.md, docs/*.md,
+# bench/PARALLEL_SPEEDUP.md and .claude/skills/verify/SKILL.md for
 # tokens that look like repo paths (src/..., bench/..., tests/..., docs/...,
 # examples/...) or bench binary names (bench_foo -> bench/foo.cpp) and
 # verifies each resolves to a real file, directory, or glob. Run directly:
@@ -30,7 +31,9 @@ endif()
 set(_doc_files
   "${REPO_ROOT}/README.md"
   "${REPO_ROOT}/DESIGN.md"
-  "${REPO_ROOT}/EXPERIMENTS.md")
+  "${REPO_ROOT}/EXPERIMENTS.md"
+  "${REPO_ROOT}/bench/PARALLEL_SPEEDUP.md"
+  "${REPO_ROOT}/.claude/skills/verify/SKILL.md")
 file(GLOB _extra_docs "${REPO_ROOT}/docs/*.md")
 list(APPEND _doc_files ${_extra_docs})
 

@@ -23,8 +23,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "util/fixed_point.hpp"
-
 namespace smac::analytical {
 
 /// Solution of the coupled (τ, p) system for one CW profile.

@@ -3,12 +3,25 @@
 #include <algorithm>
 #include <sstream>
 
+#include "fault/fault_injector.hpp"
+
 namespace smac::fault {
 
 bool DegradationReport::clean() const noexcept {
   return degraded_stages == 0 && failed_stages == 0 && reused_stages == 0 &&
          crash_events == 0 && join_events == 0 && lost_observations == 0 &&
          noisy_observations == 0;
+}
+
+void DegradationReport::record_run(int stages_played,
+                                   const FaultInjector* injector) {
+  stages = stages_played;
+  if (!injector) return;
+  crash_events = injector->crash_events();
+  join_events = injector->join_events();
+  lost_observations = injector->lost_observations();
+  noisy_observations = injector->noisy_observations();
+  last_fault_stage = injector->last_fault_stage();
 }
 
 void DegradationReport::merge(const DegradationReport& other) {

@@ -17,6 +17,8 @@
 
 namespace smac::fault {
 
+class FaultInjector;
+
 /// One non-clean stage: what the solver reported and what the engine did.
 struct StageIncident {
   int stage = 0;
@@ -43,6 +45,11 @@ struct DegradationReport {
 
   /// True when every stage solved converged and no fault fired.
   bool clean() const noexcept;
+
+  /// Closes a finished run of `stages` stages: records the count and
+  /// copies `injector`'s crash/join and observation counters (a null
+  /// injector leaves them at their fault-free defaults).
+  void record_run(int stages, const FaultInjector* injector);
 
   /// Folds `other` into this report (counters add; last_fault_stage takes
   /// the max; incidents concatenate in call order).

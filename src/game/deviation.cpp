@@ -3,19 +3,59 @@
 #include <cmath>
 #include <optional>
 #include <stdexcept>
+#include <string>
 
 namespace smac::game {
+
+namespace {
+
+void throw_if_unusable(const StageGame::StagePayoffs& payoffs,
+                       const char* who) {
+  if (!analytical::usable(payoffs.diagnostics.status)) {
+    throw std::runtime_error(std::string(who) + ": stage solve failed (" +
+                             payoffs.diagnostics.method + ")");
+  }
+}
+
+void check_shortsighted_args(double delta_s, int reaction_stages) {
+  if (!(delta_s >= 0.0) || !(delta_s < 1.0)) {
+    throw std::invalid_argument("shortsighted_outcome: delta_s outside [0,1)");
+  }
+  if (reaction_stages < 1) {
+    throw std::invalid_argument("shortsighted_outcome: reaction_stages < 1");
+  }
+}
+
+/// The §V.D discounted sums from the deviator's lag-stage payoff, the
+/// all-w_s stage payoff and the conforming (symmetric) stage payoff.
+ShortSightedOutcome outcome_of(double deviator, double u_all_ws,
+                               double symmetric, double delta_s,
+                               int reaction_stages) {
+  const double dm = std::pow(delta_s, reaction_stages);
+  ShortSightedOutcome out;
+  out.u_deviate = ((1.0 - dm) * deviator + dm * u_all_ws) / (1.0 - delta_s);
+  out.u_conform = symmetric / (1.0 - delta_s);
+  out.gain = out.u_deviate - out.u_conform;
+  out.profitable = out.gain > 0.0;
+  return out;
+}
+
+}  // namespace
 
 DeviationStagePayoffs deviation_stage_payoffs(const StageGame& game, int n,
                                               int w_base, int w_dev) {
   if (n < 2) throw std::invalid_argument("deviation_stage_payoffs: n < 2");
+  if (w_base < 1 || w_dev < 1) {
+    throw std::invalid_argument("deviation_stage_payoffs: window < 1");
+  }
   std::vector<int> profile(static_cast<std::size_t>(n), w_base);
   profile[0] = w_dev;
-  const std::vector<double> u = game.stage_utilities(profile);
+  const StageGame::StagePayoffs u = game.try_stage_utilities(profile);
+  throw_if_unusable(u, "deviation_stage_payoffs");
 
   DeviationStagePayoffs out;
-  out.deviator = u[0];
-  out.conformer = u[1];
+  out.deviator = u.utilities[0];
+  out.conformer = u.utilities[1];
   out.symmetric = game.homogeneous_stage_utility(w_base, n);
   return out;
 }
@@ -23,35 +63,21 @@ DeviationStagePayoffs deviation_stage_payoffs(const StageGame& game, int n,
 ShortSightedOutcome shortsighted_outcome(const StageGame& game, int n,
                                          int w_coop, int w_s, double delta_s,
                                          int reaction_stages) {
-  if (!(delta_s >= 0.0) || !(delta_s < 1.0)) {
-    throw std::invalid_argument("shortsighted_outcome: delta_s outside [0,1)");
-  }
-  if (reaction_stages < 1) {
-    throw std::invalid_argument("shortsighted_outcome: reaction_stages < 1");
-  }
+  check_shortsighted_args(delta_s, reaction_stages);
   const DeviationStagePayoffs dev =
       deviation_stage_payoffs(game, n, w_coop, w_s);
-  const double u_all_ws = game.homogeneous_stage_utility(w_s, n);
-  const double dm = std::pow(delta_s, reaction_stages);
-
-  ShortSightedOutcome out;
-  out.u_deviate = ((1.0 - dm) * dev.deviator + dm * u_all_ws) / (1.0 - delta_s);
-  out.u_conform = dev.symmetric / (1.0 - delta_s);
-  out.gain = out.u_deviate - out.u_conform;
-  out.profitable = out.gain > 0.0;
-  return out;
+  return outcome_of(dev.deviator, game.homogeneous_stage_utility(w_s, n),
+                    dev.symmetric, delta_s, reaction_stages);
 }
 
 BestDeviation best_shortsighted_deviation(const StageGame& game, int n,
                                           int w_coop, double delta_s,
                                           int reaction_stages) {
-  if (!(delta_s >= 0.0) || !(delta_s < 1.0)) {
-    throw std::invalid_argument("shortsighted_outcome: delta_s outside [0,1)");
-  }
-  if (reaction_stages < 1) {
-    throw std::invalid_argument("shortsighted_outcome: reaction_stages < 1");
-  }
+  check_shortsighted_args(delta_s, reaction_stages);
   if (n < 2) throw std::invalid_argument("deviation_stage_payoffs: n < 2");
+  if (w_coop < 1) {
+    throw std::invalid_argument("best_shortsighted_deviation: w_coop < 1");
+  }
 
   // The objective is not guaranteed unimodal across the whole range for
   // every δ_s, and w_coop is small enough that an exhaustive scan is
@@ -74,24 +100,14 @@ BestDeviation best_shortsighted_deviation(const StageGame& game, int n,
       game.try_stage_utilities_batch(profiles);
 
   const double symmetric = game.homogeneous_stage_utility(w_coop, n);
-  const double dm = std::pow(delta_s, reaction_stages);
   BestDeviation best;
   for (std::size_t idx = 0; idx < candidates.size(); ++idx) {
     const int w = candidates[idx];
-    // Unusable solves fall back to the sequential path, which (like
-    // stage_utilities) evaluates utilities from the sanitized state
-    // regardless of status — a cache hit after the batch.
-    const double deviator =
-        analytical::usable(payoffs[idx].diagnostics.status)
-            ? payoffs[idx].utilities[0]
-            : game.stage_utilities(profiles[idx])[0];
-    const double u_all_ws = game.homogeneous_stage_utility(w, n);
-
-    ShortSightedOutcome o;
-    o.u_deviate = ((1.0 - dm) * deviator + dm * u_all_ws) / (1.0 - delta_s);
-    o.u_conform = symmetric / (1.0 - delta_s);
-    o.gain = o.u_deviate - o.u_conform;
-    o.profitable = o.gain > 0.0;
+    throw_if_unusable(payoffs[idx], "best_shortsighted_deviation");
+    const ShortSightedOutcome o =
+        outcome_of(payoffs[idx].utilities[0],
+                   game.homogeneous_stage_utility(w, n), symmetric, delta_s,
+                   reaction_stages);
     if (idx == 0 || o.u_deviate > best.outcome.u_deviate) {
       best.outcome = o;
       best.w_s = w;

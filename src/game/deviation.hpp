@@ -17,7 +17,8 @@ struct DeviationStagePayoffs {
   double symmetric = 0.0;   ///< U^s when *everyone* plays w_base
 };
 
-/// Computes the Lemma 4 triple for an n-player game.
+/// Computes the Lemma 4 triple for an n-player game. Throws
+/// std::runtime_error when the deviation profile's solve fails (kFailed).
 DeviationStagePayoffs deviation_stage_payoffs(const StageGame& game, int n,
                                               int w_base, int w_dev);
 
@@ -40,7 +41,8 @@ ShortSightedOutcome shortsighted_outcome(const StageGame& game, int n,
                                          int reaction_stages);
 
 /// Best deviation window for a short-sighted player: maximizes u_deviate
-/// over w_s ∈ [1, w_coop].
+/// over w_s ∈ [1, w_coop]. Throws std::runtime_error when a candidate's
+/// solve fails.
 struct BestDeviation {
   int w_s = 0;
   ShortSightedOutcome outcome;

@@ -1,7 +1,5 @@
 #include "game/repeated_game.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace smac::game {
@@ -15,10 +13,6 @@ RepeatedGameEngine::RepeatedGameEngine(
   for (const auto& s : strategies_) {
     if (!s) throw std::invalid_argument("RepeatedGameEngine: null strategy");
   }
-}
-
-RepeatedGameResult RepeatedGameEngine::play(int stages) {
-  return play(stages, nullptr);
 }
 
 void RepeatedGameEngine::set_observation_filter(
@@ -99,49 +93,43 @@ RepeatedGameResult RepeatedGameEngine::play(int stages,
     // before end_stage below can open or close one.
     const bool punished_stage = enforcing && police->punishing();
 
-    if (!injector) {
-      record.utility = game_.stage_utilities(record.cw);
-    } else {
-      // Solve the stage over the online sub-network at the effective PER.
-      std::vector<int> sub;
-      std::vector<std::size_t> sub_index;
-      sub.reserve(n);
-      sub_index.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (player_online(record, i)) {
-          sub.push_back(record.cw[i]);
-          sub_index.push_back(i);
-        }
+    // Solve the stage over the online sub-network at the effective PER.
+    std::vector<int> sub;
+    std::vector<std::size_t> sub_index;
+    sub.reserve(n);
+    sub_index.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (player_online(record, i)) {
+        sub.push_back(record.cw[i]);
+        sub_index.push_back(i);
       }
-      record.utility.assign(n, 0.0);
-      if (!sub.empty()) {
-        const double per =
-            injector->effective_per(game_.params().packet_error_rate);
-        const StageGame::StagePayoffs payoffs =
-            game_.try_stage_utilities(sub, per);
-        const analytical::SolveDiagnostics& d = payoffs.diagnostics;
-        if (analytical::usable(d.status)) {
-          for (std::size_t s = 0; s < sub_index.size(); ++s) {
-            record.utility[sub_index[s]] = payoffs.utilities[s];
-          }
-          last_good = record.utility;
-          if (d.status == analytical::SolveStatus::kDegraded) {
-            ++result.degradation.degraded_stages;
-            result.degradation.incidents.push_back(
-                {k, d.status, d.residual, d.retries, false});
-          }
-        } else {
-          // Graceful degradation: keep the trajectory alive on the last
-          // payoffs that actually solved (zero before any did).
-          for (const std::size_t i : sub_index) {
-            record.utility[i] =
-                i < last_good.size() ? last_good[i] : 0.0;
-          }
-          ++result.degradation.failed_stages;
-          ++result.degradation.reused_stages;
-          result.degradation.incidents.push_back(
-              {k, d.status, d.residual, d.retries, true});
+    }
+    record.utility.assign(n, 0.0);
+    if (!sub.empty()) {
+      const double base_per = game_.params().packet_error_rate;
+      const StageGame::StagePayoffs payoffs = game_.try_stage_utilities(
+          sub, injector ? injector->effective_per(base_per) : base_per);
+      const analytical::SolveDiagnostics& d = payoffs.diagnostics;
+      if (analytical::usable(d.status)) {
+        for (std::size_t s = 0; s < sub_index.size(); ++s) {
+          record.utility[sub_index[s]] = payoffs.utilities[s];
         }
+        last_good = record.utility;
+        if (d.status == analytical::SolveStatus::kDegraded) {
+          ++result.degradation.degraded_stages;
+          result.degradation.incidents.push_back(
+              {k, d.status, d.residual, d.retries, false});
+        }
+      } else {
+        // Graceful degradation: keep the trajectory alive on the last
+        // payoffs that actually solved (zero before any did).
+        for (const std::size_t i : sub_index) {
+          record.utility[i] = i < last_good.size() ? last_good[i] : 0.0;
+        }
+        ++result.degradation.failed_stages;
+        ++result.degradation.reused_stages;
+        result.degradation.incidents.push_back(
+            {k, d.status, d.residual, d.retries, true});
       }
     }
 
@@ -205,30 +193,8 @@ RepeatedGameResult RepeatedGameEngine::play(int stages,
 
   if (enforcing) result.enforcement = police->report();
 
-  if (injector) {
-    result.degradation.stages = stages;
-    result.degradation.crash_events = injector->crash_events();
-    result.degradation.join_events = injector->join_events();
-    result.degradation.lost_observations = injector->lost_observations();
-    result.degradation.noisy_observations = injector->noisy_observations();
-    result.degradation.last_fault_stage = injector->last_fault_stage();
-  }
-
-  // Convergence facts.
-  const StageRecord& last = result.history.back();
-  const bool homogeneous =
-      std::all_of(last.cw.begin(), last.cw.end(),
-                  [&](int w) { return w == last.cw.front(); });
-  if (homogeneous) result.converged_cw = last.cw.front();
-
-  result.stable_from = stages;
-  for (int k = stages; k-- > 0;) {
-    if (result.history[static_cast<std::size_t>(k)].cw == last.cw) {
-      result.stable_from = k;
-    } else {
-      break;
-    }
-  }
+  result.degradation.record_run(stages, injector);
+  static_cast<Convergence&>(result) = convergence_of(result.history);
   return result;
 }
 

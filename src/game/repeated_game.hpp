@@ -20,16 +20,12 @@
 namespace smac::game {
 
 /// Outcome of a finite horizon of the repeated game.
-struct RepeatedGameResult {
+struct RepeatedGameResult : Convergence {
   History history;                         ///< one record per stage
   std::vector<double> discounted_utility;  ///< Σ_k δ^k·U_i^s(W^k)
   std::vector<double> total_utility;       ///< undiscounted sum
-  /// Common window if the final stage is homogeneous, else nullopt.
-  std::optional<int> converged_cw;
-  /// First stage index from which the profile never changes again;
-  /// equals the horizon when the profile kept moving.
-  int stable_from = 0;
-  /// What did not go cleanly (empty/clean for fault-free runs).
+  /// What did not go cleanly: unusable or degraded solves, and the
+  /// injector's faults when one drove the run.
   fault::DegradationReport degradation;
   /// What enforcement did (clean/default when no enforcement installed).
   EnforcementReport enforcement;
@@ -45,26 +41,25 @@ class RepeatedGameEngine {
   std::size_t player_count() const noexcept { return strategies_.size(); }
 
   /// Runs `stages` >= 1 stages from scratch and returns the trajectory.
-  RepeatedGameResult play(int stages);
-
-  /// Fault-aware horizon. `injector` (node_count == player_count, stage 0
-  /// not yet begun) drives crashes/joins, bursty PER, and observation
-  /// faults; pass nullptr for the fault-free behavior of play(stages).
+  /// `injector` (node_count == player_count, stage 0 not yet begun)
+  /// drives crashes/joins, bursty PER, and observation faults; without
+  /// one every player is online at the base PER.
   ///
-  /// Semantics under faults:
+  /// Semantics:
   ///  - A crashed player keeps its configured window but does not
   ///    transmit: its stage utility is 0 and its strategy is not asked to
   ///    decide until it rejoins. StageRecord::online carries the mask.
-  ///  - Stage payoffs solve over the *online* sub-profile with the
-  ///    injector's effective PER. A kDegraded solve is used as-is but
-  ///    recorded; a kFailed solve reuses each online player's payoff from
-  ///    the last stage that solved (0 before any did) — the engine never
-  ///    throws on solver trouble.
+  ///  - Stage payoffs solve over the *online* sub-profile at the
+  ///    effective PER. A kDegraded solve is used as-is but recorded; a
+  ///    kFailed solve reuses each online player's payoff from the last
+  ///    stage that solved (0 before any did) — the engine never throws on
+  ///    solver trouble.
   ///  - When observation faults are enabled, each player decides on its
   ///    own observed history: opponents' windows pass through
   ///    FaultInjector::observe_cw with the player's previous belief as the
   ///    loss fallback.
-  RepeatedGameResult play(int stages, fault::FaultInjector* injector);
+  RepeatedGameResult play(int stages,
+                          fault::FaultInjector* injector = nullptr);
 
   /// Installs an observation filter between the (possibly faulted)
   /// observed histories and the strategies: every player decides on a

@@ -43,14 +43,6 @@ StageGame::StagePayoffs StageGame::payoffs_of(
   return out;
 }
 
-std::vector<double> StageGame::stage_utilities(
-    const std::vector<int>& w) const {
-  std::vector<double> u = utility_rates(w);
-  const double t_us = stage_duration_us();
-  for (double& v : u) v *= t_us;
-  return u;
-}
-
 StageGame::StagePayoffs StageGame::try_stage_utilities(
     const std::vector<int>& w, std::optional<double> per_override) const {
   const double per = per_override.value_or(params_.packet_error_rate);

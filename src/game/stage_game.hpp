@@ -48,12 +48,10 @@ class StageGame {
   /// Per-node utility *rates* (gain per µs) for an arbitrary profile.
   std::vector<double> utility_rates(const std::vector<int>& w) const;
 
-  /// Per-node stage payoffs U_i^s = u_i·T for an arbitrary profile.
-  std::vector<double> stage_utilities(const std::vector<int>& w) const;
-
-  /// Non-throwing stage payoffs: per-node payoffs plus the solver
-  /// diagnostics. `per_override` replaces the configured packet error rate
-  /// (fault injection layers bursty loss on top of the base PER). Routed
+  /// Per-node stage payoffs U_i^s = u_i·T plus the solver diagnostics
+  /// (no utilities when the solve is unusable). `per_override` replaces
+  /// the configured packet error rate (fault injection layers bursty loss
+  /// on top of the base PER). Routed
   /// through a thread-safe memo keyed on (profile, max_stage, PER), so
   /// repeated games and tournaments that revisit the same profile —
   /// especially after a fault knocks the history back to a prior state —

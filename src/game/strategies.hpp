@@ -7,10 +7,12 @@
 // analyzed in §V.D/§V.E and baselines used in benches.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,6 +35,34 @@ bool player_online(const StageRecord& record, std::size_t i);
 
 /// Public history of the repeated game, oldest stage first.
 using History = std::vector<StageRecord>;
+
+/// Convergence facts of a finished horizon, shared by every stage loop's
+/// result (the engine, the slot-simulated runtime, the multihop loops).
+struct Convergence {
+  /// Common window if the final stage is homogeneous, else nullopt.
+  std::optional<int> converged_cw;
+  /// First stage index from which the profile never changes again;
+  /// equals the horizon when the profile kept moving.
+  int stable_from = 0;
+};
+
+/// Convergence of a non-empty stage list whose elements hold the played
+/// profile as `.cw` (a History, a multihop stage list).
+template <typename Stages>
+Convergence convergence_of(const Stages& stages) {
+  const std::vector<int>& last = stages.back().cw;
+  Convergence facts;
+  if (std::adjacent_find(last.begin(), last.end(), std::not_equal_to<>()) ==
+      last.end()) {
+    facts.converged_cw = last.front();
+  }
+  facts.stable_from = static_cast<int>(stages.size());
+  while (facts.stable_from > 0 &&
+         stages[static_cast<std::size_t>(facts.stable_from - 1)].cw == last) {
+    --facts.stable_from;
+  }
+  return facts;
+}
 
 /// Decision rule of one player.
 class Strategy {

@@ -75,14 +75,12 @@ MixOutcome Tournament::play_mix_impl(const Contender& a, const Contender& b,
   }
   RepeatedGameEngine engine(game_, std::move(players));
   if (enforcement_) engine.set_enforcement(enforcement_);
-  RepeatedGameResult result;
-  if (fault_plan_.empty()) {
-    result = engine.play(stages_);
-  } else {
-    fault::FaultInjector injector(fault_plan_, static_cast<std::size_t>(n_),
-                                  injector_seed);
-    result = engine.play(stages_, &injector);
+  std::optional<fault::FaultInjector> injector;
+  if (!fault_plan_.empty()) {
+    injector.emplace(fault_plan_, static_cast<std::size_t>(n_), injector_seed);
   }
+  const RepeatedGameResult result =
+      engine.play(stages_, injector ? &*injector : nullptr);
 
   MixOutcome outcome;
   outcome.count_a = count_a;

@@ -1,6 +1,7 @@
 #include "multihop/adaptive.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -11,129 +12,107 @@ namespace smac::multihop {
 
 namespace {
 
-// One mobility epoch: advance the waypoint model and refresh the
-// simulator's topology through a persistent SpatialIndex — full grid
-// build on the first epoch, incremental (re-bucket crossers, re-scan
-// movers) afterwards. Produces the same Topology as rebuilding from
-// scratch each stage; the `ctest -L topology` property tests pin that.
-void advance_and_refresh(MultihopSimulator& sim,
-                         RandomWaypointModel& mobility, double dt_s,
-                         std::optional<SpatialIndex>& index) {
-  mobility.advance(dt_s);
-  if (!index) {
-    index.emplace(mobility.positions(), sim.config().range_m);
-  } else {
-    index->update_positions(mobility.positions());
-  }
-  sim.update_topology(index->topology());
-}
-
-void validate_common(const MultihopSimulator& sim,
-                     const RandomWaypointModel* mobility,
-                     const MultihopTftConfig& config,
-                     const fault::FaultInjector* injector,
-                     const char* who) {
-  if (config.stages < 1) {
-    throw std::invalid_argument(std::string(who) + ": stages < 1");
-  }
-  if (config.slots_per_stage == 0) {
-    throw std::invalid_argument(std::string(who) +
-                                ": zero slots per stage");
-  }
-  if (config.mobility_dt_s < 0.0) {
-    throw std::invalid_argument(std::string(who) +
-                                ": negative mobility dt");
-  }
-  if (mobility && mobility->node_count() != sim.node_count()) {
-    throw std::invalid_argument(std::string(who) +
-                                ": mobility size mismatch");
-  }
-  if (injector && injector->node_count() != sim.node_count()) {
-    throw std::invalid_argument(std::string(who) +
-                                ": injector size mismatch");
-  }
-}
-
-void record_fault_counters(MultihopTftResult& result,
-                           const fault::FaultInjector* injector,
-                           int stages) {
-  if (!injector) return;
-  result.degradation.stages = stages;
-  result.degradation.crash_events = injector->crash_events();
-  result.degradation.join_events = injector->join_events();
-  result.degradation.lost_observations = injector->lost_observations();
-  result.degradation.noisy_observations = injector->noisy_observations();
-  result.degradation.last_fault_stage = injector->last_fault_stage();
-}
-
-void record_convergence_facts(MultihopTftResult& result) {
-  const std::vector<int>& last = result.stages.back().cw;
-  if (std::all_of(last.begin(), last.end(),
-                  [&](int w) { return w == last.front(); })) {
-    result.converged_cw = last.front();
-  }
-  result.stable_from = static_cast<int>(result.stages.size());
-  for (int k = static_cast<int>(result.stages.size()); k-- > 0;) {
-    if (result.stages[static_cast<std::size_t>(k)].cw == last) {
-      result.stable_from = k;
-    } else {
-      break;
+// The stage loop both protocols share: checks the common arguments, puts
+// the injector's online mask on the simulator at the start of a stage,
+// runs and records the stage window, lets mobility move the nodes
+// afterwards (the observation graph the next decisions read), and closes
+// the run with its fault and convergence facts. Only what nodes decide
+// between stages differs between the two protocols.
+class StageLoop {
+ public:
+  StageLoop(MultihopSimulator& sim, RandomWaypointModel* mobility,
+            const MultihopTftConfig& config, fault::FaultInjector* injector,
+            const char* who)
+      : sim_(sim), mobility_(mobility), config_(config), injector_(injector) {
+    const auto reject = [who](const char* what) {
+      throw std::invalid_argument(std::string(who) + ": " + what);
+    };
+    const double dt = config.mobility_dt_s;
+    if (config.stages < 1) reject("stages < 1");
+    if (config.slots_per_stage == 0) reject("zero slots per stage");
+    if (!(dt >= 0.0) || !std::isfinite(dt)) {
+      reject("mobility_dt_s not finite >= 0");
+    }
+    if (mobility && mobility->node_count() != sim.node_count()) {
+      reject("mobility size mismatch");
+    }
+    if (injector && injector->node_count() != sim.node_count()) {
+      reject("injector size mismatch");
     }
   }
-}
+
+  /// Enters stage k: crashed nodes stop transmitting.
+  void begin(int k) {
+    if (!injector_) return;
+    injector_->begin_stage(k);
+    for (std::size_t i = 0; i < sim_.node_count(); ++i) {
+      sim_.set_node_active(i, injector_->online(i));
+    }
+  }
+
+  /// Runs the stage window on `profile`, records it, then advances
+  /// mobility and refreshes the simulator's topology through a persistent
+  /// SpatialIndex — full grid build on the first epoch, incremental
+  /// (re-bucket crossers, re-scan movers) afterwards. That produces the
+  /// same Topology as rebuilding from scratch each stage; the
+  /// `ctest -L topology` property tests pin that.
+  void play(const std::vector<int>& profile, MultihopTftResult& result) {
+    const MultihopResult run = sim_.run_slots(config_.slots_per_stage);
+    MultihopStage stage;
+    stage.cw = profile;
+    stage.payoff.resize(profile.size());
+    for (std::size_t i = 0; i < profile.size(); ++i) {
+      stage.payoff[i] = run.node[i].payoff_rate;
+    }
+    stage.global_payoff = run.global_payoff_rate;
+    stage.topology_connected = sim_.topology().connected();
+    if (injector_) stage.online = injector_->online_mask();
+    result.stages.push_back(std::move(stage));
+
+    if (mobility_ && config_.mobility_dt_s > 0.0) {
+      mobility_->advance(config_.mobility_dt_s);
+      if (!index_) {
+        index_.emplace(mobility_->positions(), sim_.config().range_m);
+      } else {
+        index_->update_positions(mobility_->positions());
+      }
+      sim_.update_topology(index_->topology());
+    }
+  }
+
+  void finish(MultihopTftResult& result) const {
+    result.degradation.record_run(config_.stages, injector_);
+    static_cast<game::Convergence&>(result) =
+        game::convergence_of(result.stages);
+  }
+
+ private:
+  MultihopSimulator& sim_;
+  RandomWaypointModel* mobility_;
+  const MultihopTftConfig& config_;
+  fault::FaultInjector* injector_;
+  std::optional<SpatialIndex> index_;
+};
 
 }  // namespace
 
 MultihopTftResult play_multihop_tft(MultihopSimulator& sim,
                                     RandomWaypointModel* mobility,
-                                    const MultihopTftConfig& config) {
-  return play_multihop_tft(sim, mobility, config, nullptr);
-}
-
-MultihopTftResult play_multihop_tft(MultihopSimulator& sim,
-                                    RandomWaypointModel* mobility,
                                     const MultihopTftConfig& config,
                                     fault::FaultInjector* injector) {
-  validate_common(sim, mobility, config, injector, "play_multihop_tft");
+  StageLoop loop(sim, mobility, config, injector, "play_multihop_tft");
   const std::size_t n = sim.node_count();
 
   MultihopTftResult result;
-  std::optional<SpatialIndex> topology_index;
   std::vector<int> profile(n);
   for (std::size_t i = 0; i < n; ++i) profile[i] = sim.cw(i);
   // observed[i][j]: node i's current belief of node j's window (loss
   // fallback for the observation fault model).
-  std::vector<std::vector<int>> observed(
-      injector ? n : 0, std::vector<int>(injector ? n : 0, 0));
-  if (injector) {
-    for (std::size_t i = 0; i < n; ++i) observed[i] = profile;
-  }
+  std::vector<std::vector<int>> observed(injector ? n : 0, profile);
 
   for (int k = 0; k < config.stages; ++k) {
-    if (injector) {
-      injector->begin_stage(k);
-      for (std::size_t i = 0; i < n; ++i) {
-        sim.set_node_active(i, injector->online(i));
-      }
-    }
-    // Run the stage with the current profile.
-    const MultihopResult run = sim.run_slots(config.slots_per_stage);
-    MultihopStage stage;
-    stage.cw = profile;
-    stage.payoff.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      stage.payoff[i] = run.node[i].payoff_rate;
-    }
-    stage.global_payoff = run.global_payoff_rate;
-    stage.topology_connected = sim.topology().connected();
-    if (injector) stage.online = injector->online_mask();
-    result.stages.push_back(std::move(stage));
-
-    // Mobility epoch: nodes move, the observation graph changes.
-    if (mobility && config.mobility_dt_s > 0.0) {
-      advance_and_refresh(sim, *mobility, config.mobility_dt_s,
-                          topology_index);
-    }
+    loop.begin(k);
+    loop.play(profile, result);
 
     // Graph-local TFT on the (possibly new) topology: match the smallest
     // window in the closed neighborhood. Under faults, only online
@@ -166,8 +145,7 @@ MultihopTftResult play_multihop_tft(MultihopSimulator& sim,
     profile = std::move(next);
   }
 
-  record_fault_counters(result, injector, config.stages);
-  record_convergence_facts(result);
+  loop.finish(result);
   return result;
 }
 
@@ -194,8 +172,7 @@ MultihopTftResult play_multihop_enforced(
     const MultihopTftConfig& config,
     const MultihopEnforcementConfig& enforcement,
     fault::FaultInjector* injector) {
-  validate_common(sim, mobility, config, injector,
-                  "play_multihop_enforced");
+  StageLoop loop(sim, mobility, config, injector, "play_multihop_enforced");
   enforcement.validate();
   const std::size_t n = sim.node_count();
   if (!enforcement.compliant.empty() && enforcement.compliant.size() != n) {
@@ -207,12 +184,10 @@ MultihopTftResult play_multihop_enforced(
   };
 
   MultihopTftResult result;
-  std::optional<SpatialIndex> topology_index;
   std::vector<int> profile(n);
   std::vector<int> seed(n);  ///< entry windows — the local agreements
   for (std::size_t i = 0; i < n; ++i) profile[i] = seed[i] = sim.cw(i);
-  std::vector<std::vector<int>> observed(n);
-  for (std::size_t i = 0; i < n; ++i) observed[i] = profile;
+  std::vector<std::vector<int>> observed(n, profile);
 
   // One detector per compliant node, calibrated against its own entry
   // window with its closed neighborhood as the model size. Nodes whose
@@ -241,12 +216,7 @@ MultihopTftResult play_multihop_enforced(
   std::optional<Episode> episode;
 
   for (int k = 0; k < config.stages; ++k) {
-    if (injector) {
-      injector->begin_stage(k);
-      for (std::size_t i = 0; i < n; ++i) {
-        sim.set_node_active(i, injector->online(i));
-      }
-    }
+    loop.begin(k);
     const bool punished_stage = episode.has_value();
 
     // Enforcement owns the compliant windows: entry window, or the
@@ -264,22 +234,7 @@ MultihopTftResult play_multihop_enforced(
       }
     }
 
-    const MultihopResult run = sim.run_slots(config.slots_per_stage);
-    MultihopStage stage;
-    stage.cw = profile;
-    stage.payoff.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      stage.payoff[i] = run.node[i].payoff_rate;
-    }
-    stage.global_payoff = run.global_payoff_rate;
-    stage.topology_connected = sim.topology().connected();
-    if (injector) stage.online = injector->online_mask();
-    result.stages.push_back(std::move(stage));
-
-    if (mobility && config.mobility_dt_s > 0.0) {
-      advance_and_refresh(sim, *mobility, config.mobility_dt_s,
-                          topology_index);
-    }
+    loop.play(profile, result);
 
     if (punished_stage) {
       ++result.punished_stages;
@@ -346,8 +301,7 @@ MultihopTftResult play_multihop_enforced(
   for (std::size_t i = 0; i < n; ++i) {
     if (detectors[i]) result.flags_raised += detectors[i]->flags_raised();
   }
-  record_fault_counters(result, injector, config.stages);
-  record_convergence_facts(result);
+  loop.finish(result);
   return result;
 }
 

@@ -19,11 +19,11 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "fault/degradation.hpp"
 #include "fault/fault_injector.hpp"
+#include "game/strategies.hpp"
 #include "multihop/mobility.hpp"
 #include "multihop/multihop_simulator.hpp"
 #include "sim/online_detector.hpp"
@@ -39,12 +39,8 @@ struct MultihopStage {
   std::vector<std::uint8_t> online;
 };
 
-struct MultihopTftResult {
+struct MultihopTftResult : game::Convergence {
   std::vector<MultihopStage> stages;
-  /// Common window if the final profile is uniform.
-  std::optional<int> converged_cw;
-  /// First stage whose profile equals the final one.
-  int stable_from = 0;
   /// Fault accounting (clean for fault-free runs).
   fault::DegradationReport degradation;
   /// Enforcement accounting (play_multihop_enforced only; 0 otherwise).
@@ -56,7 +52,8 @@ struct MultihopTftResult {
 
 struct MultihopTftConfig {
   std::uint64_t slots_per_stage = 40000;
-  /// Seconds of mobility between stages (0 = static topology).
+  /// Seconds of mobility between stages (finite, >= 0; 0 = static
+  /// topology).
   double mobility_dt_s = 0.0;
   int stages = 10;
 };
@@ -64,20 +61,16 @@ struct MultihopTftConfig {
 /// Plays graph-local TFT on `sim`, starting from its current profile.
 /// When `mobility` is non-null it advances between stages and the
 /// simulator's topology is rebuilt from the new positions.
-MultihopTftResult play_multihop_tft(MultihopSimulator& sim,
-                                    RandomWaypointModel* mobility,
-                                    const MultihopTftConfig& config);
-
-/// Fault-aware variant. `injector` (node_count matching, stage 0 not yet
-/// begun) drives crashes/joins and observation faults; nullptr reproduces
-/// the fault-free overload exactly. A crashed node is deactivated in the
-/// simulator, keeps its window, and is skipped by its neighbors' TFT
+///
+/// `injector` (node_count matching, stage 0 not yet begun) drives
+/// crashes/joins and observation faults. A crashed node is deactivated in
+/// the simulator, keeps its window, and is skipped by its neighbors' TFT
 /// matching; each node's view of a neighbor's window passes through
 /// FaultInjector::observe_cw with its previous belief as loss fallback.
 MultihopTftResult play_multihop_tft(MultihopSimulator& sim,
                                     RandomWaypointModel* mobility,
                                     const MultihopTftConfig& config,
-                                    fault::FaultInjector* injector);
+                                    fault::FaultInjector* injector = nullptr);
 
 /// The distributed enforcement protocol for local games (the flooding
 /// counterpart of game::ReactionPolicy's coordinator model).

@@ -29,7 +29,7 @@
 // run's (a rule with no CI target is a fixed-N run of rule.max_reps).
 // Reduction is streaming: rows fold into util::RunningStats as each batch
 // completes (O(batch) memory), with the same flop sequence as buffering
-// all rows and calling util::summarize_replications. There is one failure
+// all rows and reducing them in index order. There is one failure
 // path: a batch always drains, then its lowest failing index is rethrown.
 //
 // SplitMix64 (rather than Rng::jump()) derives the streams because it is
@@ -191,7 +191,7 @@ ResolvedStoppingRule resolve_stopping_rule(
 /// rule's CI target is met (never before min_reps) or rule.max_reps is
 /// exhausted. The stop point, the report and every aggregate are
 /// bit-identical at any jobs value, and bit-identical to buffering every
-/// row and calling util::summarize_replications. If any replication of a
+/// row and reducing them in index order. If any replication of a
 /// batch throws, the batch still drains, then the exception of its lowest
 /// failing index is rethrown.
 template <class Fn>

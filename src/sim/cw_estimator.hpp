@@ -18,9 +18,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <optional>
+#include <string>
 #include <vector>
 
 #include "game/strategies.hpp"
@@ -93,10 +92,10 @@ class EstimatingGtft final : public game::Strategy {
 
 /// Evidence-gated GTFT: punishes only nodes the misbehavior detector has
 /// flagged (statistically significant excess attempt rate against the
-/// node's own current window as the agreement), rather than reacting to
-/// raw window estimates. This closes the loop between the paper's TFT
-/// convention and ref [3]'s detection machinery: noise cannot trigger
-/// retaliation, only evidence can.
+/// modal window of the last stage as the agreement — AdaptiveRuntime's
+/// flag feed), rather than reacting to raw window estimates. This closes
+/// the loop between the paper's TFT convention and ref [3]'s detection
+/// machinery: noise cannot trigger retaliation, only evidence can.
 class DetectorGtft final : public game::Strategy {
  public:
   using EstimateFeed = std::shared_ptr<const std::vector<double>>;
@@ -111,51 +110,6 @@ class DetectorGtft final : public game::Strategy {
   int initial_w_;
   EstimateFeed estimates_;
   FlagFeed flags_;
-};
-
-/// Runs a stage-driven repeated game where strategies see only *estimated*
-/// windows (the feed is refreshed from each stage's observable counters).
-/// Mirrors AdaptiveRuntime but wires the estimation loop.
-struct EstimationRuntimeResult {
-  game::History history;
-  std::vector<std::vector<double>> estimates_per_stage;  ///< [stage][node]
-  std::vector<std::vector<bool>> flags_per_stage;        ///< [stage][node]
-  std::optional<int> converged_cw;
-};
-
-class EstimatingRuntime {
- public:
-  /// `make_strategy(i, estimates, flags)` builds node i's strategy around
-  /// the runtime's shared estimate and misbehavior-flag feeds (both are
-  /// refreshed every stage before strategies decide).
-  using StrategyFactory = std::function<std::unique_ptr<game::Strategy>(
-      std::size_t, std::shared_ptr<const std::vector<double>>,
-      std::shared_ptr<const std::vector<bool>>)>;
-
-  EstimatingRuntime(SimConfig config, std::size_t n,
-                    const StrategyFactory& make_strategy,
-                    double stage_duration_us);
-
-  /// Per-node misbehavior flags, refreshed every stage: node j is flagged
-  /// when its measured attempt rate significantly exceeds compliance with
-  /// the *modal* window of the last played profile (the de-facto
-  /// agreement). Strategies may capture this feed (DetectorGtft does).
-  std::shared_ptr<const std::vector<bool>> flag_feed() const {
-    return flags_;
-  }
-  std::shared_ptr<const std::vector<double>> estimate_feed() const {
-    return feed_;
-  }
-
-  EstimationRuntimeResult play(int stages);
-
- private:
-  std::shared_ptr<std::vector<double>> feed_;
-  std::shared_ptr<std::vector<bool>> flags_;
-  std::vector<std::unique_ptr<game::Strategy>> strategies_;
-  Simulator simulator_;
-  double stage_duration_us_;
-  int max_stage_;
 };
 
 }  // namespace smac::sim

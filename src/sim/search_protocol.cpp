@@ -36,14 +36,18 @@ SearchResult run_search(Simulator& sim, std::size_t leader,
   if (config.patience < 1) {
     throw std::invalid_argument("run_search: patience < 1");
   }
-  if (!(config.measure_us > 0.0)) {
-    throw std::invalid_argument("run_search: measure_us must be > 0");
+  // Durations must be finite: run_for never reaches an infinite one.
+  if (!(config.measure_us > 0.0) || !std::isfinite(config.measure_us)) {
+    throw std::invalid_argument("run_search: measure_us must be finite > 0");
+  }
+  if (!(config.settle_us >= 0.0) || !std::isfinite(config.settle_us)) {
+    throw std::invalid_argument("run_search: settle_us must be finite >= 0");
   }
   if (leader >= sim.node_count()) {
     throw std::invalid_argument("run_search: leader out of range");
   }
-  if (config.improvement_epsilon < 0.0) {
-    throw std::invalid_argument("run_search: improvement_epsilon < 0");
+  if (!(config.improvement_epsilon >= 0.0)) {
+    throw std::invalid_argument("run_search: improvement_epsilon not >= 0");
   }
   const int w_max = sim.config().params.w_max;
 

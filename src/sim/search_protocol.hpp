@@ -26,7 +26,7 @@ namespace smac::sim {
 
 struct SearchConfig {
   int w_start = 16;          ///< W0 in the Start-Search message
-  double settle_us = 2e5;    ///< t: wait after each Ready before measuring
+  double settle_us = 2e5;    ///< t: wait after each Ready (0 = none)
   double measure_us = 5e6;   ///< t_m: payoff measurement window
   int step = 1;              ///< window increment per move (paper: 1)
   /// Consecutive non-improving measurements tolerated before declaring the

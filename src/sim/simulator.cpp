@@ -251,8 +251,9 @@ SimResult finalize(const std::vector<DcfNode>& nodes,
 }  // namespace
 
 SimResult Simulator::run_for(double duration_us) {
-  if (!(duration_us > 0.0)) {
-    throw std::invalid_argument("Simulator::run_for: duration must be > 0");
+  if (!(duration_us > 0.0) || !std::isfinite(duration_us)) {
+    throw std::invalid_argument(
+        "Simulator::run_for: duration must be finite and > 0");
   }
   for (auto& node : nodes_) node.reset_counters();
   std::fill(backlog_time_integral_.begin(), backlog_time_integral_.end(), 0.0);

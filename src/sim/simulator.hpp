@@ -102,8 +102,9 @@ class Simulator {
   /// Reconfigures from a full profile.
   void set_profile(const std::vector<int>& cw_profile);
 
-  /// Runs until at least `duration_us` of channel time has elapsed
-  /// (finishing the slot in progress) and returns this window's stats.
+  /// Runs until at least `duration_us` (finite, > 0) of channel time has
+  /// elapsed (finishing the slot in progress) and returns this window's
+  /// stats.
   SimResult run_for(double duration_us);
 
   /// Runs exactly `n` channel slots.

@@ -12,7 +12,6 @@
 
 // util — numerics, RNG, statistics, I/O helpers
 #include "util/csv.hpp"
-#include "util/fixed_point.hpp"
 #include "util/optimize.hpp"
 #include "util/rng.hpp"
 #include "util/root_finding.hpp"

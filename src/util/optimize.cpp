@@ -75,63 +75,4 @@ IntMaximizeResult ternary_int_max(const std::function<double(std::int64_t)>& f,
   return res;
 }
 
-IntMaximizeResult exhaustive_int_max(
-    const std::function<double(std::int64_t)>& f, std::int64_t lo,
-    std::int64_t hi) {
-  if (lo > hi) throw std::invalid_argument("exhaustive_int_max: lo > hi");
-  IntMaximizeResult res;
-  res.x = lo;
-  res.fx = f(lo);
-  ++res.evaluations;
-  for (std::int64_t x = lo + 1; x <= hi; ++x) {
-    const double fx = f(x);
-    ++res.evaluations;
-    if (fx > res.fx) {
-      res.fx = fx;
-      res.x = x;
-    }
-  }
-  return res;
-}
-
-IntMaximizeResult hill_climb_int_max(
-    const std::function<double(std::int64_t)>& f, std::int64_t start,
-    std::int64_t lo, std::int64_t hi) {
-  if (lo > hi || start < lo || start > hi) {
-    throw std::invalid_argument("hill_climb_int_max: bad range/start");
-  }
-  IntMaximizeResult res;
-  std::int64_t x = start;
-  double fx = f(x);
-  ++res.evaluations;
-
-  // Right-search: climb while strictly improving.
-  while (x < hi) {
-    const double fnext = f(x + 1);
-    ++res.evaluations;
-    if (fnext > fx) {
-      ++x;
-      fx = fnext;
-    } else {
-      break;
-    }
-  }
-  // Left-search only if right-search never moved (paper's §V.C structure).
-  if (x == start) {
-    while (x > lo) {
-      const double fprev = f(x - 1);
-      ++res.evaluations;
-      if (fprev > fx) {
-        --x;
-        fx = fprev;
-      } else {
-        break;
-      }
-    }
-  }
-  res.x = x;
-  res.fx = fx;
-  return res;
-}
-
 }  // namespace smac::util

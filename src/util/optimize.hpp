@@ -2,7 +2,7 @@
 //
 // The stage utility u(W) of the homogeneous MAC game is unimodal in the
 // common contention window (Lemma 2/3 of the paper), so golden-section
-// search over the continuous relaxation and integer hill climbing over the
+// search over the continuous relaxation and ternary search over the
 // discrete strategy set both locate the efficient NE W_c*.
 #pragma once
 
@@ -35,18 +35,5 @@ MaximizeResult golden_section_max(const std::function<double(double)>& f,
 IntMaximizeResult ternary_int_max(
     const std::function<double(std::int64_t)>& f, std::int64_t lo,
     std::int64_t hi);
-
-/// Exhaustive integer argmax over {lo, …, hi}; O(hi-lo) evaluations, no
-/// unimodality assumption. Use for validation and small ranges.
-IntMaximizeResult exhaustive_int_max(
-    const std::function<double(std::int64_t)>& f, std::int64_t lo,
-    std::int64_t hi);
-
-/// Hill climb from a starting point on the integer grid: steps by ±1 while
-/// the objective improves. For unimodal f this finds the global argmax.
-/// Mirrors the paper's Right-Search/Left-Search protocol (§V.C).
-IntMaximizeResult hill_climb_int_max(
-    const std::function<double(std::int64_t)>& f, std::int64_t start,
-    std::int64_t lo, std::int64_t hi);
 
 }  // namespace smac::util

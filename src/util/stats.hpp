@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
@@ -39,42 +38,10 @@ class RunningStats {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/// Fixed-bin histogram over [lo, hi); samples outside are clamped into the
-/// first/last bin and counted as underflow/overflow.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-
-  std::size_t bins() const noexcept { return counts_.size(); }
-  std::uint64_t bin_count(std::size_t i) const { return counts_.at(i); }
-  double bin_lower(std::size_t i) const noexcept;
-  std::uint64_t total() const noexcept { return total_; }
-  std::uint64_t underflow() const noexcept { return underflow_; }
-  std::uint64_t overflow() const noexcept { return overflow_; }
-
-  /// Value below which `q` (in [0,1]) of the mass lies, interpolated within
-  /// the containing bin. Returns lo for an empty histogram.
-  double quantile(double q) const noexcept;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
-};
-
 /// Quantile (inverse CDF) of the standard normal distribution, via
 /// Acklam's rational approximation (|error| < 1.15e-9). p must lie in
 /// (0, 1); throws std::invalid_argument otherwise.
 double normal_quantile(double p);
-
-/// Standard normal CDF Φ(z) (via erfc).
-double normal_cdf(double z) noexcept;
 
 /// Jain's fairness index of a set of non-negative allocations:
 /// (sum x)^2 / (n * sum x^2). 1 = perfectly fair, 1/n = maximally unfair.
@@ -94,22 +61,12 @@ struct MetricSummary {
   double max = 0.0;
 };
 
-/// Column-wise aggregation of replication rows: rows[r][m] is metric m of
-/// replication r, named names[m]. Rows are consumed in index order, so for
-/// a fixed set of rows the output is bit-identical regardless of how the
-/// rows were produced (this is the aggregation half of the parallel
-/// determinism contract — see src/parallel/replication.hpp). Throws
-/// std::invalid_argument when a row's width differs from names.size().
-std::vector<MetricSummary> summarize_replications(
-    const std::vector<std::string>& names,
-    const std::vector<std::vector<double>>& rows);
-
-/// Snapshot of per-metric accumulators into MetricSummary records. The
-/// streaming counterpart of summarize_replications: a caller that feeds
-/// rows into per-metric RunningStats in index order (RunningStats::add per
-/// element) produces bit-identical summaries to buffering the rows and
-/// calling summarize_replications, because both execute the same sequence
-/// of floating-point operations. Throws std::invalid_argument when
+/// Snapshot of per-metric accumulators into MetricSummary records. A
+/// caller that feeds replication rows into per-metric RunningStats in
+/// index order (RunningStats::add per element) gets summaries that are a
+/// pure function of the rows, so the parallel replication engine's
+/// aggregates are bit-identical at any job count (see
+/// src/parallel/replication.hpp). Throws std::invalid_argument when
 /// acc.size() != names.size().
 std::vector<MetricSummary> summaries_from_stats(
     const std::vector<std::string>& names,

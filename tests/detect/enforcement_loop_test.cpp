@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -293,6 +294,15 @@ TEST(MultihopEnforcementTest, ValidatesConfig) {
   ec.compliant = {1, 1};  // wrong size
   EXPECT_THROW(play_multihop_enforced(sim, nullptr, tc, ec),
                std::invalid_argument);
+  ec = {};
+  for (const double dt : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity()}) {
+    multihop::MultihopTftConfig bad = tc;
+    bad.mobility_dt_s = dt;
+    EXPECT_THROW(play_multihop_enforced(sim, nullptr, bad, ec),
+                 std::invalid_argument)
+        << dt;
+  }
 }
 
 TEST(MultihopEnforcementTest, ContainsADeviantWithoutContagion) {

@@ -47,16 +47,25 @@ fault::FaultPlan stress_plan() {
 }
 
 TEST(FaultRepeatedGame, NullInjectorMatchesFaultFreePlay) {
+  // play(6) and play(6, nullptr) are one call; an injector whose plan
+  // fires nothing must price every stage to the same bits (all players
+  // online at the base PER).
   game::RepeatedGameEngine a(test_game(), game::make_tft_population(4, 32));
   game::RepeatedGameEngine b(test_game(), game::make_tft_population(4, 32));
+  game::RepeatedGameEngine c(test_game(), game::make_tft_population(4, 32));
+  fault::FaultInjector quiet(fault::FaultPlan{}, 4, 5);
   const auto plain = a.play(6);
   const auto with_null = b.play(6, nullptr);
-  ASSERT_EQ(plain.history.size(), with_null.history.size());
-  for (std::size_t k = 0; k < plain.history.size(); ++k) {
-    EXPECT_EQ(plain.history[k].cw, with_null.history[k].cw);
-    EXPECT_EQ(plain.history[k].utility, with_null.history[k].utility);
+  const auto with_quiet = c.play(6, &quiet);
+  for (const auto* other : {&with_null, &with_quiet}) {
+    ASSERT_EQ(plain.history.size(), other->history.size());
+    for (std::size_t k = 0; k < plain.history.size(); ++k) {
+      EXPECT_EQ(plain.history[k].cw, other->history[k].cw);
+      EXPECT_EQ(plain.history[k].utility, other->history[k].utility);
+    }
+    EXPECT_EQ(plain.discounted_utility, other->discounted_utility);
+    EXPECT_TRUE(other->degradation.clean());
   }
-  EXPECT_TRUE(with_null.degradation.clean());
 }
 
 TEST(FaultRepeatedGame, RejectsMismatchedInjector) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "game/equilibrium.hpp"
 
 namespace smac::game {
@@ -14,6 +16,17 @@ TEST(DeviationPayoffsTest, RejectsSinglePlayer) {
   const StageGame game(kParams, kBasic);
   EXPECT_THROW(deviation_stage_payoffs(game, 1, 64, 32),
                std::invalid_argument);
+}
+
+TEST(DeviationPayoffsTest, FailedSolveThrows) {
+  // One iteration cannot converge a one-deviant profile; the payoffs of
+  // a kFailed state are not returned.
+  analytical::SolverService::Options options;
+  options.solver.max_iterations = 1;
+  const StageGame game(kParams, kBasic, options);
+  EXPECT_THROW(deviation_stage_payoffs(game, 5, 76, 20), std::runtime_error);
+  EXPECT_THROW(best_shortsighted_deviation(game, 5, 76, 0.05, 1),
+               std::runtime_error);
 }
 
 TEST(DeviationPayoffsTest, Lemma4UpwardDeviation) {
@@ -68,6 +81,12 @@ TEST(ShortSightedTest, ValidatesArguments) {
                std::invalid_argument);
   EXPECT_THROW(shortsighted_outcome(game, 5, 76, 20, 0.5, 0),
                std::invalid_argument);
+  // A window below 1 is bad input, not an allocation failure.
+  for (const int w_coop : {0, -1}) {
+    EXPECT_THROW(best_shortsighted_deviation(game, 5, w_coop, 0.5, 1),
+                 std::invalid_argument)
+        << w_coop;
+  }
 }
 
 TEST(ShortSightedTest, ExtremelyShortSightedProfits) {

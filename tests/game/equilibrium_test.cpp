@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "game/deviation.hpp"
-#include "util/optimize.hpp"
+#include "support/exhaustive_int_max.hpp"
 
 namespace smac::game {
 namespace {

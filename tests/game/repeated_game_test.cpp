@@ -19,6 +19,43 @@ TEST(RepeatedGameTest, ValidatesConstruction) {
                std::invalid_argument);
 }
 
+// A solver allowed one iteration cannot converge a heterogeneous profile:
+// every solve reads kFailed ("do not trust this state").
+StageGame starved_game() {
+  analytical::SolverService::Options options;
+  options.solver.max_iterations = 1;
+  return StageGame(kParams, kBasic, options);
+}
+
+TEST(RepeatedGameTest, FaultFreeFailedSolvesAreCountedAndReused) {
+  // Fault-free play prices every stage on the checked path: a failed
+  // solve is accounted and its payoffs reused (zero before any stage
+  // solved), never priced from the failed state.
+  const StageGame game = starved_game();
+  std::vector<std::unique_ptr<Strategy>> players;
+  for (const int w : {16, 64, 256, 1024}) {
+    players.push_back(std::make_unique<ConstantStrategy>(w));
+  }
+  RepeatedGameEngine engine(game, std::move(players));
+  const RepeatedGameResult result = engine.play(5);
+  const fault::DegradationReport& d = result.degradation;
+  EXPECT_EQ(d.stages, 5);
+  EXPECT_EQ(d.failed_stages, 5);
+  EXPECT_EQ(d.reused_stages, 5);
+  ASSERT_EQ(d.incidents.size(), 5u);
+  for (const fault::StageIncident& incident : d.incidents) {
+    EXPECT_EQ(incident.status, analytical::SolveStatus::kFailed);
+    EXPECT_TRUE(incident.reused_last_converged);
+  }
+  for (const StageRecord& record : result.history) {
+    for (const double u : record.utility) {
+      EXPECT_TRUE(std::isfinite(u));
+      EXPECT_EQ(u, 0.0);
+    }
+  }
+  for (const double u : result.discounted_utility) EXPECT_EQ(u, 0.0);
+}
+
 TEST(RepeatedGameTest, RejectsZeroStages) {
   const StageGame game(kParams, kBasic);
   RepeatedGameEngine engine(game, make_tft_population(2, 64));

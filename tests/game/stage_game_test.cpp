@@ -25,7 +25,7 @@ TEST(StageGameTest, StageUtilityIsRateTimesDuration) {
   const StageGame game(kParams, kBasic);
   const std::vector<int> profile{32, 64, 128};
   const auto rates = game.utility_rates(profile);
-  const auto stage = game.stage_utilities(profile);
+  const auto stage = game.try_stage_utilities(profile).utilities;
   ASSERT_EQ(rates.size(), stage.size());
   for (std::size_t i = 0; i < rates.size(); ++i) {
     EXPECT_NEAR(stage[i], rates[i] * 10.0 * 1e6, std::abs(rates[i]));
@@ -67,7 +67,7 @@ TEST(StageGameTest, Lemma1StageOrdering) {
   // Within any profile, a strictly larger window earns strictly less.
   const StageGame game(kParams, kBasic);
   const std::vector<int> profile{20, 40, 80, 160, 320};
-  const auto u = game.stage_utilities(profile);
+  const auto u = game.try_stage_utilities(profile).utilities;
   for (std::size_t i = 1; i < u.size(); ++i) {
     EXPECT_GT(u[i - 1], u[i]);
   }

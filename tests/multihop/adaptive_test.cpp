@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "game/stage_game.hpp"
 #include "multihop/local_game.hpp"
 
@@ -34,9 +36,15 @@ TEST(MultihopTftTest, ValidatesConfig) {
   bad = fast(2);
   bad.slots_per_stage = 0;
   EXPECT_THROW(play_multihop_tft(sim, nullptr, bad), std::invalid_argument);
-  bad = fast(2);
-  bad.mobility_dt_s = -1.0;
-  EXPECT_THROW(play_multihop_tft(sim, nullptr, bad), std::invalid_argument);
+  // A negative or non-finite mobility step is rejected before stage 0
+  // runs: NaN would skip mobility silently, +inf throw after a stage.
+  for (const double dt : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity()}) {
+    bad = fast(2);
+    bad.mobility_dt_s = dt;
+    EXPECT_THROW(play_multihop_tft(sim, nullptr, bad), std::invalid_argument)
+        << dt;
+  }
 }
 
 TEST(MultihopTftTest, RejectsMismatchedMobility) {

@@ -7,7 +7,7 @@
 //     run of the same base seed (prefix property);
 //   * streaming reduction buffers at most one batch of rows while
 //     producing aggregates bit-identical to buffering every row and
-//     calling util::summarize_replications;
+//     reducing them afterwards (summarize_rows below);
 //   * stop reasons, min_reps, batch boundaries, fail-fast failures, and
 //     rule validation behave as documented.
 #include "parallel/replication.hpp"
@@ -35,6 +35,18 @@ std::vector<double> noisy_row(std::uint64_t seed, std::size_t /*index*/) {
 }
 
 const std::vector<std::string> kNames{"noisy", "constant"};
+
+// The buffered reference reduction: every row held, then folded column by
+// column in index order.
+std::vector<util::MetricSummary> summarize_rows(
+    const std::vector<std::string>& names,
+    const std::vector<std::vector<double>>& rows) {
+  std::vector<util::RunningStats> acc(names.size());
+  for (const auto& row : rows) {
+    for (std::size_t m = 0; m < row.size(); ++m) acc[m].add(row[m]);
+  }
+  return util::summaries_from_stats(names, acc);
+}
 
 // A rule with no CI target: a fixed-N streaming run of n replications.
 StoppingRule fixed_n(std::size_t n) {
@@ -70,7 +82,7 @@ TEST(SequentialStoppingTest, StreamingTenThousandMatchesBufferedBitwise) {
   for (std::size_t i = 0; i < n; ++i) {
     rows.push_back(noisy_row(stream_seed(42, i), i));
   }
-  const auto buffered = util::summarize_replications(kNames, rows);
+  const auto buffered = summarize_rows(kNames, rows);
 
   expect_bit_identical(streamed.metrics, buffered);
   EXPECT_EQ(streamed.stopping.replications, n);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "game/repeated_game.hpp"
 
 namespace smac::sim {
@@ -24,9 +26,14 @@ TEST(AdaptiveRuntimeTest, ValidatesConstruction) {
   with_null.push_back(nullptr);
   EXPECT_THROW(AdaptiveRuntime(make_config(), std::move(with_null), kStageUs),
                std::invalid_argument);
-  EXPECT_THROW(
-      AdaptiveRuntime(make_config(), game::make_tft_population(2, 64), -1.0),
-      std::invalid_argument);
+  // Stage durations must be finite and > 0: an infinite stage never ends.
+  for (const double bad : {-1.0, 0.0, std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(
+        AdaptiveRuntime(make_config(), game::make_tft_population(2, 64), bad),
+        std::invalid_argument)
+        << bad;
+  }
 }
 
 TEST(AdaptiveRuntimeTest, RejectsZeroStages) {

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "analytical/backoff_chain.hpp"
+#include "sim/adaptive_runtime.hpp"
 
 namespace smac::sim {
 namespace {
@@ -90,28 +92,35 @@ TEST(EstimatingStrategiesTest, ValidateConstruction) {
   EXPECT_THROW(EstimatingGtft(16, 0.9, 2, nullptr), std::invalid_argument);
 }
 
-TEST(EstimatingRuntimeTest, ValidatesConstruction) {
-  EXPECT_THROW(EstimatingRuntime(make_config(), 0,
-                                 [](std::size_t, auto feed, auto) {
-                                   return std::make_unique<
-                                       EstimatingTitForTat>(16, feed);
-                                 },
-                                 1e5),
+TEST(EstimateFeedTest, ValidatesConstruction) {
+  // The factory constructor: no nodes, no factory, a null strategy, an
+  // infinite stage.
+  const AdaptiveRuntime::StrategyFactory tft =
+      [](std::size_t, AdaptiveRuntime::EstimateFeed feed,
+         AdaptiveRuntime::FlagFeed) {
+        return std::make_unique<EstimatingTitForTat>(16, feed);
+      };
+  EXPECT_THROW(AdaptiveRuntime(make_config(), 0, tft, 1e5),
                std::invalid_argument);
-  EXPECT_THROW(EstimatingRuntime(
+  EXPECT_THROW(AdaptiveRuntime(make_config(), 3, nullptr, 1e5),
+               std::invalid_argument);
+  EXPECT_THROW(AdaptiveRuntime(
                    make_config(), 3,
                    [](std::size_t, auto, auto) {
                      return std::unique_ptr<game::Strategy>{};
                    },
                    1e5),
                std::invalid_argument);
+  EXPECT_THROW(AdaptiveRuntime(make_config(), 3, tft,
+                               std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
 }
 
-TEST(EstimatingRuntimeTest, CooperativePopulationStaysNearConfiguredWindow) {
+TEST(EstimateFeedTest, CooperativePopulationStaysNearConfiguredWindow) {
   // With long stages the estimates are tight, so estimating-TFT holds the
   // line near the common window instead of spiraling down.
   const int w = 64;
-  EstimatingRuntime runtime(
+  AdaptiveRuntime runtime(
       make_config(5), 5,
       [&](std::size_t, auto feed, auto) {
         return std::make_unique<EstimatingTitForTat>(w, feed);
@@ -124,14 +133,14 @@ TEST(EstimatingRuntimeTest, CooperativePopulationStaysNearConfiguredWindow) {
   }
 }
 
-TEST(EstimatingRuntimeTest, PlainTftDriftsMoreThanGtftUnderNoise) {
+TEST(EstimateFeedTest, PlainTftDriftsMoreThanGtftUnderNoise) {
   // Short stages = noisy estimates. Estimating-TFT chases every downward
   // fluctuation (its window ratchets down: min over noisy estimates);
   // estimating-GTFT's tolerance band absorbs the noise. Compare the final
   // window deficits.
   const int w = 64;
   auto final_min_cw = [&](bool gtft) {
-    EstimatingRuntime runtime(
+    AdaptiveRuntime runtime(
         make_config(6), 5,
         [&](std::size_t, auto feed, auto) -> std::unique_ptr<game::Strategy> {
           if (gtft) {
@@ -151,8 +160,8 @@ TEST(EstimatingRuntimeTest, PlainTftDriftsMoreThanGtftUnderNoise) {
   EXPECT_GE(gtft_floor, static_cast<int>(0.6 * w));
 }
 
-TEST(EstimatingRuntimeTest, EstimatesAreRecordedPerStage) {
-  EstimatingRuntime runtime(
+TEST(EstimateFeedTest, EstimatesAreRecordedPerStage) {
+  AdaptiveRuntime runtime(
       make_config(7), 3,
       [&](std::size_t, auto feed, auto) {
         return std::make_unique<EstimatingTitForTat>(32, feed);

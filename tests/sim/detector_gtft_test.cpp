@@ -3,6 +3,7 @@
 // window under estimation noise and (b) still punish a real cheater.
 #include <gtest/gtest.h>
 
+#include "sim/adaptive_runtime.hpp"
 #include "sim/cw_estimator.hpp"
 
 namespace smac::sim {
@@ -49,7 +50,7 @@ TEST(DetectorGtftTest, CompliantPopulationHoldsUnderNoise) {
   // Short, noisy stages — the regime where estimating-TFT collapses
   // (cw_estimator_test) — must leave a detector-gated population intact.
   const int w = 64;
-  EstimatingRuntime runtime(
+  AdaptiveRuntime runtime(
       make_config(23), 5,
       [&](std::size_t, auto estimates, auto flags) {
         return std::make_unique<DetectorGtft>(w, estimates, flags);
@@ -71,7 +72,7 @@ TEST(DetectorGtftTest, RealCheaterIsPunished) {
   // TFT-style.
   const int w = 64;
   const int w_cheat = 16;
-  EstimatingRuntime runtime(
+  AdaptiveRuntime runtime(
       make_config(24), 5,
       [&](std::size_t i, auto estimates,
           auto flags) -> std::unique_ptr<game::Strategy> {
@@ -94,7 +95,7 @@ TEST(DetectorGtftTest, RealCheaterIsPunished) {
 }
 
 TEST(DetectorGtftTest, FlagsAreRecordedPerStage) {
-  EstimatingRuntime runtime(
+  AdaptiveRuntime runtime(
       make_config(25), 3,
       [&](std::size_t, auto estimates, auto flags) {
         return std::make_unique<DetectorGtft>(32, estimates, flags);

@@ -13,6 +13,9 @@
 namespace smac::sim {
 namespace {
 
+// Standard normal CDF, the inverse normal_quantile is checked against.
+double normal_cdf(double z) { return 0.5 * std::erfc(-z / std::sqrt(2.0)); }
+
 SimConfig make_config(std::uint64_t seed) {
   SimConfig config;
   config.seed = seed;
@@ -40,7 +43,7 @@ TEST(NormalQuantileTest, KnownValues) {
 
 TEST(NormalQuantileTest, InvertsCdf) {
   for (double p : {0.001, 0.1, 0.3, 0.7, 0.95, 0.9999}) {
-    EXPECT_NEAR(util::normal_cdf(util::normal_quantile(p)), p, 1e-8);
+    EXPECT_NEAR(normal_cdf(util::normal_quantile(p)), p, 1e-8);
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "analytical/utility.hpp"
 #include "game/equilibrium.hpp"
 #include "game/stage_game.hpp"
@@ -53,9 +55,25 @@ TEST(SearchProtocolTest, ValidatesArguments) {
   config = SearchConfig{};
   config.patience = 0;
   EXPECT_THROW(run_search(sim, 0, config), std::invalid_argument);
-  config = SearchConfig{};
-  config.measure_us = 0.0;
-  EXPECT_THROW(run_search(sim, 0, config), std::invalid_argument);
+  // Durations must be finite (an infinite one never ends) and epsilon a
+  // number >= 0.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {0.0, -1.0, kInf, kNaN}) {
+    config = SearchConfig{};
+    config.measure_us = bad;
+    EXPECT_THROW(run_search(sim, 0, config), std::invalid_argument) << bad;
+  }
+  for (const double bad : {-1.0, kInf, kNaN}) {
+    config = SearchConfig{};
+    config.settle_us = bad;
+    EXPECT_THROW(run_search(sim, 0, config), std::invalid_argument) << bad;
+  }
+  for (const double bad : {-0.1, kNaN}) {
+    config = SearchConfig{};
+    config.improvement_epsilon = bad;
+    EXPECT_THROW(run_search(sim, 0, config), std::invalid_argument) << bad;
+  }
   config = SearchConfig{};
   EXPECT_THROW(run_search(sim, 99, config), std::invalid_argument);
 }

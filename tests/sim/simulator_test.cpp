@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 
 #include "analytical/fixed_point_solver.hpp"
@@ -26,6 +27,12 @@ TEST(SimulatorTest, ValidatesConstruction) {
 TEST(SimulatorTest, RejectsBadRuns) {
   Simulator sim(make_config(), {32, 32});
   EXPECT_THROW(sim.run_for(0.0), std::invalid_argument);
+  EXPECT_THROW(sim.run_for(-1.0), std::invalid_argument);
+  // Non-finite durations: +inf would never finish, NaN never starts.
+  EXPECT_THROW(sim.run_for(std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_THROW(sim.run_for(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
   EXPECT_THROW(sim.run_slots(0), std::invalid_argument);
 }
 

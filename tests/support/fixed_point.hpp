@@ -1,4 +1,5 @@
-// Damped fixed-point iteration for vector-valued maps.
+// Damped fixed-point iteration for vector-valued maps (test support: the
+// reference solver iterates its per-node system with it).
 //
 // The heterogeneous Bianchi model couples 2n unknowns (τ_i, p_i) through
 // τ_i = f(W_i, p_i) and p_i = 1 − Π_{j≠i}(1 − τ_j). Eliminating τ leaves a

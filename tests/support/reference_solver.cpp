@@ -6,7 +6,7 @@
 
 #include "analytical/backoff_chain.hpp"
 #include "analytical/solver_detail.hpp"
-#include "util/fixed_point.hpp"
+#include "support/fixed_point.hpp"
 
 namespace smac::analytical {
 

@@ -1,4 +1,4 @@
-#include "util/fixed_point.hpp"
+#include "support/fixed_point.hpp"
 
 #include <gtest/gtest.h>
 

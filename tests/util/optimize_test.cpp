@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "support/exhaustive_int_max.hpp"
+
 namespace smac::util {
 namespace {
 
@@ -59,38 +61,6 @@ TEST(ExhaustiveIntMaxTest, FindsGlobalOnMultimodal) {
            1.5 * std::exp(-(x - 90) * (x - 90) / 50.0);
   };
   EXPECT_EQ(exhaustive_int_max(f, 1, 128).x, 90);
-}
-
-TEST(HillClimbTest, ClimbsRightToPeak) {
-  auto f = [](std::int64_t w) {
-    const double x = static_cast<double>(w);
-    return -(x - 70.0) * (x - 70.0);
-  };
-  const auto r = hill_climb_int_max(f, 10, 1, 1000);
-  EXPECT_EQ(r.x, 70);
-}
-
-TEST(HillClimbTest, ClimbsLeftWhenStartAbovePeak) {
-  auto f = [](std::int64_t w) {
-    const double x = static_cast<double>(w);
-    return -(x - 70.0) * (x - 70.0);
-  };
-  const auto r = hill_climb_int_max(f, 500, 1, 1000);
-  EXPECT_EQ(r.x, 70);
-}
-
-TEST(HillClimbTest, StartAtPeakStaysPut) {
-  auto f = [](std::int64_t w) {
-    const double x = static_cast<double>(w);
-    return -(x - 70.0) * (x - 70.0);
-  };
-  EXPECT_EQ(hill_climb_int_max(f, 70, 1, 1000).x, 70);
-}
-
-TEST(HillClimbTest, RespectsBounds) {
-  auto f = [](std::int64_t w) { return static_cast<double>(w); };
-  EXPECT_EQ(hill_climb_int_max(f, 5, 1, 10).x, 10);
-  EXPECT_THROW(hill_climb_int_max(f, 0, 1, 10), std::invalid_argument);
 }
 
 // Property sweep: ternary == exhaustive for a family of unimodal shapes.

@@ -75,38 +75,6 @@ TEST(RunningStatsTest, CiShrinksWithSamples) {
   EXPECT_GT(small.ci_halfwidth(), large.ci_halfwidth());
 }
 
-TEST(HistogramTest, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(2.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(HistogramTest, BinsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);    // bin 0
-  h.add(9.99);   // bin 9
-  h.add(-5.0);   // underflow -> bin 0
-  h.add(42.0);   // overflow -> bin 9
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(9), 2u);
-}
-
-TEST(HistogramTest, QuantileInterpolation) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.9), 90.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.0), 0.0, 1.5);
-}
-
-TEST(HistogramTest, QuantileOfEmptyIsLo) {
-  Histogram h(5.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 5.0);
-}
-
 TEST(JainFairnessTest, PerfectlyFair) {
   EXPECT_DOUBLE_EQ(jain_fairness({3.0, 3.0, 3.0, 3.0}), 1.0);
 }
