@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "analytical/fixed_point_solver.hpp"
 #include "analytical/throughput.hpp"
@@ -59,10 +60,13 @@ std::vector<double> AsymmetricGame::utility_rates_warm(
   if (warm) opts.initial_tau = *warm;
   const analytical::TrySolveResult solved =
       analytical::try_solve_network(w, params_.max_backoff_stage, opts);
-  const analytical::NetworkState& state = solved.state;
-  if (warm && analytical::usable(solved.diagnostics.status)) {
-    *warm = state.tau;
+  if (!analytical::usable(solved.diagnostics.status)) {
+    throw std::runtime_error(
+        std::string("AsymmetricGame::utility_rates: solve failed (") +
+        solved.diagnostics.method + ")");
   }
+  const analytical::NetworkState& state = solved.state;
+  if (warm) *warm = state.tau;
   const analytical::ChannelMetrics metrics =
       analytical::channel_metrics(state.tau, params_, mode_);
   std::vector<double> u(w.size());

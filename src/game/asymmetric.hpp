@@ -45,6 +45,7 @@ class AsymmetricGame {
   std::size_t class_index(std::size_t player) const;
 
   /// Per-player utility rates (gain units per µs) for a window profile.
+  /// Throws std::runtime_error when the solve is unusable (kFailed).
   std::vector<double> utility_rates(const std::vector<int>& w) const;
 
   /// Utility of one member of class `c` when every player uses window w.
@@ -79,8 +80,9 @@ class AsymmetricGame {
   /// non-null, its contents seed the solver (SolverOptions::initial_tau)
   /// and the solved τ is written back — best-response scans step the
   /// deviant's window by small amounts, so consecutive solves start one
-  /// damped iteration from each other. Serial callers only; warm-started
-  /// results must not feed shared caches.
+  /// damped iteration from each other. A failed solve throws before any
+  /// write-back. Serial callers only; warm-started results must not feed
+  /// shared caches.
   std::vector<double> utility_rates_warm(const std::vector<int>& w,
                                          std::vector<double>* warm) const;
 

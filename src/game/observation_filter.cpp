@@ -99,17 +99,4 @@ StageRecord ObservationFilter::filter_latest(const History& raw,
   return view;
 }
 
-History ObservationFilter::filtered(const History& raw,
-                                    std::size_t self) const {
-  History out;
-  out.reserve(raw.size());
-  History prefix;
-  prefix.reserve(raw.size());
-  for (const StageRecord& record : raw) {
-    prefix.push_back(record);
-    out.push_back(filter_latest(prefix, self));
-  }
-  return out;
-}
-
 }  // namespace smac::game

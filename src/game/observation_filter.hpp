@@ -75,11 +75,6 @@ class ObservationFilter {
   /// the online mask pass through unchanged. `raw` must be non-empty.
   StageRecord filter_latest(const History& raw, std::size_t self) const;
 
-  /// The whole causal filtered history: stage k of the result equals
-  /// filter_latest applied to the first k+1 raw records — exactly what an
-  /// engine maintaining the filtered view incrementally produces.
-  History filtered(const History& raw, std::size_t self) const;
-
  private:
   ObservationFilterConfig config_;
 };

@@ -1,6 +1,7 @@
 #include "game/stage_game.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "analytical/utility.hpp"
 
@@ -28,6 +29,11 @@ std::vector<double> StageGame::utility_rates(const std::vector<int>& w) const {
   // handful of class keys.
   const analytical::TrySolveResult solved = solver_.solve(
       w, params_.max_backoff_stage, params_.packet_error_rate);
+  if (!analytical::usable(solved.diagnostics.status)) {
+    throw std::runtime_error(
+        std::string("StageGame::utility_rates: stage solve failed (") +
+        solved.diagnostics.method + ")");
+  }
   return analytical::utility_rates(solved.state, params_, mode_);
 }
 

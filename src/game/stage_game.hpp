@@ -46,6 +46,8 @@ class StageGame {
   }
 
   /// Per-node utility *rates* (gain per µs) for an arbitrary profile.
+  /// Throws std::runtime_error when the solve is unusable (kFailed);
+  /// try_stage_utilities reports that status instead of throwing.
   std::vector<double> utility_rates(const std::vector<int>& w) const;
 
   /// Per-node stage payoffs U_i^s = u_i·T plus the solver diagnostics

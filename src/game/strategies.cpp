@@ -172,17 +172,18 @@ int ContriteTitForTat::decide(const History& history, std::size_t self) {
   const std::size_t last = history.size() - 1;
   const int m = opponent_min_cw(history.back(), self);
   if (m < standing_ref(history, self, last)) return m;  // punish, TFT-style
+  if (own >= w_coop_) return own;  // nothing left to forgive
   // Contrition: count the trailing stages in which nobody (online) was
-  // observed below this player's standing reference.
+  // observed below this player's standing reference; only whether the
+  // streak reaches k matters, so the walk stops there.
   int streak = 0;
-  for (std::size_t s = history.size(); s-- > 0;) {
-    if (opponent_min_cw(history[s], self) >= standing_ref(history, self, s)) {
-      ++streak;
-    } else {
+  for (std::size_t s = history.size(); streak < k_ && s-- > 0;) {
+    if (opponent_min_cw(history[s], self) < standing_ref(history, self, s)) {
       break;
     }
+    ++streak;
   }
-  if (streak >= k_ && own < w_coop_) return forgive_step(own, w_coop_);
+  if (streak >= k_) return forgive_step(own, w_coop_);
   return own;
 }
 
@@ -263,15 +264,15 @@ int ForgivingGtft::decide(const History& history, std::size_t self) {
     if (sustained) return min_cw(history.back());
   }
   if (triggered_at(history, self, history.size() - 1)) return own;
-  // Upward relaxation after a clean (untriggered) streak.
+  if (own >= initial_w_) return own;  // nothing left to forgive
+  // Upward relaxation after a clean (untriggered) streak; the walk stops
+  // once the streak reaches `clean_`.
   int streak = 0;
-  for (std::size_t s = history.size(); s-- > 0;) {
+  for (std::size_t s = history.size(); streak < clean_ && s-- > 0;) {
     if (triggered_at(history, self, s)) break;
     ++streak;
   }
-  if (streak >= clean_ && own < initial_w_) {
-    return forgive_step(own, initial_w_);
-  }
+  if (streak >= clean_) return forgive_step(own, initial_w_);
   return own;
 }
 

@@ -73,7 +73,9 @@ class Strategy {
   virtual int initial_cw() const = 0;
 
   /// Window for the next stage given the full public history; `self` is
-  /// this player's index into each StageRecord.
+  /// this player's index into each StageRecord. Every rule below reads a
+  /// bounded suffix of the history (stated per class), so a decision at
+  /// stage 1000 costs what one at stage 1 does.
   virtual int decide(const History& history, std::size_t self) = 0;
 
   /// Short display name ("tft", "gtft(0.9,3)", …).
@@ -88,7 +90,7 @@ class Strategy {
 };
 
 /// Plays a fixed window forever. Baseline, and the §V.E malicious player
-/// when configured with a very small window.
+/// when configured with a very small window. decide() reads no record.
 class ConstantStrategy final : public Strategy {
  public:
   explicit ConstantStrategy(int w);
@@ -102,7 +104,7 @@ class ConstantStrategy final : public Strategy {
 };
 
 /// TIT-FOR-TAT: cooperate first, then match the most aggressive opponent:
-/// W_i^k = min_j W_j^{k−1} (paper §IV).
+/// W_i^k = min_j W_j^{k−1} (paper §IV). decide() reads the last record.
 class TitForTat final : public Strategy {
  public:
   explicit TitForTat(int initial_w);
@@ -117,7 +119,7 @@ class TitForTat final : public Strategy {
 /// Generous TFT (paper §IV): averages windows over the last r0 stages and
 /// only reacts when some player's average is below β times its own;
 /// otherwise it keeps its current window. β < 1 close to 1; larger r0 or
-/// smaller β = more tolerant.
+/// smaller β = more tolerant. decide() reads the last r0 records.
 class GenerousTitForTat final : public Strategy {
  public:
   GenerousTitForTat(int initial_w, double beta, int window_stages);
@@ -136,7 +138,7 @@ class GenerousTitForTat final : public Strategy {
 
 /// §V.D short-sighted deviant: plays W_s (< W_c*) from the first stage and
 /// never adapts — it discounts the future too heavily to care about the
-/// TFT retaliation it provokes.
+/// TFT retaliation it provokes. decide() reads no record.
 class ShortSightedStrategy final : public Strategy {
  public:
   explicit ShortSightedStrategy(int w_s);
@@ -151,6 +153,7 @@ class ShortSightedStrategy final : public Strategy {
 
 /// §V.E malicious player: cooperates at W_coop until `attack_stage`, then
 /// drops to W_attack to drag the whole network down via TFT contagion.
+/// decide() reads only the history's length.
 class MaliciousStrategy final : public Strategy {
  public:
   MaliciousStrategy(int w_coop, int w_attack, int attack_stage);
@@ -177,7 +180,10 @@ class MaliciousStrategy final : public Strategy {
 /// or desynchronized forgiveness self-destructs. A false-low
 /// observation therefore costs a bounded punishment episode instead of
 /// TFT's permanent W = 1 ratchet. decide() is a pure function of
-/// (history, self): no internal state.
+/// (history, self): no internal state. It reads the last k + 3 records
+/// at most (k clean stages, each judged against a standing reference of
+/// four stages), and only the last four when the player already sits at
+/// its cooperative window.
 class ContriteTitForTat final : public Strategy {
  public:
   ContriteTitForTat(int w_coop, int clean_stages);
@@ -202,7 +208,11 @@ class ContriteTitForTat final : public Strategy {
 /// of the own r0-average and the own standing reference (minimum window
 /// played over the last few stages), so neither its own punishment nor
 /// its own upward drift reads as opponents turning aggressive. decide()
-/// is a pure function of (history, self).
+/// is a pure function of (history, self). It reads the last
+/// max(trigger, clean) + max(r0, 4) − 1 records at most (each stage's
+/// trigger averages r0 records and takes a standing reference of four),
+/// and only trigger + max(r0, 4) − 1 when the player already sits at its
+/// cooperative window.
 class ForgivingGtft final : public Strategy {
  public:
   ForgivingGtft(int initial_w, double beta, int window_stages,
@@ -234,7 +244,8 @@ class ForgivingGtft final : public Strategy {
 /// Myopic best response: each stage plays the window maximizing its own
 /// *stage* utility against the opponents' last profile. Used as the
 /// "everyone short-sighted" baseline that reproduces the network-collapse
-/// results of Cagalj et al. (paper §VIII discussion).
+/// results of Cagalj et al. (paper §VIII discussion). decide() reads the
+/// last record.
 class MyopicBestResponse final : public Strategy {
  public:
   /// The response is computed against an evaluation oracle supplied by the

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "analytical/utility.hpp"
 
 namespace smac::game {
@@ -19,6 +22,20 @@ TEST(StageGameTest, RejectsInvalidParameters) {
 TEST(StageGameTest, RejectsEmptyProfile) {
   const StageGame game(kParams, kBasic);
   EXPECT_THROW(game.utility_rates({}), std::invalid_argument);
+}
+
+TEST(StageGameTest, UtilityRatesThrowsOnFailedSolve) {
+  // One solver iteration cannot converge a heterogeneous profile: the
+  // checked path reports kFailed, and the rates of that state are not
+  // returned.
+  analytical::SolverService::Options options;
+  options.solver.max_iterations = 1;
+  const StageGame game(kParams, kBasic, options);
+  const std::vector<int> profile{16, 64, 256, 1024};
+  const StageGame::StagePayoffs checked = game.try_stage_utilities(profile);
+  EXPECT_EQ(checked.diagnostics.status, analytical::SolveStatus::kFailed);
+  EXPECT_TRUE(checked.utilities.empty());
+  EXPECT_THROW(game.utility_rates(profile), std::runtime_error);
 }
 
 TEST(StageGameTest, StageUtilityIsRateTimesDuration) {

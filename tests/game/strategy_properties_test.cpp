@@ -13,11 +13,14 @@
 //     r0-average is below beta x own average;
 //   * forgiveness — on a clean history the contrite/forgiving windows
 //     drift monotonically (never down) to the cooperative window;
+//   * bounded walks — contrite-tft and forgiving-gtft decide exactly as
+//     test-local copies of their former full-history clean-streak walks;
 //   * filters — range-bounded, identity on constant series, reject
-//     isolated outliers, and incremental == batch application.
+//     isolated outliers, and only the last `window` records matter.
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -245,6 +248,180 @@ TEST(StrategyPropertyTest, ForgivingGtftTriggerSemantics) {
   EXPECT_EQ(s.decide(h, 0), h.back().cw[0]);
 }
 
+// ---- Bounded history walks ----
+//
+// Reference oracles: the full-history clean-streak walks that
+// ContriteTitForTat::decide and ForgivingGtft::decide ran before they
+// learned to stop at the streak they need and to skip the walk at the
+// cooperative window. The library must agree with them on every prefix.
+
+/// Test-local copy of the standing reference (strategies.cpp): the
+/// smallest window `self` played over the last four stages up to `s`.
+int reference_standing_ref(const History& h, std::size_t self,
+                           std::size_t s) {
+  int ref = h[s].cw.at(self);
+  const std::size_t first = s + 1 >= 4 ? s + 1 - 4 : 0;
+  for (std::size_t t = first; t < s; ++t) {
+    ref = std::min(ref, h[t].cw.at(self));
+  }
+  return ref;
+}
+
+int full_walk_decide(const ContriteTitForTat& rule, const History& history,
+                     std::size_t self) {
+  if (history.empty()) return rule.cooperative_cw();
+  const int own = history.back().cw.at(self);
+  const std::size_t last = history.size() - 1;
+  const int m = opponent_min_cw(history.back(), self);
+  if (m < reference_standing_ref(history, self, last)) return m;
+  int streak = 0;
+  for (std::size_t s = history.size(); s-- > 0;) {
+    if (opponent_min_cw(history[s], self) >=
+        reference_standing_ref(history, self, s)) {
+      ++streak;
+    } else {
+      break;
+    }
+  }
+  if (streak >= rule.clean_stages() && own < rule.cooperative_cw()) {
+    return forgive_step(own, rule.cooperative_cw());
+  }
+  return own;
+}
+
+int full_walk_decide(const ForgivingGtft& rule, const History& history,
+                     std::size_t self) {
+  if (history.empty()) return rule.initial_cw();
+  const int own = history.back().cw.at(self);
+  const auto trigger = static_cast<std::size_t>(rule.trigger_stages());
+  if (history.size() >= trigger) {
+    bool sustained = true;
+    for (std::size_t s = 0; s < trigger; ++s) {
+      if (!rule.triggered_at(history, self, history.size() - 1 - s)) {
+        sustained = false;
+        break;
+      }
+    }
+    if (sustained) return min_cw(history.back());
+  }
+  if (rule.triggered_at(history, self, history.size() - 1)) return own;
+  int streak = 0;
+  for (std::size_t s = history.size(); s-- > 0;) {
+    if (rule.triggered_at(history, self, s)) break;
+    ++streak;
+  }
+  if (streak >= rule.clean_stages() && own < rule.initial_cw()) {
+    return forgive_step(own, rule.initial_cw());
+  }
+  return own;
+}
+
+/// Compares decide() with the full-walk oracle for every player on every
+/// prefix of `h` (the empty one included), over clean-streak lengths
+/// 1..8 and trigger/average depths 1..5.
+void expect_bounded_walks_match(const History& h, const std::string& label) {
+  std::vector<ContriteTitForTat> contrite;
+  for (const int k : {1, 3, 8}) contrite.emplace_back(kWMax, k);
+  std::vector<ForgivingGtft> forgiving;
+  forgiving.emplace_back(kWMax, 0.9, 3, 2, 2);
+  forgiving.emplace_back(kWMax, 0.8, 1, 1, 1);
+  forgiving.emplace_back(kWMax, 0.9, 5, 3, 6);
+  forgiving.emplace_back(kWMax, 0.95, 2, 1, 8);
+  const std::size_t players = h.empty() ? 1 : h.front().cw.size();
+  History prefix;
+  for (std::size_t len = 0; len <= h.size(); ++len) {
+    if (len > 0) prefix.push_back(h[len - 1]);
+    for (std::size_t self = 0; self < players; ++self) {
+      for (ContriteTitForTat& rule : contrite) {
+        ASSERT_EQ(rule.decide(prefix, self),
+                  full_walk_decide(rule, prefix, self))
+            << label << ": " << rule.name() << " self " << self
+            << " prefix " << len;
+      }
+      for (ForgivingGtft& rule : forgiving) {
+        ASSERT_EQ(rule.decide(prefix, self),
+                  full_walk_decide(rule, prefix, self))
+            << label << ": " << rule.name() << " self " << self
+            << " prefix " << len;
+      }
+    }
+  }
+}
+
+/// Closed-loop play of `rule` by every player, observed through noise:
+/// each player's recorded window reads false-low (uniform in [1, w]) with
+/// probability `noise`, and one random player is marked crashed with
+/// probability 0.1. Produces punishment episodes, forgiveness drifts and
+/// long runs at the cooperative window.
+History noisy_self_play(Strategy& rule, std::size_t players,
+                        std::size_t stages, double noise, util::Rng& rng) {
+  History h;
+  for (std::size_t s = 0; s < stages; ++s) {
+    StageRecord r;
+    for (std::size_t j = 0; j < players; ++j) {
+      int w = h.empty() ? rule.initial_cw() : rule.decide(h, j);
+      if (rng.uniform01() < noise) {
+        w = static_cast<int>(rng.uniform_int(1, w));
+      }
+      r.cw.push_back(w);
+    }
+    r.utility.assign(players, 0.0);
+    if (rng.uniform01() < 0.1) {
+      r.online.assign(players, 1);
+      r.online[rng.uniform_below(players)] = 0;
+    }
+    h.push_back(std::move(r));
+  }
+  return h;
+}
+
+TEST(BoundedWalkTest, MatchesFullWalkOnRandomHistories) {
+  util::Rng rng(0x5eed0007ULL);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t players = 2 + rng.uniform_below(4);
+    const History h = random_history(rng, players, 5 + rng.uniform_below(40));
+    expect_bounded_walks_match(h, "random trial " + std::to_string(trial));
+  }
+}
+
+TEST(BoundedWalkTest, MatchesFullWalkOnNoisySelfPlay) {
+  util::Rng rng(0x5eed0008ULL);
+  ContriteTitForTat contrite(kWMax, 3);
+  ForgivingGtft forgiving(kWMax, 0.9, 3, 2, 2);
+  for (int trial = 0; trial < 12; ++trial) {
+    const double noise = trial % 3 == 0 ? 0.02 : trial % 3 == 1 ? 0.1 : 0.3;
+    const std::size_t players = 3 + rng.uniform_below(3);
+    Strategy& rule = trial % 2 == 0 ? static_cast<Strategy&>(contrite)
+                                    : static_cast<Strategy&>(forgiving);
+    const History h = noisy_self_play(rule, players, 80, noise, rng);
+    expect_bounded_walks_match(h, rule.name() + " self-play trial " +
+                                      std::to_string(trial));
+  }
+}
+
+TEST(BoundedWalkTest, MatchesFullWalkOnLongCleanRuns) {
+  // A forgiveness drift in progress: a long clean run held below the
+  // cooperative window, after a deep punishment and an old dip.
+  History below = homogeneous_history(std::vector<int>(60, 8), 4);
+  below[3].cw[2] = 1;
+  below[20].cw[1] = 2;
+  expect_bounded_walks_match(below, "clean run below the cooperative window");
+  // The drift itself: W = 1 for five stages, then halving-gap steps up
+  // to the cooperative window and a long stay there.
+  std::vector<int> drift(5, 1);
+  while (drift.back() < kWMax) {
+    drift.push_back(forgive_step(drift.back(), kWMax));
+  }
+  drift.resize(drift.size() + 40, kWMax);
+  expect_bounded_walks_match(homogeneous_history(drift, 3),
+                             "drift to the cooperative window");
+  // At the cooperative window, with an old dip and a recent one.
+  History at = homogeneous_history(std::vector<int>(60, kWMax), 4);
+  at[10].cw[3] = 1;
+  at[55].cw[0] = 4;
+  expect_bounded_walks_match(at, "clean run at the cooperative window");
+}
+
 // ---- ObservationFilter properties ----
 
 TEST(ObservationFilterPropertyTest, SmoothStaysWithinObservedRange) {
@@ -295,29 +472,35 @@ TEST(ObservationFilterPropertyTest, IsolatedOutlierIsRejected) {
   }
 }
 
-TEST(ObservationFilterPropertyTest, IncrementalEqualsBatch) {
-  // filter_latest applied stage by stage (what the engine does) must equal
-  // filtered() over the full raw history.
+TEST(ObservationFilterPropertyTest, OnlyTheLastWindowRecordsMatter) {
+  // The engine hands filter_latest its whole observed history each stage;
+  // the filtered view must be the one its last `window` records give.
   util::Rng rng(0x5eed0006ULL);
-  ObservationFilterConfig cfg;
-  cfg.kind = FilterKind::kMedian;
-  cfg.window = 5;
-  const ObservationFilter filter(cfg);
-  const std::size_t players = 4;
-  const History raw = random_history(rng, players, 15);
-  for (std::size_t self = 0; self < players; ++self) {
-    const History batch = filter.filtered(raw, self);
-    History incremental;
-    History prefix;
-    for (const StageRecord& r : raw) {
-      prefix.push_back(r);
-      incremental.push_back(filter.filter_latest(prefix, self));
-    }
-    ASSERT_EQ(batch.size(), incremental.size());
-    for (std::size_t s = 0; s < batch.size(); ++s) {
-      EXPECT_EQ(batch[s].cw, incremental[s].cw) << "stage " << s;
-      // Self's own window is always observed exactly.
-      EXPECT_EQ(batch[s].cw[self], raw[s].cw[self]);
+  for (const FilterKind kind : {FilterKind::kMedian, FilterKind::kTrimmedMean}) {
+    for (const int window : {1, 3, 5}) {
+      ObservationFilterConfig cfg;
+      cfg.kind = kind;
+      cfg.window = window;
+      const ObservationFilter filter(cfg);
+      const std::size_t players = 4;
+      const History raw = random_history(rng, players, 15);
+      History prefix;
+      for (const StageRecord& r : raw) {
+        prefix.push_back(r);
+        const std::size_t keep =
+            std::min(prefix.size(), static_cast<std::size_t>(window));
+        const History suffix(prefix.end() - static_cast<std::ptrdiff_t>(keep),
+                             prefix.end());
+        for (std::size_t self = 0; self < players; ++self) {
+          const StageRecord full = filter.filter_latest(prefix, self);
+          const StageRecord tail = filter.filter_latest(suffix, self);
+          EXPECT_EQ(full.cw, tail.cw) << cfg.name() << " stage "
+                                      << prefix.size() - 1;
+          EXPECT_EQ(full.online, tail.online);
+          // Self's own window is always observed exactly.
+          EXPECT_EQ(full.cw[self], r.cw[self]);
+        }
+      }
     }
   }
 }
