@@ -16,7 +16,8 @@ namespace {
 using namespace smac;
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::check_serial_args(argc, argv);
   bench::print_header(
       "Asymmetric classes: energy-cheap vs energy-dear players",
       "paper §IV simplification (g_i = g, e_i = e) relaxed",

@@ -170,6 +170,14 @@ inline std::size_t jobs_option(int argc, const char* const* argv) {
                        : parallel::ThreadPool::default_jobs();
 }
 
+/// The command line of a bench that runs serially: it takes `--jobs N`
+/// like every bench (the golden gate passes it to all of them) and
+/// checks it and SMAC_JOBS the same way, so bad input exits 2 here too.
+inline void check_serial_args(int argc, const char* const* argv) {
+  check_args(argc, argv, {"--jobs"});
+  (void)jobs_option(argc, argv);
+}
+
 inline void print_jobs(std::size_t jobs) {
   std::printf("replication jobs = %zu (override: --jobs N or SMAC_JOBS; "
               "results are seed-determined, independent of jobs)\n\n",

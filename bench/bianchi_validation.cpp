@@ -18,7 +18,8 @@ namespace {
 using namespace smac;
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::check_serial_args(argc, argv);
   bench::print_header(
       "Substrate validation: Bianchi (2000) saturation throughput",
       "paper ref [1], figures 6-7 anchor points",

@@ -19,7 +19,8 @@ namespace {
 using namespace smac;
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::check_serial_args(argc, argv);
   bench::print_header(
       "Access delay at the NE and delay-aware equilibria",
       "paper §VIII discussion (delay-extended utility = future work)",

@@ -18,7 +18,8 @@ namespace {
 using namespace smac;
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::check_serial_args(argc, argv);
   bench::print_header(
       "Deviation payoff orderings",
       "paper Lemma 1 and Lemma 4 (numerical check, model + simulator)",

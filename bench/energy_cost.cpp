@@ -17,7 +17,8 @@ namespace {
 using namespace smac;
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::check_serial_args(argc, argv);
   bench::print_header(
       "Energy grounding of the cost parameter e",
       "paper §IV ('they are also energy-constrained'; e = 0.01 in Table I)",

@@ -20,7 +20,8 @@ namespace {
 using namespace smac;
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::check_serial_args(argc, argv);
   bench::print_header(
       "Malicious player impact",
       "paper §V.E (TFT contagion; small W_mal paralyzes the network)",

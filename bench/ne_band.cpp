@@ -18,7 +18,8 @@ namespace {
 using namespace smac;
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::check_serial_args(argc, argv);
   bench::print_header(
       "The Nash band: deviation gains across common windows",
       "paper Theorem 2 + Lemma 4 (numeric verification)",

@@ -17,7 +17,8 @@ namespace {
 using namespace smac;
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::check_serial_args(argc, argv);
   bench::print_header(
       "Saturation-assumption ablation (Poisson sources)",
       "paper §III assumption ('the network is saturated')",

@@ -19,7 +19,8 @@ namespace {
 using namespace smac;
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::check_serial_args(argc, argv);
   bench::print_header(
       "Ablation: Lemma 3 Q-root vs exact discrete argmax",
       "paper Lemma 3 / Tables II-III methodology",

@@ -21,7 +21,8 @@ namespace {
 using namespace smac;
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::check_serial_args(argc, argv);
   bench::print_header(
       "Rate-control game: selfish payload sizing",
       "paper §IX (framework extension) / Tan & Guttag [7] contrast",

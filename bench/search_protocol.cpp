@@ -18,7 +18,8 @@ namespace {
 using namespace smac;
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::check_serial_args(argc, argv);
   bench::print_header(
       "Search protocol convergence to the efficient NE",
       "paper §V.C (algorithm) + §VII.A robustness remark",

@@ -18,7 +18,8 @@ namespace {
 using namespace smac;
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::check_serial_args(argc, argv);
   bench::print_header(
       "Short-sighted deviation analysis",
       "paper §V.D (deviation pays iff the deviator discounts heavily)",

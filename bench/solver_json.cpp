@@ -12,8 +12,8 @@
 // Also records a solves/sec throughput trajectory for the lockstep batch
 // kernel (try_solve_classes_batch) at batch sizes 1/16/256/4096, cold
 // (distinct profiles, no hints) and warm (re-solves seeded with their own
-// solution — the repeated-game stage pattern), plus one SolverService
-// batch of deduplicated requests.
+// solution — the repeated-game stage pattern), plus one
+// SolverService::solve_classes batch of deduplicated requests.
 //
 // Damping ablation: SolverOptions::damping ∈ {0, 0.25, 0.5, 0.75} on
 // k >= 2 profiles (k = 1 goes to the scalar Brent path, where damping
@@ -134,8 +134,8 @@ std::vector<analytical::ClassProfileInstance> warm_batch(int count) {
   analytical::ClassProfileInstance proto;
   proto.classes = analytical::classify_profile(class_mixed_profile(50, 3));
   proto.max_stage = 6;
-  const analytical::TrySolveResult solved = analytical::try_solve_classes(
-      proto.classes, proto.max_stage, proto.opts, proto.packet_error_rate);
+  const analytical::TrySolveResult solved =
+      analytical::try_solve_classes_batch({&proto, 1}).front();
   proto.opts.initial_tau = solved.state.tau;
   return std::vector<analytical::ClassProfileInstance>(
       static_cast<std::size_t>(count), proto);
@@ -222,7 +222,7 @@ int main(int argc, char** argv) {
 
   // Cold vs warm on a (50, 3) profile, two access patterns:
   //   * same-profile re-solve seeded with its own solution — the repeated-
-  //     game stage pattern (what NetworkSolveCache also short-circuits);
+  //     game stage pattern (what the solve cache also short-circuits);
   //   * a one-node-nudged neighbor seeded with the unperturbed solution —
   //     the best-response ternary-search pattern. The damped iteration
   //     contracts linearly, so a nearby start saves only O(log) iterations
@@ -248,9 +248,9 @@ int main(int argc, char** argv) {
   });
 
   // Batch-kernel throughput trajectory (amortized ns/solve), plus one
-  // SolverService batch: 1024 requests over 512 distinct profiles — the
-  // dedup-then-batch path a deviation scan takes. A fresh service per
-  // sample keeps every batch cold.
+  // SolverService::solve_classes batch: 1024 requests over 512 distinct
+  // class profiles — the dedup-then-batch path a deviation scan takes. A
+  // fresh service per sample keeps every batch cold.
   std::vector<ThroughputPoint> throughput;
   for (const int batch : {1, 16, 256, 4096}) {
     throughput.push_back(measure_throughput(batch));
@@ -261,18 +261,13 @@ int main(int argc, char** argv) {
   const double service_ns =
       median_ns(11, [&] {
         analytical::SolverService service;
-        std::vector<std::vector<int>> profiles;
+        std::vector<analytical::ClassProfile> requests;
         for (int r = 0; r < service_requests; ++r) {
-          const auto& classes =
+          requests.push_back(
               service_instances[static_cast<std::size_t>(r % service_distinct)]
-                  .classes;
-          std::vector<int> w(classes.node_count());
-          for (std::size_t i = 0; i < w.size(); ++i) {
-            w[i] = classes.window[static_cast<std::size_t>(classes.class_of[i])];
-          }
-          profiles.push_back(std::move(w));
+                  .classes);
         }
-        (void)service.solve_batch(profiles, 6, 0.0);
+        (void)service.solve_classes(requests, 6, 0.0);
       }) /
       service_requests;
   const std::vector<DampingRow> damping = damping_ablation(5);

@@ -1,11 +1,12 @@
-// Batched solver quickstart: price 1000 profiles through SolverService
-// in one batch, print the throughput.
+// Batched solver quickstart: solve 1000 profiles through one
+// SolverService::solve_classes call, print the throughput.
 //
 // The service deduplicates requests onto canonical symmetry-class keys,
 // answers repeats and permutations from its cache, and solves the
-// distinct misses through the lockstep batch kernel — every result is
-// bitwise identical to a one-at-a-time try_solve_network call (see
-// docs/SOLVER_API.md for the full contract).
+// distinct misses through the lockstep batch kernel — every result,
+// expanded with its request's class_of, is bitwise identical to a
+// one-at-a-time try_solve_network call (see docs/SOLVER_API.md for the
+// full contract).
 //
 // Build & run:  ./build/examples/batched_solver [requests]
 #include <chrono>
@@ -27,25 +28,29 @@ int main(int argc, char** argv) {
   analytical::SolverService service;
 
   // 1. A deviation-scan-shaped request stream: 20 cooperating nodes at
-  //    W = 128 with one deviant sweeping its window.
-  std::vector<std::vector<int>> profiles;
+  //    W = 128 with one deviant sweeping its window, each profile
+  //    collapsed to its symmetry classes.
+  std::vector<analytical::ClassProfile> profiles;
   profiles.reserve(static_cast<std::size_t>(requests));
   for (int r = 0; r < requests; ++r) {
     std::vector<int> profile(20, 128);
     profile[0] = 1 + r % 127;  // the deviant's window, revisited cyclically
-    profiles.push_back(std::move(profile));
+    profiles.push_back(analytical::classify_profile(profile));
   }
 
   // 2. One batch: a lockstep solve over the distinct class systems;
   //    repeats of the same deviant window are cache hits.
   const auto t0 = Clock::now();
-  const std::vector<analytical::TrySolveResult> results =
-      service.solve_batch(profiles, 6, 0.0);
+  const analytical::SolverService::ClassBatch batch =
+      service.solve_classes(profiles, 6, 0.0);
   const auto t1 = Clock::now();
 
   double tau_sum = 0.0;
-  for (const auto& result : results) {
-    tau_sum += result.state.tau[0];  // the deviant's attempt rate
+  for (std::size_t r = 0; r < profiles.size(); ++r) {
+    // The deviant's attempt rate: the tau of node 0's class.
+    tau_sum += batch.results[batch.key_of[r]]
+                   .state.tau[static_cast<std::size_t>(
+                       profiles[r].class_of[0])];
   }
 
   const double us =

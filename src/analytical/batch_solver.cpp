@@ -58,7 +58,7 @@ enum class Rung : std::uint8_t {
 /// same max-norm step, same iteration counting — including the
 /// budget + 1 count a non-converged rung reports) or one rung transition,
 /// so a machine driven to completion is bitwise identical to the
-/// sequential try_solve_classes ladder it replaces.
+/// sequential ladder it replaces.
 class ClassSolveMachine {
  public:
   ClassSolveMachine(const detail::ClassSolveRef& instance, double* tau_slot)

@@ -3,9 +3,9 @@
 //
 // Tournaments, deviation scans, and detection/reaction loops generate
 // thousands of independent (class-profile, PER) instances per run; solving
-// them one try_solve_classes call at a time leaves the whole retry ladder's
-// bookkeeping (start vectors, rung transitions) on the critical path of
-// every instance. try_solve_classes_batch instead advances every instance
+// them one at a time leaves the whole retry ladder's bookkeeping (start
+// vectors, rung transitions) on the critical path of every instance.
+// try_solve_classes_batch instead advances every instance
 // by one damped iteration per sweep over a contiguous arena: the
 // prefix/suffix product inner loop runs back to back across instances,
 // finished instances drop out via a convergence mask without
@@ -13,12 +13,12 @@
 // rung entry (a warm-started instance that converges on its warm rung
 // never pays for the seeded start's scalar Brent solve).
 //
-// Contract: the batch result is **bitwise identical** to calling
-// try_solve_classes on each instance in isolation — both paths run the
-// same per-instance ladder state machine (this file is the single
-// implementation; try_solve_classes is a batch of one), and no arithmetic
-// ever crosses instances. Pinned over a seeded (n, k, PER, batch-size)
-// grid by tests/analytical/batch_solver_test.cpp.
+// Contract: the batch result is **bitwise identical** to solving each
+// instance in a batch of its own — every instance runs its own ladder
+// state machine (this file is the single implementation of the ladder;
+// try_solve_network is a batch of one), and no arithmetic ever crosses
+// instances. Pinned over a seeded (n, k, PER, batch-size) grid by
+// tests/analytical/batch_solver_test.cpp.
 #pragma once
 
 #include <span>
@@ -29,8 +29,8 @@
 namespace smac::analytical {
 
 /// One independent solve request: a class system plus its model knobs.
-/// Same preconditions as try_solve_classes (non-empty classes, windows
-/// >= 1, max_stage >= 0, PER in [0, 1)); opts.initial_tau is the
+/// Inputs are assumed valid (non-empty classes, windows >= 1,
+/// max_stage >= 0, PER in [0, 1)); opts.initial_tau is the
 /// per-instance warm start (class- or node-sized, see SolverOptions).
 struct ClassProfileInstance {
   ClassProfile classes;

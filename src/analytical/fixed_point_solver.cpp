@@ -6,7 +6,6 @@
 #include <string_view>
 
 #include "analytical/backoff_chain.hpp"
-#include "analytical/batch_solver.hpp"
 #include "analytical/solver_detail.hpp"
 #include "util/root_finding.hpp"
 
@@ -76,23 +75,6 @@ NetworkState expand_classes(const NetworkState& class_state,
   return state;
 }
 
-TrySolveResult try_solve_classes(const ClassProfile& classes, int max_stage,
-                                 const SolverOptions& opts,
-                                 double packet_error_rate) {
-  // A batch of one: the lockstep kernel in batch_solver.cpp is the single
-  // implementation of the retry ladder, so the sequential and batched
-  // entry points cannot drift apart (the bitwise-identity contract of
-  // try_solve_classes_batch is trivially true for this call).
-  ClassProfileInstance instance;
-  instance.classes = classes;
-  instance.max_stage = max_stage;
-  instance.packet_error_rate = packet_error_rate;
-  instance.opts = opts;
-  std::vector<TrySolveResult> results =
-      try_solve_classes_batch({&instance, 1});
-  return std::move(results.front());
-}
-
 TrySolveResult try_solve_network(const std::vector<int>& w, int max_stage,
                                  const SolverOptions& opts,
                                  double packet_error_rate) {
@@ -101,8 +83,13 @@ TrySolveResult try_solve_network(const std::vector<int>& w, int max_stage,
     return detail::invalid_solve();
   }
   const ClassProfile classes = classify_profile(w);
-  TrySolveResult collapsed =
-      try_solve_classes(classes, max_stage, opts, packet_error_rate);
+  // A batch of one: the lockstep kernel in batch_solver.cpp is the single
+  // implementation of the retry ladder, so the per-profile and batched
+  // entry points cannot drift apart.
+  const detail::ClassSolveRef instance{&classes, max_stage, packet_error_rate,
+                                       &opts};
+  const TrySolveResult collapsed =
+      detail::solve_classes_batch({&instance, 1}).front();
   TrySolveResult out;
   out.state = expand_classes(collapsed.state, classes);
   out.diagnostics = collapsed.diagnostics;

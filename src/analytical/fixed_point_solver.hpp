@@ -117,14 +117,6 @@ ClassProfile classify_profile(const std::vector<int>& w);
 NetworkState expand_classes(const NetworkState& class_state,
                             const ClassProfile& classes);
 
-/// Class-space solve: the retry ladder run on the collapsed k-dimensional
-/// system. The returned state's tau/p have one entry per *class* (use
-/// expand_classes for per-node vectors). Inputs are assumed valid
-/// (non-empty classes, windows >= 1, max_stage >= 0, PER in [0, 1)).
-TrySolveResult try_solve_classes(const ClassProfile& classes, int max_stage,
-                                 const SolverOptions& opts = {},
-                                 double packet_error_rate = 0.0);
-
 /// The heterogeneous solve for contention-window profile `w` (one entry
 /// per node) with maximum backoff stage `max_stage`, through a retry
 /// ladder. Never throws and never returns non-finite values: on

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "analytical/solver_detail.hpp"
-
 namespace smac::analytical {
 
 namespace {
@@ -71,54 +69,6 @@ NetworkSolveCache::NetworkSolveCache(SolverOptions opts,
   opts_.initial_tau.clear();
 }
 
-TrySolveResult NetworkSolveCache::solve(const std::vector<int>& w,
-                                        int max_stage,
-                                        double packet_error_rate) const {
-  if (w.empty() || !detail::valid_solve_inputs(*std::ranges::min_element(w),
-                                               max_stage, packet_error_rate)) {
-    // Invalid inputs are not worth an entry: report the miss (an empty
-    // profile names no key, so it counts nothing).
-    if (!w.empty()) tally(0, 1);
-    return detail::invalid_solve();
-  }
-
-  ClassProfile classes = classify_profile(w);
-  const KeyView key = view_of(classes, max_stage, packet_error_rate);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (const auto it = cache_.find(key); it != cache_.end()) {
-      ++hits_;
-      TrySolveResult out;
-      out.state = expand_classes(it->second.state, classes);
-      out.diagnostics = it->second.diagnostics;
-      return out;
-    }
-  }
-  // Solve outside the lock: concurrent misses on the same key may both
-  // compute, but the class solve is deterministic (canonical start, no
-  // warm hints) so they agree bitwise and insert order cannot matter.
-  TrySolveResult collapsed =
-      try_solve_classes(classes, max_stage, opts_, packet_error_rate);
-  TrySolveResult out;
-  out.state = expand_classes(collapsed.state, classes);
-  out.diagnostics = collapsed.diagnostics;
-  std::lock_guard<std::mutex> lock(mutex_);
-  // Hit/miss is classified here, not at lookup: when two workers race on
-  // the same fresh key, the loser observes the winner's entry and counts
-  // a hit — exactly the serial-order tally, so the stats a bench prints
-  // stay byte-identical at any --jobs (as long as max_entries isn't hit;
-  // past capacity the insertion set becomes schedule-dependent).
-  if (const auto it = cache_.find(key); it != cache_.end()) {
-    ++hits_;
-  } else {
-    ++misses_;
-    if (cache_.size() < max_entries_) {
-      cache_.emplace(owned(key), std::move(collapsed));
-    }
-  }
-  return out;
-}
-
 std::vector<std::size_t> NetworkSolveCache::lookup_classes(
     std::span<const ClassGroup> groups,
     std::span<TrySolveResult> found) const {
@@ -147,8 +97,11 @@ void NetworkSolveCache::adopt_classes(
     const KeyView key = view_of(*group.classes, group.max_stage,
                                 group.packet_error_rate);
     if (cache_.contains(key)) {
-      // A writer beat the caller to the key: same loser-observes-winner
-      // accounting as solve().
+      // A writer beat the caller to the key: the loser observes the
+      // winner's entry and counts hits — exactly the serial-order tally,
+      // so printed stats stay byte-identical at any --jobs (as long as
+      // max_entries isn't hit; past it the insertion set becomes
+      // schedule-dependent).
       hits_ += group.requests;
       continue;
     }

@@ -9,6 +9,8 @@
 // tournament workers and repeated-game engines share solutions safely,
 // and every permutation of a solved profile is a hit (deviation scans
 // that move the deviant's seat, tournament mixes in different orders).
+// SolverService::solve_classes is its one client: it looks keys up, solves
+// the misses and hands them back for adoption.
 #pragma once
 
 #include <cstddef>
@@ -38,7 +40,7 @@ struct ClassGroup {
   std::uint64_t requests = 1;
 };
 
-/// Mutex-guarded memo over try_solve_classes, expanded per node on return.
+/// Mutex-guarded class-space memo behind SolverService::solve_classes.
 ///
 /// SolverOptions are fixed per cache instance (set at construction) and
 /// deliberately excluded from the key: one cache serves one model
@@ -55,13 +57,6 @@ class NetworkSolveCache {
   explicit NetworkSolveCache(SolverOptions opts = {},
                              std::size_t max_entries = 1 << 16);
 
-  /// Cached equivalent of try_solve_network(w, max_stage, opts, per) —
-  /// bitwise equal to the direct call (both run the collapsed kernel on
-  /// the canonical class system). Invalid inputs count one miss and are
-  /// not inserted; an empty profile names no key and counts nothing.
-  TrySolveResult solve(const std::vector<int>& w, int max_stage,
-                       double packet_error_rate) const;
-
   /// The SolverOptions every entry of this cache was (or will be) solved
   /// with — initial_tau already stripped.
   const SolverOptions& options() const noexcept { return opts_; }
@@ -70,17 +65,17 @@ class NetworkSolveCache {
   /// without copying any key. For every cached group, copies the
   /// *class-space* result (tau/p sized k — callers expand with their own
   /// ClassProfile) into found[g] and counts groups[g].requests hits; a
-  /// miss counts nothing — its tally happens in adopt_classes, mirroring
-  /// solve()'s insert-time classification. Returns the indices of the
-  /// missed groups in ascending order. found.size() == groups.size().
+  /// miss counts nothing — it is classified at insert time, in
+  /// adopt_classes. Returns the indices of the missed groups in ascending
+  /// order. found.size() == groups.size().
   std::vector<std::size_t> lookup_classes(std::span<const ClassGroup> groups,
                                           std::span<TrySolveResult> found)
       const;
 
   /// Adopts externally computed class-space results — solved[m] for
   /// groups[m] — in order, under one lock. Tally per group mirrors what
-  /// `requests` sequential solve() calls would have produced: if the key
-  /// appeared while the caller was solving (a racing writer) all
+  /// `requests` one-request calls in a row would have produced: if the
+  /// key appeared while the caller was solving (a racing writer) all
   /// `requests` count as hits; otherwise one miss plus `requests − 1`
   /// hits, and a copy of the result is inserted (subject to max_entries,
   /// so the order of `groups` decides which keys a full cache keeps).

@@ -131,28 +131,6 @@ SolverService::SolverService(Options options)
     : options_(std::move(options)),
       cache_(options_.solver, options_.max_cache_entries) {}
 
-std::vector<TrySolveResult> SolverService::solve_batch(
-    std::span<const std::vector<int>> profiles, int max_stage,
-    double packet_error_rate) const {
-  std::vector<ClassProfile> classes(profiles.size());
-  for (std::size_t r = 0; r < profiles.size(); ++r) {
-    classes[r] = classify_profile(profiles[r]);
-  }
-  const ClassBatch solved =
-      solve_classes(classes, max_stage, packet_error_rate);
-  std::vector<TrySolveResult> out(profiles.size());
-  for (std::size_t r = 0; r < profiles.size(); ++r) {
-    const TrySolveResult& collapsed = solved.results[solved.key_of[r]];
-    if (collapsed.state.tau.empty()) {
-      out[r] = collapsed;  // invalid: nothing to expand
-    } else {
-      out[r].state = expand_classes(collapsed.state, classes[r]);
-      out[r].diagnostics = collapsed.diagnostics;
-    }
-  }
-  return out;
-}
-
 SolverService::ClassBatch SolverService::solve_classes(
     std::span<const ClassProfile> requests, int max_stage,
     double packet_error_rate) const {
@@ -176,9 +154,9 @@ SolverService::ClassBatch SolverService::solve_classes(
   }
   out.results.resize(groups.size());
 
-  // Invalid keys are answered here, like NetworkSolveCache::solve: one
-  // miss per request, no entry (an empty request names no key and counts
-  // nothing). The valid ones go to the cache.
+  // Invalid keys are answered here: one miss per request, no entry (an
+  // empty request names no key and counts nothing). The valid ones go to
+  // the cache.
   std::vector<ClassGroup> valid;
   std::vector<std::size_t> valid_slot;
   std::uint64_t invalid = 0;
@@ -192,7 +170,7 @@ SolverService::ClassBatch SolverService::solve_classes(
     out.results[g] = detail::invalid_solve();
     if (!group.classes->window.empty()) invalid += group.requests;
   }
-  cache_.tally(0, invalid);
+  if (invalid != 0) cache_.tally(0, invalid);
 
   std::vector<TrySolveResult> found(valid.size());
   const std::vector<std::size_t> missed = cache_.lookup_classes(valid, found);
@@ -220,16 +198,11 @@ SolverService::ClassBatch SolverService::solve_classes(
         std::move(part.begin(), part.end(), solved.begin() + begin);
       });
 
-  cache_.adopt_classes(misses, solved);  // in key order
+  if (!misses.empty()) cache_.adopt_classes(misses, solved);  // key order
   for (std::size_t m = 0; m < missed.size(); ++m) {
     out.results[valid_slot[missed[m]]] = std::move(solved[m]);
   }
   return out;
-}
-
-TrySolveResult SolverService::solve(const std::vector<int>& w, int max_stage,
-                                    double packet_error_rate) const {
-  return cache_.solve(w, max_stage, packet_error_rate);
 }
 
 }  // namespace smac::analytical

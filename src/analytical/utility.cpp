@@ -12,8 +12,8 @@ namespace {
 
 /// u = τ·((1 − p)(1 − PER)·g − e) / T_slot.
 double utility_rate(double tau, double p, const phy::Parameters& params,
-                    double t_slot_us) {
-  const double delivered = 1.0 - params.packet_error_rate;
+                    double packet_error_rate, double t_slot_us) {
+  const double delivered = 1.0 - packet_error_rate;
   return tau * ((1.0 - p) * delivered * params.gain - params.cost) /
          t_slot_us;
 }
@@ -29,7 +29,8 @@ std::vector<double> utility_rates(const NetworkState& state,
   const ChannelMetrics m = channel_metrics(state.tau, params, mode);
   std::vector<double> u(state.tau.size());
   for (std::size_t i = 0; i < u.size(); ++i) {
-    u[i] = utility_rate(state.tau[i], state.p[i], params, m.t_slot_us);
+    u[i] = utility_rate(state.tau[i], state.p[i], params,
+                        params.packet_error_rate, m.t_slot_us);
   }
   return u;
 }
@@ -37,6 +38,7 @@ std::vector<double> utility_rates(const NetworkState& state,
 void class_utility_rates(const NetworkState& class_state,
                          const ClassProfile& classes,
                          const phy::Parameters& params, phy::AccessMode mode,
+                         double packet_error_rate,
                          std::vector<double>& scratch, std::span<double> out) {
   const std::size_t n = classes.node_count();
   scratch.resize(3 * n + 2);
@@ -49,7 +51,7 @@ void class_utility_rates(const NetworkState& class_state,
                      tau + 2 * n + 1);
   for (std::size_t c = 0; c < out.size(); ++c) {
     out[c] = utility_rate(class_state.tau[c], class_state.p[c], params,
-                          t_slot_us);
+                          packet_error_rate, t_slot_us);
   }
 }
 

@@ -23,21 +23,26 @@
 
 namespace smac::analytical {
 
-/// Per-node utility rates u_i (gain per µs) for a solved network state.
+/// Per-node utility rates u_i (gain per µs) for a network state solved
+/// at params.packet_error_rate.
 std::vector<double> utility_rates(const NetworkState& state,
                                   const phy::Parameters& params,
                                   phy::AccessMode mode);
 
-/// Per-class utility rates of a class-space solution (tau/p sized k):
-/// out[c] is bitwise utility_rates(expand_classes(class_state, classes),
-/// …)[i] for every node i of class c — the slot length is summed over
-/// `classes`' node order exactly as the expanded call sums it. `classes`
-/// must be canonical (classify_profile output: every class has a node);
+/// Per-class utility rates of a class-space solution (tau/p sized k)
+/// solved at `packet_error_rate`, which sets the delivered fraction
+/// (1 − PER) of the gain in place of params.packet_error_rate. At
+/// params.packet_error_rate, out[c] is bitwise
+/// utility_rates(expand_classes(class_state, classes), …)[i] for every
+/// node i of class c — the slot length is summed over `classes`' node
+/// order exactly as the expanded call sums it. `classes` must be
+/// canonical (classify_profile output: every class has a node);
 /// out.size() == class_count(). `scratch` is grown as needed and reused,
 /// so pricing many local games allocates nothing per call.
 void class_utility_rates(const NetworkState& class_state,
                          const ClassProfile& classes,
                          const phy::Parameters& params, phy::AccessMode mode,
+                         double packet_error_rate,
                          std::vector<double>& scratch, std::span<double> out);
 
 /// u for one node of a homogeneous network: all n nodes on window w.

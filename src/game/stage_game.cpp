@@ -1,11 +1,38 @@
 #include "game/stage_game.hpp"
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
 #include "analytical/utility.hpp"
 
 namespace smac::game {
+
+namespace {
+
+std::vector<analytical::ClassProfile> classify_all(
+    const std::vector<std::vector<int>>& profiles) {
+  std::vector<analytical::ClassProfile> classes(profiles.size());
+  for (std::size_t i = 0; i < profiles.size(); ++i) {
+    classes[i] = analytical::classify_profile(profiles[i]);
+  }
+  return classes;
+}
+
+/// Each node gets its class's value: nodes of a class share tau/p bit for
+/// bit, so this is the per-node utility.
+StageGame::StagePayoffs per_node(const StageGame::ClassPayoffs& priced,
+                                 const analytical::ClassProfile& classes) {
+  StageGame::StagePayoffs out{{}, priced.diagnostics};
+  if (priced.utilities.empty()) return out;
+  out.utilities.reserve(classes.node_count());
+  for (const std::int32_t c : classes.class_of) {
+    out.utilities.push_back(priced.utilities[static_cast<std::size_t>(c)]);
+  }
+  return out;
+}
+
+}  // namespace
 
 StageGame::StageGame(phy::Parameters params, phy::AccessMode mode)
     : StageGame(std::move(params), mode,
@@ -18,52 +45,62 @@ StageGame::StageGame(phy::Parameters params, phy::AccessMode mode,
   params_.validate();
 }
 
+std::vector<StageGame::ClassPayoffs> StageGame::price_classes(
+    std::span<const analytical::ClassProfile> requests, double per,
+    bool as_payoff) const {
+  const analytical::SolverService::ClassBatch batch =
+      solver_.solve_classes(requests, params_.max_backoff_stage, per);
+  std::vector<ClassPayoffs> out(requests.size());
+  const double t_us = stage_duration_us();
+  std::vector<double> scratch;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const analytical::TrySolveResult& solved =
+        batch.results[batch.key_of[i]];
+    out[i].diagnostics = solved.diagnostics;
+    if (!analytical::usable(solved.diagnostics.status)) continue;
+    out[i].utilities.resize(requests[i].class_count());
+    analytical::class_utility_rates(solved.state, requests[i], params_, mode_,
+                                    per, scratch, out[i].utilities);
+    if (as_payoff) {
+      for (double& v : out[i].utilities) v *= t_us;
+    }
+  }
+  return out;
+}
+
 std::vector<double> StageGame::utility_rates(const std::vector<int>& w) const {
   if (w.empty()) throw std::invalid_argument("StageGame: empty profile");
   for (const int wi : w) {
     if (wi < 1) throw std::invalid_argument("StageGame: window < 1");
   }
-  // Routed through the canonical solve cache: repeated games replay the
-  // same profile stage after stage, and deviation scans revisit
-  // permutations of one-deviant profiles — all of which collapse to a
-  // handful of class keys.
-  const analytical::TrySolveResult solved = solver_.solve(
-      w, params_.max_backoff_stage, params_.packet_error_rate);
-  if (!analytical::usable(solved.diagnostics.status)) {
+  const analytical::ClassProfile classes = analytical::classify_profile(w);
+  StagePayoffs rates = per_node(
+      price_classes({&classes, 1}, params_.packet_error_rate, false).front(),
+      classes);
+  if (!analytical::usable(rates.diagnostics.status)) {
     throw std::runtime_error(
         std::string("StageGame::utility_rates: stage solve failed (") +
-        solved.diagnostics.method + ")");
+        rates.diagnostics.method + ")");
   }
-  return analytical::utility_rates(solved.state, params_, mode_);
-}
-
-StageGame::StagePayoffs StageGame::payoffs_of(
-    const analytical::TrySolveResult& solved) const {
-  StagePayoffs out;
-  out.diagnostics = solved.diagnostics;
-  if (analytical::usable(solved.diagnostics.status)) {
-    out.utilities = analytical::utility_rates(solved.state, params_, mode_);
-    const double t_us = stage_duration_us();
-    for (double& v : out.utilities) v *= t_us;
-  }
-  return out;
+  return std::move(rates.utilities);
 }
 
 StageGame::StagePayoffs StageGame::try_stage_utilities(
     const std::vector<int>& w, std::optional<double> per_override) const {
+  const analytical::ClassProfile classes = analytical::classify_profile(w);
   const double per = per_override.value_or(params_.packet_error_rate);
-  return payoffs_of(solver_.solve(w, params_.max_backoff_stage, per));
+  return per_node(price_classes({&classes, 1}, per, true).front(), classes);
 }
 
 std::vector<StageGame::StagePayoffs> StageGame::try_stage_utilities_batch(
     const std::vector<std::vector<int>>& profiles,
     std::optional<double> per_override) const {
-  const double per = per_override.value_or(params_.packet_error_rate);
-  const std::vector<analytical::TrySolveResult> solved =
-      solver_.solve_batch(profiles, params_.max_backoff_stage, per);
+  const std::vector<analytical::ClassProfile> classes = classify_all(profiles);
+  const std::vector<ClassPayoffs> priced = price_classes(
+      classes, per_override.value_or(params_.packet_error_rate), true);
   std::vector<StagePayoffs> out(profiles.size());
   for (std::size_t i = 0; i < profiles.size(); ++i) {
-    out[i] = payoffs_of(solved[i]);
+    out[i] = per_node(priced[i], classes[i]);
   }
   return out;
 }
@@ -71,36 +108,15 @@ std::vector<StageGame::StagePayoffs> StageGame::try_stage_utilities_batch(
 std::vector<StageGame::ClassPayoffs> StageGame::try_class_utilities_batch(
     const std::vector<analytical::ClassProfile>& profiles,
     std::optional<double> per_override) const {
-  const double per = per_override.value_or(params_.packet_error_rate);
-  const analytical::SolverService::ClassBatch batch =
-      solver_.solve_classes(profiles, params_.max_backoff_stage, per);
-  std::vector<ClassPayoffs> out(profiles.size());
-  const double t_us = stage_duration_us();
-  std::vector<double> scratch;
-  for (std::size_t i = 0; i < profiles.size(); ++i) {
-    const analytical::TrySolveResult& solved =
-        batch.results[batch.key_of[i]];
-    out[i].diagnostics = solved.diagnostics;
-    if (!analytical::usable(solved.diagnostics.status)) continue;
-    // Nodes of a class share tau/p bit for bit, so one rate per class is
-    // every node's rate; the slot length still sums this request's nodes
-    // in its own order, as the per-node path does.
-    out[i].utilities.resize(profiles[i].class_count());
-    analytical::class_utility_rates(solved.state, profiles[i], params_, mode_,
-                                    scratch, out[i].utilities);
-    for (double& v : out[i].utilities) v *= t_us;
-  }
-  return out;
+  return price_classes(
+      profiles, per_override.value_or(params_.packet_error_rate), true);
 }
 
 void StageGame::prefetch_profiles(const std::vector<std::vector<int>>& profiles,
                                   std::optional<double> per_override) const {
-  const double per = per_override.value_or(params_.packet_error_rate);
-  std::vector<analytical::ClassProfile> classes(profiles.size());
-  for (std::size_t i = 0; i < profiles.size(); ++i) {
-    classes[i] = analytical::classify_profile(profiles[i]);
-  }
-  (void)solver_.solve_classes(classes, params_.max_backoff_stage, per);
+  (void)solver_.solve_classes(
+      classify_all(profiles), params_.max_backoff_stage,
+      per_override.value_or(params_.packet_error_rate));
 }
 
 double StageGame::homogeneous_utility_rate(int w, int n) const {

@@ -5,11 +5,17 @@
 // extended Bianchi model) times the stage duration. This class is the
 // bridge between the analytical model and the game-theoretic machinery:
 // strategies and equilibrium analysis consume it, never the raw solver.
+//
+// u_i depends on a profile only through its symmetry classes, so every
+// heterogeneous evaluation is priced in class space by one private
+// function (one SolverService::solve_classes call); the per-node entry
+// points hand each node its class's value.
 #pragma once
 
 #include <map>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -52,9 +58,10 @@ class StageGame {
 
   /// Per-node stage payoffs U_i^s = u_i·T plus the solver diagnostics
   /// (no utilities when the solve is unusable). `per_override` replaces
-  /// the configured packet error rate (fault injection layers bursty loss
-  /// on top of the base PER). Routed
-  /// through a thread-safe memo keyed on (profile, max_stage, PER), so
+  /// the configured packet error rate in the solve and in the payoff's
+  /// delivered fraction (1 − PER) alike (fault injection layers bursty
+  /// loss on top of the base PER). Routed through the service's
+  /// thread-safe memo keyed on (class multiset, max_stage, PER), so
   /// repeated games and tournaments that revisit the same profile —
   /// especially after a fault knocks the history back to a prior state —
   /// pay for each solve once. An empty profile yields kFailed/"invalid"
@@ -68,10 +75,10 @@ class StageGame {
       std::optional<double> per_override = std::nullopt) const;
 
   /// Batched try_stage_utilities: prices every profile through one
-  /// SolverService::solve_batch call and returns the payoffs in input
+  /// SolverService::solve_classes call and returns the payoffs in input
   /// order. Each element is bitwise equal to the corresponding sequential
-  /// try_stage_utilities call, cache traffic included (the batch kernel's
-  /// identity contract); only the solver work is shared.
+  /// try_stage_utilities call, and the cache counters advance as those
+  /// calls would advance them; only the solver work is shared.
   std::vector<StagePayoffs> try_stage_utilities_batch(
       const std::vector<std::vector<int>>& profiles,
       std::optional<double> per_override = std::nullopt) const;
@@ -115,8 +122,8 @@ class StageGame {
   /// Normalized global payoff U/C (Figures 2–3 y-axis).
   double normalized_global_payoff(int w, int n) const;
 
-  /// Traffic counters of the shared heterogeneous solve cache (both
-  /// utility_rates and try_stage_utilities route through it); benches
+  /// Traffic counters of the shared heterogeneous solve cache (every
+  /// heterogeneous evaluation routes through it); benches
   /// print these to show how much of a run the class-canonical key
   /// deduplicates.
   analytical::SolveCacheStats solve_cache_stats() const {
@@ -130,8 +137,12 @@ class StageGame {
   }
 
  private:
-  /// Stage payoffs u·T of a per-node solve (none when it is unusable).
-  StagePayoffs payoffs_of(const analytical::TrySolveResult& solved) const;
+  /// The one pricing path: solves every canonical request at `per` in one
+  /// solve_classes call and prices each class at that PER — the payoff
+  /// u·T when `as_payoff`, else the rate u (none if the solve is unusable).
+  std::vector<ClassPayoffs> price_classes(
+      std::span<const analytical::ClassProfile> requests, double per,
+      bool as_payoff) const;
 
   phy::Parameters params_;
   phy::AccessMode mode_;

@@ -250,25 +250,24 @@ bool ForgivingGtft::triggered_at(const History& history, std::size_t self,
 int ForgivingGtft::decide(const History& history, std::size_t self) {
   if (history.empty()) return initial_w_;
   const int own = history.back().cw.at(self);
-  // Punish only when the averaged trigger held for the last `trigger_`
-  // stages in a row — one noisy stage can never fire it.
-  if (history.size() >= static_cast<std::size_t>(trigger_)) {
-    bool sustained = true;
-    for (int s = 0; s < trigger_; ++s) {
-      if (!triggered_at(history, self, history.size() - 1 -
-                                           static_cast<std::size_t>(s))) {
-        sustained = false;
-        break;
-      }
+  // The newest stage's trigger chooses between punishing and forgiving;
+  // older stages are read only to extend that run, each at most once.
+  const std::size_t last = history.size() - 1;
+  if (triggered_at(history, self, last)) {
+    // Punish only when the averaged trigger held for the last `trigger_`
+    // stages in a row — one noisy stage can never fire it.
+    const auto trigger = static_cast<std::size_t>(trigger_);
+    if (history.size() < trigger) return own;
+    for (std::size_t s = last; s-- > history.size() - trigger;) {
+      if (!triggered_at(history, self, s)) return own;
     }
-    if (sustained) return min_cw(history.back());
+    return min_cw(history.back());
   }
-  if (triggered_at(history, self, history.size() - 1)) return own;
   if (own >= initial_w_) return own;  // nothing left to forgive
-  // Upward relaxation after a clean (untriggered) streak; the walk stops
-  // once the streak reaches `clean_`.
-  int streak = 0;
-  for (std::size_t s = history.size(); streak < clean_ && s-- > 0;) {
+  // Upward relaxation after a clean (untriggered) streak, the newest stage
+  // its first; the walk stops once the streak reaches `clean_`.
+  int streak = 1;
+  for (std::size_t s = last; streak < clean_ && s-- > 0;) {
     if (triggered_at(history, self, s)) break;
     ++streak;
   }

@@ -212,7 +212,7 @@ class ContriteTitForTat final : public Strategy {
 /// max(trigger, clean) + max(r0, 4) − 1 records at most (each stage's
 /// trigger averages r0 records and takes a standing reference of four),
 /// and only trigger + max(r0, 4) − 1 when the player already sits at its
-/// cooperative window.
+/// cooperative window; it evaluates each stage's trigger at most once.
 class ForgivingGtft final : public Strategy {
  public:
   ForgivingGtft(int initial_w, double beta, int window_stages,

@@ -149,7 +149,8 @@ NeighborhoodPricing price_neighborhoods(const SpatialIndex& index,
       if (!analytical::usable(solved.diagnostics.status)) continue;
       rates.resize(requests[r].class_count());
       analytical::class_utility_rates(solved.state, requests[r], params,
-                                      game.mode(), scratch, rates);
+                                      game.mode(), params.packet_error_rate,
+                                      scratch, rates);
       out.payoff[nodes[r]] =
           rates[static_cast<std::size_t>(requests[r].class_of[0])] * t_us;
     }

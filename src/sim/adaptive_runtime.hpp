@@ -36,7 +36,11 @@ struct AdaptiveResult : game::Convergence {
 
 class AdaptiveRuntime {
  public:
+  /// Per-node window estimates Ŵ of the last stage played (empty before).
   using EstimateFeed = std::shared_ptr<const std::vector<double>>;
+  /// Per-node flags of the last stage played (empty before): node j is
+  /// flagged when its attempt rate significantly exceeds compliance with
+  /// the *modal* window of that stage's profile (the de-facto agreement).
   using FlagFeed = std::shared_ptr<const std::vector<bool>>;
   /// `make_strategy(i, estimates, flags)` builds node i's strategy around
   /// the runtime's feeds (both refreshed every stage before strategies
@@ -57,13 +61,6 @@ class AdaptiveRuntime {
                   std::optional<double> stage_duration_us = std::nullopt);
 
   std::size_t player_count() const noexcept { return strategies_.size(); }
-
-  /// Per-node window estimates Ŵ of the last stage played (empty before).
-  EstimateFeed estimate_feed() const { return estimates_; }
-  /// Per-node flags of the last stage played (empty before): node j is
-  /// flagged when its attempt rate significantly exceeds compliance with
-  /// the *modal* window of that stage's profile (the de-facto agreement).
-  FlagFeed flag_feed() const { return flags_; }
 
   /// Plays `stages` stages; the simulator's backoff state carries across
   /// stages (only measurement counters reset).

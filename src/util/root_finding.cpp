@@ -116,21 +116,4 @@ std::optional<RootResult> brent(const std::function<double(double)>& f,
   return res;
 }
 
-std::optional<std::pair<double, double>> find_bracket(
-    const std::function<double(double)>& f, double lo, double hi, int steps) {
-  if (!(lo < hi) || steps < 1) return std::nullopt;
-  const double h = (hi - lo) / steps;
-  double x0 = lo;
-  double f0 = f(x0);
-  for (int i = 1; i <= steps; ++i) {
-    const double x1 = lo + h * i;
-    const double f1 = f(x1);
-    if (f0 == 0.0) return std::make_pair(x0, x0);
-    if (opposite_signs(f0, f1)) return std::make_pair(x0, x1);
-    x0 = x1;
-    f0 = f1;
-  }
-  return std::nullopt;
-}
-
 }  // namespace smac::util

@@ -35,10 +35,4 @@ std::optional<RootResult> brent(const std::function<double(double)>& f,
                                 double lo, double hi,
                                 const RootOptions& opts = {});
 
-/// Expands/scans [lo, hi] in `steps` uniform pieces and returns the first
-/// sub-interval with a sign change, usable as a bracket for brent/bisect.
-std::optional<std::pair<double, double>> find_bracket(
-    const std::function<double(double)>& f, double lo, double hi,
-    int steps = 64);
-
 }  // namespace smac::util

@@ -13,7 +13,6 @@ namespace smac::util {
 class RunningStats {
  public:
   void add(double x) noexcept;
-  void merge(const RunningStats& other) noexcept;
   void reset() noexcept { *this = RunningStats{}; }
 
   std::size_t count() const noexcept { return n_; }

@@ -1,8 +1,8 @@
 // Bitwise-identity contract of the lockstep batch solver.
 //
-// try_solve_classes_batch promises results bitwise identical to calling
-// try_solve_classes per instance (src/analytical/batch_solver.hpp) — both
-// run the same per-instance ladder machine, and no arithmetic crosses
+// try_solve_classes_batch promises results bitwise identical to solving
+// each instance in a batch of its own (src/analytical/batch_solver.hpp) —
+// every instance runs its own ladder machine, and no arithmetic crosses
 // instances. This suite pins the contract over a seeded (n, k, PER,
 // batch-size) grid, over batches mixing converged/degraded/failed
 // outcomes under a starved iteration budget, over warm-started
@@ -52,6 +52,11 @@ void expect_identical(const TrySolveResult& batch, const TrySolveResult& one,
   EXPECT_STREQ(batch.diagnostics.method, one.diagnostics.method) << what;
 }
 
+/// The instance solved in a batch of its own.
+TrySolveResult solve_alone(const ClassProfileInstance& instance) {
+  return try_solve_classes_batch({&instance, 1}).front();
+}
+
 void check_batch_matches_sequential(
     const std::vector<ClassProfileInstance>& instances,
     const std::string& what) {
@@ -59,9 +64,7 @@ void check_batch_matches_sequential(
       try_solve_classes_batch(instances);
   ASSERT_EQ(batched.size(), instances.size()) << what;
   for (std::size_t i = 0; i < instances.size(); ++i) {
-    const TrySolveResult one = try_solve_classes(
-        instances[i].classes, instances[i].max_stage, instances[i].opts,
-        instances[i].packet_error_rate);
+    const TrySolveResult one = solve_alone(instances[i]);
     expect_identical(batched[i], one,
                      what + " instance " + std::to_string(i));
   }
@@ -161,8 +164,7 @@ TEST(BatchSolverTest, WarmStartedInstancesMatchSequentialBitwise) {
   std::vector<ClassProfileInstance> instances;
   for (const std::vector<int>& w : profiles) {
     ClassProfileInstance cold = make_instance(w, 6, 0.1);
-    const TrySolveResult solved = try_solve_classes(
-        cold.classes, cold.max_stage, cold.opts, cold.packet_error_rate);
+    const TrySolveResult solved = solve_alone(cold);
     ClassProfileInstance warm = cold;
     warm.opts.initial_tau = solved.state.tau;  // class-sized hint
     instances.push_back(std::move(warm));

@@ -1,7 +1,8 @@
 // Robustness of the non-throwing solver entry points: edge profiles that
 // historically aborted sweeps must now come back as a SolveStatus with
 // finite state, and the clamped window_for_tau must return its cap rather
-// than throwing mid-sweep. Also covers the thread-safe NetworkSolveCache.
+// than throwing mid-sweep. Also covers the thread-safe NetworkSolveCache,
+// through its one door, SolverService::solve_classes.
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -9,9 +10,9 @@
 #include <vector>
 
 #include "analytical/fixed_point_solver.hpp"
-#include "analytical/solver_cache.hpp"
 #include "analytical/solver_service.hpp"
 #include "gtest/gtest.h"
+#include "support/service_solve.hpp"
 
 namespace {
 
@@ -100,13 +101,8 @@ TEST(SolverRobustness, NonFiniteInputReadsInvalidOnEveryPath) {
   }
   EXPECT_STREQ(try_solve_network({16, 32}, 6, {}, nan).diagnostics.method,
                "invalid");
-  EXPECT_STREQ(NetworkSolveCache().solve({16, 32}, 6, nan).diagnostics.method,
-               "invalid");
   SolverService service;
-  EXPECT_STREQ(service
-                   .solve_batch(std::vector<std::vector<int>>{{16, 32}}, 6,
-                                nan)[0]
-                   .diagnostics.method,
+  EXPECT_STREQ(solve_profile(service, {16, 32}, 6, nan).diagnostics.method,
                "invalid");
   EXPECT_THROW(solve_network_homogeneous(64.0, 5, 6, nan),
                std::invalid_argument);
@@ -148,46 +144,53 @@ TEST(WindowForTau, RoundTripsReachableTargets) {
 }
 
 TEST(NetworkSolveCache, HitsAndMissesAreCounted) {
-  NetworkSolveCache cache;
+  SolverService service;
   const std::vector<int> w{16, 32};
-  const TrySolveResult first = cache.solve(w, 5, 0.0);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().hits, 0u);
-  const TrySolveResult second = cache.solve(w, 5, 0.0);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().size, 1u);
+  const TrySolveResult first = solve_profile(service, w, 5, 0.0);
+  EXPECT_EQ(service.cache_stats().misses, 1u);
+  EXPECT_EQ(service.cache_stats().hits, 0u);
+  const TrySolveResult second = solve_profile(service, w, 5, 0.0);
+  EXPECT_EQ(service.cache_stats().hits, 1u);
+  EXPECT_EQ(service.cache_stats().size, 1u);
   for (std::size_t i = 0; i < w.size(); ++i) {
     EXPECT_EQ(first.state.tau[i], second.state.tau[i]);
   }
   // Distinct PER / max_stage are distinct keys.
-  (void)cache.solve(w, 5, 0.1);
-  (void)cache.solve(w, 6, 0.0);
-  EXPECT_EQ(cache.stats().misses, 3u);
-  EXPECT_EQ(cache.stats().size, 3u);
+  (void)solve_profile(service, w, 5, 0.1);
+  (void)solve_profile(service, w, 6, 0.0);
+  EXPECT_EQ(service.cache_stats().misses, 3u);
+  EXPECT_EQ(service.cache_stats().size, 3u);
 }
 
 TEST(NetworkSolveCache, MatchesDirectSolve) {
-  NetworkSolveCache cache;
+  SolverService service;
   const std::vector<int> w{8, 64, 256};
-  const TrySolveResult cached = cache.solve(w, 5, 0.2);
+  const TrySolveResult cached = solve_profile(service, w, 5, 0.2);
   const TrySolveResult direct = try_solve_network(w, 5, {}, 0.2);
   ASSERT_EQ(cached.state.tau.size(), direct.state.tau.size());
   for (std::size_t i = 0; i < w.size(); ++i) {
     EXPECT_EQ(cached.state.tau[i], direct.state.tau[i]);
     EXPECT_EQ(cached.state.p[i], direct.state.p[i]);
   }
+  // The hit expands the cached entry to the same bits.
+  const TrySolveResult hit = solve_profile(service, w, 5, 0.2);
+  EXPECT_EQ(service.cache_stats().hits, 1u);
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    EXPECT_EQ(hit.state.tau[i], direct.state.tau[i]);
+  }
 }
 
 TEST(NetworkSolveCache, ConcurrentMixedProfileLookupsAreSafe) {
-  NetworkSolveCache cache;
+  const SolverService service;
   constexpr int kThreads = 4;
   std::vector<std::thread> threads;
   std::vector<double> tau0(kThreads, -1.0);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&cache, &tau0, t] {
+    threads.emplace_back([&service, &tau0, t] {
       for (int rep = 0; rep < 20; ++rep) {
         const std::vector<int> w{16 + rep % 3, 32, 64};
-        tau0[static_cast<std::size_t>(t)] = cache.solve(w, 5, 0.0).state.tau[0];
+        tau0[static_cast<std::size_t>(t)] =
+            solve_profile(service, w, 5, 0.0).state.tau[0];
       }
     });
   }
@@ -195,8 +198,11 @@ TEST(NetworkSolveCache, ConcurrentMixedProfileLookupsAreSafe) {
   for (int t = 1; t < kThreads; ++t) {
     EXPECT_EQ(tau0[static_cast<std::size_t>(t)], tau0[0]);
   }
-  const SolveCacheStats stats = cache.stats();
-  EXPECT_GE(stats.hits + stats.misses, 80u);
+  // Every request is one hit or one miss, a miss only for a key's first
+  // sight (the loser of a race observes the winner's entry).
+  const SolveCacheStats stats = service.cache_stats();
+  EXPECT_EQ(stats.hits + stats.misses, 80u);
+  EXPECT_EQ(stats.misses, 3u);
   EXPECT_EQ(stats.size, 3u);
 }
 

@@ -1,13 +1,10 @@
-// SolverService: solve_batch and solve_classes semantics over the
-// canonical cache.
+// SolverService::solve_classes semantics over the canonical cache.
 //
 // The service's contract (src/analytical/solver_service.hpp): every
-// batched result has the bits of a direct NetworkSolveCache::solve /
-// try_solve_network call, the cache traffic counters advance exactly as
-// the same requests would have sequentially, and pool-chunked batches
-// change nothing. solve_classes groups canonical class profiles the way
-// solve_batch groups per-node profiles: same results, same counters,
-// same entries.
+// batched result, expanded with its request's class_of, has the bits of
+// a direct try_solve_network call; the cache traffic counters advance
+// exactly as one-request calls made in request order would advance them;
+// and pool-chunked batches change nothing.
 #include "analytical/solver_service.hpp"
 
 #include <gtest/gtest.h>
@@ -17,6 +14,7 @@
 #include <vector>
 
 #include "parallel/thread_pool.hpp"
+#include "support/service_solve.hpp"
 
 namespace smac::analytical {
 namespace {
@@ -47,7 +45,7 @@ TEST(SolverServiceTest, TicketsMatchDirectSolves) {
   const std::vector<std::vector<int>> profiles{
       {16, 16, 32}, {32, 16, 16}, {1, 1024}, {8, 8, 8, 8}};
   const std::vector<TrySolveResult> results =
-      service.solve_batch(profiles, 6, 0.1);
+      solve_profiles(service, profiles, 6, 0.1);
   ASSERT_EQ(results.size(), profiles.size());
   for (std::size_t i = 0; i < profiles.size(); ++i) {
     expect_matches_direct(results[i], profiles[i], 6, 0.1,
@@ -56,43 +54,48 @@ TEST(SolverServiceTest, TicketsMatchDirectSolves) {
 }
 
 TEST(SolverServiceTest, StatsMirrorSequentialRequests) {
-  // {16,16,32} and {32,16,16} collapse to one canonical key; sequential
-  // solve() calls would count 2 misses (two distinct keys) + 2 hits (the
+  // {16,16,32} and {32,16,16} collapse to one canonical key; one-request
+  // calls in order count 2 misses (two distinct keys) + 2 hits (the
   // permutation and the repeat). A single batch must tally identically.
   SolverService service;
+  SolverService one_by_one;
   const std::vector<std::vector<int>> profiles{
       {16, 16, 32}, {32, 16, 16}, {1, 1024}, {16, 16, 32}};
-  service.solve_batch(profiles, 6, 0.1);
+  (void)solve_profiles(service, profiles, 6, 0.1);
+  for (const std::vector<int>& w : profiles) {
+    (void)solve_profile(one_by_one, w, 6, 0.1);
+  }
   const SolveCacheStats stats = service.cache_stats();
   EXPECT_EQ(stats.size, 2u);
   EXPECT_EQ(stats.misses, 2u);
   EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(one_by_one.cache_stats().size, stats.size);
+  EXPECT_EQ(one_by_one.cache_stats().misses, stats.misses);
+  EXPECT_EQ(one_by_one.cache_stats().hits, stats.hits);
 
   // A second batch of an already-cached profile is pure hits.
-  service.solve_batch(std::vector<std::vector<int>>{{16, 32, 16}}, 6, 0.1);
+  (void)solve_profile(service, {16, 32, 16}, 6, 0.1);
   EXPECT_EQ(service.cache_stats().hits, 3u);
   EXPECT_EQ(service.cache_stats().misses, 2u);
 }
 
 TEST(SolverServiceTest, InvalidRequestsFailLikeDirectCalls) {
   SolverService service;
-  const std::vector<TrySolveResult> batched = service.solve_batch(
-      std::vector<std::vector<int>>{{}, {0, 16}}, 6, 0.0);
-  const std::vector<TrySolveResult> bad_per =
-      service.solve_batch(std::vector<std::vector<int>>{{16}}, 6, 1.0);
-  for (const TrySolveResult* result :
-       {&batched[0], &batched[1], &bad_per[0]}) {
+  const std::vector<TrySolveResult> batched = solve_profiles(
+      service, std::vector<std::vector<int>>{{}, {0, 16}}, 6, 0.0);
+  const TrySolveResult bad_per = solve_profile(service, {16}, 6, 1.0);
+  for (const TrySolveResult* result : {&batched[0], &batched[1], &bad_per}) {
     EXPECT_EQ(result->diagnostics.status, SolveStatus::kFailed);
     EXPECT_STREQ(result->diagnostics.method, "invalid");
+    EXPECT_TRUE(result->state.tau.empty());
   }
-  // Invalid requests tally as misses without inserting (same as
-  // NetworkSolveCache::solve); the empty profile names no key and counts
-  // nothing.
+  // Invalid requests tally as misses without inserting, as direct calls
+  // fail; the empty profile names no key and counts nothing.
   EXPECT_EQ(service.cache_stats().misses, 2u);
   EXPECT_EQ(service.cache_stats().size, 0u);
 
-  // solve() follows the same empty-profile rule.
-  const TrySolveResult empty = service.solve({}, 6, 0.0);
+  // A one-request call follows the same empty-profile rule.
+  const TrySolveResult empty = solve_profile(service, {}, 6, 0.0);
   EXPECT_EQ(empty.diagnostics.status, SolveStatus::kFailed);
   EXPECT_STREQ(empty.diagnostics.method, "invalid");
   EXPECT_EQ(service.cache_stats().misses, 2u);
@@ -111,10 +114,10 @@ TEST(SolverServiceTest, PoolChunkedDrainIsBitIdentical) {
   for (int w = 1; w <= 80; ++w) {
     profiles.push_back({w, 2 * w, 2 * w, 64});
   }
-  const std::vector<TrySolveResult> a = with_pool.solve_batch(profiles, 6,
-                                                              0.2);
-  const std::vector<TrySolveResult> b = without_pool.solve_batch(profiles, 6,
-                                                                 0.2);
+  const std::vector<TrySolveResult> a =
+      solve_profiles(with_pool, profiles, 6, 0.2);
+  const std::vector<TrySolveResult> b =
+      solve_profiles(without_pool, profiles, 6, 0.2);
   for (std::size_t i = 0; i < profiles.size(); ++i) {
     expect_bits_equal(a[i].state.tau, b[i].state.tau);
     expect_bits_equal(a[i].state.p, b[i].state.p);
@@ -126,13 +129,15 @@ TEST(SolverServiceTest, PoolChunkedDrainIsBitIdentical) {
 }
 
 TEST(SolverServiceTest, BlockingSolveSharesTheCache) {
+  // A one-request call and a later batch share one cache.
   SolverService service;
-  const TrySolveResult first = service.solve({16, 16, 128}, 6, 0.1);
+  const TrySolveResult first = solve_profile(service, {16, 16, 128}, 6, 0.1);
   EXPECT_EQ(service.cache_stats().misses, 1u);
-  const std::vector<TrySolveResult> batched = service.solve_batch(
-      std::vector<std::vector<int>>{{128, 16, 16}}, 6, 0.1);
+  const std::vector<TrySolveResult> batched = solve_profiles(
+      service, std::vector<std::vector<int>>{{128, 16, 16}, {8, 8}}, 6, 0.1);
   // A permutation of the cached key: a hit.
   EXPECT_EQ(service.cache_stats().hits, 1u);
+  EXPECT_EQ(service.cache_stats().misses, 2u);
   expect_bits_equal(batched[0].state.tau,
                     {first.state.tau[2], first.state.tau[0],
                      first.state.tau[1]});
@@ -160,12 +165,20 @@ TEST(SolverServiceTest, SolveClassesCountsLikeSequentialSolves) {
     EXPECT_EQ(invalid.diagnostics.status, SolveStatus::kFailed);
     EXPECT_STREQ(invalid.diagnostics.method, "invalid");
   }
-  // Sequential solve() calls: two fresh keys miss, the two repeats hit,
-  // the invalid request misses; the empty request is not a lookup.
+  // One-request calls in request order: two fresh keys miss, the two
+  // repeats hit, the invalid request misses; the empty request is not a
+  // lookup.
   const SolveCacheStats stats = service.cache_stats();
   EXPECT_EQ(stats.size, 2u);
   EXPECT_EQ(stats.misses, 3u);
   EXPECT_EQ(stats.hits, 2u);
+  SolverService one_by_one;
+  for (const ClassProfile& request : requests) {
+    (void)one_by_one.solve_classes({&request, 1}, 6, 0.1);
+  }
+  EXPECT_EQ(one_by_one.cache_stats().size, stats.size);
+  EXPECT_EQ(one_by_one.cache_stats().misses, stats.misses);
+  EXPECT_EQ(one_by_one.cache_stats().hits, stats.hits);
 
   // Class-space results, expanded with each request's own class_of, are
   // the direct per-node solves.
@@ -182,9 +195,9 @@ TEST(SolverServiceTest, SolveClassesCountsLikeSequentialSolves) {
 }
 
 TEST(SolverServiceTest, SolveClassesMatchesDrainAtTheInsertCap) {
-  // Both paths adopt misses in canonical key order, so a cache that fills
-  // up mid-batch keeps the same entries either way — and the pool, over
-  // more than one chunk of misses, changes nothing.
+  // Misses are adopted in canonical key order, so a cache that fills up
+  // mid-batch keeps the smallest keys — and the pool, over more than one
+  // chunk of misses, changes neither the results nor the entries kept.
   parallel::ThreadPool pool(3);
   SolverService::Options capped;
   capped.max_cache_entries = 5;
@@ -206,13 +219,15 @@ TEST(SolverServiceTest, SolveClassesMatchesDrainAtTheInsertCap) {
     const SolverService::ClassBatch batch =
         by_class.solve_classes(classes, 6, 0.05);
     const std::vector<TrySolveResult> per_node =
-        by_batch.solve_batch(profiles, 6, 0.05);
+        solve_profiles(by_batch, profiles, 6, 0.05);
     for (std::size_t i = 0; i < profiles.size(); ++i) {
       const TrySolveResult& collapsed = batch.results[batch.key_of[i]];
       const NetworkState expanded =
           expand_classes(collapsed.state, classes[i]);
       expect_bits_equal(expanded.tau, per_node[i].state.tau);
       expect_bits_equal(expanded.p, per_node[i].state.p);
+      expect_matches_direct(per_node[i], profiles[i], 6, 0.05,
+                            by_batch.cache().options());
     }
     const SolveCacheStats a = by_class.cache_stats();
     const SolveCacheStats b = by_batch.cache_stats();
@@ -231,8 +246,8 @@ TEST(SolverServiceTest, SolveClassesMatchesDrainAtTheInsertCap) {
   for (int w = 1; w <= kWindows; ++w) {
     const std::uint64_t a0 = by_class.cache_stats().hits;
     const std::uint64_t b0 = by_batch.cache_stats().hits;
-    by_class.solve({8 * w, 16, 16, 64}, 6, 0.05);
-    by_batch.solve({8 * w, 16, 16, 64}, 6, 0.05);
+    (void)solve_profile(by_class, {8 * w, 16, 16, 64}, 6, 0.05);
+    (void)solve_profile(by_batch, {8 * w, 16, 16, 64}, 6, 0.05);
     const std::uint64_t a_hit = by_class.cache_stats().hits - a0;
     EXPECT_EQ(a_hit, by_batch.cache_stats().hits - b0) << "w " << 8 * w;
     const bool smallest = w == 1 || (w >= 3 && w <= 6);

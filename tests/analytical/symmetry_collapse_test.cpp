@@ -16,10 +16,12 @@
 #include <string>
 #include <vector>
 
+#include "analytical/batch_solver.hpp"
 #include "analytical/fixed_point_solver.hpp"
-#include "analytical/solver_cache.hpp"
+#include "analytical/solver_service.hpp"
 #include "gtest/gtest.h"
 #include "support/reference_solver.hpp"
+#include "support/service_solve.hpp"
 #include "util/rng.hpp"
 
 namespace smac::analytical {
@@ -99,25 +101,25 @@ TEST(SymmetryCollapse, EqualWindowsShareBitwiseOutcomes) {
 }
 
 TEST(SymmetryCollapse, CacheHitsOnPermutedProfiles) {
-  NetworkSolveCache cache;
+  SolverService service;
   const std::vector<int> w = mixed_profile(12, {32, 256});
-  const TrySolveResult first = cache.solve(w, 5, 0.0);
-  ASSERT_EQ(cache.stats().misses, 1u);
+  const TrySolveResult first = solve_profile(service, w, 5, 0.0);
+  ASSERT_EQ(service.cache_stats().misses, 1u);
   for (const std::uint64_t seed : {3u, 5u, 9u}) {
     const std::vector<int> pw = shuffled(w, seed);
-    const TrySolveResult again = cache.solve(pw, 5, 0.0);
+    const TrySolveResult again = solve_profile(service, pw, 5, 0.0);
     for (std::size_t i = 0; i < pw.size(); ++i) {
-      const TrySolveResult direct = cache.solve(pw, 5, 0.0);
+      const TrySolveResult direct = solve_profile(service, pw, 5, 0.0);
       EXPECT_EQ(again.state.tau[i], direct.state.tau[i]);
     }
   }
   // Every permutation collapses to the same canonical key: no new misses.
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().size, 1u);
-  EXPECT_GE(cache.stats().hits, 3u);
+  EXPECT_EQ(service.cache_stats().misses, 1u);
+  EXPECT_EQ(service.cache_stats().size, 1u);
+  EXPECT_GE(service.cache_stats().hits, 3u);
   // And the permuted hit is bitwise the permuted original solution.
   const std::vector<int> pw = shuffled(w, 3u);
-  const TrySolveResult hit = cache.solve(pw, 5, 0.0);
+  const TrySolveResult hit = solve_profile(service, pw, 5, 0.0);
   for (std::size_t i = 0; i < pw.size(); ++i) {
     const TrySolveResult direct = try_solve_network(pw, 5, {}, 0.0);
     EXPECT_EQ(hit.state.tau[i], direct.state.tau[i]);
@@ -205,8 +207,12 @@ TEST(SymmetryCollapse, WarmStartConvergesFasterAndAgrees) {
 
 TEST(SymmetryCollapse, ExpandClassesPreservesNodeOrder) {
   const std::vector<int> w{128, 8, 128, 8, 2048};
-  const ClassProfile classes = classify_profile(w);
-  const TrySolveResult collapsed = try_solve_classes(classes, 5);
+  ClassProfileInstance instance;
+  instance.classes = classify_profile(w);
+  instance.max_stage = 5;
+  const ClassProfile& classes = instance.classes;
+  const TrySolveResult collapsed =
+      try_solve_classes_batch({&instance, 1}).front();
   ASSERT_EQ(collapsed.state.tau.size(), classes.class_count());
   const NetworkState expanded = expand_classes(collapsed.state, classes);
   ASSERT_EQ(expanded.tau.size(), w.size());

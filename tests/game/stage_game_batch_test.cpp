@@ -3,7 +3,9 @@
 // StageGame::try_stage_utilities_batch promises payoffs bitwise equal to
 // per-profile try_stage_utilities calls, and prefetch_profiles promises
 // that later sequential evaluations of the warmed profiles are cache
-// hits (src/game/stage_game.hpp).
+// hits (src/game/stage_game.hpp). Every path prices in class space; the
+// per-node oracle here is analytical::utility_rates on a direct
+// try_solve_network state.
 #include "game/stage_game.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +15,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "analytical/utility.hpp"
 #include "util/rng.hpp"
 
 namespace smac::game {
@@ -59,11 +62,37 @@ TEST(StageGameBatchTest, BatchMatchesSequentialBitwise) {
 }
 
 TEST(StageGameBatchTest, BatchHonorsPerOverride) {
+  // A PER override is the PER of the solve *and* of the payoff's
+  // delivered fraction (1 − PER): every path of a PER-0 game asked at
+  // 0.3 pays what a game configured at PER 0.3 pays, bit for bit.
   const StageGame game(test_params(), phy::AccessMode::kBasic);
-  const std::vector<std::vector<int>> profiles{{16, 64, 64}};
+  phy::Parameters lossy = test_params();
+  lossy.packet_error_rate = 0.3;
+  const StageGame configured(lossy, phy::AccessMode::kBasic);
+  const std::vector<std::vector<int>> profiles{{16, 64, 64, 256}, {16, 64}};
   const auto batched = game.try_stage_utilities_batch(profiles, 0.3);
-  const auto one = game.try_stage_utilities(profiles[0], 0.3);
-  expect_bits_equal(batched[0].utilities, one.utilities);
+  const auto expected = configured.try_stage_utilities_batch(profiles);
+  std::vector<analytical::ClassProfile> classes;
+  for (const auto& w : profiles) {
+    classes.push_back(analytical::classify_profile(w));
+  }
+  const auto by_class = game.try_class_utilities_batch(classes, 0.3);
+  for (std::size_t i = 0; i < profiles.size(); ++i) {
+    const auto one = game.try_stage_utilities(profiles[i], 0.3);
+    ASSERT_FALSE(expected[i].utilities.empty());
+    expect_bits_equal(one.utilities, expected[i].utilities);
+    expect_bits_equal(batched[i].utilities, expected[i].utilities);
+    expect_bits_equal(
+        configured.try_stage_utilities(profiles[i]).utilities,
+        expected[i].utilities);
+    ASSERT_EQ(by_class[i].utilities.size(), classes[i].class_count());
+    for (std::size_t n = 0; n < profiles[i].size(); ++n) {
+      const auto c = static_cast<std::size_t>(classes[i].class_of[n]);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(by_class[i].utilities[c]),
+                std::bit_cast<std::uint64_t>(expected[i].utilities[n]))
+          << "profile " << i << " node " << n;
+    }
+  }
   // And it is genuinely a different point than the base PER.
   const auto base = game.try_stage_utilities(profiles[0]);
   EXPECT_NE(base.utilities[0], batched[0].utilities[0]);
@@ -90,8 +119,9 @@ TEST(StageGameBatchTest, CappedCacheClassBatchMatchesPerNodeBatch) {
   // A cache capped at 16 entries, filled past its cap by two successive
   // batches: the class-space batch must insert exactly the entries the
   // per-node batch inserts (both adopt misses in canonical key order), so
-  // every later hit and miss agrees too, and each class payoff must be
-  // the bits of that class's first node's per-node payoff.
+  // every later hit and miss agrees too; each per-node payoff must be the
+  // bits of the per-node oracle, and each class payoff the bits of that
+  // class's first node's per-node payoff.
   analytical::SolverService::Options capped;
   capped.max_cache_entries = 16;
   const StageGame by_class(test_params(), phy::AccessMode::kRtsCts, capped);
@@ -152,6 +182,14 @@ TEST(StageGameBatchTest, CappedCacheClassBatchMatchesPerNodeBatch) {
         EXPECT_TRUE(per_class[i].utilities.empty());
         continue;
       }
+      // The per-node oracle: utility rates of the direct solve, × T.
+      std::vector<double> oracle = analytical::utility_rates(
+          analytical::try_solve_network(profiles[i],
+                                        test_params().max_backoff_stage)
+              .state,
+          test_params(), phy::AccessMode::kRtsCts);
+      for (double& v : oracle) v *= by_node.stage_duration_us();
+      expect_bits_equal(per_node[i].utilities, oracle);
       ASSERT_EQ(per_class[i].utilities.size(), classes[i].class_count());
       for (std::size_t c = 0; c < classes[i].class_count(); ++c) {
         const auto first = static_cast<std::size_t>(

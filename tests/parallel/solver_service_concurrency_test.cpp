@@ -1,11 +1,12 @@
 // SolverService under concurrent batches.
 //
-// Tournament workers price their deviation scans and reaction
-// calibrations through one shared StageGame, so several solve_batch /
-// solve_classes calls run on one SolverService at once, with nothing but
-// the cache's own lock between them. Four threads hammer one service over
-// overlapping profile sets — once solving inline, once chunking misses
-// across a pool — and every result must still have the bits of a direct
+// Tournament workers price their stages, deviation scans and reaction
+// calibrations through one shared StageGame, so several solve_classes
+// calls run on one SolverService at once, with nothing but the cache's
+// own lock between them. Four threads hammer one service over
+// overlapping profile sets — each thread one batch and a one-request call
+// per profile, once solving inline, once chunking misses across a pool —
+// and every result must still have the bits of a direct
 // try_solve_network call, every non-empty request must count exactly one
 // hit or miss — a miss only for the first sight of a key, as in a
 // sequential run — and every distinct valid key must hold exactly one
@@ -22,6 +23,7 @@
 
 #include "analytical/solver_service.hpp"
 #include "parallel/thread_pool.hpp"
+#include "support/service_solve.hpp"
 
 namespace smac::analytical {
 namespace {
@@ -76,7 +78,7 @@ TEST(SolverServiceConcurrencyTest, ConcurrentBatchesMatchDirectSolves) {
       for (const auto& w : profiles[t]) {
         classes[t].push_back(classify_profile(w));
         if (w.empty()) continue;
-        non_empty += 2;  // one solve_batch and one solve_classes request
+        non_empty += 2;  // one one-request call and one batch request
         if (w[0] >= 1) {
           keys.emplace(classes[t].back().window,
                        classes[t].back().multiplicity);
@@ -84,19 +86,22 @@ TEST(SolverServiceConcurrencyTest, ConcurrentBatchesMatchDirectSolves) {
       }
     }
 
-    std::vector<std::vector<TrySolveResult>> batched(kThreads);
+    std::vector<std::vector<TrySolveResult>> one_by_one(kThreads);
     std::vector<SolverService::ClassBatch> by_class(kThreads);
     std::latch start(kThreads);
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t] {
         start.arrive_and_wait();
-        // Odd threads lead with the class batch, so both entry points
-        // race on fresh keys.
+        // Odd threads lead with the batch, so one-request calls and
+        // batches race on fresh keys.
         if (t % 2 == 1) {
           by_class[t] = service.solve_classes(classes[t], kMaxStage, kPer);
         }
-        batched[t] = service.solve_batch(profiles[t], kMaxStage, kPer);
+        for (const std::vector<int>& w : profiles[t]) {
+          one_by_one[t].push_back(
+              solve_profile(service, w, kMaxStage, kPer));
+        }
         if (t % 2 == 0) {
           by_class[t] = service.solve_classes(classes[t], kMaxStage, kPer);
         }
@@ -106,14 +111,15 @@ TEST(SolverServiceConcurrencyTest, ConcurrentBatchesMatchDirectSolves) {
 
     const SolverOptions& opts = service.cache().options();
     for (int t = 0; t < kThreads; ++t) {
-      ASSERT_EQ(batched[t].size(), profiles[t].size());
+      ASSERT_EQ(one_by_one[t].size(), profiles[t].size());
       for (std::size_t r = 0; r < profiles[t].size(); ++r) {
         const std::vector<int>& w = profiles[t][r];
         const TrySolveResult direct = try_solve_network(w, kMaxStage, opts,
                                                         kPer);
-        EXPECT_EQ(batched[t][r].diagnostics.status, direct.diagnostics.status);
-        expect_bits_equal(batched[t][r].state.tau, direct.state.tau);
-        expect_bits_equal(batched[t][r].state.p, direct.state.p);
+        EXPECT_EQ(one_by_one[t][r].diagnostics.status,
+                  direct.diagnostics.status);
+        expect_bits_equal(one_by_one[t][r].state.tau, direct.state.tau);
+        expect_bits_equal(one_by_one[t][r].state.p, direct.state.p);
 
         const TrySolveResult& collapsed =
             by_class[t].results[by_class[t].key_of[r]];

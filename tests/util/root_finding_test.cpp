@@ -65,26 +65,5 @@ TEST(BrentTest, NearFlatFunction) {
   EXPECT_NEAR(r->x, 3.0, 1e-6);
 }
 
-TEST(FindBracketTest, LocatesSignChange) {
-  const auto b = find_bracket(
-      [](double x) { return (x - 3.3) * (x - 8.7); }, 0.0, 5.0, 50);
-  ASSERT_TRUE(b.has_value());
-  EXPECT_LE(b->first, 3.3);
-  EXPECT_GE(b->second, 3.3);
-}
-
-TEST(FindBracketTest, NoSignChangeReturnsNullopt) {
-  EXPECT_FALSE(find_bracket([](double x) { return x * x + 1.0; }, -5.0, 5.0));
-}
-
-TEST(FindBracketTest, FeedsBrent) {
-  auto f = [](double x) { return std::sin(x); };
-  const auto b = find_bracket(f, 2.0, 4.0, 16);
-  ASSERT_TRUE(b.has_value());
-  const auto r = brent(f, b->first, b->second);
-  ASSERT_TRUE(r.has_value());
-  EXPECT_NEAR(r->x, M_PI, 1e-10);
-}
-
 }  // namespace
 }  // namespace smac::util

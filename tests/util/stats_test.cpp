@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 namespace smac::util {
@@ -36,35 +35,6 @@ TEST(RunningStatsTest, KnownMoments) {
   EXPECT_DOUBLE_EQ(s.min(), 2.0);
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
   EXPECT_NEAR(s.sum(), 40.0, 1e-12);
-}
-
-TEST(RunningStatsTest, MergeEqualsSequential) {
-  RunningStats all;
-  RunningStats a;
-  RunningStats b;
-  for (int i = 0; i < 50; ++i) {
-    const double x = std::sin(i * 0.7) * 10.0;
-    all.add(x);
-    (i % 2 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStatsTest, MergeWithEmpty) {
-  RunningStats a;
-  a.add(1.0);
-  a.add(2.0);
-  RunningStats empty;
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 1.5);
 }
 
 TEST(RunningStatsTest, CiShrinksWithSamples) {
