@@ -1,10 +1,16 @@
 #include "analytical/solver_cache.hpp"
 
 #include <algorithm>
+#include <utility>
+
+#include "parallel/thread_pool.hpp"
 
 namespace smac::analytical {
 
 namespace {
+
+/// Entries built per pool task in adopt_classes: a scheduling unit only.
+constexpr std::size_t kEntryChunk = 1024;
 
 /// SplitMix64-style avalanche: mixes each key component into the running
 /// hash with full 64-bit diffusion (vector hashing via std::hash would
@@ -47,10 +53,12 @@ bool NetworkSolveCache::KeyEqual::operator()(const KeyView& a,
 }
 
 NetworkSolveCache::KeyView NetworkSolveCache::view_of(
-    const ClassProfile& classes, int max_stage, double packet_error_rate) {
-  return {classes.window, classes.multiplicity, max_stage, packet_error_rate,
-          hash_key(classes.window, classes.multiplicity, max_stage,
-                   packet_error_rate)};
+    const ClassGroup& group) {
+  const ClassProfile& classes = *group.classes;
+  return {classes.window, classes.multiplicity, group.max_stage,
+          group.packet_error_rate,
+          hash_key(classes.window, classes.multiplicity, group.max_stage,
+                   group.packet_error_rate)};
 }
 
 NetworkSolveCache::Key NetworkSolveCache::owned(const KeyView& view) {
@@ -69,34 +77,33 @@ NetworkSolveCache::NetworkSolveCache(SolverOptions opts,
   opts_.initial_tau.clear();
 }
 
-std::vector<std::size_t> NetworkSolveCache::lookup_classes(
-    std::span<const ClassGroup> groups,
-    std::span<TrySolveResult> found) const {
-  std::vector<std::size_t> missed;
+void NetworkSolveCache::adopt_classes(std::span<const ClassGroup> groups,
+                                      std::span<const TrySolveResult> solved,
+                                      Seen seen,
+                                      parallel::ThreadPool* pool) const {
+  // Entries for every group the cache has room for, built unlocked.
+  std::vector<std::pair<Key, TrySolveResult>> entries(
+      std::min(seen.room, groups.size()));
+  parallel::for_each_chunk(
+      pool, entries.size(), kEntryChunk,
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t m = begin; m < end; ++m) {
+          entries[m] = {owned(view_of(groups[m])), solved[m]};
+        }
+      });
   std::lock_guard<std::mutex> lock(mutex_);
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    const ClassGroup& group = groups[g];
-    if (const auto it = cache_.find(view_of(*group.classes, group.max_stage,
-                                            group.packet_error_rate));
-        it != cache_.end()) {
-      hits_ += group.requests;
-      found[g] = it->second;
-    } else {
-      missed.push_back(g);
-    }
+  if (inserts_ == seen.inserts) {
+    // No insert since the lookup: every group is absent, and the built
+    // entries fit. Count them first, so even a throwing insert shows.
+    for (const ClassGroup& group : groups) hits_ += group.requests - 1;
+    misses_ += groups.size();
+    inserts_ += entries.size();
+    for (auto& entry : entries) cache_.insert(std::move(entry));
+    return;
   }
-  return missed;
-}
-
-void NetworkSolveCache::adopt_classes(
-    std::span<const ClassGroup> groups,
-    std::span<const TrySolveResult> solved) const {
-  std::lock_guard<std::mutex> lock(mutex_);
   for (std::size_t m = 0; m < groups.size(); ++m) {
     const ClassGroup& group = groups[m];
-    const KeyView key = view_of(*group.classes, group.max_stage,
-                                group.packet_error_rate);
-    if (cache_.contains(key)) {
+    if (cache_.contains(view_of(group))) {
       // A writer beat the caller to the key: the loser observes the
       // winner's entry and counts hits — exactly the serial-order tally,
       // so printed stats stay byte-identical at any --jobs (as long as
@@ -107,16 +114,12 @@ void NetworkSolveCache::adopt_classes(
     }
     ++misses_;
     hits_ += group.requests - 1;
+    // Each earlier group took a slot since the lookup, so m < seen.room.
     if (cache_.size() < max_entries_) {
-      cache_.emplace(owned(key), solved[m]);
+      cache_.insert(std::move(entries[m]));
+      ++inserts_;
     }
   }
-}
-
-void NetworkSolveCache::tally(std::uint64_t hits, std::uint64_t misses) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  hits_ += hits;
-  misses_ += misses;
 }
 
 SolveCacheStats NetworkSolveCache::stats() const {

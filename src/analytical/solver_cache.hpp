@@ -22,6 +22,10 @@
 
 #include "analytical/fixed_point_solver.hpp"
 
+namespace smac::parallel {
+class ThreadPool;
+}
+
 namespace smac::analytical {
 
 /// Monotone counters of one cache's traffic, read in a single lock.
@@ -61,32 +65,45 @@ class NetworkSolveCache {
   /// with — initial_tau already stripped.
   const SolverOptions& options() const noexcept { return opts_; }
 
-  /// Class-space lookups for a batching layer, all under one lock and
-  /// without copying any key. For every cached group, copies the
-  /// *class-space* result (tau/p sized k — callers expand with their own
-  /// ClassProfile) into found[g] and counts groups[g].requests hits; a
-  /// miss counts nothing — it is classified at insert time, in
-  /// adopt_classes. Returns the indices of the missed groups in ascending
-  /// order. found.size() == groups.size().
-  std::vector<std::size_t> lookup_classes(std::span<const ClassGroup> groups,
-                                          std::span<TrySolveResult> found)
-      const;
+  /// A lookup's view of the cache: its insert count and free room.
+  struct Seen {
+    std::uint64_t inserts = 0;
+    std::size_t room = 0;
+  };
+
+  /// Class-space lookups for a batching layer, under one lock and without
+  /// copying any key: fn(find) runs with the lock held, and find(group)
+  /// returns the cached class-space result (tau/p sized k) or nullptr. It
+  /// only reads, so fn may run it on a pool; entries are never erased or
+  /// changed, so a found result may be read after the lock. fn returns the
+  /// {hits, misses} to count; a miss for adopt_classes counts nothing yet.
+  template <class Fn>
+  Seen lookup_classes(Fn&& fn) const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto [hits, misses] = fn([this](const ClassGroup& group) {
+      const auto it = cache_.find(view_of(group));
+      return it == cache_.end() ? nullptr : &it->second;
+    });
+    hits_ += hits;
+    misses_ += misses;
+    return {inserts_, max_entries_ - cache_.size()};
+  }
 
   /// Adopts externally computed class-space results — solved[m] for
-  /// groups[m] — in order, under one lock. Tally per group mirrors what
-  /// `requests` one-request calls in a row would have produced: if the
-  /// key appeared while the caller was solving (a racing writer) all
-  /// `requests` count as hits; otherwise one miss plus `requests − 1`
-  /// hits, and a copy of the result is inserted (subject to max_entries,
-  /// so the order of `groups` decides which keys a full cache keeps).
+  /// groups[m], the misses of a lookup that saw `seen` — in order, under
+  /// one lock. Tally per group mirrors what `requests` one-request calls
+  /// in a row would have produced: if the key appeared while the caller
+  /// was solving (a racing writer) all `requests` count as hits;
+  /// otherwise one miss plus `requests − 1` hits, and a copy of the
+  /// result is inserted (subject to max_entries, so the order of `groups`
+  /// decides which keys a full cache keeps). Entries for the first
+  /// seen.room groups are built before the lock, on `pool` if given; with
+  /// no insert since the lookup (a lone caller) nothing is re-checked.
   /// Results must come from the cache's own options() with no warm start,
   /// or cached values stop being pure functions of the key.
   void adopt_classes(std::span<const ClassGroup> groups,
-                     std::span<const TrySolveResult> solved) const;
-
-  /// Bumps the traffic counters without touching entries — for batching
-  /// layers that answer requests outside the cache (invalid keys).
-  void tally(std::uint64_t hits, std::uint64_t misses) const;
+                     std::span<const TrySolveResult> solved, Seen seen,
+                     parallel::ThreadPool* pool) const;
 
   SolveCacheStats stats() const;
 
@@ -129,8 +146,7 @@ class NetworkSolveCache {
       return (*this)(b, a);
     }
   };
-  static KeyView view_of(const ClassProfile& classes, int max_stage,
-                         double packet_error_rate);
+  static KeyView view_of(const ClassGroup& group);
   static Key owned(const KeyView& view);
 
   SolverOptions opts_;
@@ -142,6 +158,7 @@ class NetworkSolveCache {
   mutable std::unordered_map<Key, TrySolveResult, KeyHash, KeyEqual> cache_;
   mutable std::uint64_t hits_ = 0;
   mutable std::uint64_t misses_ = 0;
+  mutable std::uint64_t inserts_ = 0;
 };
 
 }  // namespace smac::analytical

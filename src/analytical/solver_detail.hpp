@@ -53,7 +53,8 @@ inline double ipow(double x, int e) {
 /// via prefix/suffix products over the per-class factors
 /// g_c = (1 − τ_c)^{m_c}: O(k + Σ log m_c), no division (exact at τ → 1).
 /// Raw-pointer form so the batch kernel can run it over arena segments;
-/// `prefix`/`suffix` are caller scratch of size k + 1.
+/// `prefix`/`suffix` are caller scratch of size k + 1. Each g_c is
+/// computed once, into p[c], which holds it until p_c overwrites it.
 inline void class_collision_probabilities_into(const double* tau,
                                                const int* multiplicity,
                                                std::size_t k, double* prefix,
@@ -61,11 +62,10 @@ inline void class_collision_probabilities_into(const double* tau,
   prefix[0] = 1.0;
   suffix[k] = 1.0;
   for (std::size_t c = 0; c < k; ++c) {
-    prefix[c + 1] = prefix[c] * ipow(1.0 - tau[c], multiplicity[c]);
+    p[c] = ipow(1.0 - tau[c], multiplicity[c]);
+    prefix[c + 1] = prefix[c] * p[c];
   }
-  for (std::size_t c = k; c-- > 0;) {
-    suffix[c] = suffix[c + 1] * ipow(1.0 - tau[c], multiplicity[c]);
-  }
+  for (std::size_t c = k; c-- > 0;) suffix[c] = suffix[c + 1] * p[c];
   for (std::size_t c = 0; c < k; ++c) {
     const double own = ipow(1.0 - tau[c], multiplicity[c] - 1);
     p[c] = 1.0 - own * prefix[c] * suffix[c + 1];

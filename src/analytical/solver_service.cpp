@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
 #include <compare>
 #include <cstdint>
@@ -18,6 +19,10 @@ namespace {
 /// Instances per pool task when a pool is set. Purely a scheduling unit —
 /// results do not depend on it.
 constexpr std::size_t kChunkSize = 64;
+
+/// Requests per bookkeeping task (sort, grouping, lookup) when a pool is
+/// set; without one a batch is one chunk. A scheduling unit only.
+constexpr std::size_t kRequestChunk = 8192;
 
 /// A canonical class key (non-empty, windows strictly ascending, every
 /// multiplicity >= 1) whose solve inputs pass the solver's one check.
@@ -54,13 +59,15 @@ std::strong_ordering compare_keys(const ClassProfile& a,
 /// the multiplicities — most significant first, so comparing digits
 /// orders keys as compare_keys does, and with the key's tail copied in,
 /// most comparisons never leave the handle. Packing needs every value
-/// >= 1; `exact` when the digits hold the whole (window, multiplicity).
+/// >= 1; `exact` when the digits hold the whole (window, multiplicity);
+/// `first` when the handle starts its key's group in the sorted order.
 struct SortHandle {
   static constexpr int kWords = 2;
   std::array<std::uint64_t, kWords> digits{};
   std::uint32_t request = 0;
   bool packed = false;
   bool exact = false;
+  bool first = false;
 };
 
 /// compare_keys on two handles, from the handles where they decide.
@@ -73,55 +80,74 @@ std::strong_ordering compare_handles(const SortHandle& a, const SortHandle& b,
   return compare_keys(requests[a.request], requests[b.request]);
 }
 
-/// Sort handles of `requests` in canonical key order (ties in request
-/// order). Digits are as wide as the largest packable value needs, so
-/// typical keys (windows < 2^11) fit 11 digits in the two words.
-std::vector<SortHandle> canonical_order(
-    std::span<const ClassProfile> requests) {
+/// Sort handles of `requests` in canonical key order, ties in request
+/// order: a total order, so sorting each `chunk` and merging the runs
+/// pairwise (on the pool) gives std::sort's order. Digits are as wide as
+/// the largest packable value needs (windows < 2^11 fit 11 digits).
+std::vector<SortHandle> canonical_order(std::span<const ClassProfile> requests,
+                                        parallel::ThreadPool* pool,
+                                        std::size_t chunk) {
   const auto packable = [](const ClassProfile& c) {
     const auto positive = [](int v) { return v >= 1; };
     return c.window.size() == c.multiplicity.size() &&
            std::ranges::all_of(c.window, positive) &&
            std::ranges::all_of(c.multiplicity, positive);
   };
-  unsigned widest = 1;
-  for (const ClassProfile& c : requests) {
-    if (!packable(c)) continue;
-    for (const int v : c.window) {
-      widest = std::max(widest, static_cast<unsigned>(v));
+  const std::size_t n = requests.size();
+  std::atomic<unsigned> widest{1};
+  parallel::for_each_chunk(pool, n, chunk, [&](std::size_t b, std::size_t e) {
+    unsigned local = 1;
+    for (const ClassProfile& c : requests.subspan(b, e - b)) {
+      if (!packable(c)) continue;
+      for (const int v : c.window) local = std::max(local, unsigned(v));
+      for (const int v : c.multiplicity) local = std::max(local, unsigned(v));
     }
-    for (const int v : c.multiplicity) {
-      widest = std::max(widest, static_cast<unsigned>(v));
+    for (unsigned seen = widest; local > seen &&
+                                 !widest.compare_exchange_weak(seen, local);) {
     }
-  }
-  const int bits = std::bit_width(widest);
+  });
+  const int bits = std::bit_width(widest.load());
   const int per_word = 64 / bits;
-  std::vector<SortHandle> order(requests.size());
-  for (std::size_t r = 0; r < requests.size(); ++r) {
-    SortHandle& h = order[r];
-    h.request = static_cast<std::uint32_t>(r);
-    const ClassProfile& c = requests[r];
-    if (!packable(c)) continue;
-    int pos = 0;
-    const auto put = [&](int digit) {
-      if (pos < SortHandle::kWords * per_word) {
-        h.digits[static_cast<std::size_t>(pos / per_word)] |=
-            static_cast<std::uint64_t>(digit)
-            << (64 - bits * (pos % per_word + 1));
-      }
-      ++pos;
-    };
-    for (const int v : c.window) put(v);
-    put(0);
-    for (const int v : c.multiplicity) put(v);
-    h.packed = true;
-    h.exact = pos <= SortHandle::kWords * per_word;
+  const auto before = [&](const SortHandle& a, const SortHandle& b) {
+    const auto c = compare_handles(a, b, requests);
+    return c != 0 ? c < 0 : a.request < b.request;
+  };
+  std::vector<SortHandle> order(n);
+  parallel::for_each_chunk(pool, n, chunk, [&](std::size_t b, std::size_t e) {
+    for (std::size_t r = b; r < e; ++r) {
+      SortHandle& h = order[r];
+      h.request = static_cast<std::uint32_t>(r);
+      const ClassProfile& c = requests[r];
+      if (!packable(c)) continue;
+      int pos = 0;
+      const auto put = [&](int digit) {
+        if (pos < SortHandle::kWords * per_word) {
+          h.digits[static_cast<std::size_t>(pos / per_word)] |=
+              static_cast<std::uint64_t>(digit)
+              << (64 - bits * (pos % per_word + 1));
+        }
+        ++pos;
+      };
+      for (const int v : c.window) put(v);
+      put(0);
+      for (const int v : c.multiplicity) put(v);
+      h.packed = true;
+      h.exact = pos <= SortHandle::kWords * per_word;
+    }
+    std::sort(order.begin() + b, order.begin() + e, before);
+  });
+  std::vector<SortHandle> merged(n > chunk ? n : 0);
+  for (std::size_t run = chunk; run < n; run *= 2) {
+    pool->for_each_index((n + 2 * run - 1) / (2 * run), [&](std::size_t i) {
+      const auto at = [&](std::size_t pos) {
+        return order.begin() + std::min(n, pos);
+      };
+      const std::size_t b = 2 * run * i;
+      std::merge(at(b), at(b + run), at(b + run), at(b + 2 * run),
+                 merged.begin() + b, before);
+    });
+    order.swap(merged);
   }
-  std::sort(order.begin(), order.end(),
-            [&](const SortHandle& a, const SortHandle& b) {
-              const auto c = compare_handles(a, b, requests);
-              return c != 0 ? c < 0 : a.request < b.request;
-            });
   return order;
 }
 
@@ -135,53 +161,99 @@ SolverService::ClassBatch SolverService::solve_classes(
     std::span<const ClassProfile> requests, int max_stage,
     double packet_error_rate) const {
   ClassBatch out;
-  out.key_of.resize(requests.size());
-  if (requests.empty()) return out;
+  const std::size_t n = requests.size();
+  out.key_of.resize(n);
+  if (n == 0) return out;
+  parallel::ThreadPool* const pool = options_.pool;
 
   // Group requests by canonical key in ascending key order, so tally and
   // adoption order are a function of the request set alone — never of
-  // request order.
-  const std::vector<SortHandle> order = canonical_order(requests);
-  std::vector<ClassGroup> groups;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    if (i == 0 || compare_handles(order[i - 1], order[i], requests) != 0) {
-      groups.push_back(
-          {&requests[order[i].request], max_stage, packet_error_rate, 0});
+  // request order, the pool or the chunking.
+  const std::size_t chunk = pool != nullptr ? kRequestChunk : n;
+  std::vector<SortHandle> order = canonical_order(requests, pool, chunk);
+
+  // Chunk c owns the groups that start in it: it counts their starts, a
+  // prefix (up to the sentinel) numbers them, and it writes them and key_of.
+  struct ChunkTally {
+    std::size_t first_group = 0;
+    std::uint64_t hits = 0;
+    std::uint64_t invalid = 0;
+    std::vector<ClassGroup> misses;
+  };
+  std::vector<ChunkTally> tally((n + chunk - 1) / chunk + 1);
+  parallel::for_each_chunk(pool, n, chunk, [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) {
+      order[i].first =
+          i == 0 || compare_handles(order[i - 1], order[i], requests) != 0;
+      tally[b / chunk].first_group += order[i].first;
     }
-    ++groups.back().requests;
-    out.key_of[order[i].request] =
-        static_cast<std::uint32_t>(groups.size() - 1);
+  });
+  std::size_t group_count = 0;
+  for (ChunkTally& t : tally) {
+    group_count += std::exchange(t.first_group, group_count);
   }
-  out.results.resize(groups.size());
-
-  // Invalid keys are answered here: one miss per request, no entry (an
-  // empty request names no key and counts nothing). The valid ones go to
-  // the cache.
-  std::vector<ClassGroup> valid;
-  std::vector<std::size_t> valid_slot;
-  std::uint64_t invalid = 0;
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    const ClassGroup& group = groups[g];
-    if (valid_class_key(*group.classes, max_stage, packet_error_rate)) {
-      valid.push_back(group);
-      valid_slot.push_back(g);
-      continue;
+  std::vector<ClassGroup> groups(group_count);
+  parallel::for_each_chunk(pool, n, chunk, [&](std::size_t b, std::size_t e) {
+    const std::size_t own = tally[b / chunk].first_group;
+    std::size_t g = own;  // one past the last group started so far
+    for (std::size_t i = b; i < e; ++i) {
+      if (order[i].first) {
+        groups[g++] = {&requests[order[i].request], max_stage,
+                       packet_error_rate, 0};
+      }
+      out.key_of[order[i].request] = static_cast<std::uint32_t>(g - 1);
+      if (g > own) ++groups[g - 1].requests;
     }
-    out.results[g] = detail::invalid_solve();
-    if (!group.classes->window.empty()) invalid += group.requests;
-  }
-  if (invalid != 0) cache_.tally(0, invalid);
+    // The chunk's last group may run on into later chunks.
+    for (std::size_t i = e; g > own && i < n && !order[i].first; ++i) {
+      ++groups[g - 1].requests;
+    }
+  });
+  out.results.resize(group_count);
 
-  std::vector<TrySolveResult> found(valid.size());
-  const std::vector<std::size_t> missed = cache_.lookup_classes(valid, found);
-  for (std::size_t v = 0; v < valid.size(); ++v) {
-    out.results[valid_slot[v]] = std::move(found[v]);
+  // fn(t, g) for every group g of every chunk t, each chunk one task.
+  const auto each_group = [&](auto&& fn) {
+    parallel::for_each_chunk(pool, n, chunk, [&](std::size_t b, std::size_t) {
+      ChunkTally& t = tally[b / chunk];
+      const std::size_t end = tally[b / chunk + 1].first_group;
+      for (std::size_t g = t.first_group; g < end; ++g) fn(t, g);
+    });
+  };
+  // Under the cache's one lock each chunk answers its groups — an invalid
+  // key with a miss per request (none if empty), a cached key with its
+  // requests as hits — and copies the answers after it; the rest missed.
+  static const TrySolveResult kInvalid = detail::invalid_solve();
+  std::vector<const TrySolveResult*> answer(group_count);
+  const NetworkSolveCache::Seen seen = cache_.lookup_classes([&](auto find) {
+    each_group([&](ChunkTally& t, std::size_t g) {
+      const ClassGroup& group = groups[g];
+      if (!valid_class_key(*group.classes, max_stage, packet_error_rate)) {
+        answer[g] = &kInvalid;
+        if (!group.classes->window.empty()) t.invalid += group.requests;
+      } else if ((answer[g] = find(group)) != nullptr) {
+        t.hits += group.requests;
+      }
+    });
+    std::pair<std::uint64_t, std::uint64_t> counted{0, 0};
+    for (const ChunkTally& t : tally) {
+      counted.first += t.hits;
+      counted.second += t.invalid;
+    }
+    return counted;
+  });
+  each_group([&](ChunkTally& t, std::size_t g) {
+    if (answer[g] == nullptr) {
+      t.misses.push_back(groups[g]);
+    } else {
+      out.results[g] = *answer[g];
+    }
+  });
+  std::vector<ClassGroup> misses = std::move(tally.front().misses);
+  for (const ChunkTally& t : std::span(tally).subspan(1)) {
+    misses.insert(misses.end(), t.misses.begin(), t.misses.end());
   }
-
-  std::vector<ClassGroup> misses(missed.size());
-  std::vector<detail::ClassSolveRef> instances(missed.size());
-  for (std::size_t m = 0; m < missed.size(); ++m) {
-    misses[m] = valid[missed[m]];
+  std::vector<detail::ClassSolveRef> instances(misses.size());
+  for (std::size_t m = 0; m < misses.size(); ++m) {
     instances[m] = {misses[m].classes, max_stage, packet_error_rate,
                     &cache_.options()};
   }
@@ -191,16 +263,18 @@ SolverService::ClassBatch SolverService::solve_classes(
   // the pool itself) cannot change a single bit of any result.
   std::vector<TrySolveResult> solved(instances.size());
   parallel::for_each_chunk(
-      options_.pool, instances.size(), kChunkSize,
+      pool, instances.size(), kChunkSize,
       [&](std::size_t begin, std::size_t end) {
         std::vector<TrySolveResult> part = detail::solve_classes_batch(
             {instances.data() + begin, end - begin});
         std::move(part.begin(), part.end(), solved.begin() + begin);
       });
 
-  if (!misses.empty()) cache_.adopt_classes(misses, solved);  // key order
-  for (std::size_t m = 0; m < missed.size(); ++m) {
-    out.results[valid_slot[missed[m]]] = std::move(solved[m]);
+  if (!misses.empty()) cache_.adopt_classes(misses, solved, seen, pool);
+  for (std::size_t m = 0; m < misses.size(); ++m) {
+    // A group's classes are its first request's.
+    out.results[out.key_of[misses[m].classes - requests.data()]] =
+        std::move(solved[m]);
   }
   return out;
 }

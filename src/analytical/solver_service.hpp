@@ -6,17 +6,18 @@
 // pricing (one local game per node) and tournament cache warm-up alike.
 // It answers what it can from the shared NetworkSolveCache and solves the
 // misses through lockstep try_solve_classes_batch calls (chunked across a
-// parallel::ThreadPool when one is provided). Results are bitwise
-// identical to try_solve_network on any expansion of the request, and the
-// cache counters advance exactly as one-request calls in request order
-// would advance them — so stats printed by benches are independent of
-// batching and of --jobs.
+// parallel::ThreadPool when one is provided, which then also sorts, groups
+// and looks up a batch of over 8192 requests). Results are bitwise
+// identical to try_solve_network on any expansion of the request, and
+// below the insert cap the cache counters advance exactly as one-request
+// calls in request order would — so stats printed by benches are
+// independent of batching and of --jobs.
 //
 // Threading: every member is safe from any thread; concurrent batches
 // share the cache under its lock and solve their misses independently.
 // solve_classes may not run inside a for_each_index of the ThreadPool the
 // service chunks over (the pool's no-nested-blocking rule). The default
-// configuration has no pool and solves inline, which is always safe.
+// configuration has no pool and runs inline, which is always safe.
 #pragma once
 
 #include <cstddef>
@@ -42,8 +43,8 @@ class SolverService {
     SolverOptions solver;
     /// Insert cap forwarded to the owned NetworkSolveCache.
     std::size_t max_cache_entries = 1 << 16;
-    /// Optional pool to chunk miss batches across. Not owned; must
-    /// outlive the service. nullptr solves misses on the calling thread.
+    /// Optional pool to chunk batches across. Not owned; must outlive the
+    /// service. nullptr runs everything on the calling thread.
     parallel::ThreadPool* pool = nullptr;
   };
 
@@ -69,14 +70,14 @@ class SolverService {
   /// count one miss per request and get the solver's kFailed/"invalid"
   /// result; a request with no classes gets the same result and counts
   /// nothing. results.size() is the number of distinct (window,
-  /// multiplicity) multisets among the requests. A one-request hit takes
-  /// the cache lock once, a miss twice.
+  /// multiplicity) multisets among the requests. A batch locks the cache
+  /// once to look up and once more if it has misses to adopt.
   ClassBatch solve_classes(std::span<const ClassProfile> requests,
                            int max_stage, double packet_error_rate) const;
 
   SolveCacheStats cache_stats() const { return cache_.stats(); }
   const NetworkSolveCache& cache() const noexcept { return cache_; }
-  /// The pool miss batches chunk over (Options::pool; may be null).
+  /// The pool batches chunk over (Options::pool; may be null).
   parallel::ThreadPool* pool() const noexcept { return options_.pool; }
 
  private:

@@ -14,8 +14,8 @@
 // Determinism: every field of CityScaleResult except the *_ms wall-clock
 // timings is a pure function of CityScaleConfig — independent of
 // solver_jobs (the pool runs fixed chunks that each write their own
-// slots; bucket surgery, churn, seeding, TFT and the cache's grouping
-// and adoption stay serial) and of spatial-index bucket insertion order.
+// slots; bucket surgery, churn, seeding, TFT and the cache's key-order
+// adoption stay serial) and of spatial-index bucket insertion order.
 // bench/city_scale.cpp keeps the JSON it emits byte-identical at any
 // --jobs by writing timings to a separate artifact;
 // tests/parallel/city_scale_invariance_test.cpp pins the invariance.
@@ -57,8 +57,8 @@ struct CityScaleConfig {
   bool price_seed_profile = true;
   /// Width of the pipeline's one pool: the SpatialIndex scans, the
   /// per-node request build and pricing of price_neighborhoods, and the
-  /// SolverService miss batches all run on it. Scheduling only: results
-  /// are bitwise identical at any value.
+  /// SolverService's sort, grouping, lookup and miss solves all run on
+  /// it. Scheduling only: results are bitwise identical at any value.
   std::size_t solver_jobs = 1;
   /// Slot-level simulation leg: when sim_slots > 0 each stage also runs
   /// the TFT-converged profile through MultihopSimulator on the stage's

@@ -27,6 +27,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -116,13 +117,17 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// Runs fn(begin, end) over [0, count) cut into `chunk`-index ranges
-/// (chunk >= 1), one for_each_index task each on `pool`; a null pool, or a
-/// count within one chunk, runs fn(0, count) on the caller. fn writes
-/// only its range's slots, so no result depends on the pool or the cut.
+/// Runs fn(begin, end) over [0, count) cut into `chunk`-index ranges,
+/// one for_each_index task each on `pool`; a null pool, or a count within
+/// one chunk, runs fn(0, count) on the caller. fn writes only its range's
+/// slots, so no result depends on the pool or the cut. Throws
+/// std::invalid_argument when chunk is 0, with or without a pool.
 template <class Fn>
 void for_each_chunk(ThreadPool* pool, std::size_t count, std::size_t chunk,
                     Fn&& fn) {
+  if (chunk == 0) {
+    throw std::invalid_argument("for_each_chunk: chunk must be >= 1");
+  }
   if (count == 0) return;
   if (pool == nullptr || count <= chunk) {
     fn(std::size_t{0}, count);

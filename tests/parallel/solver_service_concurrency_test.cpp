@@ -1,4 +1,4 @@
-// SolverService under concurrent batches.
+// SolverService under concurrent batches and on a pool.
 //
 // Tournament workers price their stages, deviation scans and reaction
 // calibrations through one shared StageGame, so several solve_classes
@@ -11,13 +11,24 @@
 // hit or miss — a miss only for the first sight of a key, as in a
 // sequential run — and every distinct valid key must hold exactly one
 // entry.
+//
+// A pooled service also sorts, groups and looks up a batch that spans
+// several of its request chunks on the pool, and builds the entries it
+// adopts there. That must leave every bit, counter and kept entry of the
+// pool-less path, past the insert cap too, and two such batches racing
+// on one service must still tally as a sequential run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <latch>
+#include <map>
+#include <numeric>
 #include <set>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -140,6 +151,192 @@ TEST(SolverServiceConcurrencyTest, ConcurrentBatchesMatchDirectSolves) {
     EXPECT_EQ(stats.misses, keys.size() + 2 * kThreads);
     EXPECT_EQ(stats.size, keys.size());
     EXPECT_EQ(keys.size(), 220u);  // profiles 0..219, all distinct keys
+  }
+}
+
+/// Profile `key` of a family of one-deviant profiles (windows 8 + key
+/// against 64s, 3 to 5 nodes); odd `variant`s move the deviant's seat —
+/// a permutation, so the same canonical key under another class_of.
+std::vector<int> family_profile(std::size_t key, std::size_t variant) {
+  std::vector<int> w(3 + key % 3, 64);
+  w[0] = 8 + static_cast<int>(key);
+  if (variant % 2 == 1) std::swap(w.front(), w.back());
+  return w;
+}
+
+void expect_same_result(const TrySolveResult& a, const TrySolveResult& b) {
+  EXPECT_EQ(a.diagnostics.status, b.diagnostics.status);
+  EXPECT_EQ(a.diagnostics.iterations, b.diagnostics.iterations);
+  EXPECT_EQ(a.diagnostics.retries, b.diagnostics.retries);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.diagnostics.residual),
+            std::bit_cast<std::uint64_t>(b.diagnostics.residual));
+  EXPECT_STREQ(a.diagnostics.method, b.diagnostics.method);
+  expect_bits_equal(a.state.tau, b.state.tau);
+  expect_bits_equal(a.state.p, b.state.p);
+}
+
+/// Whether a one-request call on `classes` hits `service`'s cache.
+bool probe_hits(const SolverService& service, const ClassProfile& classes) {
+  const std::uint64_t before = service.cache_stats().hits;
+  (void)service.solve_classes({&classes, 1}, kMaxStage, kPer);
+  return service.cache_stats().hits > before;
+}
+
+// 3·10⁴ requests over 2 500 keys — duplicates, permutations, invalid and
+// empty requests — into caches capped at 1 000 entries: the pooled
+// service must return what the pool-less one returns, count what it
+// counts and keep the entries it keeps. Both keep the entries one
+// one-request call per key in canonical key order keeps, and count each
+// key's group as such a call plus its duplicates as hits.
+TEST(SolverServiceConcurrencyTest, PooledBatchMatchesPoolLessPastTheCap) {
+  constexpr std::size_t kRequests = 30000;
+  constexpr std::size_t kKeys = 2500;
+  constexpr std::size_t kCap = 1000;
+  std::vector<ClassProfile> classes;
+  for (std::size_t r = 0; r < kRequests; ++r) {
+    if (r % 997 == 0) {
+      classes.push_back(classify_profile({}));
+    } else if (r % 991 == 0) {
+      classes.push_back(classify_profile({0, 16}));
+    } else {
+      classes.push_back(classify_profile(family_profile(r * 7919 % kKeys, r)));
+    }
+  }
+
+  parallel::ThreadPool pool(4);
+  SolverService::Options options;
+  options.max_cache_entries = kCap;
+  const SolverService pool_less{options};
+  const SolverService serial{options};
+  options.pool = &pool;
+  const SolverService pooled{options};
+
+  const SolverService::ClassBatch want =
+      pool_less.solve_classes(classes, kMaxStage, kPer);
+  const SolverService::ClassBatch got =
+      pooled.solve_classes(classes, kMaxStage, kPer);
+  EXPECT_EQ(got.key_of, want.key_of);
+  ASSERT_EQ(got.results.size(), want.results.size());
+  for (std::size_t g = 0; g < want.results.size(); ++g) {
+    expect_same_result(got.results[g], want.results[g]);
+  }
+
+  // One one-request call per key, in canonical key order.
+  std::vector<std::size_t> by_key(kRequests);
+  std::iota(by_key.begin(), by_key.end(), std::size_t{0});
+  std::ranges::stable_sort(by_key, [&](std::size_t a, std::size_t b) {
+    return std::tie(classes[a].window, classes[a].multiplicity) <
+           std::tie(classes[b].window, classes[b].multiplicity);
+  });
+  std::set<std::uint32_t> called;
+  for (const std::size_t r : by_key) {
+    if (called.insert(want.key_of[r]).second) {
+      (void)serial.solve_classes({&classes[r], 1}, kMaxStage, kPer);
+    }
+  }
+
+  // A miss per valid key and per invalid request, hits for the rest.
+  std::uint64_t non_empty = 0;
+  std::uint64_t invalid = 0;
+  std::set<std::uint32_t> valid_keys;
+  for (std::size_t r = 0; r < kRequests; ++r) {
+    if (classes[r].window.empty()) continue;
+    ++non_empty;
+    if (classes[r].window.front() < 1) {
+      ++invalid;
+    } else {
+      valid_keys.insert(want.key_of[r]);
+    }
+  }
+  const SolveCacheStats stats = pooled.cache_stats();
+  EXPECT_EQ(stats.size, kCap);
+  EXPECT_EQ(stats.misses, valid_keys.size() + invalid);
+  EXPECT_EQ(stats.hits + stats.misses, non_empty);
+  EXPECT_EQ(stats.size, pool_less.cache_stats().size);
+  EXPECT_EQ(stats.hits, pool_less.cache_stats().hits);
+  EXPECT_EQ(stats.misses, pool_less.cache_stats().misses);
+  EXPECT_EQ(serial.cache_stats().size, kCap);
+
+  // Kept entries: every valid key's one-request probe hits in all three
+  // caches or in none (at the cap a probe's miss inserts nothing).
+  std::map<std::uint32_t, std::size_t> first_request;
+  for (std::size_t r = 0; r < kRequests; ++r) {
+    first_request.emplace(want.key_of[r], r);
+  }
+  std::size_t kept = 0;
+  for (const auto& [group, r] : first_request) {
+    if (classes[r].window.empty() || classes[r].window.front() < 1) continue;
+    const bool hit = probe_hits(pooled, classes[r]);
+    EXPECT_EQ(probe_hits(pool_less, classes[r]), hit) << "request " << r;
+    EXPECT_EQ(probe_hits(serial, classes[r]), hit) << "request " << r;
+    kept += hit;
+  }
+  EXPECT_EQ(kept, kCap);
+}
+
+// Two threads race overlapping multi-chunk batches into one pooled
+// service: one adoption may find keys the other inserted after its
+// lookup, so it re-checks every key. Every request still counts one hit
+// or miss, each distinct key one miss, and every result has the bits of
+// try_solve_network.
+TEST(SolverServiceConcurrencyTest, RacingPooledBatchesTallyAsSequential) {
+  constexpr std::size_t kRequests = 20000;
+  constexpr std::size_t kKeysPerThread = 600;
+  constexpr std::size_t kOverlap = 300;
+  std::vector<std::vector<std::vector<int>>> profiles(2);
+  std::vector<std::vector<ClassProfile>> classes(2);
+  for (std::size_t t = 0; t < 2; ++t) {
+    for (std::size_t r = 0; r < kRequests; ++r) {
+      const std::size_t key = t * (kKeysPerThread - kOverlap) +
+                              r * 7919 % kKeysPerThread;
+      profiles[t].push_back(family_profile(key, r));
+      classes[t].push_back(classify_profile(profiles[t].back()));
+    }
+  }
+  const std::size_t distinct = 2 * kKeysPerThread - kOverlap;
+
+  parallel::ThreadPool pool(4);
+  SolverService::Options options;
+  options.pool = &pool;
+  std::map<std::vector<int>, TrySolveResult> direct;
+  for (int round = 0; round < 4; ++round) {
+    const SolverService service{options};
+    std::vector<SolverService::ClassBatch> batches(2);
+    std::latch start(2);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < 2; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        batches[t] = service.solve_classes(classes[t], kMaxStage, kPer);
+      });
+    }
+    for (auto& thread : threads) thread.join();
+
+    const SolveCacheStats stats = service.cache_stats();
+    EXPECT_EQ(stats.hits + stats.misses, 2 * kRequests);
+    EXPECT_EQ(stats.misses, distinct);
+    EXPECT_EQ(stats.size, distinct);
+    for (std::size_t t = 0; t < 2; ++t) {
+      for (std::size_t r = 0; r < kRequests; ++r) {
+        const std::vector<int>& w = profiles[t][r];
+        auto it = direct.find(w);
+        if (it == direct.end()) {
+          it = direct
+                   .emplace(w, try_solve_network(w, kMaxStage,
+                                                 service.cache().options(),
+                                                 kPer))
+                   .first;
+        }
+        const TrySolveResult& collapsed =
+            batches[t].results[batches[t].key_of[r]];
+        ASSERT_EQ(collapsed.diagnostics.status,
+                  it->second.diagnostics.status);
+        const NetworkState expanded =
+            expand_classes(collapsed.state, classes[t][r]);
+        expect_bits_equal(expanded.tau, it->second.state.tau);
+        expect_bits_equal(expanded.p, it->second.state.p);
+      }
+    }
   }
 }
 

@@ -115,6 +115,23 @@ TEST(ThreadPoolTest, ForEachChunkCoversFixedRangesOnce) {
   EXPECT_FALSE(called);
 }
 
+// A zero chunk is rejected before anything runs: with a pool it would
+// divide by zero, without one it would hide the caller's bug.
+TEST(ThreadPoolTest, ForEachChunkRejectsZeroChunk) {
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    for (const std::size_t count : {std::size_t{0}, std::size_t{1000}}) {
+      bool called = false;
+      EXPECT_THROW(for_each_chunk(p, count, 0,
+                                  [&](std::size_t, std::size_t) {
+                                    called = true;
+                                  }),
+                   std::invalid_argument);
+      EXPECT_FALSE(called);
+    }
+  }
+}
+
 TEST(ThreadPoolTest, ZeroRequestsDefaultJobs) {
   ThreadPool pool(0);
   EXPECT_GE(pool.size(), 1u);
