@@ -79,11 +79,11 @@ NetworkSolveCache::NetworkSolveCache(SolverOptions opts,
 
 void NetworkSolveCache::adopt_classes(std::span<const ClassGroup> groups,
                                       std::span<const TrySolveResult> solved,
-                                      Seen seen,
+                                      std::size_t seen_size,
                                       parallel::ThreadPool* pool) const {
-  // Entries for every group the cache has room for, built unlocked.
+  // Entries for every group the cache had room for, built unlocked.
   std::vector<std::pair<Key, TrySolveResult>> entries(
-      std::min(seen.room, groups.size()));
+      std::min(max_entries_ - seen_size, groups.size()));
   parallel::for_each_chunk(
       pool, entries.size(), kEntryChunk,
       [&](std::size_t begin, std::size_t end) {
@@ -92,18 +92,12 @@ void NetworkSolveCache::adopt_classes(std::span<const ClassGroup> groups,
         }
       });
   std::lock_guard<std::mutex> lock(mutex_);
-  if (inserts_ == seen.inserts) {
-    // No insert since the lookup: every group is absent, and the built
-    // entries fit. Count them first, so even a throwing insert shows.
-    for (const ClassGroup& group : groups) hits_ += group.requests - 1;
-    misses_ += groups.size();
-    inserts_ += entries.size();
-    for (auto& entry : entries) cache_.insert(std::move(entry));
-    return;
-  }
+  // Entries are never erased, so an unchanged size means no insert since
+  // the lookup, and every group is still absent (always, for a lone caller).
+  const bool raced = cache_.size() != seen_size;
   for (std::size_t m = 0; m < groups.size(); ++m) {
     const ClassGroup& group = groups[m];
-    if (cache_.contains(view_of(group))) {
+    if (raced && cache_.contains(view_of(group))) {
       // A writer beat the caller to the key: the loser observes the
       // winner's entry and counts hits — exactly the serial-order tally,
       // so printed stats stay byte-identical at any --jobs (as long as
@@ -114,11 +108,8 @@ void NetworkSolveCache::adopt_classes(std::span<const ClassGroup> groups,
     }
     ++misses_;
     hits_ += group.requests - 1;
-    // Each earlier group took a slot since the lookup, so m < seen.room.
-    if (cache_.size() < max_entries_) {
-      cache_.insert(std::move(entries[m]));
-      ++inserts_;
-    }
+    // Each earlier group took a slot since the lookup, so m < entries.size().
+    if (cache_.size() < max_entries_) cache_.insert(std::move(entries[m]));
   }
 }
 

@@ -65,20 +65,15 @@ class NetworkSolveCache {
   /// with — initial_tau already stripped.
   const SolverOptions& options() const noexcept { return opts_; }
 
-  /// A lookup's view of the cache: its insert count and free room.
-  struct Seen {
-    std::uint64_t inserts = 0;
-    std::size_t room = 0;
-  };
-
   /// Class-space lookups for a batching layer, under one lock and without
   /// copying any key: fn(find) runs with the lock held, and find(group)
   /// returns the cached class-space result (tau/p sized k) or nullptr. It
   /// only reads, so fn may run it on a pool; entries are never erased or
   /// changed, so a found result may be read after the lock. fn returns the
   /// {hits, misses} to count; a miss for adopt_classes counts nothing yet.
+  /// Returns the cache's size as the lookup saw it.
   template <class Fn>
-  Seen lookup_classes(Fn&& fn) const {
+  std::size_t lookup_classes(Fn&& fn) const {
     std::lock_guard<std::mutex> lock(mutex_);
     const auto [hits, misses] = fn([this](const ClassGroup& group) {
       const auto it = cache_.find(view_of(group));
@@ -86,24 +81,25 @@ class NetworkSolveCache {
     });
     hits_ += hits;
     misses_ += misses;
-    return {inserts_, max_entries_ - cache_.size()};
+    return cache_.size();
   }
 
   /// Adopts externally computed class-space results — solved[m] for
-  /// groups[m], the misses of a lookup that saw `seen` — in order, under
-  /// one lock. Tally per group mirrors what `requests` one-request calls
-  /// in a row would have produced: if the key appeared while the caller
-  /// was solving (a racing writer) all `requests` count as hits;
-  /// otherwise one miss plus `requests − 1` hits, and a copy of the
-  /// result is inserted (subject to max_entries, so the order of `groups`
-  /// decides which keys a full cache keeps). Entries for the first
-  /// seen.room groups are built before the lock, on `pool` if given; with
-  /// no insert since the lookup (a lone caller) nothing is re-checked.
+  /// groups[m], the misses of a lookup that saw `seen_size` entries — in
+  /// order, under one lock. Tally per group mirrors what `requests`
+  /// one-request calls in a row would have produced: if the key appeared
+  /// while the caller was solving (a racing writer) all `requests` count
+  /// as hits; otherwise one miss plus `requests − 1` hits, and a copy of
+  /// the result is inserted (subject to max_entries, so the order of
+  /// `groups` decides which keys a full cache keeps). Entries for the
+  /// groups the cache had room for are built before the lock, on `pool`
+  /// if given; while the size is still `seen_size` (no insert since the
+  /// lookup, always so for a lone caller) no key is re-checked.
   /// Results must come from the cache's own options() with no warm start,
   /// or cached values stop being pure functions of the key.
   void adopt_classes(std::span<const ClassGroup> groups,
-                     std::span<const TrySolveResult> solved, Seen seen,
-                     parallel::ThreadPool* pool) const;
+                     std::span<const TrySolveResult> solved,
+                     std::size_t seen_size, parallel::ThreadPool* pool) const;
 
   SolveCacheStats stats() const;
 
@@ -158,7 +154,6 @@ class NetworkSolveCache {
   mutable std::unordered_map<Key, TrySolveResult, KeyHash, KeyEqual> cache_;
   mutable std::uint64_t hits_ = 0;
   mutable std::uint64_t misses_ = 0;
-  mutable std::uint64_t inserts_ = 0;
 };
 
 }  // namespace smac::analytical

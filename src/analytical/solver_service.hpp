@@ -7,17 +7,20 @@
 // It answers what it can from the shared NetworkSolveCache and solves the
 // misses through lockstep try_solve_classes_batch calls (chunked across a
 // parallel::ThreadPool when one is provided, which then also sorts, groups
-// and looks up a batch of over 8192 requests). Results are bitwise
-// identical to try_solve_network on any expansion of the request, and
-// below the insert cap the cache counters advance exactly as one-request
-// calls in request order would — so stats printed by benches are
-// independent of batching and of --jobs.
+// and looks up a batch of at least one 8192-request chunk per lane).
+// Results are bitwise identical to try_solve_network on any expansion of
+// the request, and below the insert cap the cache counters advance
+// exactly as one-request calls in request order would — so stats printed
+// by benches are independent of batching and of --jobs.
 //
 // Threading: every member is safe from any thread; concurrent batches
 // share the cache under its lock and solve their misses independently.
 // solve_classes may not run inside a for_each_index of the ThreadPool the
-// service chunks over (the pool's no-nested-blocking rule). The default
-// configuration has no pool and runs inline, which is always safe.
+// service chunks over (the pool's no-nested-blocking rule). Nor may a task
+// on that pool take the cache's lock (cache_stats, solve_classes) while
+// another thread can run a pooled batch: its lookup holds the lock while
+// it waits for the pool. The default configuration has no pool and runs
+// inline, which is always safe.
 #pragma once
 
 #include <cstddef>

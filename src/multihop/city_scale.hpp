@@ -57,8 +57,9 @@ struct CityScaleConfig {
   bool price_seed_profile = true;
   /// Width of the pipeline's one pool: the SpatialIndex scans, the
   /// per-node request build and pricing of price_neighborhoods, and the
-  /// SolverService's sort, grouping, lookup and miss solves all run on
-  /// it. Scheduling only: results are bitwise identical at any value.
+  /// SolverService's miss solves (and, at 10^5 nodes, its sort, grouping
+  /// and lookup) all run on it. Scheduling only: results are bitwise
+  /// identical at any value.
   std::size_t solver_jobs = 1;
   /// Slot-level simulation leg: when sim_slots > 0 each stage also runs
   /// the TFT-converged profile through MultihopSimulator on the stage's

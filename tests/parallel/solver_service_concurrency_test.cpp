@@ -182,12 +182,12 @@ bool probe_hits(const SolverService& service, const ClassProfile& classes) {
   return service.cache_stats().hits > before;
 }
 
-// 3·10⁴ requests over 2 500 keys — duplicates, permutations, invalid and
-// empty requests — into caches capped at 1 000 entries: the pooled
-// service must return what the pool-less one returns, count what it
-// counts and keep the entries it keeps. Both keep the entries one
-// one-request call per key in canonical key order keeps, and count each
-// key's group as such a call plus its duplicates as hits.
+// 3·10⁴ requests (a chunk per lane) over 2 500 keys — duplicates,
+// permutations, invalid and empty requests — into caches capped at 1 000
+// entries: the pooled service must return what the pool-less one
+// returns, count what it counts and keep the entries it keeps. Both keep
+// the entries one one-request call per key in canonical key order keeps,
+// and count each key's group as such a call plus its duplicates as hits.
 TEST(SolverServiceConcurrencyTest, PooledBatchMatchesPoolLessPastTheCap) {
   constexpr std::size_t kRequests = 30000;
   constexpr std::size_t kKeys = 2500;
@@ -274,13 +274,13 @@ TEST(SolverServiceConcurrencyTest, PooledBatchMatchesPoolLessPastTheCap) {
   EXPECT_EQ(kept, kCap);
 }
 
-// Two threads race overlapping multi-chunk batches into one pooled
-// service: one adoption may find keys the other inserted after its
-// lookup, so it re-checks every key. Every request still counts one hit
-// or miss, each distinct key one miss, and every result has the bits of
-// try_solve_network.
+// Two threads race overlapping multi-chunk batches (a chunk per lane)
+// into one pooled service: one adoption may find keys the other inserted
+// after its lookup, so it re-checks every key. Every request still counts
+// one hit or miss, each distinct key one miss, and every result has the
+// bits of try_solve_network.
 TEST(SolverServiceConcurrencyTest, RacingPooledBatchesTallyAsSequential) {
-  constexpr std::size_t kRequests = 20000;
+  constexpr std::size_t kRequests = 30000;
   constexpr std::size_t kKeysPerThread = 600;
   constexpr std::size_t kOverlap = 300;
   std::vector<std::vector<std::vector<int>>> profiles(2);
