@@ -2,9 +2,9 @@
 //
 // Sweeps n ∈ {10^3, 10^4, 10^5} mobile + churning city-scale runs
 // (multihop::run_city_scale, docs/CITY_SCALE.md): spatial-hash topology
-// with incremental mobility updates, local-game seeding, graph-TFT, and
-// class-deduplicated neighborhood pricing, reporting the Theorem-3
-// quasi-optimality fraction at each scale.
+// rebuilt per mobility step and patched under churn, local-game seeding,
+// graph-TFT, and class-deduplicated neighborhood pricing, reporting the
+// Theorem-3 quasi-optimality fraction at each scale.
 //
 // Artifact split — the determinism contract:
 //   BENCH_city_scale.json          deterministic results only (class
@@ -160,7 +160,7 @@ bool write_timings_json(const std::string& path,
     const multihop::CityScaleResult& r = runs[s];
     std::fprintf(out,
                  "    {\"nodes\": %zu, \"grid_build_ms\": %.3f, "
-                 "\"incremental_update_ms\": %.3f, \"solve_dedup_ms\": %.3f",
+                 "\"update_churn_ms\": %.3f, \"solve_dedup_ms\": %.3f",
                  r.nodes, r.build_ms, r.update_ms, r.solve_ms);
     if (r.sim_ms > 0.0) {
       // pdes_speedup: serial slot loop over the configured kernel; > 1
@@ -244,8 +244,8 @@ int main(int argc, char** argv) {
   bool kernels_diverged = false;
   for (std::size_t s = 0; s < runs.size(); ++s) {
     const multihop::CityScaleResult& r = runs[s];
-    std::printf("n=%zu: arena %.0f m, grid build %.2f ms, incremental "
-                "updates %.2f ms, pricing %.2f ms, cache %zu/%zu hits",
+    std::printf("n=%zu: arena %.0f m, grid build %.2f ms, mobility "
+                "updates + churn %.2f ms, pricing %.2f ms, cache %zu/%zu hits",
                 r.nodes, r.arena_m, r.build_ms, r.update_ms,
                 r.solve_ms, r.cache.hits, r.cache.hits + r.cache.misses);
     if (r.sim_ms > 0.0) {

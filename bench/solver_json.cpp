@@ -255,11 +255,15 @@ int main(int argc, char** argv) {
   for (const int batch : {1, 16, 256, 4096}) {
     throughput.push_back(measure_throughput(batch));
   }
+  // One sample is one ≈ 1 ms batch, so its median needs many of them: at
+  // 11 samples, ten runs of one Release build read 642–1061 ns/request;
+  // at 301, ten processes stayed within 965–1072 (4-vCPU Xeon, gcc 12).
   const int service_requests = 1024;
   const int service_distinct = 512;
+  const int service_samples = 301;
   const auto service_instances = cold_batch(service_distinct);
   const double service_ns =
-      median_ns(11, [&] {
+      median_ns(service_samples, [&] {
         analytical::SolverService service;
         std::vector<analytical::ClassProfile> requests;
         for (int r = 0; r < service_requests; ++r) {
@@ -321,9 +325,10 @@ int main(int argc, char** argv) {
   std::fprintf(out, "    ],\n");
   std::fprintf(out,
                "    \"service\": {\"requests\": %d, \"distinct\": %d, "
-               "\"ns_per_request\": %.0f, \"requests_per_sec\": %.0f}\n",
-               service_requests, service_distinct, service_ns,
-               solves_per_sec(service_ns));
+               "\"samples\": %d, \"ns_per_request\": %.0f, "
+               "\"requests_per_sec\": %.0f}\n",
+               service_requests, service_distinct, service_samples,
+               service_ns, solves_per_sec(service_ns));
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"damping_ablation\": [\n");
   for (std::size_t i = 0; i < damping.size(); ++i) {
@@ -363,9 +368,9 @@ int main(int argc, char** argv) {
                 solves_per_sec(t.warm_ns));
   }
   std::printf("service batch: %d requests (%d distinct) at %.0f ns/request "
-              "(%.0f requests/s)\n",
+              "(%.0f requests/s; median of %d samples)\n",
               service_requests, service_distinct, service_ns,
-              solves_per_sec(service_ns));
+              solves_per_sec(service_ns), service_samples);
   std::printf("damping ablation (max_stage 6; iterations and retries are "
               "deterministic):\n");
   std::printf("%-12s %7s %10s %7s %-9s %-9s %12s\n", "profile", "damping",

@@ -42,8 +42,8 @@ DelayEstimate homogeneous_access_delay(double w, int n,
 
 double delay_aware_utility_rate(double w, int n, const phy::Parameters& params,
                                 phy::AccessMode mode, double lambda) {
-  if (lambda < 0.0) {
-    throw std::invalid_argument("delay_aware_utility_rate: lambda < 0");
+  if (!(lambda >= 0.0)) {
+    throw std::invalid_argument("delay_aware_utility_rate: lambda not >= 0");
   }
   const double u = homogeneous_utility_rate(w, n, params, mode);
   if (lambda == 0.0) return u;

@@ -41,7 +41,7 @@ DelayEstimate homogeneous_access_delay(double w, int n,
 /// Delay-penalized utility rate: u(w) − λ·E[D(w)], with λ in
 /// (gain per µs) per µs of delay. λ = 0 recovers the paper's utility;
 /// larger λ prices responsiveness and pulls the optimum toward smaller
-/// windows.
+/// windows. Throws std::invalid_argument unless λ >= 0 (NaN throws).
 double delay_aware_utility_rate(double w, int n, const phy::Parameters& params,
                                 phy::AccessMode mode, double lambda);
 

@@ -33,7 +33,7 @@ void ObservationFilterConfig::validate() const {
     throw std::invalid_argument("ObservationFilterConfig: window < 1");
   }
   if (kind == FilterKind::kTrimmedMean &&
-      (trim_fraction < 0.0 || trim_fraction >= 0.5)) {
+      !(trim_fraction >= 0.0 && trim_fraction < 0.5)) {
     throw std::invalid_argument(
         "ObservationFilterConfig: trim_fraction outside [0, 0.5)");
   }

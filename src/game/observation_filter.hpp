@@ -51,7 +51,7 @@ struct ObservationFilterConfig {
   /// Display name: "none", "median(5)", "trim(7,0.25)".
   std::string name() const;
   /// Throws std::invalid_argument on window < 1 or trim_fraction
-  /// outside [0, 0.5).
+  /// outside [0, 0.5) (NaN included).
   void validate() const;
 };
 

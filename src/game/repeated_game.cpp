@@ -59,8 +59,9 @@ RepeatedGameResult RepeatedGameEngine::play(int stages,
   // would remember raw readings and re-filter).
   std::vector<History> observed(per_view ? n : 0);
   std::vector<History> smoothed(per_view && filter_.enabled() ? n : 0);
-  History monitor;  ///< enforcement monitor's (possibly faulted) view
-  if (enforcing) monitor.reserve(static_cast<std::size_t>(stages));
+  // The enforcement monitor's (possibly faulted) reading of the last
+  // stage: the loss fallback of its next reading.
+  StageRecord monitor;
   std::vector<int> current_cw(n, 1);
   std::vector<double> last_good;  // per-player payoffs of last usable solve
 
@@ -181,13 +182,12 @@ RepeatedGameResult RepeatedGameEngine::play(int stages,
       if (faulted_obs) {
         for (std::size_t j = 0; j < n; ++j) {
           if (!player_online(truth, j)) continue;
-          const int fallback =
-              monitor.empty() ? truth.cw[j] : monitor.back().cw[j];
+          const int fallback = k > 0 ? monitor.cw[j] : truth.cw[j];
           mon.cw[j] = injector->observe_cw(truth.cw[j], fallback).cw;
         }
       }
-      monitor.push_back(std::move(mon));
-      police->end_stage(monitor.back(), k);
+      monitor = std::move(mon);
+      police->end_stage(monitor, k);
     }
   }
 

@@ -51,7 +51,7 @@ std::vector<MixOutcome> play_all_mixes(const Tournament& tournament,
 
 std::pair<double, double> ReplicatorDynamics::expected_fitness(
     const Contender& a, const Contender& b, double share_a) const {
-  if (share_a < 0.0 || share_a > 1.0) {
+  if (!(share_a >= 0.0 && share_a <= 1.0)) {
     throw std::invalid_argument("expected_fitness: share outside [0,1]");
   }
   return fitness_from_mixes(play_all_mixes(tournament_, a, b), share_a);
@@ -62,8 +62,11 @@ ReplicatorResult ReplicatorDynamics::run(const Contender& a,
                                          double initial_share_a,
                                          int generations, double tolerance,
                                          double floor) const {
-  if (initial_share_a < 0.0 || initial_share_a > 1.0) {
+  if (!(initial_share_a >= 0.0 && initial_share_a <= 1.0)) {
     throw std::invalid_argument("ReplicatorDynamics: share outside [0,1]");
+  }
+  if (!(floor >= 0.0 && floor < 0.5)) {
+    throw std::invalid_argument("ReplicatorDynamics: floor outside [0,0.5)");
   }
   if (generations < 1) {
     throw std::invalid_argument("ReplicatorDynamics: generations < 1");

@@ -42,6 +42,7 @@ class ReplicatorDynamics {
   /// Expected payoff of one A-individual and one B-individual when the
   /// population share of A is `share_a`: averages the cached mix payoffs
   /// over the Binomial(n−1, share_a) composition of the other seats.
+  /// Throws std::invalid_argument unless share_a is in [0, 1] (NaN throws).
   std::pair<double, double> expected_fitness(const Contender& a,
                                              const Contender& b,
                                              double share_a) const;
@@ -49,7 +50,9 @@ class ReplicatorDynamics {
   /// Iterates the replicator map from `initial_share_a` for up to
   /// `generations`, stopping early when the share moves less than
   /// `tolerance`. Shares are clamped to [floor, 1−floor] so extinction
-  /// is asymptotic, not an artifact of finite arithmetic.
+  /// is asymptotic, not an artifact of finite arithmetic. Throws
+  /// std::invalid_argument unless initial_share_a is in [0, 1], floor in
+  /// [0, 0.5) (NaN throws for both) and generations >= 1.
   ReplicatorResult run(const Contender& a, const Contender& b,
                        double initial_share_a, int generations = 60,
                        double tolerance = 1e-6,

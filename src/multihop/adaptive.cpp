@@ -6,8 +6,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "multihop/spatial_index.hpp"
-
 namespace smac::multihop {
 
 namespace {
@@ -51,11 +49,8 @@ class StageLoop {
   }
 
   /// Runs the stage window on `profile`, records it, then advances
-  /// mobility and refreshes the simulator's topology through a persistent
-  /// SpatialIndex — full grid build on the first epoch, incremental
-  /// (re-bucket crossers, re-scan movers) afterwards. That produces the
-  /// same Topology as rebuilding from scratch each stage; the
-  /// `ctest -L topology` property tests pin that.
+  /// mobility and hands the simulator the moved nodes' Topology (one
+  /// grid build per epoch).
   void play(const std::vector<int>& profile, MultihopTftResult& result) {
     const MultihopResult run = sim_.run_slots(config_.slots_per_stage);
     MultihopStage stage;
@@ -71,12 +66,8 @@ class StageLoop {
 
     if (mobility_ && config_.mobility_dt_s > 0.0) {
       mobility_->advance(config_.mobility_dt_s);
-      if (!index_) {
-        index_.emplace(mobility_->positions(), sim_.config().range_m);
-      } else {
-        index_->update_positions(mobility_->positions());
-      }
-      sim_.update_topology(index_->topology());
+      sim_.update_topology(
+          Topology(mobility_->positions(), sim_.config().range_m));
     }
   }
 
@@ -91,7 +82,6 @@ class StageLoop {
   RandomWaypointModel* mobility_;
   const MultihopTftConfig& config_;
   fault::FaultInjector* injector_;
-  std::optional<SpatialIndex> index_;
 };
 
 }  // namespace

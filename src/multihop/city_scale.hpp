@@ -1,8 +1,8 @@
 // Metropolitan-scale multihop pipeline (docs/CITY_SCALE.md).
 //
-// Composes the pieces this tier is built from: a SpatialIndex kept
-// incrementally current under random-waypoint mobility and FaultPlan
-// churn, local-game seeding + graph-TFT convergence per stage, and
+// Composes the pieces this tier is built from: a SpatialIndex rebuilt
+// after every random-waypoint mobility step and patched in place under
+// FaultPlan churn, local-game seeding + graph-TFT convergence per stage, and
 // class-deduplicated pricing of every node's closed-neighborhood local
 // game through one SolverService::solve_classes batch per profile — so a
 // 10^4-node stage solves only its distinct (neighborhood-size,
@@ -14,8 +14,8 @@
 // Determinism: every field of CityScaleResult except the *_ms wall-clock
 // timings is a pure function of CityScaleConfig — independent of
 // solver_jobs (the pool runs fixed chunks that each write their own
-// slots; bucket surgery, churn, seeding, TFT and the cache's key-order
-// adoption stay serial) and of spatial-index bucket insertion order.
+// slots; churn, seeding, TFT and the cache's key-order adoption stay
+// serial) and of spatial-index bucket insertion order.
 // bench/city_scale.cpp keeps the JSON it emits byte-identical at any
 // --jobs by writing timings to a separate artifact;
 // tests/parallel/city_scale_invariance_test.cpp pins the invariance.
@@ -110,7 +110,7 @@ struct CityScaleResult {
   // Wall-clock timings — machine-dependent, excluded from the
   // byte-identical contract.
   double build_ms = 0.0;        ///< initial SpatialIndex full build
-  double update_ms = 0.0;       ///< total incremental updates + churn
+  double update_ms = 0.0;       ///< total mobility rebuilds + churn
   double solve_ms = 0.0;        ///< total class-dedup pricing
   double sim_ms = 0.0;          ///< slot-sim leg, configured kernel
   /// Slot-loop oracle wall clock when sim_compare_kernels is on, -1

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "analytical/throughput.hpp"
 #include "analytical/utility.hpp"
@@ -74,6 +75,14 @@ TEST(DelayAwareUtilityTest, LambdaZeroRecoversPaperUtility) {
   EXPECT_DOUBLE_EQ(delay_aware_utility_rate(100, 5, kParams, kBasic, 0.0),
                    homogeneous_utility_rate(100, 5, kParams, kBasic));
   EXPECT_THROW(delay_aware_utility_rate(100, 5, kParams, kBasic, -1.0),
+               std::invalid_argument);
+}
+
+TEST(DelayAwareUtilityTest, RejectsNaNLambda) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(delay_aware_utility_rate(100, 5, kParams, kBasic, nan),
+               std::invalid_argument);
+  EXPECT_THROW(delay_aware_efficient_cw(5, kParams, kBasic, nan),
                std::invalid_argument);
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "game/equilibrium.hpp"
 
 namespace smac::game {
@@ -31,6 +33,32 @@ TEST(ReplicatorTest, ValidatesInput) {
                std::invalid_argument);
   EXPECT_THROW(dynamics.run(tft(79), constant(79), 0.5, 0),
                std::invalid_argument);
+}
+
+TEST(ReplicatorTest, ExpectedFitnessRejectsNaNShare) {
+  const StageGame game(kParams, kBasic);
+  const Tournament t(game, 5, 50);
+  const ReplicatorDynamics dynamics(t);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(dynamics.expected_fitness(tft(79), constant(79), nan),
+               std::invalid_argument);
+}
+
+TEST(ReplicatorTest, RunRejectsNaNShareAndFloorOutsideHalfRange) {
+  // A floor of 0.5 or more would clamp shares into [floor, 1 − floor]
+  // with lo > hi.
+  const StageGame game(kParams, kBasic);
+  const Tournament t(game, 5, 50);
+  const ReplicatorDynamics dynamics(t);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(dynamics.run(tft(79), constant(79), nan),
+               std::invalid_argument);
+  for (const double floor : {nan, -0.1, 0.5, 0.6}) {
+    EXPECT_THROW(dynamics.run(tft(79), constant(79), 0.5, 10, 1e-6, floor),
+                 std::invalid_argument)
+        << "floor " << floor;
+  }
+  EXPECT_NO_THROW(dynamics.run(tft(79), constant(79), 0.5, 2, 1e-6, 0.0));
 }
 
 TEST(ReplicatorTest, FitnessInterpolatesMixes) {

@@ -19,6 +19,7 @@
 //     isolated outliers, and only the last `window` records matter.
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -523,6 +524,15 @@ TEST(ObservationFilterPropertyTest, ConfigValidation) {
   cfg.kind = FilterKind::kNone;
   EXPECT_EQ(cfg.name(), "none");
   EXPECT_FALSE(cfg.enabled());
+}
+
+TEST(ObservationFilterPropertyTest, ConfigValidationRejectsNaNTrim) {
+  // smooth() would cast floor(NaN · size) to size_t.
+  ObservationFilterConfig cfg;
+  cfg.kind = FilterKind::kTrimmedMean;
+  cfg.trim_fraction = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  EXPECT_THROW(ObservationFilter{cfg}, std::invalid_argument);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Property tests pinning SpatialIndex against the Θ(n²) pair-scan oracle
 // (`ctest -L topology`): exact neighbor-set equality on random layouts,
-// incremental-update == full-rebuild after mobility, churn equivalence
-// against the active-mask constructor, bucket-insertion-order invariance,
-// and the degenerate layouts the grid must degrade on gracefully.
+// mobility updates interleaved with churn, the update counters, churn
+// against the test's own active mask, bucket-order invariance (churn
+// re-appends a node to its bucket), and the degenerate layouts the grid
+// must degrade on gracefully.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -95,6 +96,9 @@ TEST(SpatialIndexTest, ExactRangeBoundaryOnCellEdge) {
 }
 
 TEST(SpatialIndexTest, IncrementalUpdateMatchesFullRebuild) {
+  // Mobility steps interleaved with churn waves: after every update and
+  // every wave the index equals the active-masked pair scan, and crashed
+  // nodes take their new positions without joining any list.
   const std::size_t n = 150;
   MobilityConfig config;
   config.width_m = 1500.0;
@@ -105,34 +109,61 @@ TEST(SpatialIndexTest, IncrementalUpdateMatchesFullRebuild) {
   RandomWaypointModel mobility(config, n);
 
   SpatialIndex index(mobility.positions(), 250.0);
+  std::vector<std::uint8_t> active(n, 1);
+  util::Rng churn(31);
   for (int step = 0; step < 12; ++step) {
+    SCOPED_TRACE(step);
     mobility.advance(30.0);
     index.update_positions(mobility.positions());
-    const SpatialIndex rebuilt(mobility.positions(), 250.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(index.neighbors(i), rebuilt.neighbors(i))
-          << "step " << step << " node " << i;
-    }
-    // The stats stay coherent: crossers are a subset of movers, and every
-    // active mover was rescanned.
+    ASSERT_TRUE(index.positions() == mobility.positions());
+    expect_matches_oracle(index, active);
+    // Crossers are a subset of movers, and every active node was scanned.
     const auto& st = index.last_update();
     EXPECT_LE(st.rebucketed, st.moved);
-    EXPECT_LE(st.rescanned, st.moved);
+    EXPECT_EQ(st.rescanned, index.active_count());
+
+    for (std::size_t i = 0; i < n; ++i) {
+      if (churn.uniform01() >= 0.1) continue;
+      if (active[i] != 0) {
+        active[i] = 0;
+        index.remove_node(i);
+      } else {
+        active[i] = 1;
+        index.insert_node(i);
+      }
+    }
+    expect_matches_oracle(index, active);
   }
 }
 
-TEST(SpatialIndexTest, UpdateIsIncrementalNotARebuild) {
-  // Moving one node a short distance must touch exactly one node.
+TEST(SpatialIndexTest, UpdateCountsMoversCrossersAndScans) {
+  // One same-cell mover, one cell-crosser and one crashed mover: three
+  // moved, one re-bucketed (a crashed node sits in no bucket), and every
+  // active node scanned.
   const auto pos = random_layout(100, 1000.0, 42);
   SpatialIndex index(pos, 250.0);
+  index.remove_node(3);
+  const auto cell_middle = [](Vec2 p) {
+    return Vec2{std::floor(p.x / 250.0) * 250.0 + 125.0,
+                std::floor(p.y / 250.0) * 250.0 + 125.0};
+  };
   auto moved = pos;
-  // A guaranteed same-cell move: snap to the cell's interior midpoint.
-  moved[7] = {std::floor(pos[7].x / 250.0) * 250.0 + 125.0,
-              std::floor(pos[7].y / 250.0) * 250.0 + 125.0};
+  moved[7] = cell_middle(pos[7]);
+  moved[11] = cell_middle(pos[11]);
+  moved[11].x += 250.0;  // the middle of the next cell east
+  moved[3].x += 300.0;
+  ASSERT_FALSE(moved[7] == pos[7]);
   index.update_positions(moved);
-  EXPECT_EQ(index.last_update().moved, 1u);
-  EXPECT_EQ(index.last_update().rebucketed, 0u);
-  EXPECT_EQ(index.last_update().rescanned, 1u);
+  EXPECT_EQ(index.last_update().moved, 3u);
+  EXPECT_EQ(index.last_update().rebucketed, 1u);
+  EXPECT_EQ(index.active_count(), 99u);
+  EXPECT_EQ(index.last_update().rescanned, index.active_count());
+  std::vector<std::uint8_t> active(100, 1);
+  active[3] = 0;
+  expect_matches_oracle(index, active);
+
+  // The crashed node rejoins where it moved to while down.
+  index.insert_node(3);
   expect_matches_oracle(index, std::vector<std::uint8_t>(100, 1));
 }
 
@@ -156,12 +187,12 @@ TEST(SpatialIndexTest, ChurnMatchesActiveMaskConstruction) {
         index.insert_node(i);
       }
     }
-    // Oracle: a fresh active-mask build of the same state.
-    const SpatialIndex fresh(pos, 250.0, active);
-    ASSERT_EQ(index.active_count(), fresh.active_count());
+    // Oracle: the test's own mask and the pair scan over it.
+    ASSERT_EQ(index.active_count(),
+              static_cast<std::size_t>(
+                  std::count(active.begin(), active.end(), 1)));
     for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(index.active(i), fresh.active(i)) << "node " << i;
-      ASSERT_EQ(index.neighbors(i), fresh.neighbors(i)) << "node " << i;
+      ASSERT_EQ(index.active(i), active[i] != 0) << "node " << i;
     }
     expect_matches_oracle(index, active);
   }
@@ -182,27 +213,14 @@ TEST(SpatialIndexTest, RemoveThenReinsertRestoresOriginal) {
   }
 }
 
-TEST(SpatialIndexTest, InsertAtNewPositionAndMoveNode) {
-  const auto pos = random_layout(40, 500.0, 17);
-  SpatialIndex index(pos, 150.0);
-  index.remove_node(5);
-  index.insert_node(5, {250.0, 250.0});
-  index.move_node(20, {260.0, 250.0});
-  auto want_pos = pos;
-  want_pos[5] = {250.0, 250.0};
-  want_pos[20] = {260.0, 250.0};
-  EXPECT_EQ(index.position(5), (Vec2{250.0, 250.0}));
-  const auto want =
-      oracle_neighbors(want_pos, 150.0, std::vector<std::uint8_t>(40, 1));
-  for (std::size_t i = 0; i < 40; ++i) {
-    EXPECT_EQ(index.neighbors(i), want[i]) << "node " << i;
-  }
-}
-
 TEST(SpatialIndexTest, BuildOrderDoesNotAffectNeighborSets) {
+  // insert_node appends a node to its bucket's end, so churning every node
+  // out and back in, in a shuffled order, leaves each bucket in that
+  // order. The lists must still equal a fresh build's and the pair scan.
   const std::size_t n = 120;
   const auto pos = random_layout(n, 900.0, 0xBEEF);
   const SpatialIndex natural(pos, 250.0);
+  SpatialIndex churned(pos, 250.0);
 
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
@@ -214,12 +232,16 @@ TEST(SpatialIndexTest, BuildOrderDoesNotAffectNeighborSets) {
       const auto j = static_cast<std::size_t>(rng.uniform_below(i + 1));
       std::swap(order[i], order[j]);
     }
-    const SpatialIndex shuffled(pos, 250.0, order);
+    for (const std::size_t i : order) {
+      churned.remove_node(i);
+      churned.insert_node(i);
+    }
     for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(shuffled.neighbors(i), natural.neighbors(i))
+      ASSERT_EQ(churned.neighbors(i), natural.neighbors(i))
           << "shuffle " << shuffle << " node " << i;
     }
   }
+  expect_matches_oracle(churned, std::vector<std::uint8_t>(n, 1));
 }
 
 TEST(SpatialIndexTest, DegenerateAllNodesInOneCell) {

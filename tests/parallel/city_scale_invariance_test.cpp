@@ -131,9 +131,10 @@ TEST(CityScaleInvarianceTest, RepeatedRunsAreBitwiseStable) {
 }
 
 TEST(CityScaleInvarianceTest, BucketInsertionOrderCannotLeakIntoResults) {
-  // Build the same 1000-node layout with shuffled bucket insertion and
-  // run the downstream pipeline (local agreements + graph-TFT) on both:
-  // identical outputs, node by node.
+  // Refill the buckets of a 1000-node layout in a shuffled order (churn
+  // every node out, then back in: insert_node appends to the bucket's
+  // end) and run the downstream pipeline (local agreements + graph-TFT)
+  // on it and on a fresh index: identical outputs, node by node.
   constexpr std::size_t kNodes = 1000;
   const double arena = city_arena_side_m(kNodes, 250.0, 12.0);
   util::Rng rng(5150);
@@ -149,7 +150,19 @@ TEST(CityScaleInvarianceTest, BucketInsertionOrderCannotLeakIntoResults) {
     const auto j = static_cast<std::size_t>(rng.uniform_below(i + 1));
     std::swap(order[i], order[j]);
   }
-  const SpatialIndex shuffled(pos, 250.0, order);
+  SpatialIndex shuffled(pos, 250.0);
+  for (std::size_t i = 0; i < kNodes; ++i) shuffled.remove_node(i);
+  for (const std::size_t i : order) shuffled.insert_node(i);
+
+  // Both equal the pair scan.
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    std::vector<std::size_t> want;
+    for (std::size_t j = 0; j < kNodes; ++j) {
+      if (j != i && in_range(pos[i], pos[j], 250.0)) want.push_back(j);
+    }
+    ASSERT_EQ(natural.neighbors(i), want) << "node " << i;
+    ASSERT_EQ(shuffled.neighbors(i), want) << "node " << i;
+  }
 
   const game::StageGame game(phy::Parameters::paper(),
                              phy::AccessMode::kRtsCts);

@@ -1,8 +1,9 @@
 // Pooled-vs-serial SpatialIndex (`ctest -L parallel`, and the TSan
-// recipe): an index built on a ThreadPool runs its full-build and mover
-// scans in kNodeChunk chunks on the pool. Its neighbor lists and update
-// stats must equal a pool-less index's after every mobility step and
-// every round of remove_node / insert_node churn.
+// recipe): an index built on a ThreadPool runs the stencil scans of its
+// construction and of every update_positions rebuild in kNodeChunk chunks
+// on the pool. Its neighbor lists and update stats must equal a pool-less
+// index's after every mobility step and every round of remove_node /
+// insert_node churn.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -26,8 +27,7 @@ void expect_same(const SpatialIndex& serial, const SpatialIndex& pooled) {
 }
 
 TEST(SpatialIndexPoolTest, PooledScansMatchSerialThroughMobilityAndChurn) {
-  // Several chunks of nodes, and (with v_min = 0 over 60 s steps) several
-  // chunks of movers per update.
+  // Several chunks of nodes, every one of them scanned on each update.
   const std::size_t n = 5 * SpatialIndex::kNodeChunk + 123;
   const double arena = city_arena_side_m(n, 250.0, 12.0);
   MobilityConfig config;
@@ -52,11 +52,12 @@ TEST(SpatialIndexPoolTest, PooledScansMatchSerialThroughMobilityAndChurn) {
     EXPECT_EQ(a.moved, b.moved);
     EXPECT_EQ(a.rebucketed, b.rebucketed);
     EXPECT_EQ(a.rescanned, b.rescanned);
+    EXPECT_EQ(a.rescanned, serial.active_count());
     EXPECT_GT(a.rescanned, 2 * SpatialIndex::kNodeChunk);
     expect_same(serial, pooled);
 
     // The same churn on both; crashed nodes stay inactive across the next
-    // update, so its movers include nodes that must not be rescanned.
+    // update, so its rebuild must leave them out of every bucket and list.
     for (int k = 0; k < 300; ++k) {
       const auto i = static_cast<std::size_t>(churn.uniform_below(n));
       if (serial.active(i)) {
