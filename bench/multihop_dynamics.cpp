@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
 
     multihop::MultihopConfig config;
     config.seed = 13;
-    const multihop::Topology topo0(mobility.positions(), config.range_m);
+    const multihop::Topology topo0(mobility.positions(), 250.0);
     const auto seeds = multihop::local_efficient_cw(topo0, game);
     multihop::MultihopSimulator sim(config, topo0, seeds);
 

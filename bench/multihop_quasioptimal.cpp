@@ -25,6 +25,7 @@ namespace {
 using namespace smac;
 
 constexpr int kNodes = 100;
+constexpr double kRangeM = 250.0;
 constexpr std::uint64_t kSlotsPerEpoch = 120000;
 constexpr int kEpochs = 8;  // mobility epochs: positions refresh between
 
@@ -44,7 +45,7 @@ MobileRun run_mobile(int w_common, std::uint64_t seed) {
 
   multihop::MultihopConfig config;
   config.seed = seed ^ 0x5151;
-  multihop::Topology topo(mobility.positions(), config.range_m);
+  multihop::Topology topo(mobility.positions(), kRangeM);
   multihop::MultihopSimulator sim(config, topo,
                                   std::vector<int>(kNodes, w_common));
 
@@ -63,7 +64,7 @@ MobileRun run_mobile(int w_common, std::uint64_t seed) {
     // the nodes accordingly and rebuild the neighbor graph.
     mobility.advance(125.0);
     sim.update_topology(
-        multihop::Topology(mobility.positions(), config.range_m));
+        multihop::Topology(mobility.positions(), kRangeM));
   }
   out.p_hn = phn.mean();
   return out;

@@ -21,6 +21,7 @@
 int main() {
   using namespace smac;
   constexpr int kNodes = 40;
+  constexpr double kRangeM = 250.0;
 
   multihop::MobilityConfig mob_config;
   mob_config.width_m = 800.0;
@@ -30,10 +31,10 @@ int main() {
 
   multihop::MultihopConfig config;
   config.seed = 7;
-  multihop::Topology topo(mobility.positions(), config.range_m);
+  multihop::Topology topo(mobility.positions(), kRangeM);
   std::printf("field: 800x800 m, %d nodes, range %.0f m, connected: %s, "
               "diameter: %zu hops\n",
-              kNodes, config.range_m, topo.connected() ? "yes" : "no",
+              kNodes, kRangeM, topo.connected() ? "yes" : "no",
               topo.connected() ? topo.diameter() : 0);
 
   // 1. Local-game seeding: each node solves the (deg+1)-player single-hop
@@ -101,14 +102,14 @@ int main() {
   for (int w : {std::max(1, w_m / 2), w_m, w_m * 2, w_m * 3}) {
     multihop::RandomWaypointModel epochs_mobility(mob_config, kNodes);
     multihop::MultihopSimulator mobile_sim(
-        config, multihop::Topology(epochs_mobility.positions(), config.range_m),
+        config, multihop::Topology(epochs_mobility.positions(), kRangeM),
         std::vector<int>(kNodes, w));
     double total = 0.0;
     for (int epoch = 0; epoch < 6; ++epoch) {
       total += mobile_sim.run_slots(80000).global_payoff_rate / 6.0;
       epochs_mobility.advance(60.0);
       mobile_sim.update_topology(
-          multihop::Topology(epochs_mobility.positions(), config.range_m));
+          multihop::Topology(epochs_mobility.positions(), kRangeM));
     }
     std::printf("  W=%3d: global payoff %.3e\n", w, total);
     best = std::max(best, total);

@@ -41,8 +41,6 @@ class BackoffChain {
   /// out-of-range inputs (w < 1, p outside [0,1), max_stage < 0).
   BackoffChain(int w, double p, int max_stage);
 
-  int initial_window() const noexcept { return w_; }
-  double collision_probability() const noexcept { return p_; }
   int max_stage() const noexcept { return m_; }
 
   /// Window size 2^j·W of stage j (j clamped to [0, m]).

@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "multihop/local_game.hpp"
+
 namespace smac::multihop {
 
 namespace {
@@ -49,8 +51,8 @@ class StageLoop {
   }
 
   /// Runs the stage window on `profile`, records it, then advances
-  /// mobility and hands the simulator the moved nodes' Topology (one
-  /// grid build per epoch).
+  /// mobility and hands the simulator the moved nodes' Topology at the
+  /// simulator's own range (one grid build per epoch).
   void play(const std::vector<int>& profile, MultihopTftResult& result) {
     const MultihopResult run = sim_.run_slots(config_.slots_per_stage);
     MultihopStage stage;
@@ -67,7 +69,7 @@ class StageLoop {
     if (mobility_ && config_.mobility_dt_s > 0.0) {
       mobility_->advance(config_.mobility_dt_s);
       sim_.update_topology(
-          Topology(mobility_->positions(), sim_.config().range_m));
+          Topology(mobility_->positions(), sim_.topology().range_m()));
     }
   }
 
@@ -187,8 +189,8 @@ MultihopTftResult play_multihop_enforced(
   std::vector<std::optional<sim::OnlineDetector>> detectors(n);
   for (std::size_t i = 0; i < n; ++i) {
     if (!is_compliant(i)) continue;
-    const int n_local =
-        std::max<int>(2, static_cast<int>(sim.topology().degree(i)) + 1);
+    const int n_local = std::max(
+        kMinLocalPlayers, static_cast<int>(sim.topology().degree(i)) + 1);
     try {
       detectors[i].emplace(enforcement.detector, seed[i], n_local,
                            enforcement.max_stage, n);

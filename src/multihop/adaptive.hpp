@@ -60,7 +60,8 @@ struct MultihopTftConfig {
 
 /// Plays graph-local TFT on `sim`, starting from its current profile.
 /// When `mobility` is non-null it advances between stages and the
-/// simulator's topology is rebuilt from the new positions.
+/// simulator's topology is rebuilt from the new positions at its own
+/// range.
 ///
 /// `injector` (node_count matching, stage 0 not yet begun) drives
 /// crashes/joins and observation faults. A crashed node is deactivated in

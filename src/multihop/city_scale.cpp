@@ -56,19 +56,19 @@ bool results_identical(const MultihopResult& a, const MultihopResult& b) {
 }
 
 /// One stage's slot-sim window: the converged profile on the stage's
-/// active topology, crashed nodes inactive. The stage seed is a
-/// stream_seed derivation so stages are independent replications.
+/// active graph (the simulator copies it), crashed nodes inactive. The
+/// stage seed is a stream_seed derivation so stages are independent
+/// replications.
 MultihopResult run_stage_sim(const CityScaleConfig& config,
-                             const SpatialIndex& index, const Topology& topo,
+                             const SpatialIndex& index,
                              const std::vector<int>& profile, int stage,
                              MultihopKernel kernel, PdesRunStats* stats) {
   MultihopConfig mh;
-  mh.range_m = config.range_m;
   mh.seed = parallel::stream_seed(config.seed ^ 0xc17ab5c4ULL,
                                   static_cast<std::size_t>(stage));
   mh.kernel = kernel;
   mh.pdes.jobs = config.sim_jobs;
-  MultihopSimulator simulator(mh, topo, profile);
+  MultihopSimulator simulator(mh, index, profile);
   for (std::size_t i = 0; i < index.node_count(); ++i) {
     if (!index.active(i)) simulator.set_node_active(i, false);
   }
@@ -122,9 +122,10 @@ NeighborhoodPricing price_neighborhoods(const SpatialIndex& index,
       for (const std::size_t j : index.neighbors(i)) {
         local.push_back(profile[j]);
       }
-      // Isolated node: the same 2-player floor as local_efficient_cw (a
+      // Isolated node: the same player floor as local_efficient_cw (a
       // 1-player "game" is degenerate; see local_game.hpp).
-      if (local.size() == 1) local.push_back(profile[i]);
+      local.resize(std::max<std::size_t>(local.size(), kMinLocalPlayers),
+                   profile[i]);
       requests[r] = analytical::classify_profile(local);
     }
   };
@@ -244,12 +245,11 @@ CityScaleResult run_city_scale(const CityScaleConfig& config) {
     st.online = index.active_count();
     st.edges = index.edge_count();
 
-    // Local agreements and graph-TFT on the active subgraph (crashed
-    // nodes are isolated in the materialized topology: they keep their
-    // seed and price nothing).
-    const Topology topo = index.topology();
-    const std::vector<int> seeds = local_efficient_cw(topo, game);
-    const auto conv = tft_min_convergence(topo, seeds);
+    // Local agreements and graph-TFT on the index's active subgraph
+    // (crashed nodes are isolated in it: they keep their seed and price
+    // nothing).
+    const std::vector<int> seeds = local_efficient_cw(index, game);
+    const auto conv = tft_min_convergence(index, seeds);
     const std::vector<int>& stable = conv.trajectory.back();
     st.converged_w = conv.converged_w;
     st.tft_stages = conv.stages;
@@ -276,7 +276,7 @@ CityScaleResult run_city_scale(const CityScaleConfig& config) {
     for (std::size_t i = 0; i < config.nodes; ++i) {
       if (!index.active(i)) continue;
       const int n_local =
-          std::max(2, static_cast<int>(index.degree(i)) + 1);
+          std::max(kMinLocalPlayers, static_cast<int>(index.degree(i)) + 1);
       const double u_best = game.homogeneous_stage_utility(seeds[i], n_local);
       if (!(u_best > 0.0)) continue;
       const double frac = priced.payoff[i] / u_best;
@@ -302,14 +302,14 @@ CityScaleResult run_city_scale(const CityScaleConfig& config) {
                               config.sim_compare_kernels;
       const auto t_sim = Clock::now();
       const MultihopResult sim = run_stage_sim(
-          config, index, topo, stable, k,
+          config, index, stable, k,
           wants_pdes ? MultihopKernel::kPdes : MultihopKernel::kSlotLoop,
           wants_pdes ? &sim_stats : nullptr);
       result.sim_ms += ms_since(t_sim);
       if (config.sim_compare_kernels) {
         const auto t_oracle = Clock::now();
         const MultihopResult oracle =
-            run_stage_sim(config, index, topo, stable, k,
+            run_stage_sim(config, index, stable, k,
                           MultihopKernel::kSlotLoop, nullptr);
         if (result.sim_oracle_ms < 0.0) result.sim_oracle_ms = 0.0;
         result.sim_oracle_ms += ms_since(t_oracle);

@@ -9,11 +9,7 @@
 namespace smac::multihop {
 
 std::vector<int> local_efficient_cw(const Topology& topology,
-                                    const game::StageGame& game,
-                                    int min_players) {
-  if (min_players < 1) {
-    throw std::invalid_argument("local_efficient_cw: min_players < 1");
-  }
+                                    const game::StageGame& game) {
   // Collect the distinct local player counts first, then solve them in
   // ascending order: W_c*(n) is nondecreasing in n, so each result warm-
   // brackets the next search (EquilibriumFinder::efficient_cw_from).
@@ -21,7 +17,7 @@ std::vector<int> local_efficient_cw(const Topology& topology,
   std::vector<int> players_of(topology.node_count());
   for (std::size_t i = 0; i < topology.node_count(); ++i) {
     const int players =
-        std::max(min_players, static_cast<int>(topology.degree(i)) + 1);
+        std::max(kMinLocalPlayers, static_cast<int>(topology.degree(i)) + 1);
     players_of[i] = players;
     by_players.emplace(players, 0);
   }

@@ -13,17 +13,18 @@
 
 namespace smac::multihop {
 
-/// W_i for every node: the efficient NE window of its local (deg+1)-player
-/// single-hop game. Results are memoized per degree (many nodes share one).
-///
-/// `min_players` floors the local game size (default 2): an isolated node
-/// has no receiver, so its 1-player "game" is degenerate (W = 1 maximizes
-/// a solo utility) — and once mobility connects it, TFT would spread that
-/// W = 1 network-wide with no recovery (§V.E contagion, triggered by an
+/// Floor on a local game's player count. An isolated node has no
+/// receiver, so its 1-player "game" is degenerate (W = 1 maximizes a solo
+/// utility) — and once mobility connects it, TFT would spread that W = 1
+/// network-wide with no recovery (§V.E contagion, triggered by an
 /// artifact). Seeding at the 2-player NE is the conservative convention.
+inline constexpr int kMinLocalPlayers = 2;
+
+/// W_i for every node: the efficient NE window of its local
+/// max(kMinLocalPlayers, deg+1)-player single-hop game. Results are
+/// memoized per degree (many nodes share one).
 std::vector<int> local_efficient_cw(const Topology& topology,
-                                    const game::StageGame& game,
-                                    int min_players = 2);
+                                    const game::StageGame& game);
 
 /// Trajectory of the graph-TFT dynamics W_i^{k+1} = min_{j ∈ N(i) ∪ {i}}
 /// W_j^k from the seed profile until no window changes. Stage 1 visits

@@ -1,10 +1,11 @@
 // Slot-level multi-hop DCF simulator with carrier sensing and hidden
 // terminals (paper §VI/§VII.B substitute for NS-2).
 //
-// Space is a unit-disk graph: a transmission from i is heard within
-// range_m of i. In every global slot, all nodes whose backoff counter is
-// zero transmit to a uniformly chosen neighbor. Outcome classification at
-// transmitter i with receiver r:
+// Space is a unit-disk graph: a transmission from i is heard within the
+// Topology's range_m() of i (the graph owns the only range). In every
+// global slot, all nodes whose backoff counter is zero transmit to a
+// uniformly chosen neighbor. Outcome classification at transmitter i
+// with receiver r:
 //
 //   * sender-visible collision — another transmitter within i's range
 //     (i's own carrier-sense domain was contended; this is the p_i the
@@ -51,7 +52,6 @@ struct MultihopConfig {
   phy::Parameters params = phy::Parameters::paper();
   /// Paper's multi-hop analysis assumes RTS/CTS access (§VI).
   phy::AccessMode mode = phy::AccessMode::kRtsCts;
-  double range_m = 250.0;
   std::uint64_t seed = 11;
   /// Slot-level fault scenario: scripted crash/join events (slot indices
   /// count from simulator construction, across windows — the same
@@ -98,8 +98,9 @@ struct MultihopResult {
 
 class MultihopSimulator {
  public:
-  /// Topology is captured by value; update_topology() re-binds positions
-  /// after mobility moves nodes (backoff state is preserved).
+  /// Topology is captured by value (a SpatialIndex passed here is copied
+  /// as its graph); update_topology() re-binds positions after mobility
+  /// moves nodes (backoff state is preserved).
   MultihopSimulator(MultihopConfig config, Topology topology,
                     const std::vector<int>& cw_profile);
 

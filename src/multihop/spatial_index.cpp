@@ -42,13 +42,14 @@ void erase_sorted(std::vector<std::size_t>& v, std::size_t x) {
 
 SpatialIndex::SpatialIndex(std::vector<Vec2> positions, double range_m,
                            parallel::ThreadPool* pool)
-    : range_m_(range_m), positions_(std::move(positions)),
-      active_(positions_.size(), 1), active_count_(positions_.size()),
+    : active_(positions.size(), 1), active_count_(positions.size()),
       pool_(pool) {
   if (!(range_m > 0.0)) {
     throw std::invalid_argument("SpatialIndex: range <= 0");
   }
-  validate_positions(positions_);
+  validate_positions(positions);
+  range_m_ = range_m;
+  positions_ = std::move(positions);
   full_build();
 }
 
@@ -107,14 +108,6 @@ void SpatialIndex::insert_node(std::size_t i) {
   for (const std::size_t j : neighbors_[i]) insert_sorted(neighbors_[j], i);
 }
 
-Topology SpatialIndex::topology() const {
-  return Topology(positions_, range_m_, neighbors_);
-}
-
-std::vector<std::vector<std::size_t>> SpatialIndex::take_neighbors() && {
-  return std::move(neighbors_);
-}
-
 std::uint64_t SpatialIndex::cell_key(Vec2 p) const noexcept {
   return pack_cell(cell_coord(p.x, range_m_), cell_coord(p.y, range_m_));
 }
@@ -154,6 +147,7 @@ void SpatialIndex::full_build() {
 }
 
 void SpatialIndex::validate_positions(const std::vector<Vec2>& positions) {
+  if (positions.empty()) throw std::invalid_argument("SpatialIndex: no nodes");
   if (positions.size() >=
       static_cast<std::size_t>(std::numeric_limits<std::uint32_t>::max())) {
     throw std::invalid_argument("SpatialIndex: too many nodes");

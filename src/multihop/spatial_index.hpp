@@ -1,6 +1,12 @@
 // Uniform-grid spatial hash over the multi-hop plane: the metropolitan-
 // scale replacement for the O(n²) pair scan (docs/CITY_SCALE.md).
 //
+// A SpatialIndex is the Topology it maintains: the inherited positions,
+// range and neighbor lists are the unit-disk graph of the active nodes
+// (an inactive node's list is empty), so local_efficient_cw and
+// tft_min_convergence read the index directly. Copying it into a
+// Topology (as the simulator does) keeps only the graph.
+//
 // Nodes are bucketed by cell = (⌊x/r⌋, ⌊y/r⌋) with the cell edge equal to
 // the communication range r, so every unit-disk neighbor of a node lives
 // in the 3×3 cell stencil around it. Complexity contract:
@@ -18,7 +24,8 @@
 //
 // Degenerate layouts stay correct (and degrade gracefully): all nodes in
 // one cell or a range wider than the arena collapse the stencil scan to
-// the pair scan's cost; an empty index is valid (node_count() == 0).
+// the pair scan's cost. An empty position set is rejected, as Topology
+// rejects it.
 //
 // Determinism: neighbor lists are kept sorted ascending — the same order
 // an O(n²) pair scan produces — so results are a pure function of
@@ -46,7 +53,7 @@ class ThreadPool;
 
 namespace smac::multihop {
 
-class SpatialIndex {
+class SpatialIndex : public Topology {
  public:
   /// Nodes per pool task in the pooled per-node loops (this index's scans
   /// and price_neighborhoods). Scheduling only.
@@ -60,25 +67,15 @@ class SpatialIndex {
   };
 
   /// Full build over `positions` (all nodes active). Throws
-  /// std::invalid_argument on range <= 0 or a non-finite coordinate;
-  /// an empty position set is allowed. `pool` (not owned; must outlive
-  /// the index) runs the stencil scans; nullptr runs them on the caller.
+  /// std::invalid_argument on an empty position set, range <= 0 or a
+  /// non-finite coordinate. `pool` (not owned; must outlive the index)
+  /// runs the stencil scans; nullptr runs them on the caller.
   SpatialIndex(std::vector<Vec2> positions, double range_m,
                parallel::ThreadPool* pool = nullptr);
-
-  std::size_t node_count() const noexcept { return positions_.size(); }
-  double range_m() const noexcept { return range_m_; }
-  const std::vector<Vec2>& positions() const noexcept { return positions_; }
 
   bool active(std::size_t i) const { return active_.at(i) != 0; }
   std::size_t active_count() const noexcept { return active_count_; }
 
-  /// Unit-disk neighbors of i among *active* nodes, ascending. Empty for
-  /// an inactive node.
-  const std::vector<std::size_t>& neighbors(std::size_t i) const {
-    return neighbors_.at(i);
-  }
-  std::size_t degree(std::size_t i) const { return neighbors_.at(i).size(); }
   /// Undirected edge count over the active subgraph.
   std::size_t edge_count() const noexcept;
 
@@ -96,13 +93,9 @@ class SpatialIndex {
   /// when already active.
   void insert_node(std::size_t i);
 
-  /// Materializes the current neighbor structure as a Topology (copies
-  /// the adjacency; O(n + m)). Throws like Topology on node_count() == 0.
-  Topology topology() const;
-
-  /// Moves the adjacency out, leaving the index unusable — the grid-routed
-  /// Topology constructor's zero-copy exit.
-  std::vector<std::vector<std::size_t>> take_neighbors() &&;
+  /// The graph this index maintains (no copy; copy it to keep a
+  /// snapshot that later updates do not touch).
+  const Topology& topology() const noexcept { return *this; }
 
   const UpdateStats& last_update() const noexcept { return last_update_; }
 
@@ -115,12 +108,9 @@ class SpatialIndex {
   void full_build();
   static void validate_positions(const std::vector<Vec2>& positions);
 
-  double range_m_ = 0.0;
-  std::vector<Vec2> positions_;
   std::vector<std::uint8_t> active_;
   std::size_t active_count_ = 0;
   std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> buckets_;
-  std::vector<std::vector<std::size_t>> neighbors_;
   UpdateStats last_update_;
   parallel::ThreadPool* pool_ = nullptr;
 };

@@ -102,10 +102,7 @@ TEST(MultihopTftTest, MobilityMergesPartitionedMinima) {
   mob.seed = 5;
   RandomWaypointModel mobility(mob, 4);
 
-  MultihopConfig config = make_config(5);
-  config.range_m = 120.0;
-  MultihopSimulator sim(config,
-                        Topology(mobility.positions(), config.range_m),
+  MultihopSimulator sim(make_config(5), Topology(mobility.positions(), 120.0),
                         {40, 40, 12, 12});
   MultihopTftConfig tft;
   tft.slots_per_stage = 4000;
@@ -114,6 +111,30 @@ TEST(MultihopTftTest, MobilityMergesPartitionedMinima) {
   const auto result = play_multihop_tft(sim, &mobility, tft);
   ASSERT_TRUE(result.converged_cw.has_value());
   EXPECT_EQ(*result.converged_cw, 12);
+}
+
+TEST(MultihopTftTest, MobilityEpochsKeepTheTopologysRange) {
+  // The graph owns the only range: each epoch rebuilds the simulator's
+  // Topology at the range it was built with (120 m here), not at a
+  // default carried by the MultihopConfig.
+  MobilityConfig mob;
+  mob.width_m = 400.0;
+  mob.height_m = 400.0;
+  mob.seed = 3;
+  RandomWaypointModel mobility(mob, 6);
+  MultihopSimulator sim(make_config(2), Topology(mobility.positions(), 120.0),
+                        std::vector<int>(6, 32));
+  MultihopTftConfig tft;
+  tft.slots_per_stage = 500;
+  tft.stages = 3;
+  tft.mobility_dt_s = 10.0;
+  const auto result = play_multihop_tft(sim, &mobility, tft);
+  ASSERT_EQ(result.stages.size(), 3u);
+  EXPECT_EQ(sim.topology().range_m(), 120.0);
+  const Topology want(mobility.positions(), 120.0);
+  for (std::size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(sim.topology().neighbors(i), want.neighbors(i)) << "node " << i;
+  }
 }
 
 TEST(MultihopTftTest, LocalSeedsConvergeToTheorem3Window) {

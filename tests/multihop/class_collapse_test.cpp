@@ -43,9 +43,8 @@ TEST(ClassCollapseTest, DistinctClassesAndHitRateStayPinned) {
     const game::StageGame game(phy::Parameters::paper(),
                                phy::AccessMode::kRtsCts);
 
-    const Topology topo = index.topology();
-    const std::vector<int> seeds = local_efficient_cw(topo, game);
-    const auto conv = tft_min_convergence(topo, seeds);
+    const std::vector<int> seeds = local_efficient_cw(index, game);
+    const auto conv = tft_min_convergence(index, seeds);
     const std::vector<int>& stable = conv.trajectory.back();
 
     // Heterogeneous seed profile: neighborhoods differ in size AND window
@@ -85,8 +84,7 @@ TEST(ClassCollapseTest, ClassPayoffMatchesPerNodePricingBitwise) {
   const game::StageGame game(phy::Parameters::paper(),
                              phy::AccessMode::kRtsCts);
 
-  const Topology topo = index.topology();
-  const std::vector<int> seeds = local_efficient_cw(topo, game);
+  const std::vector<int> seeds = local_efficient_cw(index, game);
   const NeighborhoodPricing priced = price_neighborhoods(index, seeds, game);
 
   std::size_t compared = 0;

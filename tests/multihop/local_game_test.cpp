@@ -69,17 +69,13 @@ TEST(LocalEfficientCwTest, MemoizationIsConsistent) {
 TEST(LocalEfficientCwTest, IsolatedNodesFloorAtTwoPlayerNe) {
   // An isolated node must not seed the degenerate 1-player optimum
   // (W = 1): once mobility connects it, TFT would spread W = 1 with no
-  // recovery. The default floor is the 2-player NE.
+  // recovery. The floor is the 2-player NE.
   const game::StageGame game(kParams, phy::AccessMode::kRtsCts);
   const Topology t({{0, 0}, {100, 0}, {5000, 5000}}, 250.0);
   const auto cw = local_efficient_cw(t, game);
   const int ne2 = game::EquilibriumFinder(game, 2).efficient_cw();
   EXPECT_EQ(cw[2], ne2);  // isolated node
   EXPECT_EQ(cw[0], ne2);  // pair members: degree 1 → 2 players
-  // An explicit min_players = 1 restores the raw behavior.
-  const auto raw = local_efficient_cw(t, game, 1);
-  EXPECT_EQ(raw[2], game::EquilibriumFinder(game, 1).efficient_cw());
-  EXPECT_THROW(local_efficient_cw(t, game, 0), std::invalid_argument);
 }
 
 TEST(TftConvergenceTest, ValidatesInput) {

@@ -261,12 +261,10 @@ TEST(SpatialIndexTest, DegenerateRangeWiderThanArena) {
   EXPECT_EQ(index.edge_count(), 3u);
 }
 
-TEST(SpatialIndexTest, EmptyIndexIsValidButTopologyThrows) {
-  const SpatialIndex empty({}, 100.0);
-  EXPECT_EQ(empty.node_count(), 0u);
-  EXPECT_EQ(empty.active_count(), 0u);
-  EXPECT_EQ(empty.edge_count(), 0u);
-  EXPECT_THROW(empty.topology(), std::invalid_argument);
+TEST(SpatialIndexTest, EmptyPositionSetThrows) {
+  // One input rule for the graph: an index, like a Topology, has nodes.
+  EXPECT_THROW(SpatialIndex({}, 100.0), std::invalid_argument);
+  EXPECT_THROW(Topology({}, 100.0), std::invalid_argument);
 }
 
 TEST(SpatialIndexTest, ValidatesInputs) {
@@ -284,14 +282,27 @@ TEST(SpatialIndexTest, ValidatesInputs) {
 
 TEST(SpatialIndexTest, EdgeCountAndTopologyAgree) {
   const auto pos = random_layout(90, 800.0, 21);
-  const SpatialIndex index(pos, 250.0);
+  SpatialIndex index(pos, 250.0);
+  index.remove_node(4);
+  // topology() is the index itself; a Topology copy keeps its graph
+  // (positions, range, the active lists) and not its later updates.
+  EXPECT_EQ(&index.topology(), static_cast<const Topology*>(&index));
   const Topology topo = index.topology();
+  EXPECT_EQ(topo.positions(), index.positions());
+  EXPECT_EQ(topo.range_m(), index.range_m());
+  EXPECT_TRUE(topo.neighbors(4).empty());
   std::size_t sum = 0;
   for (std::size_t i = 0; i < 90; ++i) {
     EXPECT_EQ(topo.neighbors(i), index.neighbors(i));
     sum += index.degree(i);
   }
   EXPECT_EQ(index.edge_count() * 2, sum);
+  index.insert_node(4);
+  const auto want =
+      oracle_neighbors(pos, 250.0, std::vector<std::uint8_t>(90, 1));
+  ASSERT_FALSE(want[4].empty());
+  EXPECT_EQ(index.neighbors(4), want[4]);
+  EXPECT_TRUE(topo.neighbors(4).empty());  // the copy did not follow
 }
 
 }  // namespace

@@ -105,8 +105,7 @@ TEST(CityScaleInvarianceTest, PricingPayoffsMatchWithAndWithoutPool) {
                                     phy::AccessMode::kRtsCts, options);
   ASSERT_EQ(pooled_game.solver_service().pool(), &pool);
 
-  const std::vector<int> seeds = local_efficient_cw(index.topology(),
-                                                    serial_game);
+  const std::vector<int> seeds = local_efficient_cw(index, serial_game);
   const NeighborhoodPricing serial =
       price_neighborhoods(index, seeds, serial_game);
   const NeighborhoodPricing pooled =
@@ -166,14 +165,12 @@ TEST(CityScaleInvarianceTest, BucketInsertionOrderCannotLeakIntoResults) {
 
   const game::StageGame game(phy::Parameters::paper(),
                              phy::AccessMode::kRtsCts);
-  const Topology topo_a = natural.topology();
-  const Topology topo_b = shuffled.topology();
-  const std::vector<int> seeds_a = local_efficient_cw(topo_a, game);
-  const std::vector<int> seeds_b = local_efficient_cw(topo_b, game);
+  const std::vector<int> seeds_a = local_efficient_cw(natural, game);
+  const std::vector<int> seeds_b = local_efficient_cw(shuffled, game);
   EXPECT_EQ(seeds_a, seeds_b);
 
-  const auto conv_a = tft_min_convergence(topo_a, seeds_a);
-  const auto conv_b = tft_min_convergence(topo_b, seeds_b);
+  const auto conv_a = tft_min_convergence(natural, seeds_a);
+  const auto conv_b = tft_min_convergence(shuffled, seeds_b);
   EXPECT_EQ(conv_a.trajectory, conv_b.trajectory);
   EXPECT_EQ(conv_a.converged_w, conv_b.converged_w);
 }
