@@ -13,7 +13,10 @@
 // kernel (try_solve_classes_batch) at batch sizes 1/16/256/4096, cold
 // (distinct profiles, no hints) and warm (re-solves seeded with their own
 // solution — the repeated-game stage pattern), plus one
-// SolverService::solve_classes batch of deduplicated requests.
+// SolverService::solve_classes batch of deduplicated requests, and the
+// cost of a one-request cache hit on one warmed SolverService when one
+// thread and when four threads call it at once (the tournament's workers
+// pricing their stages through one shared cache).
 //
 // Damping ablation: SolverOptions::damping ∈ {0, 0.25, 0.5, 0.75} on
 // k >= 2 profiles (k = 1 goes to the scalar Brent path, where damping
@@ -26,10 +29,12 @@
 // obviously vary by machine; the JSON is a trajectory record, not a
 // determinism surface.
 #include <algorithm>
+#include <barrier>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -166,6 +171,49 @@ ThroughputPoint measure_throughput(int batch) {
   return point;
 }
 
+/// One-request hits on one warmed service from `threads` threads at once.
+struct ContendedHit {
+  int threads = 0;
+  int samples = 0;           ///< threads × rounds
+  double ns_per_call = 0.0;  ///< median over the samples
+};
+
+/// Calls per sample of the contended-hit row: one sample is one thread's
+/// mean over this many back-to-back hits.
+constexpr int kHitCalls = 1000;
+
+/// Each of `threads` threads times `rounds` samples of kHitCalls
+/// one-request solve_classes calls on `classes`, which `service` holds;
+/// the threads start every round together, so their calls overlap.
+ContendedHit measure_contended_hit(const analytical::SolverService& service,
+                                   const analytical::ClassProfile& classes,
+                                   int threads, int rounds) {
+  std::vector<double> samples(static_cast<std::size_t>(threads * rounds));
+  std::barrier round_start(threads);
+  std::vector<std::thread> team;
+  for (int t = 0; t < threads; ++t) {
+    team.emplace_back([&, t] {
+      for (int r = 0; r < rounds; ++r) {
+        round_start.arrive_and_wait();
+        const auto t0 = Clock::now();
+        for (int c = 0; c < kHitCalls; ++c) {
+          (void)service.solve_classes({&classes, 1}, 6, 0.0);
+        }
+        const auto t1 = Clock::now();
+        samples[static_cast<std::size_t>(r * threads + t)] =
+            static_cast<double>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+                    .count()) /
+            kHitCalls;
+      }
+    });
+  }
+  for (std::thread& thread : team) thread.join();
+  std::sort(samples.begin(), samples.end());
+  return {threads, static_cast<int>(samples.size()),
+          samples[samples.size() / 2]};
+}
+
 double solves_per_sec(double ns_per_solve) {
   return ns_per_solve > 0.0 ? 1e9 / ns_per_solve : 0.0;
 }
@@ -274,6 +322,16 @@ int main(int argc, char** argv) {
         (void)service.solve_classes(requests, 6, 0.0);
       }) /
       service_requests;
+  // One-request hits on a service warmed with a 5-player profile: alone,
+  // then four threads at once on the same service.
+  const analytical::ClassProfile hit_classes =
+      analytical::classify_profile(class_mixed_profile(5, 3));
+  const analytical::SolverService hit_service;
+  (void)hit_service.solve_classes({&hit_classes, 1}, 6, 0.0);
+  const int hit_rounds = 201;
+  const ContendedHit hits[] = {
+      measure_contended_hit(hit_service, hit_classes, 1, hit_rounds),
+      measure_contended_hit(hit_service, hit_classes, 4, hit_rounds)};
   const std::vector<DampingRow> damping = damping_ablation(5);
 
   std::FILE* out = bench::open_output(path);
@@ -330,6 +388,19 @@ int main(int argc, char** argv) {
                service_requests, service_distinct, service_samples,
                service_ns, solves_per_sec(service_ns));
   std::fprintf(out, "  },\n");
+  std::fprintf(out,
+               "  \"contended_hit\": {\"profile\": \"mix(5,3)\", "
+               "\"unit\": \"median ns per one-request hit\", "
+               "\"calls_per_sample\": %d, \"rows\": [\n",
+               kHitCalls);
+  for (std::size_t i = 0; i < std::size(hits); ++i) {
+    std::fprintf(out,
+                 "    {\"threads\": %d, \"samples\": %d, "
+                 "\"ns_per_call\": %.0f}%s\n",
+                 hits[i].threads, hits[i].samples, hits[i].ns_per_call,
+                 i + 1 < std::size(hits) ? "," : "");
+  }
+  std::fprintf(out, "  ]},\n");
   std::fprintf(out, "  \"damping_ablation\": [\n");
   for (std::size_t i = 0; i < damping.size(); ++i) {
     const DampingRow& d = damping[i];
@@ -371,6 +442,12 @@ int main(int argc, char** argv) {
               "(%.0f requests/s; median of %d samples)\n",
               service_requests, service_distinct, service_ns,
               solves_per_sec(service_ns), service_samples);
+  for (const ContendedHit& hit : hits) {
+    std::printf("contended hit: %d thread%s at %.0f ns/call (median of %d "
+                "samples of %d one-request hits on one service)\n",
+                hit.threads, hit.threads == 1 ? "" : "s", hit.ns_per_call,
+                hit.samples, kHitCalls);
+  }
   std::printf("damping ablation (max_stage 6; iterations and retries are "
               "deterministic):\n");
   std::printf("%-12s %7s %10s %7s %-9s %-9s %12s\n", "profile", "damping",

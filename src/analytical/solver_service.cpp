@@ -226,19 +226,21 @@ SolverService::ClassBatch SolverService::solve_classes(
       for (std::size_t g = t.first_group; g < end; ++g) fn(t, g);
     });
   };
-  // Under the cache's one lock each chunk answers its groups — an invalid
-  // key with a miss per request (none if empty), a cached key with its
-  // requests as hits — and copies the answers after it; the rest missed.
+  // In the cache's lookup each chunk answers its groups — an invalid key
+  // with a miss per request (none if empty), a cached key with its
+  // requests as hits — and lists the rest, which missed.
   static const TrySolveResult kInvalid = detail::invalid_solve();
-  std::vector<const TrySolveResult*> answer(group_count);
   const std::size_t seen_size = cache_.lookup_classes([&](auto find) {
     each_group([&](ChunkTally& t, std::size_t g) {
       const ClassGroup& group = groups[g];
       if (!valid_class_key(*group.classes, max_stage, packet_error_rate)) {
-        answer[g] = &kInvalid;
+        out.results[g] = kInvalid;
         if (!group.classes->window.empty()) t.invalid += group.requests;
-      } else if ((answer[g] = find(group)) != nullptr) {
+      } else if (const TrySolveResult* hit = find(group)) {
+        out.results[g] = *hit;
         t.hits += group.requests;
+      } else {
+        t.misses.push_back(group);
       }
     });
     std::pair<std::uint64_t, std::uint64_t> counted{0, 0};
@@ -247,13 +249,6 @@ SolverService::ClassBatch SolverService::solve_classes(
       counted.second += t.invalid;
     }
     return counted;
-  });
-  each_group([&](ChunkTally& t, std::size_t g) {
-    if (answer[g] == nullptr) {
-      t.misses.push_back(groups[g]);
-    } else {
-      out.results[g] = *answer[g];
-    }
   });
   std::vector<ClassGroup> misses = std::move(tally.front().misses);
   for (const ChunkTally& t : std::span(tally).subspan(1)) {

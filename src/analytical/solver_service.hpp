@@ -14,13 +14,11 @@
 // by benches are independent of batching and of --jobs.
 //
 // Threading: every member is safe from any thread; concurrent batches
-// share the cache under its lock and solve their misses independently.
-// solve_classes may not run inside a for_each_index of the ThreadPool the
-// service chunks over (the pool's no-nested-blocking rule). Nor may a task
-// on that pool take the cache's lock (cache_stats, solve_classes) while
-// another thread can run a pooled batch: its lookup holds the lock while
-// it waits for the pool. The default configuration has no pool and runs
-// inline, which is always safe.
+// share the cache — lookups take no lock, adoptions one insert mutex —
+// and solve their misses independently. solve_classes may not run inside
+// a for_each_index of the ThreadPool the service chunks over (the pool's
+// no-nested-blocking rule). Nothing waits for the pool while it holds the
+// insert mutex. The default configuration has no pool and runs inline.
 #pragma once
 
 #include <cstddef>
@@ -73,8 +71,8 @@ class SolverService {
   /// count one miss per request and get the solver's kFailed/"invalid"
   /// result; a request with no classes gets the same result and counts
   /// nothing. results.size() is the number of distinct (window,
-  /// multiplicity) multisets among the requests. A batch locks the cache
-  /// once to look up and once more if it has misses to adopt.
+  /// multiplicity) multisets among the requests. A batch's lookup takes
+  /// no lock; a batch with misses takes the cache's insert mutex once.
   ClassBatch solve_classes(std::span<const ClassProfile> requests,
                            int max_stage, double packet_error_rate) const;
 

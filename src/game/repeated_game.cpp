@@ -48,8 +48,9 @@ RepeatedGameResult RepeatedGameEngine::play(int stages,
   std::optional<ReactionPolicy> police;
   if (enforcing) police.emplace(game_, *enforcement_, n);
 
+  const auto horizon = static_cast<std::size_t>(stages);
   RepeatedGameResult result;
-  result.history.reserve(static_cast<std::size_t>(stages));
+  result.history.reserve(horizon);
   result.discounted_utility.assign(n, 0.0);
   result.total_utility.assign(n, 0.0);
 
@@ -59,11 +60,18 @@ RepeatedGameResult RepeatedGameEngine::play(int stages,
   // would remember raw readings and re-filter).
   std::vector<History> observed(per_view ? n : 0);
   std::vector<History> smoothed(per_view && filter_.enabled() ? n : 0);
+  for (History& view : observed) view.reserve(horizon);
+  for (History& view : smoothed) view.reserve(horizon);
   // The enforcement monitor's (possibly faulted) reading of the last
   // stage: the loss fallback of its next reading.
   StageRecord monitor;
   std::vector<int> current_cw(n, 1);
   std::vector<double> last_good;  // per-player payoffs of last usable solve
+  // The online sub-network of a stage: its windows and their players.
+  std::vector<int> sub;
+  std::vector<std::size_t> sub_index;
+  sub.reserve(n);
+  sub_index.reserve(n);
 
   double discount_k = 1.0;
   for (int k = 0; k < stages; ++k) {
@@ -95,10 +103,8 @@ RepeatedGameResult RepeatedGameEngine::play(int stages,
     const bool punished_stage = enforcing && police->punishing();
 
     // Solve the stage over the online sub-network at the effective PER.
-    std::vector<int> sub;
-    std::vector<std::size_t> sub_index;
-    sub.reserve(n);
-    sub_index.reserve(n);
+    sub.clear();
+    sub_index.clear();
     for (std::size_t i = 0; i < n; ++i) {
       if (player_online(record, i)) {
         sub.push_back(record.cw[i]);
@@ -176,17 +182,21 @@ RepeatedGameResult RepeatedGameEngine::play(int stages,
     if (enforcing) {
       // The monitor's own reading of this stage: true windows through the
       // observation fault model, drawn after every player view in a fixed
-      // player order so the draw sequence stays deterministic.
+      // player order so the draw sequence stays deterministic. Updated in
+      // place: each reading falls back on the one it replaces.
       const StageRecord& truth = result.history.back();
-      StageRecord mon = truth;
-      if (faulted_obs) {
-        for (std::size_t j = 0; j < n; ++j) {
-          if (!player_online(truth, j)) continue;
-          const int fallback = k > 0 ? monitor.cw[j] : truth.cw[j];
-          mon.cw[j] = injector->observe_cw(truth.cw[j], fallback).cw;
+      monitor.cw.resize(n);
+      for (std::size_t j = 0; j < n; ++j) {
+        int& reading = monitor.cw[j];
+        if (faulted_obs && player_online(truth, j)) {
+          const int fallback = k > 0 ? reading : truth.cw[j];
+          reading = injector->observe_cw(truth.cw[j], fallback).cw;
+        } else {
+          reading = truth.cw[j];
         }
       }
-      monitor = std::move(mon);
+      monitor.utility = truth.utility;
+      monitor.online = truth.online;
       police->end_stage(monitor, k);
     }
   }

@@ -2,8 +2,8 @@
 //
 // Tournament workers price their stages, deviation scans and reaction
 // calibrations through one shared StageGame, so several solve_classes
-// calls run on one SolverService at once, with nothing but the cache's
-// own lock between them. Four threads hammer one service over
+// calls run on one SolverService at once, with nothing but the cache
+// between them. Four threads hammer one service over
 // overlapping profile sets — each thread one batch and a one-request call
 // per profile, once solving inline, once chunking misses across a pool —
 // and every result must still have the bits of a direct
@@ -17,9 +17,13 @@
 // adopts there. That must leave every bit, counter and kept entry of the
 // pool-less path, past the insert cap too, and two such batches racing
 // on one service must still tally as a sequential run.
+//
+// Lookups take no lock, so readers must find every adopted entry while a
+// writer grows the cache's table under them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -338,6 +342,116 @@ TEST(SolverServiceConcurrencyTest, RacingPooledBatchesTallyAsSequential) {
       }
     }
   }
+}
+
+/// Whether two results have the same status, counts and bits.
+bool same_bits(const TrySolveResult& a, const TrySolveResult& b) {
+  const auto bits = [](const std::vector<double>& v) {
+    std::vector<std::uint64_t> out;
+    for (const double x : v) out.push_back(std::bit_cast<std::uint64_t>(x));
+    return out;
+  };
+  return a.diagnostics.status == b.diagnostics.status &&
+         a.diagnostics.iterations == b.diagnostics.iterations &&
+         bits(a.state.tau) == bits(b.state.tau) &&
+         bits(a.state.p) == bits(b.state.p);
+}
+
+// Three readers look up keys adopted before they started, in a loop, while
+// a writer adopts 4 000 more in batches of one to seven keys. The table
+// starts at 16 slots and stays at most half full, so going from 8 to
+// 4 008 entries grows it nine times, to 8 192 slots. Every find must
+// return the adopted bits — a reader that loads a grown table before it
+// is filled misses old keys — and the counters must read what a serial run
+// counts: a miss per adopted key and a hit per key a reader looked up.
+TEST(SolverServiceConcurrencyTest, LookupsFindAdoptedKeysWhileTheTableGrows) {
+  constexpr std::size_t kOld = 8;
+  constexpr std::size_t kNew = 4000;
+  constexpr int kReaders = 3;
+  // Key i: one node at window 8 + i, four at 1024. The cache never reads
+  // its values, so each key gets results of its own to tell finds apart.
+  std::vector<ClassProfile> keys;
+  std::vector<TrySolveResult> values;
+  for (std::size_t i = 0; i < kOld + kNew; ++i) {
+    keys.push_back(classify_profile(
+        {8 + static_cast<int>(i), 1024, 1024, 1024, 1024}));
+    TrySolveResult value;
+    value.state.tau = {1.0 / static_cast<double>(i + 2), 0.25};
+    value.state.p = {0.5, 1.0 / static_cast<double>(i + 3)};
+    value.diagnostics.iterations = static_cast<int>(i);
+    values.push_back(std::move(value));
+  }
+  const auto group_of = [&](std::size_t i) {
+    return ClassGroup{&keys[i], kMaxStage, kPer, 1};
+  };
+  using Counted = std::pair<std::uint64_t, std::uint64_t>;
+
+  const NetworkSolveCache cache;
+  std::uint64_t found_new = 0;
+  // Looks keys [begin, end) up, as solve_classes does, and adopts them.
+  const auto adopt = [&](std::size_t begin, std::size_t end) {
+    std::vector<ClassGroup> groups;
+    for (std::size_t i = begin; i < end; ++i) groups.push_back(group_of(i));
+    const std::size_t seen = cache.lookup_classes([&](auto find) {
+      for (const ClassGroup& group : groups) {
+        found_new += find(group) != nullptr;
+      }
+      return Counted{0, 0};
+    });
+    cache.adopt_classes(groups, std::span(values).subspan(begin, end - begin),
+                        seen, nullptr);
+  };
+  adopt(0, kOld);
+
+  std::atomic<bool> done{false};
+  std::vector<std::uint64_t> lookups(kReaders, 0);
+  std::vector<std::uint64_t> wrong(kReaders, 0);
+  std::latch start(kReaders + 1);
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      start.arrive_and_wait();
+      do {
+        (void)cache.lookup_classes([&](auto find) {
+          for (std::size_t i = 0; i < kOld; ++i) {
+            const TrySolveResult* got = find(group_of(i));
+            wrong[r] += got == nullptr || !same_bits(*got, values[i]);
+          }
+          return Counted{kOld, 0};
+        });
+        ++lookups[r];
+      } while (!done.load(std::memory_order_acquire));
+    });
+  }
+  start.arrive_and_wait();
+  for (std::size_t begin = kOld; begin < kOld + kNew;) {
+    const std::size_t end = std::min(kOld + kNew, begin + 1 + begin % 7);
+    adopt(begin, end);
+    begin = end;
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& reader : readers) reader.join();
+
+  std::uint64_t total_lookups = 0;
+  for (int r = 0; r < kReaders; ++r) {
+    EXPECT_EQ(wrong[r], 0u) << "reader " << r;
+    total_lookups += lookups[r];
+  }
+  EXPECT_EQ(found_new, 0u);
+  const SolveCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.size, kOld + kNew);
+  EXPECT_EQ(stats.misses, kOld + kNew);
+  EXPECT_EQ(stats.hits, kOld * total_lookups);
+  // And the grown table holds every key with its bits.
+  std::uint64_t missing = 0;
+  (void)cache.lookup_classes([&](auto find) {
+    for (std::size_t i = 0; i < kOld + kNew; ++i) {
+      const TrySolveResult* got = find(group_of(i));
+      missing += got == nullptr || !same_bits(*got, values[i]);
+    }
+    return Counted{0, 0};
+  });
+  EXPECT_EQ(missing, 0u);
 }
 
 }  // namespace
