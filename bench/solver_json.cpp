@@ -5,18 +5,15 @@
 // (try_solve_network_full) over an (n, k) grid, reporting the median
 // ns/solve for each, the speedup ratio, and the max |Δτ| between the two
 // kernels' solutions (the ≤ 1e-12 agreement contract, asserted bitwise-
-// tolerant in tests/analytical/symmetry_collapse_test.cpp). Also times
-// cold vs warm-started re-solves of a perturbed profile — the
-// best-response inner-loop access pattern.
+// tolerant in tests/analytical/symmetry_collapse_test.cpp).
 //
 // Also records a solves/sec throughput trajectory for the lockstep batch
-// kernel (try_solve_classes_batch) at batch sizes 1/16/256/4096, cold
-// (distinct profiles, no hints) and warm (re-solves seeded with their own
-// solution — the repeated-game stage pattern), plus one
-// SolverService::solve_classes batch of deduplicated requests, and the
-// cost of a one-request cache hit on one warmed SolverService when one
-// thread and when four threads call it at once (the tournament's workers
-// pricing their stages through one shared cache).
+// kernel (try_solve_classes_batch) at batch sizes 1/16/256/4096 over
+// distinct profiles, plus one SolverService::solve_classes batch of
+// deduplicated requests, and the cost of a one-request cache hit on one
+// warmed SolverService when one thread and when four threads call it at
+// once (the tournament's workers pricing their stages through one shared
+// cache).
 //
 // Damping ablation: SolverOptions::damping ∈ {0, 0.25, 0.5, 0.75} on
 // k >= 2 profiles (k = 1 goes to the scalar Brent path, where damping
@@ -113,7 +110,6 @@ Point measure(int n, int k, int reps) {
 struct ThroughputPoint {
   int batch = 0;
   double cold_ns = 0.0;  ///< amortized ns per solve, distinct profiles
-  double warm_ns = 0.0;  ///< amortized ns per solve, self-seeded re-solves
 };
 
 /// `count` distinct (n = 50, k = 3-ish) instances: each perturbs a
@@ -133,41 +129,18 @@ std::vector<analytical::ClassProfileInstance> cold_batch(int count) {
   return instances;
 }
 
-/// `count` re-solves of one profile, each seeded with its own solution —
-/// the repeated-game stage pattern the warm rung exists for.
-std::vector<analytical::ClassProfileInstance> warm_batch(int count) {
-  analytical::ClassProfileInstance proto;
-  proto.classes = analytical::classify_profile(class_mixed_profile(50, 3));
-  proto.max_stage = 6;
-  const analytical::TrySolveResult solved =
-      analytical::try_solve_classes_batch({&proto, 1}).front();
-  proto.opts.initial_tau = solved.state.tau;
-  return std::vector<analytical::ClassProfileInstance>(
-      static_cast<std::size_t>(count), proto);
-}
-
 ThroughputPoint measure_throughput(int batch) {
   // Large batches amortize per-call noise themselves; fewer reps keep the
   // bench fast without hurting the median.
   const int reps = batch >= 256 ? 11 : 31;
+  const auto instances = cold_batch(batch);
   ThroughputPoint point;
   point.batch = batch;
-  {
-    const auto instances = cold_batch(batch);
-    point.cold_ns =
-        median_ns(reps, [&] {
-          (void)analytical::try_solve_classes_batch(instances);
-        }) /
-        batch;
-  }
-  {
-    const auto instances = warm_batch(batch);
-    point.warm_ns =
-        median_ns(reps, [&] {
-          (void)analytical::try_solve_classes_batch(instances);
-        }) /
-        batch;
-  }
+  point.cold_ns =
+      median_ns(reps, [&] {
+        (void)analytical::try_solve_classes_batch(instances);
+      }) /
+      batch;
   return point;
 }
 
@@ -268,33 +241,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Cold vs warm on a (50, 3) profile, two access patterns:
-  //   * same-profile re-solve seeded with its own solution — the repeated-
-  //     game stage pattern (what the solve cache also short-circuits);
-  //   * a one-node-nudged neighbor seeded with the unperturbed solution —
-  //     the best-response ternary-search pattern. The damped iteration
-  //     contracts linearly, so a nearby start saves only O(log) iterations
-  //     here; the same-profile case converges almost immediately.
-  const std::vector<int> profile = class_mixed_profile(50, 3);
-  std::vector<int> nudged = profile;
-  nudged[0] = profile[0] + 8;
-  const analytical::TrySolveResult base =
-      analytical::try_solve_network(profile, 6);
-  analytical::SolverOptions warm_opts;
-  warm_opts.initial_tau = base.state.tau;
-  const double cold_ns = median_ns(reps, [&] {
-    (void)analytical::try_solve_network(nudged, 6);
-  });
-  const double warm_ns = median_ns(reps, [&] {
-    (void)analytical::try_solve_network(nudged, 6, warm_opts);
-  });
-  const double cold_same_ns = median_ns(reps, [&] {
-    (void)analytical::try_solve_network(profile, 6);
-  });
-  const double warm_same_ns = median_ns(reps, [&] {
-    (void)analytical::try_solve_network(profile, 6, warm_opts);
-  });
-
   // Batch-kernel throughput trajectory (amortized ns/solve), plus one
   // SolverService::solve_classes batch: 1024 requests over 512 distinct
   // class profiles — the dedup-then-batch path a deviation scan takes. A
@@ -354,30 +300,17 @@ int main(int argc, char** argv) {
                  i + 1 < points.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
-  std::fprintf(out,
-               "  \"warm_start\": {\"n\": 50, \"k\": 3,\n"
-               "    \"neighbor\": {\"cold_ns\": %.0f, \"warm_ns\": %.0f, "
-               "\"speedup\": %.2f},\n"
-               "    \"same_profile\": {\"cold_ns\": %.0f, \"warm_ns\": %.0f, "
-               "\"speedup\": %.2f}}\n",
-               cold_ns, warm_ns, warm_ns > 0.0 ? cold_ns / warm_ns : 0.0,
-               cold_same_ns, warm_same_ns,
-               warm_same_ns > 0.0 ? cold_same_ns / warm_same_ns : 0.0);
-  std::fprintf(out, "  ,\"throughput\": {\n");
+  std::fprintf(out, "  \"throughput\": {\n");
   std::fprintf(out,
                "    \"unit\": \"amortized ns/solve and solves/sec over the "
                "batch\",\n");
-  std::fprintf(out,
-               "    \"baseline_warm_single_ns\": %.0f,\n", warm_same_ns);
   std::fprintf(out, "    \"batch\": [\n");
   for (std::size_t i = 0; i < throughput.size(); ++i) {
     const ThroughputPoint& t = throughput[i];
     std::fprintf(out,
                  "      {\"batch\": %d, \"cold_ns\": %.0f, "
-                 "\"cold_solves_per_sec\": %.0f, \"warm_ns\": %.0f, "
-                 "\"warm_solves_per_sec\": %.0f}%s\n",
-                 t.batch, t.cold_ns, solves_per_sec(t.cold_ns), t.warm_ns,
-                 solves_per_sec(t.warm_ns),
+                 "\"cold_solves_per_sec\": %.0f}%s\n",
+                 t.batch, t.cold_ns, solves_per_sec(t.cold_ns),
                  i + 1 < throughput.size() ? "," : "");
   }
   std::fprintf(out, "    ],\n");
@@ -425,18 +358,11 @@ int main(int argc, char** argv) {
                 p.full_ns, p.collapsed_ns, p.speedup, p.max_abs_delta,
                 p.both_converged ? "" : "  (non-converged)");
   }
-  std::printf("warm start (n=50, k=3): neighbor cold %.0f ns, warm %.0f ns "
-              "(%.2fx); same-profile cold %.0f ns, warm %.0f ns (%.2fx)\n",
-              cold_ns, warm_ns, warm_ns > 0.0 ? cold_ns / warm_ns : 0.0,
-              cold_same_ns, warm_same_ns,
-              warm_same_ns > 0.0 ? cold_same_ns / warm_same_ns : 0.0);
   std::printf("batch throughput (n=50, k=3; amortized ns/solve):\n");
-  std::printf("%-7s %12s %18s %12s %18s\n", "batch", "cold ns", "cold solves/s",
-              "warm ns", "warm solves/s");
+  std::printf("%-7s %12s %18s\n", "batch", "cold ns", "cold solves/s");
   for (const ThroughputPoint& t : throughput) {
-    std::printf("%-7d %12.0f %18.0f %12.0f %18.0f\n", t.batch, t.cold_ns,
-                solves_per_sec(t.cold_ns), t.warm_ns,
-                solves_per_sec(t.warm_ns));
+    std::printf("%-7d %12.0f %18.0f\n", t.batch, t.cold_ns,
+                solves_per_sec(t.cold_ns));
   }
   std::printf("service batch: %d requests (%d distinct) at %.0f ns/request "
               "(%.0f requests/s; median of %d samples)\n",

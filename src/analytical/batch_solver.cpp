@@ -13,39 +13,10 @@ namespace smac::analytical {
 
 namespace {
 
-/// Collapses a caller warm start into class space: accepts per-class
-/// (size k, used as-is) or per-node (size n, class-averaged — the mean is
-/// invariant under node permutations of a class-consistent hint). Any
-/// other size, or non-finite entries, disqualifies the warm rung.
-std::vector<double> collapse_initial_tau(const std::vector<double>& initial,
-                                         const ClassProfile& classes) {
-  const std::size_t k = classes.class_count();
-  std::vector<double> tau0;
-  if (initial.size() == k) {
-    tau0 = initial;
-  } else if (initial.size() == classes.node_count()) {
-    tau0.assign(k, 0.0);
-    for (std::size_t i = 0; i < initial.size(); ++i) {
-      tau0[static_cast<std::size_t>(classes.class_of[i])] += initial[i];
-    }
-    for (std::size_t c = 0; c < k; ++c) {
-      tau0[c] /= static_cast<double>(classes.multiplicity[c]);
-    }
-  } else {
-    return {};
-  }
-  for (const double t : tau0) {
-    if (!std::isfinite(t)) return {};
-  }
-  for (double& t : tau0) t = std::clamp(t, 0.0, 1.0);
-  return tau0;
-}
-
 /// The retry-ladder rungs in attempt order (polish runs after the ladder
 /// proper, continuing from the best iterate instead of a fresh start).
 enum class Rung : std::uint8_t {
-  kWarm = 0,
-  kSeeded,
+  kSeeded = 0,
   kDamped,
   kRedamped,
   kRestart,
@@ -90,7 +61,7 @@ class ClassSolveMachine {
       // Unusable scalar solve (cannot happen for validated inputs): fall
       // through to the damped ladder below.
     }
-    enter_first_applicable(Rung::kWarm);
+    enter_first_applicable(Rung::kSeeded);
   }
 
   bool done() const noexcept { return rung_ == Rung::kDone; }
@@ -130,27 +101,15 @@ class ClassSolveMachine {
   TrySolveResult take_result() { return std::move(result_); }
 
  private:
-  /// Seeds the arena and iteration bookkeeping for `rung`, skipping rungs
-  /// whose start vector is unavailable (no caller warm start, unusable
-  /// homogeneous seed). Start vectors are pure functions of the instance,
-  /// so computing them lazily here — instead of all up front as the
-  /// pre-batch ladder did — changes which ones are computed, never a
-  /// value that reaches the result.
+  /// Seeds the arena and iteration bookkeeping for `rung`, skipping a rung
+  /// whose start vector is unavailable (an unusable homogeneous seed).
+  /// Start vectors are pure functions of the instance, so computing them
+  /// lazily here — instead of all up front as the pre-batch ladder did —
+  /// changes which ones are computed, never a value that reaches the
+  /// result.
   void enter_first_applicable(Rung rung) {
     for (;;) {
       switch (rung) {
-        case Rung::kWarm: {
-          if (!inst_.opts->initial_tau.empty()) {
-            const std::vector<double> warm =
-                collapse_initial_tau(inst_.opts->initial_tau, *inst_.classes);
-            if (!warm.empty()) {
-              begin_rung(rung, warm.data(), inst_.opts->damping, 1);
-              return;
-            }
-          }
-          rung = Rung::kSeeded;
-          break;
-        }
         case Rung::kSeeded: {
           // Homogeneous-mean start: every class seeded from the mean-window
           // fixed point (mean in canonical class order) — close enough to
@@ -293,7 +252,6 @@ class ClassSolveMachine {
 
   static Rung next_rung(Rung rung) {
     switch (rung) {
-      case Rung::kWarm: return Rung::kSeeded;
       case Rung::kSeeded: return Rung::kDamped;
       case Rung::kDamped: return Rung::kRedamped;
       case Rung::kRedamped: return Rung::kRestart;
@@ -306,7 +264,6 @@ class ClassSolveMachine {
 
   static const char* method_name(Rung rung) {
     switch (rung) {
-      case Rung::kWarm: return "warm";
       case Rung::kSeeded: return "seeded";
       case Rung::kDamped: return "damped";
       case Rung::kRedamped: return "redamped";

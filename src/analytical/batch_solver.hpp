@@ -10,8 +10,8 @@
 // prefix/suffix product inner loop runs back to back across instances,
 // finished instances drop out via a convergence mask without
 // desynchronizing the sweep, and rung start vectors are computed lazily on
-// rung entry (a warm-started instance that converges on its warm rung
-// never pays for the seeded start's scalar Brent solve).
+// rung entry (an instance that converges on its seeded rung never builds
+// the later rungs' starts).
 //
 // Contract: the batch result is **bitwise identical** to solving each
 // instance in a batch of its own — every instance runs its own ladder
@@ -30,8 +30,7 @@ namespace smac::analytical {
 
 /// One independent solve request: a class system plus its model knobs.
 /// Inputs are assumed valid (non-empty classes, windows >= 1,
-/// max_stage >= 0, PER in [0, 1)); opts.initial_tau is the
-/// per-instance warm start (class- or node-sized, see SolverOptions).
+/// max_stage >= 0, PER in [0, 1)).
 struct ClassProfileInstance {
   ClassProfile classes;
   int max_stage = 0;

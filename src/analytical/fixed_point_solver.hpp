@@ -38,14 +38,6 @@ struct SolverOptions {
   double damping = 0.5;
   double tolerance = 1e-13;
   int max_iterations = 20000;
-  /// Optional warm start: per-node (size n) or per-class (size k) initial
-  /// τ, tried as the first ladder rung before the canonical starts. Sizes
-  /// that match neither are ignored. A warm start changes only the
-  /// iteration path, never the fixed point beyond the tolerance — but the
-  /// last-ulp bits of the result may differ from a cold solve, so callers
-  /// feeding bit-identical caches must stick to the canonical (empty)
-  /// start; see NetworkSolveCache.
-  std::vector<double> initial_tau;
 };
 
 /// Outcome classification of the non-throwing solver entry points.
@@ -69,11 +61,10 @@ struct SolveDiagnostics {
   int iterations = 0;      ///< total across every ladder rung attempted
   int retries = 0;         ///< rungs attempted beyond the first
   double residual = 0.0;   ///< residual of the returned state
-  /// Rung that produced the returned state: "warm" (caller's initial_tau),
-  /// "seeded" (homogeneous-mean start), "damped", "redamped", "restart",
-  /// "polish" (continuation from the best iterate of the earlier rungs),
-  /// "bisection"/"brent"/"closed-form" (scalar k = 1 path), or "invalid"
-  /// (bad inputs).
+  /// Rung that produced the returned state: "seeded" (homogeneous-mean
+  /// start), "damped", "redamped", "restart", "polish" (continuation from
+  /// the best iterate of the earlier rungs), "bisection"/"brent"/
+  /// "closed-form" (scalar k = 1 path), or "invalid" (bad inputs).
   const char* method = "damped";
 };
 

@@ -95,10 +95,7 @@ NetworkSolveCache::Key NetworkSolveCache::owned(const KeyView& view) {
 
 NetworkSolveCache::NetworkSolveCache(SolverOptions opts,
                                      std::size_t max_entries)
-    : opts_(std::move(opts)), max_entries_(max_entries) {
-  // Cached values must be pure functions of the key; a caller-supplied
-  // warm start would make them depend on who populated the entry first.
-  opts_.initial_tau.clear();
+    : opts_(opts), max_entries_(max_entries) {
   tables_.push_back(std::make_unique<Table>(kInitialSlots));
   table_.store(tables_.back().get(), std::memory_order_relaxed);
 }

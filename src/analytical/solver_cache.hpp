@@ -60,14 +60,12 @@ struct ClassGroup {
 ///
 /// SolverOptions are fixed per cache instance (set at construction) and
 /// deliberately excluded from the key: one cache serves one model
-/// configuration, which is how StageGame uses it. Any initial_tau warm
-/// start in the options is stripped: cached values must be pure functions
-/// of the key, or insert order under concurrency would make last-ulp bits
-/// scheduling-dependent and break the bit-identical-at-any---jobs
-/// contract. Insertion stops at `max_entries` (lookups still hit),
-/// bounding memory on adversarial profile streams; the solver is
-/// deterministic, so a concurrent miss on the same key recomputes the
-/// identical value.
+/// configuration, which is how StageGame uses it. A solve is a pure
+/// function of its key and those options, so which caller populated an
+/// entry never shows in its bits. Insertion stops at `max_entries`
+/// (lookups still hit), bounding memory on adversarial profile streams;
+/// the solver is deterministic, so a concurrent miss on the same key
+/// recomputes the identical value.
 class NetworkSolveCache {
  public:
   explicit NetworkSolveCache(SolverOptions opts = {},
@@ -77,7 +75,7 @@ class NetworkSolveCache {
   NetworkSolveCache& operator=(const NetworkSolveCache&) = delete;
 
   /// The SolverOptions every entry of this cache was (or will be) solved
-  /// with — initial_tau already stripped.
+  /// with.
   const SolverOptions& options() const noexcept { return opts_; }
 
   /// Class-space lookups for a batching layer, without a lock and without
@@ -116,8 +114,8 @@ class NetworkSolveCache {
   /// while the size is still `seen_size` (no insert since the lookup,
   /// always so for a lone caller) no key is re-checked. Lookups never
   /// wait for an adoption.
-  /// Results must come from the cache's own options() with no warm start,
-  /// or cached values stop being pure functions of the key.
+  /// Results must come from the cache's own options(), or cached values
+  /// stop being pure functions of the key.
   void adopt_classes(std::span<const ClassGroup> groups,
                      std::span<const TrySolveResult> solved,
                      std::size_t seen_size, parallel::ThreadPool* pool) const;

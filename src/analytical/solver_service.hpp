@@ -39,8 +39,7 @@ namespace smac::analytical {
 class SolverService {
  public:
   struct Options {
-    /// Model options shared by every solve (initial_tau is stripped —
-    /// the cache key must stay pure; see NetworkSolveCache).
+    /// Model options shared by every solve.
     SolverOptions solver;
     /// Insert cap forwarded to the owned NetworkSolveCache.
     std::size_t max_cache_entries = 1 << 16;

@@ -8,17 +8,11 @@
 
 namespace smac::analytical {
 
-namespace {
-
-/// u = τ·((1 − p)(1 − PER)·g − e) / T_slot.
-double utility_rate(double tau, double p, const phy::Parameters& params,
+double utility_rate(double tau, double p, double gain, double cost,
                     double packet_error_rate, double t_slot_us) {
   const double delivered = 1.0 - packet_error_rate;
-  return tau * ((1.0 - p) * delivered * params.gain - params.cost) /
-         t_slot_us;
+  return tau * ((1.0 - p) * delivered * gain - cost) / t_slot_us;
 }
-
-}  // namespace
 
 std::vector<double> utility_rates(const NetworkState& state,
                                   const phy::Parameters& params,
@@ -29,7 +23,7 @@ std::vector<double> utility_rates(const NetworkState& state,
   const ChannelMetrics m = channel_metrics(state.tau, params, mode);
   std::vector<double> u(state.tau.size());
   for (std::size_t i = 0; i < u.size(); ++i) {
-    u[i] = utility_rate(state.tau[i], state.p[i], params,
+    u[i] = utility_rate(state.tau[i], state.p[i], params.gain, params.cost,
                         params.packet_error_rate, m.t_slot_us);
   }
   return u;
@@ -50,8 +44,8 @@ void class_utility_rates(const NetworkState& class_state,
       slot_length_us({tau, n}, params.slot_times(mode), tau + n,
                      tau + 2 * n + 1);
   for (std::size_t c = 0; c < out.size(); ++c) {
-    out[c] = utility_rate(class_state.tau[c], class_state.p[c], params,
-                          packet_error_rate, t_slot_us);
+    out[c] = utility_rate(class_state.tau[c], class_state.p[c], params.gain,
+                          params.cost, packet_error_rate, t_slot_us);
   }
 }
 

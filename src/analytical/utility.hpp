@@ -23,6 +23,12 @@
 
 namespace smac::analytical {
 
+/// One node's utility rate u = τ((1 − p)(1 − PER)·g − e)/T_slot (gain
+/// per µs) at transmission probability τ, collision probability p, gain
+/// g and cost e — the one payoff formula every utility here applies.
+double utility_rate(double tau, double p, double gain, double cost,
+                    double packet_error_rate, double t_slot_us);
+
 /// Per-node utility rates u_i (gain per µs) for a network state solved
 /// at params.packet_error_rate.
 std::vector<double> utility_rates(const NetworkState& state,

@@ -6,6 +6,7 @@
 
 #include "analytical/fixed_point_solver.hpp"
 #include "analytical/throughput.hpp"
+#include "analytical/utility.hpp"
 #include "util/optimize.hpp"
 
 namespace smac::game {
@@ -45,35 +46,28 @@ std::size_t AsymmetricGame::class_index(std::size_t player) const {
 
 std::vector<double> AsymmetricGame::utility_rates(
     const std::vector<int>& w) const {
-  return utility_rates_warm(w, nullptr);
-}
-
-std::vector<double> AsymmetricGame::utility_rates_warm(
-    const std::vector<int>& w, std::vector<double>* warm) const {
   if (w.size() != class_of_.size()) {
     throw std::invalid_argument("AsymmetricGame: profile size mismatch");
   }
   for (const int wi : w) {
     if (wi < 1) throw std::invalid_argument("AsymmetricGame: window < 1");
   }
-  analytical::SolverOptions opts;
-  if (warm) opts.initial_tau = *warm;
-  const analytical::TrySolveResult solved =
-      analytical::try_solve_network(w, params_.max_backoff_stage, opts);
+  const analytical::TrySolveResult solved = analytical::try_solve_network(
+      w, params_.max_backoff_stage, {}, params_.packet_error_rate);
   if (!analytical::usable(solved.diagnostics.status)) {
     throw std::runtime_error(
         std::string("AsymmetricGame::utility_rates: solve failed (") +
         solved.diagnostics.method + ")");
   }
   const analytical::NetworkState& state = solved.state;
-  if (warm) *warm = state.tau;
   const analytical::ChannelMetrics metrics =
       analytical::channel_metrics(state.tau, params_, mode_);
   std::vector<double> u(w.size());
   for (std::size_t i = 0; i < u.size(); ++i) {
     const PlayerClass& cls = player_class(i);
-    u[i] = state.tau[i] * ((1.0 - state.p[i]) * cls.gain - cls.cost) /
-           metrics.t_slot_us;
+    u[i] = analytical::utility_rate(state.tau[i], state.p[i], cls.gain,
+                                    cls.cost, params_.packet_error_rate,
+                                    metrics.t_slot_us);
   }
   return u;
 }
@@ -85,12 +79,14 @@ double AsymmetricGame::common_window_utility(std::size_t c, int w) const {
   if (w < 1) throw std::invalid_argument("AsymmetricGame: w < 1");
   const int n = static_cast<int>(player_count());
   const analytical::NetworkState state = analytical::solve_network_homogeneous(
-      static_cast<double>(w), n, params_.max_backoff_stage);
+      static_cast<double>(w), n, params_.max_backoff_stage,
+      params_.packet_error_rate);
   const analytical::ChannelMetrics metrics =
       analytical::channel_metrics(state.tau, params_, mode_);
   const PlayerClass& cls = classes_[c];
-  return state.tau[0] * ((1.0 - state.p[0]) * cls.gain - cls.cost) /
-         metrics.t_slot_us;
+  return analytical::utility_rate(state.tau[0], state.p[0], cls.gain,
+                                  cls.cost, params_.packet_error_rate,
+                                  metrics.t_slot_us);
 }
 
 int AsymmetricGame::preferred_common_window(std::size_t c) const {
@@ -130,14 +126,10 @@ int AsymmetricGame::best_response(const std::vector<int>& w,
     throw std::invalid_argument("AsymmetricGame: player out of range");
   }
   std::vector<int> profile = w;
-  // Chain each candidate's solution into the next solve: the scan moves
-  // one player's window while n − 1 stay fixed, so consecutive fixed
-  // points are a warm start apart.
-  std::vector<double> warm;
   const auto r = util::ternary_int_max(
       [&](std::int64_t candidate) {
         profile[player] = static_cast<int>(candidate);
-        return utility_rates_warm(profile, &warm)[player];
+        return utility_rates(profile)[player];
       },
       1, params_.w_max);
   return static_cast<int>(r.x);

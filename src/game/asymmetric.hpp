@@ -3,7 +3,8 @@
 // The paper simplifies "to assume that gi and ei are the same for all i"
 // (§IV). Real populations are not uniform — a plugged-in laptop prices a
 // transmission differently from a coin-cell sensor. This module keeps the
-// paper's utility u_i = τ_i((1−p_i)·g_i − e_i)/T_slot with per-player
+// paper's utility u_i = τ_i((1−p_i)(1−PER)·g_i − e_i)/T_slot, the
+// StageGame's at the configured packet error rate, with per-player
 // (g_i, e_i) organized into classes, and exposes the objects the
 // asymmetric analysis needs:
 //
@@ -76,16 +77,6 @@ class AsymmetricGame {
                                             int max_rounds = 100) const;
 
  private:
-  /// utility_rates with an optional warm-start slot: when `warm` is
-  /// non-null, its contents seed the solver (SolverOptions::initial_tau)
-  /// and the solved τ is written back — best-response scans step the
-  /// deviant's window by small amounts, so consecutive solves start one
-  /// damped iteration from each other. A failed solve throws before any
-  /// write-back. Serial callers only; warm-started results must not feed
-  /// shared caches.
-  std::vector<double> utility_rates_warm(const std::vector<int>& w,
-                                         std::vector<double>* warm) const;
-
   phy::Parameters params_;
   phy::AccessMode mode_;
   std::vector<PlayerClass> classes_;

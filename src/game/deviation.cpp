@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "game/equilibrium.hpp"
+
 namespace smac::game {
 
 namespace {
@@ -141,21 +143,12 @@ double malicious_welfare_ratio(const StageGame& game, int n, int w_coop,
 }
 
 std::optional<int> paralysis_threshold(const StageGame& game, int n) {
-  // Utility sign is monotone in w (p decreases with w): find the largest
-  // w with u(w) <= 0 by binary search.
-  const int w_max = game.params().w_max;
-  auto non_positive = [&](int w) {
-    return game.homogeneous_utility_rate(w, n) <= 0.0;
-  };
-  if (!non_positive(1)) return std::nullopt;
-  if (non_positive(w_max)) return w_max;
-  int lo = 1;      // u(lo) <= 0
-  int hi = w_max;  // u(hi) > 0
-  while (hi - lo > 1) {
-    const int mid = lo + (hi - lo) / 2;
-    (non_positive(mid) ? lo : hi) = mid;
-  }
-  return lo;
+  // Utility sign is monotone in w (p decreases with w), so the largest
+  // w with u(w) <= 0 sits just below W_c0, the smallest with u(w) > 0.
+  const std::optional<int> w0 = EquilibriumFinder(game, n).minimum_viable_cw();
+  if (!w0) return game.params().w_max;
+  if (*w0 == 1) return std::nullopt;
+  return *w0 - 1;
 }
 
 }  // namespace smac::game

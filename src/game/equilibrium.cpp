@@ -13,29 +13,12 @@ EquilibriumFinder::EquilibriumFinder(const StageGame& game, int n)
 }
 
 int EquilibriumFinder::efficient_cw() const {
-  if (cached_efficient_) return *cached_efficient_;
   const auto r = util::ternary_int_max(
       [&](std::int64_t w) {
         return game_.homogeneous_utility_rate(static_cast<int>(w), n_);
       },
       1, game_.params().w_max);
-  cached_efficient_ = static_cast<int>(r.x);
-  return *cached_efficient_;
-}
-
-int EquilibriumFinder::efficient_cw_from(int lo) const {
-  if (cached_efficient_) return *cached_efficient_;
-  const int w_max = game_.params().w_max;
-  if (lo <= 1 || lo > w_max) return efficient_cw();
-  auto u = [&](std::int64_t w) {
-    return game_.homogeneous_utility_rate(static_cast<int>(w), n_);
-  };
-  // The bracket premise: the peak is not left of lo. Unimodality makes
-  // this checkable at the edge alone.
-  if (u(lo - 1) > u(lo)) return efficient_cw();
-  const auto r = util::ternary_int_max(u, lo, w_max);
-  cached_efficient_ = static_cast<int>(r.x);
-  return *cached_efficient_;
+  return static_cast<int>(r.x);
 }
 
 std::optional<int> EquilibriumFinder::minimum_viable_cw() const {

@@ -50,17 +50,9 @@ class EquilibriumFinder {
 
   /// W_c*: exact discrete argmax of the homogeneous stage utility over
   /// [1, w_max] (unimodal per Lemma 2/3; located by ternary search and
-  /// verified by local hill conditions).
+  /// verified by local hill conditions). Nothing is kept between calls: a
+  /// repeated search is a run of StageGame memo hits.
   int efficient_cw() const;
-
-  /// W_c* with a warm lower bracket: searches [lo, w_max] instead of
-  /// [1, w_max]. Sound when the caller knows W_c* >= lo — W_c*(n) is
-  /// nondecreasing in the player count (76/336/879 for n = 5/20/50), so
-  /// ascending sweeps over n can chain each result into the next search.
-  /// The left edge is verified (u(lo − 1) <= u(lo) must hold for the
-  /// bracket to contain the peak); a violated premise falls back to the
-  /// full-range search, so the result equals efficient_cw() always.
-  int efficient_cw_from(int lo) const;
 
   /// W_c0: smallest window with strictly positive utility; nullopt when
   /// even w_max yields non-positive payoff (network not viable).
@@ -82,7 +74,6 @@ class EquilibriumFinder {
  private:
   const StageGame& game_;
   int n_;
-  mutable std::optional<int> cached_efficient_;
 };
 
 }  // namespace smac::game

@@ -14,9 +14,6 @@ void ReactionConfig::validate() const {
   if (w_agreed < 1) {
     throw std::invalid_argument("ReactionConfig: w_agreed < 1");
   }
-  if (max_stage < 0) {
-    throw std::invalid_argument("ReactionConfig: max_stage < 0");
-  }
   monitor_filter.validate();
   if (min_punishment_stages < 1 ||
       max_punishment_stages < min_punishment_stages) {
@@ -41,15 +38,16 @@ std::string EnforcementReport::summary() const {
 
 namespace {
 
-sim::OnlineDetector make_monitor(const ReactionConfig& config,
+sim::OnlineDetector make_monitor(const StageGame& game,
+                                 const ReactionConfig& config,
                                  std::size_t players) {
   config.validate();
   if (players < 2) {
     throw std::invalid_argument("ReactionPolicy: players < 2");
   }
   return sim::OnlineDetector(config.detector, config.w_agreed,
-                             static_cast<int>(players), config.max_stage,
-                             players);
+                             static_cast<int>(players),
+                             game.params().max_backoff_stage, players);
 }
 
 }  // namespace
@@ -59,7 +57,7 @@ ReactionPolicy::ReactionPolicy(const StageGame& game,
                                std::size_t players)
     : game_(game),
       config_(config),
-      detector_(make_monitor(config, players)),
+      detector_(make_monitor(game, config, players)),
       filter_(config.monitor_filter),
       series_(players) {}
 

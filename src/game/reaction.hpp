@@ -59,8 +59,6 @@ struct ReactionConfig {
   sim::OnlineDetectorConfig detector;
   /// The agreed cooperative window (e.g. the efficient NE W*).
   int w_agreed = 1;
-  /// Backoff-stage bound m of the agreement's model.
-  int max_stage = 6;
   /// Optional robust smoothing of the monitor's window readings before
   /// they reach the detector and the ŵ estimate (kNone = raw readings;
   /// the default detector geometry already tolerates magnitude-4 noise).
@@ -116,6 +114,7 @@ struct EnforcementReport {
 class ReactionPolicy {
  public:
   /// `game` must outlive the policy; `players` ≥ 2 is the network size.
+  /// The detector models the game's own max_backoff_stage.
   /// Throws std::invalid_argument on an invalid config (including a
   /// detector whose tolerance swallows its design cheat).
   ReactionPolicy(const StageGame& game, const ReactionConfig& config,

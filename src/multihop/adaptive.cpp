@@ -146,9 +146,6 @@ void MultihopEnforcementConfig::validate() const {
     throw std::invalid_argument(
         "MultihopEnforcementConfig: invalid detector config");
   }
-  if (max_stage < 0) {
-    throw std::invalid_argument("MultihopEnforcementConfig: max_stage < 0");
-  }
   if (punishment_stages < 1) {
     throw std::invalid_argument(
         "MultihopEnforcementConfig: punishment_stages < 1");
@@ -182,7 +179,8 @@ MultihopTftResult play_multihop_enforced(
   std::vector<std::vector<int>> observed(n, profile);
 
   // One detector per compliant node, calibrated against its own entry
-  // window with its closed neighborhood as the model size. Nodes whose
+  // window with its closed neighborhood as the model size and the
+  // simulator's max_backoff_stage as the model's m. Nodes whose
   // agreement window is too small for the detector geometry (the design
   // cheat collapses onto the tolerance band) run blind: they comply and
   // punish on flooded flags but cannot raise one themselves.
@@ -193,7 +191,7 @@ MultihopTftResult play_multihop_enforced(
         kMinLocalPlayers, static_cast<int>(sim.topology().degree(i)) + 1);
     try {
       detectors[i].emplace(enforcement.detector, seed[i], n_local,
-                           enforcement.max_stage, n);
+                           sim.config().params.max_backoff_stage, n);
     } catch (const std::invalid_argument&) {
       // blind node; see above
     }

@@ -78,10 +78,9 @@ MultihopTftResult play_multihop_tft(MultihopSimulator& sim,
 struct MultihopEnforcementConfig {
   /// Per-node sequential detector geometry. Each compliant node monitors
   /// its neighbors against its own entry window (the local agreement from
-  /// e.g. local_efficient_cw), with the closed-neighborhood size as n.
+  /// e.g. local_efficient_cw), with the closed-neighborhood size as n and
+  /// the simulator's backoff-stage bound m.
   sim::OnlineDetectorConfig detector;
-  /// Backoff-stage bound of the detector's model.
-  int max_stage = 6;
   /// Fixed episode length. Multihop punishment is not gain-calibrated —
   /// there is no shared stage game to price the what-if profiles; the
   /// single-hop ReactionPolicy implements the calibrated version.

@@ -10,26 +10,17 @@ namespace smac::multihop {
 
 std::vector<int> local_efficient_cw(const Topology& topology,
                                     const game::StageGame& game) {
-  // Collect the distinct local player counts first, then solve them in
-  // ascending order: W_c*(n) is nondecreasing in n, so each result warm-
-  // brackets the next search (EquilibriumFinder::efficient_cw_from).
+  // One W_c* search per distinct local player count.
   std::map<int, int> by_players;
-  std::vector<int> players_of(topology.node_count());
+  std::vector<int> cw(topology.node_count());
   for (std::size_t i = 0; i < topology.node_count(); ++i) {
     const int players =
         std::max(kMinLocalPlayers, static_cast<int>(topology.degree(i)) + 1);
-    players_of[i] = players;
-    by_players.emplace(players, 0);
-  }
-  int warm_lo = 1;
-  for (auto& [players, w_star] : by_players) {
-    const game::EquilibriumFinder finder(game, players);
-    w_star = finder.efficient_cw_from(warm_lo);
-    warm_lo = w_star;
-  }
-  std::vector<int> cw(topology.node_count());
-  for (std::size_t i = 0; i < topology.node_count(); ++i) {
-    cw[i] = by_players.at(players_of[i]);
+    auto [it, fresh] = by_players.try_emplace(players, 0);
+    if (fresh) {
+      it->second = game::EquilibriumFinder(game, players).efficient_cw();
+    }
+    cw[i] = it->second;
   }
   return cw;
 }

@@ -5,8 +5,8 @@
 // every instance runs its own ladder machine, and no arithmetic crosses
 // instances. This suite pins the contract over a seeded (n, k, PER,
 // batch-size) grid, over batches mixing converged/degraded/failed
-// outcomes under a starved iteration budget, over warm-started
-// instances, and over the empty batch.
+// outcomes under a starved iteration budget, over duplicate instances,
+// and over the empty batch.
 #include "analytical/batch_solver.hpp"
 
 #include <gtest/gtest.h>
@@ -149,39 +149,6 @@ TEST(BatchSolverTest, MixedStatusBatchMatchesSequentialBitwise) {
   EXPECT_TRUE(statuses.count(SolveStatus::kConverged));
 
   check_batch_matches_sequential(instances, "mixed-status");
-}
-
-TEST(BatchSolverTest, WarmStartedInstancesMatchSequentialBitwise) {
-  // Warm starts route through the warm rung (collapse_initial_tau), whose
-  // lazy evaluation order in the machine must not change any bit. Use
-  // each profile's own converged solution as the hint — the dominant
-  // re-solve pattern — plus a deliberately bad hint.
-  const std::vector<std::vector<int>> profiles{
-      {16, 16, 64, 256},
-      {1, 32, 32, 1024, 1024, 1024},
-      {8, 8, 128, 128},
-  };
-  std::vector<ClassProfileInstance> instances;
-  for (const std::vector<int>& w : profiles) {
-    ClassProfileInstance cold = make_instance(w, 6, 0.1);
-    const TrySolveResult solved = solve_alone(cold);
-    ClassProfileInstance warm = cold;
-    warm.opts.initial_tau = solved.state.tau;  // class-sized hint
-    instances.push_back(std::move(warm));
-  }
-  ClassProfileInstance bad_hint = make_instance({4, 4096, 17}, 6, 0.0);
-  bad_hint.opts.initial_tau = {0.99, 0.99, 0.99};
-  instances.push_back(std::move(bad_hint));
-
-  check_batch_matches_sequential(instances, "warm-started");
-  // Warm re-solves converge on the warm rung (this is the throughput
-  // path: no seeded Brent, a couple of lockstep sweeps).
-  const std::vector<TrySolveResult> batched =
-      try_solve_classes_batch(instances);
-  for (std::size_t i = 0; i + 1 < batched.size(); ++i) {
-    EXPECT_EQ(batched[i].diagnostics.status, SolveStatus::kConverged);
-    EXPECT_STREQ(batched[i].diagnostics.method, "warm");
-  }
 }
 
 TEST(BatchSolverTest, DuplicateInstancesAgreeWithinBatch) {

@@ -167,44 +167,6 @@ TEST(SymmetryCollapse, HomogeneousDelegatesToScalarPath) {
   EXPECT_EQ(r.state.tau[0], scalar.tau[0]);
 }
 
-TEST(SymmetryCollapse, WarmStartConvergesFasterAndAgrees) {
-  const std::vector<int> w = mixed_profile(40, {16, 256, 1024});
-  const TrySolveResult cold = try_solve_network(w, 5, {}, 0.05);
-  ASSERT_EQ(cold.diagnostics.status, SolveStatus::kConverged);
-
-  SolverOptions warm_opts;
-  warm_opts.initial_tau = cold.state.tau;  // per-node warm start
-  const TrySolveResult warm = try_solve_network(w, 5, warm_opts, 0.05);
-  EXPECT_EQ(warm.diagnostics.status, SolveStatus::kConverged);
-  EXPECT_STREQ(warm.diagnostics.method, "warm");
-  EXPECT_LT(warm.diagnostics.iterations, cold.diagnostics.iterations);
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    EXPECT_NEAR(warm.state.tau[i], cold.state.tau[i], 1e-12);
-  }
-
-  // A class-space (size k) hint is accepted too.
-  const ClassProfile classes = classify_profile(w);
-  SolverOptions class_opts;
-  class_opts.initial_tau.assign(classes.class_count(), 0.0);
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    class_opts.initial_tau[static_cast<std::size_t>(classes.class_of[i])] =
-        cold.state.tau[i];
-  }
-  const TrySolveResult via_class = try_solve_network(w, 5, class_opts, 0.05);
-  EXPECT_EQ(via_class.diagnostics.status, SolveStatus::kConverged);
-  EXPECT_STREQ(via_class.diagnostics.method, "warm");
-
-  // Mis-sized hints are ignored, not an error.
-  SolverOptions bad_opts;
-  bad_opts.initial_tau.assign(w.size() + 3, 0.5);
-  const TrySolveResult ignored = try_solve_network(w, 5, bad_opts, 0.05);
-  EXPECT_EQ(ignored.diagnostics.status, SolveStatus::kConverged);
-  EXPECT_STRNE(ignored.diagnostics.method, "warm");
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    EXPECT_EQ(ignored.state.tau[i], cold.state.tau[i]);
-  }
-}
-
 TEST(SymmetryCollapse, ExpandClassesPreservesNodeOrder) {
   const std::vector<int> w{128, 8, 128, 8, 2048};
   ClassProfileInstance instance;

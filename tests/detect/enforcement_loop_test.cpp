@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "analytical/fixed_point_solver.hpp"
 #include "fault/fault_injector.hpp"
 #include "game/equilibrium.hpp"
 #include "game/reaction.hpp"
@@ -56,9 +57,6 @@ TEST(ReactionConfigTest, ValidatesEveryField) {
   rc.w_agreed = 0;
   EXPECT_THROW(rc.validate(), std::invalid_argument);
   rc = make_reaction();
-  rc.max_stage = -1;
-  EXPECT_THROW(rc.validate(), std::invalid_argument);
-  rc = make_reaction();
   rc.detector.significance = 0.0;
   EXPECT_THROW(rc.validate(), std::invalid_argument);
   rc = make_reaction();
@@ -85,6 +83,20 @@ TEST(ReactionConfigTest, ValidatesEveryField) {
   rc = make_reaction();
   rc.detector.tolerance = 10.0;  // swallows the design cheat
   EXPECT_THROW(engine.set_enforcement(rc), std::invalid_argument);
+}
+
+TEST(ReactionPolicyTest, DetectorModelsTheGamesBackoffStage) {
+  // The monitor's null rate is the compliant τ of the enforced game's own
+  // model: at m = 3 it is the m = 3 fixed point, tolerance added.
+  phy::Parameters params = phy::Parameters::paper();
+  params.max_backoff_stage = 3;
+  const game::StageGame game(params, phy::AccessMode::kRtsCts);
+  const auto rc = make_reaction();
+  const game::ReactionPolicy policy(game, rc, kPlayers);
+  const double tau =
+      analytical::try_homogeneous_tau(rc.w_agreed, kPlayers, 3).tau;
+  EXPECT_EQ(policy.detector().tau_null(),
+            tau * (1.0 + rc.detector.tolerance));
 }
 
 TEST(ReactionPolicyTest, ClosesTheLoopOnSyntheticObservations) {

@@ -40,17 +40,26 @@ TEST(AsymmetricGameTest, ClassBookkeeping) {
 }
 
 TEST(AsymmetricGameTest, UniformClassesReproduceSymmetricGame) {
-  // One class with the paper's (g, e) must match StageGame exactly.
-  const AsymmetricGame game(kParams, kBasic, {{1.0, 0.01, 5}});
-  const StageGame reference(kParams, kBasic);
-  const std::vector<int> profile{40, 80, 120, 160, 200};
-  const auto u_asym = game.utility_rates(profile);
-  const auto u_ref = reference.utility_rates(profile);
-  for (std::size_t i = 0; i < profile.size(); ++i) {
-    EXPECT_NEAR(u_asym[i], u_ref[i], 1e-15);
+  // One class with the paper's (g, e) must match StageGame exactly, on a
+  // clean channel and on a noisy one: both solve at the configured PER
+  // and pay (1 − p)(1 − PER)·g − e.
+  phy::Parameters noisy = kParams;
+  noisy.packet_error_rate = 0.2;
+  for (const phy::Parameters& params : {kParams, noisy}) {
+    const AsymmetricGame game(params, kBasic,
+                              {{params.gain, params.cost, 5}});
+    const StageGame reference(params, kBasic);
+    const std::vector<int> profile{40, 80, 120, 160, 200};
+    const auto u_asym = game.utility_rates(profile);
+    const auto u_ref = reference.utility_rates(profile);
+    for (std::size_t i = 0; i < profile.size(); ++i) {
+      EXPECT_NEAR(u_asym[i], u_ref[i], 1e-15)
+          << "PER " << params.packet_error_rate << " node " << i;
+    }
+    EXPECT_EQ(game.preferred_common_window(0),
+              EquilibriumFinder(reference, 5).efficient_cw())
+        << "PER " << params.packet_error_rate;
   }
-  EXPECT_EQ(game.preferred_common_window(0),
-            EquilibriumFinder(reference, 5).efficient_cw());
 }
 
 TEST(AsymmetricGameTest, CostlierClassEarnsLessAtSameWindow) {

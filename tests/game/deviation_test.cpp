@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <stdexcept>
 
 #include "game/equilibrium.hpp"
@@ -207,6 +208,32 @@ TEST(MaliciousTest, ParalysisRequiresNoBackoffHeadroom) {
   EXPECT_GE(*threshold, 1);
   EXPECT_LT(bare.homogeneous_utility_rate(*threshold, 20), 0.0);
   EXPECT_GT(bare.homogeneous_utility_rate(*threshold + 1, 20), 0.0);
+}
+
+TEST(MaliciousTest, ParalysisThresholdSitsJustBelowMinimumViableWindow) {
+  // One sign change of u(w) bounds both searches: the paralysis threshold
+  // is W_c0 − 1, none when W_c0 = 1, and w_max when no window is viable.
+  phy::Parameters params = kParams;
+  params.max_backoff_stage = 0;
+  for (const auto mode : {kBasic, phy::AccessMode::kRtsCts}) {
+    const StageGame bare(params, mode);
+    for (int n = 2; n <= 50; ++n) {
+      const std::optional<int> w0 =
+          EquilibriumFinder(bare, n).minimum_viable_cw();
+      const std::optional<int> threshold = paralysis_threshold(bare, n);
+      if (!w0) {
+        EXPECT_EQ(threshold, params.w_max) << "n=" << n;
+      } else if (*w0 == 1) {
+        EXPECT_FALSE(threshold.has_value()) << "n=" << n;
+      } else {
+        ASSERT_TRUE(threshold.has_value()) << "n=" << n;
+        EXPECT_EQ(*threshold, *w0 - 1) << "n=" << n;
+        EXPECT_LE(bare.homogeneous_utility_rate(*threshold, n), 0.0)
+            << "n=" << n;
+        EXPECT_GT(bare.homogeneous_utility_rate(*w0, n), 0.0) << "n=" << n;
+      }
+    }
+  }
 }
 
 }  // namespace

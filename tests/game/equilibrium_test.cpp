@@ -54,30 +54,6 @@ TEST(EquilibriumFinderTest, PaperTableIIIShape) {
             EquilibriumFinder(rts, 50).efficient_cw());
 }
 
-TEST(EquilibriumFinderTest, WarmBracketMatchesFullSearch) {
-  // efficient_cw_from(lo) exploits W*(n) monotonicity: seeded with any
-  // valid lower bound (a smaller n's optimum, or the exact answer) it
-  // must return the same window as the full-range search.
-  const StageGame game(kParams, kBasic);
-  int prev_w = 0;
-  for (int n : {2, 5, 10, 20}) {
-    const EquilibriumFinder full(game, n);
-    const int w_full = full.efficient_cw();
-    EquilibriumFinder warm(game, n);
-    EXPECT_EQ(warm.efficient_cw_from(prev_w), w_full) << "n=" << n;
-    prev_w = w_full;
-  }
-  // A violated premise (lo past the peak, so u(lo-1) > u(lo)) must fall
-  // back to the full-range search rather than return a bogus maximum.
-  EquilibriumFinder finder(game, 5);
-  const int w_star = finder.efficient_cw();
-  EquilibriumFinder fallback(game, 5);
-  EXPECT_EQ(fallback.efficient_cw_from(4 * w_star), w_star);
-  // Degenerate lower bounds route to the plain search too.
-  EquilibriumFinder degenerate(game, 5);
-  EXPECT_EQ(degenerate.efficient_cw_from(0), w_star);
-}
-
 TEST(EquilibriumFinderTest, EfficientCwGrowsWithN) {
   const StageGame game(kParams, kBasic);
   int prev = 0;

@@ -1,7 +1,6 @@
 #include "support/reference_solver.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "analytical/backoff_chain.hpp"
@@ -88,14 +87,6 @@ TrySolveResult try_solve_network_full(const std::vector<int>& w,
   for (std::size_t i = 0; i < w.size(); ++i) {
     hot[i] = transmission_probability(w[i], 0.9, max_stage);
   }
-  std::vector<double> warm = opts.initial_tau;
-  if (warm.size() != w.size() ||
-      std::any_of(warm.begin(), warm.end(),
-                  [](double t) { return !std::isfinite(t); })) {
-    warm.clear();
-  }
-  for (double& t : warm) t = std::clamp(t, 0.0, 1.0);
-
   // Retry ladder: the base attempt, then escalated damping on the same
   // start, then a heavily damped restart from a high-collision point.
   struct Rung {
@@ -104,11 +95,11 @@ TrySolveResult try_solve_network_full(const std::vector<int>& w,
     double damping;
     int iteration_scale;
   };
-  std::vector<Rung> ladder;
-  if (!warm.empty()) ladder.push_back({"warm", &warm, opts.damping, 1});
-  ladder.push_back({"damped", &cold, opts.damping, 1});
-  ladder.push_back({"redamped", &cold, std::max(opts.damping, 0.85), 2});
-  ladder.push_back({"restart", &hot, std::max(opts.damping, 0.95), 2});
+  const Rung ladder[] = {
+      {"damped", &cold, opts.damping, 1},
+      {"redamped", &cold, std::max(opts.damping, 0.85), 2},
+      {"restart", &hot, std::max(opts.damping, 0.95), 2},
+  };
 
   NetworkState best;
   best.residual = std::numeric_limits<double>::infinity();

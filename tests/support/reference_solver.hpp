@@ -15,8 +15,8 @@
 
 namespace smac::analytical {
 
-/// Same contract as try_solve_network (initial_tau honored per node when
-/// sized n), solved without the symmetry-class collapse.
+/// Same contract as try_solve_network, solved without the symmetry-class
+/// collapse.
 TrySolveResult try_solve_network_full(const std::vector<int>& w,
                                       int max_stage,
                                       const SolverOptions& opts = {},
