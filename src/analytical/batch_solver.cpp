@@ -13,10 +13,14 @@ namespace smac::analytical {
 
 namespace {
 
+/// Newton's step cap: a start inside its basin converges in 3–7 steps.
+constexpr int kNewtonSteps = 50;
+
 /// The retry-ladder rungs in attempt order (polish runs after the ladder
 /// proper, continuing from the best iterate instead of a fresh start).
 enum class Rung : std::uint8_t {
-  kSeeded = 0,
+  kNewton = 0,
+  kSeeded,
   kDamped,
   kRedamped,
   kRestart,
@@ -25,11 +29,11 @@ enum class Rung : std::uint8_t {
 };
 
 /// Per-instance ladder state machine. One call to step() performs exactly
-/// one damped iteration of util::solve_fixed_point's loop (same update,
-/// same max-norm step, same iteration counting — including the
-/// budget + 1 count a non-converged rung reports) or one rung transition,
-/// so a machine driven to completion is bitwise identical to the
-/// sequential ladder it replaces.
+/// one Newton step, one damped iteration of util::solve_fixed_point's loop
+/// (same update, same max-norm step, same iteration counting — including
+/// the budget + 1 count a non-converged damped rung reports) or one rung
+/// transition, so a machine driven to completion is bitwise identical
+/// however the batch interleaves it with others.
 class ClassSolveMachine {
  public:
   ClassSolveMachine(const detail::ClassSolveRef& instance, double* tau_slot)
@@ -61,17 +65,23 @@ class ClassSolveMachine {
       // Unusable scalar solve (cannot happen for validated inputs): fall
       // through to the damped ladder below.
     }
-    enter_first_applicable(Rung::kSeeded);
+    enter_first_applicable(Rung::kNewton);
   }
 
   bool done() const noexcept { return rung_ == Rung::kDone; }
 
-  /// One damped iteration (or a budget-exhaustion transition) of the
-  /// current rung. `prefix`/`suffix` are caller scratch of size k + 1,
-  /// `p` of size k — shared across the batch's instances within a sweep.
+  /// One Newton step or damped iteration (or a budget-exhaustion
+  /// transition) of the current rung. `prefix`/`suffix` are caller scratch
+  /// of size k + 1, `p` of size k — shared across the batch's instances
+  /// within a sweep.
   void step(double* prefix, double* suffix, double* p) {
     if (iter_ > budget_) {
-      finish_rung(/*converged=*/false, iter_);
+      rung_ == Rung::kNewton ? fall_back(iter_ - 1)
+                             : finish_rung(/*converged=*/false, iter_);
+      return;
+    }
+    if (rung_ == Rung::kNewton) {
+      newton_step(prefix, suffix, p);
       return;
     }
     // One solve_fixed_point iteration on the class map: p from the current
@@ -101,6 +111,73 @@ class ClassSolveMachine {
   TrySolveResult take_result() { return std::move(result_); }
 
  private:
+  /// One Newton step on F_c = τ_c − T(W_c, f_c), f_c = 1 − (1 − p_c)(1 −
+  /// PER). As p_c = 1 − X/(1 − τ_c) with X = Π (1 − τ_c)^{m_c}, the
+  /// Jacobian is D − u·vᵀ: D_c = 1 + u_c/(1 − τ_c), u_c = a_c(1 − p_c),
+  /// v_c = m_c/(1 − τ_c), a_c = −(1 − PER)·T_c²·W_c·g′(f_c)/2 with g(f) =
+  /// f·Σ_{r<m}(2f)^r — O(k) by Sherman–Morrison. A step that leaves
+  /// (0, 1) (non-finite included) falls back at once.
+  void newton_step(double* prefix, double* suffix, double* p) {
+    detail::class_collision_probabilities_into(
+        x_, inst_.classes->multiplicity.data(), k_, prefix, suffix, p);
+    // With p known, prefix/suffix are free: y = D⁻¹F and z = D⁻¹u.
+    double* y = prefix;
+    double* z = suffix;
+    const double keep = 1.0 - inst_.packet_error_rate;
+    double vy = 0.0;
+    double vz = 0.0;
+    for (std::size_t c = 0; c < k_; ++c) {
+      const double idle = 1.0 - p[c];
+      const double fail = 1.0 - idle * keep;
+      const double w = static_cast<double>(inst_.classes->window[c]);
+      // T(W, f) in transmission_probability's operation order, and g′(f)
+      // = Σ_{r<m} (r + 1)(2f)^r from the same powers of 2f.
+      double sum = 0.0;
+      double dg = 0.0;
+      double term = 1.0;
+      for (int r = 0; r < inst_.max_stage; ++r) {
+        sum += term;
+        dg += static_cast<double>(r + 1) * term;
+        term *= 2.0 * fail;
+      }
+      const double t = 2.0 / (1.0 + w + fail * w * sum);
+      const double u = -keep * t * t * w * dg / 2.0 * idle;
+      const double inv_free = 1.0 / (1.0 - x_[c]);
+      const double inv_d = 1.0 / (1.0 + u * inv_free);
+      const double v =
+          static_cast<double>(inst_.classes->multiplicity[c]) * inv_free;
+      y[c] = (x_[c] - t) * inv_d;
+      z[c] = u * inv_d;
+      vy += v * y[c];
+      vz += v * z[c];
+    }
+    const double scale = vy / (1.0 - vz);
+    double step_norm = 0.0;
+    bool inside = true;
+    for (std::size_t c = 0; c < k_; ++c) {
+      const double next = x_[c] - (y[c] + z[c] * scale);
+      inside = inside && next > 0.0 && next < 1.0;
+      step_norm = std::max(step_norm, std::abs(next - x_[c]));
+      x_[c] = next;
+    }
+    residual_ = step_norm;
+    if (!inside) {
+      fall_back(iter_);
+    } else if (step_norm <= inst_.opts->tolerance) {
+      finish_rung(/*converged=*/true, iter_);
+    } else {
+      ++iter_;
+    }
+  }
+
+  /// Newton missed: its iterate is dropped (never offered to best_), and
+  /// the damped ladder starts over from the seeded start.
+  void fall_back(int iterations) {
+    total_iterations_ += iterations;
+    ++retries_;
+    enter_first_applicable(Rung::kSeeded);
+  }
+
   /// Seeds the arena and iteration bookkeeping for `rung`, skipping a rung
   /// whose start vector is unavailable (an unusable homogeneous seed).
   /// Start vectors are pure functions of the instance, so computing them
@@ -110,52 +187,41 @@ class ClassSolveMachine {
   void enter_first_applicable(Rung rung) {
     for (;;) {
       switch (rung) {
+        case Rung::kNewton:
+          seed_fail_ = homogeneous_mean_fail();
+          [[fallthrough]];
         case Rung::kSeeded: {
           // Homogeneous-mean start: every class seeded from the mean-window
-          // fixed point (mean in canonical class order) — close enough to
-          // the heterogeneous fixed point that starved iteration budgets
-          // converge where the cold start only degrades.
-          double mean_window = 0.0;
-          for (std::size_t c = 0; c < k_; ++c) {
-            mean_window +=
-                static_cast<double>(inst_.classes->multiplicity[c]) *
-                static_cast<double>(inst_.classes->window[c]);
+          // fixed point's failure probability — close enough to the
+          // heterogeneous fixed point that Newton converges in a few steps
+          // and starved damped budgets converge where the cold start only
+          // degrades. Newton and its fallback share it: one Brent search.
+          if (std::isnan(seed_fail_)) {
+            rung = Rung::kDamped;
+            break;
           }
-          mean_window /= static_cast<double>(n_);
-          const TryTauResult hom = try_homogeneous_tau(
-              mean_window, n_, inst_.max_stage, inst_.packet_error_rate);
-          if (usable(hom.diagnostics.status)) {
-            const double p_hom =
-                n_ == 1 ? 0.0 : 1.0 - detail::ipow(1.0 - hom.tau, n_ - 1);
-            const double fail_hom =
-                1.0 - (1.0 - p_hom) * (1.0 - inst_.packet_error_rate);
-            std::vector<double> seeded(k_);
-            for (std::size_t c = 0; c < k_; ++c) {
-              seeded[c] = transmission_probability(
-                  inst_.classes->window[c], fail_hom, inst_.max_stage);
-            }
-            begin_rung(rung, seeded.data(), inst_.opts->damping, 1);
-            return;
-          }
-          rung = Rung::kDamped;
-          break;
+          start_at(seed_fail_);
+          begin_rung(rung, inst_.opts->damping,
+                     rung == Rung::kNewton
+                         ? std::min(inst_.opts->max_iterations, kNewtonSteps)
+                         : inst_.opts->max_iterations);
+          return;
         }
         case Rung::kDamped: {
-          begin_rung(rung, cold_start().data(), inst_.opts->damping, 1);
+          start_at(0.0);
+          begin_rung(rung, inst_.opts->damping, inst_.opts->max_iterations);
           return;
         }
         case Rung::kRedamped: {
-          begin_rung(rung, cold_start().data(),
-                     std::max(inst_.opts->damping, 0.85), 2);
+          start_at(0.0);
+          begin_rung(rung, std::max(inst_.opts->damping, 0.85),
+                     inst_.opts->max_iterations * 2);
           return;
         }
         case Rung::kRestart: {
-          std::vector<double> hot(k_);
-          for (std::size_t c = 0; c < k_; ++c) {
-            hot[c] = transmission_probability(inst_.classes->window[c], 0.9,
-                                              inst_.max_stage);
-          }
-          begin_rung(rung, hot.data(), std::max(inst_.opts->damping, 0.95), 2);
+          start_at(0.9);
+          begin_rung(rung, std::max(inst_.opts->damping, 0.95),
+                     inst_.opts->max_iterations * 2);
           return;
         }
         case Rung::kPolish: {
@@ -165,7 +231,9 @@ class ClassSolveMachine {
           // near-miss kDegraded outcomes into kConverged.
           if (!best_.converged && std::isfinite(best_.residual) &&
               best_.tau.size() == k_) {
-            begin_rung(rung, best_.tau.data(), inst_.opts->damping, 2);
+            std::copy(best_.tau.begin(), best_.tau.end(), x_);
+            begin_rung(rung, inst_.opts->damping,
+                       inst_.opts->max_iterations * 2);
             return;
           }
           finish();
@@ -178,27 +246,44 @@ class ClassSolveMachine {
     }
   }
 
-  std::vector<double> cold_start() const {
-    std::vector<double> cold(k_);
+  /// The failure probability of the mean-window homogeneous fixed point
+  /// (mean in canonical class order), or NaN if that solve is unusable.
+  double homogeneous_mean_fail() const {
+    double mean_window = 0.0;
     for (std::size_t c = 0; c < k_; ++c) {
-      cold[c] = transmission_probability(inst_.classes->window[c], 0.0,
-                                         inst_.max_stage);
+      mean_window += static_cast<double>(inst_.classes->multiplicity[c]) *
+                     static_cast<double>(inst_.classes->window[c]);
     }
-    return cold;
+    mean_window /= static_cast<double>(n_);
+    const TryTauResult hom = try_homogeneous_tau(
+        mean_window, n_, inst_.max_stage, inst_.packet_error_rate);
+    if (!usable(hom.diagnostics.status)) {
+      return std::numeric_limits<double>::quiet_NaN();
+    }
+    const double p_hom =
+        n_ == 1 ? 0.0 : 1.0 - detail::ipow(1.0 - hom.tau, n_ - 1);
+    return 1.0 - (1.0 - p_hom) * (1.0 - inst_.packet_error_rate);
   }
 
-  void begin_rung(Rung rung, const double* start, double damping,
-                  int iteration_scale) {
+  /// Writes the start τ_c = τ(W_c, fail) of every class into the arena.
+  void start_at(double fail) {
+    for (std::size_t c = 0; c < k_; ++c) {
+      x_[c] = transmission_probability(inst_.classes->window[c], fail,
+                                       inst_.max_stage);
+    }
+  }
+
+  /// Enters `rung` from the start already in the arena.
+  void begin_rung(Rung rung, double damping, int budget) {
     if (damping < 0.0 || damping >= 1.0) {
       throw std::invalid_argument(
           "solve_fixed_point: damping must be in [0,1)");
     }
     rung_ = rung;
     damping_ = damping;
-    budget_ = inst_.opts->max_iterations * iteration_scale;
+    budget_ = budget;
     iter_ = 1;
     residual_ = 0.0;
-    std::copy(start, start + k_, x_);
   }
 
   /// Ends the current rung exactly as the sequential ladder did: fold the
@@ -252,6 +337,7 @@ class ClassSolveMachine {
 
   static Rung next_rung(Rung rung) {
     switch (rung) {
+      case Rung::kNewton:
       case Rung::kSeeded: return Rung::kDamped;
       case Rung::kDamped: return Rung::kRedamped;
       case Rung::kRedamped: return Rung::kRestart;
@@ -264,6 +350,7 @@ class ClassSolveMachine {
 
   static const char* method_name(Rung rung) {
     switch (rung) {
+      case Rung::kNewton: return "newton";
       case Rung::kSeeded: return "seeded";
       case Rung::kDamped: return "damped";
       case Rung::kRedamped: return "redamped";
@@ -278,6 +365,7 @@ class ClassSolveMachine {
   std::size_t k_;
   int n_;
   double* x_;  ///< this instance's segment of the batch tau arena
+  double seed_fail_ = std::numeric_limits<double>::quiet_NaN();
 
   Rung rung_ = Rung::kDamped;
   double damping_ = 0.5;
@@ -338,9 +426,9 @@ std::vector<TrySolveResult> detail::solve_classes_batch(
     }
   }
 
-  // Lockstep sweeps: every active instance advances one damped iteration
-  // per sweep; finished instances are masked out in place (stable order,
-  // so the arena is walked front to back every sweep).
+  // Lockstep sweeps: every active instance advances one Newton step or one
+  // damped iteration per sweep; finished instances are masked out in place
+  // (stable order, so the arena is walked front to back every sweep).
   while (!active.empty()) {
     std::size_t kept = 0;
     for (const std::uint32_t i : active) {

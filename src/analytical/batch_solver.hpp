@@ -5,13 +5,14 @@
 // thousands of independent (class-profile, PER) instances per run; solving
 // them one at a time leaves the whole retry ladder's bookkeeping (start
 // vectors, rung transitions) on the critical path of every instance.
-// try_solve_classes_batch instead advances every instance
-// by one damped iteration per sweep over a contiguous arena: the
-// prefix/suffix product inner loop runs back to back across instances,
-// finished instances drop out via a convergence mask without
-// desynchronizing the sweep, and rung start vectors are computed lazily on
-// rung entry (an instance that converges on its seeded rung never builds
-// the later rungs' starts).
+// try_solve_classes_batch instead advances every instance by one step per
+// sweep over a contiguous arena — one Newton step on the ladder's first
+// rung, one damped iteration on the fallback rungs: the prefix/suffix
+// product inner loop runs back to back across instances, finished
+// instances drop out via a convergence mask without desynchronizing the
+// sweep, and rung start vectors are computed lazily on rung entry (an
+// instance that converges under Newton never builds the damped rungs'
+// starts).
 //
 // Contract: the batch result is **bitwise identical** to solving each
 // instance in a batch of its own — every instance runs its own ladder

@@ -36,7 +36,8 @@ DelayEstimate homogeneous_access_delay(double w, int n,
                                        const phy::Parameters& params,
                                        phy::AccessMode mode) {
   const NetworkState state =
-      solve_network_homogeneous(w, n, params.max_backoff_stage);
+      solve_network_homogeneous(w, n, params.max_backoff_stage,
+                                params.packet_error_rate);
   return access_delays(state, params, mode).front();
 }
 

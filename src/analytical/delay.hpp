@@ -33,7 +33,8 @@ std::vector<DelayEstimate> access_delays(const NetworkState& state,
                                          const phy::Parameters& params,
                                          phy::AccessMode mode);
 
-/// Delay of one node in a homogeneous network of n nodes on window w.
+/// Delay of one node in a homogeneous network of n nodes on window w,
+/// solved at params.packet_error_rate.
 DelayEstimate homogeneous_access_delay(double w, int n,
                                        const phy::Parameters& params,
                                        phy::AccessMode mode);

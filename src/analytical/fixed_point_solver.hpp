@@ -61,10 +61,12 @@ struct SolveDiagnostics {
   int iterations = 0;      ///< total across every ladder rung attempted
   int retries = 0;         ///< rungs attempted beyond the first
   double residual = 0.0;   ///< residual of the returned state
-  /// Rung that produced the returned state: "seeded" (homogeneous-mean
-  /// start), "damped", "redamped", "restart", "polish" (continuation from
-  /// the best iterate of the earlier rungs), "bisection"/"brent"/
-  /// "closed-form" (scalar k = 1 path), or "invalid" (bad inputs).
+  /// Rung that produced the returned state: "newton" (Newton steps from
+  /// the homogeneous-mean start, the first rung of every k >= 2 solve),
+  /// the damped fallback rungs "seeded" (same start), "damped",
+  /// "redamped", "restart" and "polish" (continuation from the best
+  /// iterate of the earlier rungs), "bisection"/"brent"/"closed-form"
+  /// (scalar k = 1 path), or "invalid" (bad inputs).
   const char* method = "damped";
 };
 
@@ -110,10 +112,11 @@ NetworkState expand_classes(const NetworkState& class_state,
 
 /// The heterogeneous solve for contention-window profile `w` (one entry
 /// per node) with maximum backoff stage `max_stage`, through a retry
-/// ladder. Never throws and never returns non-finite values: on
-/// non-convergence it escalates — a homogeneous-mean seeded start,
-/// stronger damping, and a restart from a high-collision initial point —
-/// and reports how far it got in the diagnostics (NetworkState::converged
+/// ladder. Never throws and never returns non-finite values: Newton from a
+/// homogeneous-mean seeded start first; when a Newton step leaves (0, 1)
+/// or misses the tolerance, damped iteration from the same start, then
+/// stronger damping and a restart from a high-collision initial point —
+/// and it reports how far it got in the diagnostics (NetworkState::converged
 /// reflects SolveStatus::kConverged). Invalid inputs (empty profile,
 /// w < 1, max_stage < 0, PER outside [0, 1) or NaN) yield kFailed,
 /// method "invalid", with an empty state. For n = 1 the collision

@@ -77,7 +77,8 @@ ChannelMetrics homogeneous_channel_metrics(double w, int n,
                                            const phy::Parameters& params,
                                            phy::AccessMode mode) {
   const NetworkState state =
-      solve_network_homogeneous(w, n, params.max_backoff_stage);
+      solve_network_homogeneous(w, n, params.max_backoff_stage,
+                                params.packet_error_rate);
   return channel_metrics(state.tau, params, mode);
 }
 

@@ -34,8 +34,8 @@ ChannelMetrics channel_metrics(const std::vector<double>& tau,
 double slot_length_us(std::span<const double> tau, const phy::SlotTimes& t,
                       double* prefix, double* suffix);
 
-/// Convenience: solve + measure for a homogeneous network of n nodes on
-/// window w.
+/// Convenience: solve (at params.packet_error_rate) + measure for a
+/// homogeneous network of n nodes on window w.
 ChannelMetrics homogeneous_channel_metrics(double w, int n,
                                            const phy::Parameters& params,
                                            phy::AccessMode mode);

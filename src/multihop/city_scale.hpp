@@ -51,9 +51,10 @@ struct CityScaleConfig {
   /// Also price every node's local game at the heterogeneous *seed*
   /// profile (the interesting dedup case); the converged profile is
   /// always priced. Costs roughly one solve per distinct seed
-  /// neighborhood: ~8·10^4 per stage at n = 10^5, about half a second
-  /// on 4 solver workers — half of such a stage — so sweeps that only
-  /// need the Theorem-3 fractions turn it off.
+  /// neighborhood: ~8·10^4 per stage at n = 10^5, about 0.2 s of serial
+  /// solver time (three Newton steps each) spread over the solver
+  /// workers — so sweeps that only need the Theorem-3 fractions turn it
+  /// off.
   bool price_seed_profile = true;
   /// Width of the pipeline's one pool: the SpatialIndex scans, the
   /// per-node request build and pricing of price_neighborhoods, and the

@@ -5,8 +5,9 @@
 // every instance runs its own ladder machine, and no arithmetic crosses
 // instances. This suite pins the contract over a seeded (n, k, PER,
 // batch-size) grid, over batches mixing converged/degraded/failed
-// outcomes under a starved iteration budget, over duplicate instances,
-// and over the empty batch.
+// outcomes under a starved iteration budget, over a batch mixing Newton,
+// its damped fallback and the scalar k = 1 path, over duplicate
+// instances, and over the empty batch.
 #include "analytical/batch_solver.hpp"
 
 #include <gtest/gtest.h>
@@ -149,6 +150,34 @@ TEST(BatchSolverTest, MixedStatusBatchMatchesSequentialBitwise) {
   EXPECT_TRUE(statuses.count(SolveStatus::kConverged));
 
   check_batch_matches_sequential(instances, "mixed-status");
+}
+
+TEST(BatchSolverTest, NewtonFallbackAndScalarInstancesMatchSequentialBitwise) {
+  // Newton finishes in a few sweeps, a fallback instance goes on through
+  // the damped seeded rung for tens more, and k = 1 never enters the
+  // sweep: one batch must still give each instance its sequential bits.
+  std::vector<ClassProfileInstance> instances;
+  instances.push_back(make_instance({16, 64, 64, 256, 1024}, 6, 0.0));
+  instances.push_back(make_instance({1, 8, 8, 64, 512, 512}, 6, 0.0));
+  instances.push_back(make_instance(std::vector<int>(30, 128), 6, 0.0));
+  instances.push_back(make_instance({32, 32, 48, 700, 700, 700}, 6, 0.3));
+  {
+    std::vector<int> aggressor(64, 4096);
+    aggressor[0] = 1;
+    instances.push_back(make_instance(aggressor, 6, 0.0));
+  }
+  instances.push_back(make_instance({2, 2, 2}, 0, 0.9));
+
+  const std::vector<TrySolveResult> batched =
+      try_solve_classes_batch(instances);
+  std::set<std::string> methods;
+  for (const TrySolveResult& r : batched) {
+    EXPECT_EQ(r.diagnostics.status, SolveStatus::kConverged);
+    methods.insert(r.diagnostics.method);
+  }
+  EXPECT_EQ(methods, (std::set<std::string>{"brent", "newton", "seeded"}));
+
+  check_batch_matches_sequential(instances, "newton-fallback-scalar");
 }
 
 TEST(BatchSolverTest, DuplicateInstancesAgreeWithinBatch) {

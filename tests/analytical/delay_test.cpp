@@ -57,6 +57,17 @@ TEST(AccessDelayTest, FairShareLowerBound) {
   EXPECT_GT(d, n * t.ts_us * 0.9);
 }
 
+TEST(AccessDelayTest, HomogeneousDelaySolvesAtTheConfiguredPer) {
+  phy::Parameters noisy = kParams;
+  noisy.packet_error_rate = 0.2;
+  const NetworkState at_per =
+      solve_network_homogeneous(55, 5, noisy.max_backoff_stage, 0.2);
+  const double want = access_delays(at_per, noisy, kBasic).front().mean_us;
+  const double got = homogeneous_access_delay(55, 5, noisy, kBasic).mean_us;
+  EXPECT_DOUBLE_EQ(got, want);
+  EXPECT_NEAR(got, 49100.0, 50.0);  // 49 307 µs if solved at PER 0
+}
+
 TEST(AccessDelayTest, MatchesSimulatedInterSuccessTime) {
   // Empirical mean time between a node's successes ≈ model E[D].
   const int n = 5;

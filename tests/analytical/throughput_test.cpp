@@ -83,6 +83,21 @@ TEST(ChannelMetricsTest, RtsCtsMoreRobustUnderContention) {
   EXPECT_GT(rts.throughput, basic.throughput);
 }
 
+TEST(ChannelMetricsTest, HomogeneousMetricsSolveAtTheConfiguredPer) {
+  // Noise losses escalate the backoff like collisions do, so the fixed
+  // point, and with it the slot length, depends on the parameters' PER.
+  phy::Parameters noisy = kParams;
+  noisy.packet_error_rate = 0.2;
+  const NetworkState at_per =
+      solve_network_homogeneous(55, 5, noisy.max_backoff_stage, 0.2);
+  const ChannelMetrics want =
+      channel_metrics(at_per.tau, noisy, phy::AccessMode::kBasic);
+  const ChannelMetrics got =
+      homogeneous_channel_metrics(55, 5, noisy, phy::AccessMode::kBasic);
+  EXPECT_DOUBLE_EQ(got.t_slot_us, want.t_slot_us);
+  EXPECT_NEAR(got.t_slot_us, 1021.87, 0.01);  // 1347.46 if solved at PER 0
+}
+
 TEST(ChannelMetricsTest, AsymmetricTauFavorsAggressor) {
   const ChannelMetrics m =
       channel_metrics({0.2, 0.05}, kParams, phy::AccessMode::kBasic);
