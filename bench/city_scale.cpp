@@ -12,7 +12,7 @@
 //                                  quasi-optimality); byte-identical at
 //                                  any --jobs, pinned by
 //                                  tests/parallel/city_scale_invariance_test.cpp
-//   BENCH_city_scale_timings.json  wall-clock build/update/solve-dedup
+//   BENCH_city_scale_timings.json  wall-clock build/update/TFT/solve-dedup
 //                                  timings and the --jobs that produced
 //                                  them; machine-dependent by nature.
 //
@@ -160,8 +160,9 @@ bool write_timings_json(const std::string& path,
     const multihop::CityScaleResult& r = runs[s];
     std::fprintf(out,
                  "    {\"nodes\": %zu, \"grid_build_ms\": %.3f, "
-                 "\"update_churn_ms\": %.3f, \"solve_dedup_ms\": %.3f",
-                 r.nodes, r.build_ms, r.update_ms, r.solve_ms);
+                 "\"update_churn_ms\": %.3f, \"tft_ms\": %.3f, "
+                 "\"solve_dedup_ms\": %.3f",
+                 r.nodes, r.build_ms, r.update_ms, r.tft_ms, r.solve_ms);
     if (r.sim_ms > 0.0) {
       // pdes_speedup: serial slot loop over the configured kernel; > 1
       // means the PDES kernel won wall clock (expect ~1.0 on a 1-core
@@ -219,7 +220,7 @@ int main(int argc, char** argv) {
   std::vector<multihop::CityScaleResult> runs(configs.size());
   // Scenarios run sequentially (each already fans its solver misses
   // across `jobs`); memory, not CPU, is the reason — two 10^5-node runs
-  // side by side double the index + trajectory footprint.
+  // side by side double the index + solve-cache footprint.
   for (std::size_t s = 0; s < configs.size(); ++s) {
     runs[s] = multihop::run_city_scale(configs[s]);
   }
@@ -245,8 +246,9 @@ int main(int argc, char** argv) {
   for (std::size_t s = 0; s < runs.size(); ++s) {
     const multihop::CityScaleResult& r = runs[s];
     std::printf("n=%zu: arena %.0f m, grid build %.2f ms, mobility "
-                "updates + churn %.2f ms, pricing %.2f ms, cache %zu/%zu hits",
-                r.nodes, r.arena_m, r.build_ms, r.update_ms,
+                "updates + churn %.2f ms, graph-TFT %.2f ms, pricing %.2f ms, "
+                "cache %zu/%zu hits",
+                r.nodes, r.arena_m, r.build_ms, r.update_ms, r.tft_ms,
                 r.solve_ms, r.cache.hits, r.cache.hits + r.cache.misses);
     if (r.sim_ms > 0.0) {
       std::printf(", sim %.2f ms", r.sim_ms);

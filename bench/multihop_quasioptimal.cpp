@@ -90,8 +90,8 @@ int main(int argc, char** argv) {
   multihop::RandomWaypointModel mobility(mobility_config, kNodes);
   const multihop::Topology topo0(mobility.positions(), 250.0);
   const auto seeds = multihop::local_efficient_cw(topo0, game);
-  const auto conv = multihop::tft_min_convergence(topo0, seeds);
-  const int w_m = conv.converged_w;
+  const auto tft = multihop::tft_min_fixpoint(topo0, seeds);
+  const int w_m = tft.converged_w;
   std::size_t min_degree = kNodes;
   std::size_t max_degree = 0;
   for (std::size_t i = 0; i < topo0.node_count(); ++i) {
@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
   std::printf("local NE seeds: min %d, max %d; TFT converged to W_m = %d in "
               "%d stages (paper run: 26)\n\n",
               *std::min_element(seeds.begin(), seeds.end()),
-              *std::max_element(seeds.begin(), seeds.end()), w_m, conv.stages);
+              *std::max_element(seeds.begin(), seeds.end()), w_m, tft.stages);
 
   // 2. Sweep common windows around W_m under mobility.
   std::vector<int> grid;

@@ -1,7 +1,8 @@
 // Stage-driven TFT dynamics on the multi-hop simulator (paper §VI).
 //
-// tft_min_convergence() analyzes the window dynamics as a pure graph
-// iteration; this runtime actually *plays* them: each stage the spatial
+// tft_min_fixpoint() gives the window dynamics' limit in closed form and
+// tft_min_convergence() steps them as a pure graph iteration on a fixed
+// topology; this runtime actually *plays* them: each stage the spatial
 // simulator runs for a fixed number of slots with the current profile,
 // every node observes only its neighbors' configured windows (the paper's
 // local-observation model) and applies TFT — match the smallest window in

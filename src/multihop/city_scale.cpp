@@ -249,10 +249,12 @@ CityScaleResult run_city_scale(const CityScaleConfig& config) {
     // (crashed nodes are isolated in it: they keep their seed and price
     // nothing).
     const std::vector<int> seeds = local_efficient_cw(index, game);
-    const auto conv = tft_min_convergence(index, seeds);
-    const std::vector<int>& stable = conv.trajectory.back();
-    st.converged_w = conv.converged_w;
-    st.tft_stages = conv.stages;
+    const auto t_tft = Clock::now();
+    const TftFixpoint tft = tft_min_fixpoint(index, seeds);
+    result.tft_ms += ms_since(t_tft);
+    const std::vector<int>& stable = tft.final_profile;
+    st.converged_w = tft.converged_w;
+    st.tft_stages = tft.stages;
 
     const auto t_solve = Clock::now();
     if (config.price_seed_profile) {
@@ -268,18 +270,26 @@ CityScaleResult run_city_scale(const CityScaleConfig& config) {
     // Theorem 3 at scale: each node's payoff at the TFT-stable profile
     // against the payoff of its own local agreement (the homogeneous
     // (seed_i, deg_i + 1)-player point — what it would earn had TFT not
-    // dragged the window down).
+    // dragged the window down). seeds[i] is local_efficient_cw's window
+    // for this same player count, so that payoff depends on the count
+    // alone: one lookup per distinct count, not one per node.
+    std::vector<std::optional<double>> u_best_of;  // by player count
     std::size_t counted = 0;
     std::size_t quasi = 0;
     double sum = 0.0;
     double min_frac = std::numeric_limits<double>::infinity();
     for (std::size_t i = 0; i < config.nodes; ++i) {
       if (!index.active(i)) continue;
-      const int n_local =
-          std::max(kMinLocalPlayers, static_cast<int>(index.degree(i)) + 1);
-      const double u_best = game.homogeneous_stage_utility(seeds[i], n_local);
-      if (!(u_best > 0.0)) continue;
-      const double frac = priced.payoff[i] / u_best;
+      const std::size_t n_local =
+          std::max<std::size_t>(kMinLocalPlayers, index.degree(i) + 1);
+      if (n_local >= u_best_of.size()) u_best_of.resize(n_local + 1);
+      std::optional<double>& u_best = u_best_of[n_local];
+      if (!u_best) {
+        u_best = game.homogeneous_stage_utility(seeds[i],
+                                                static_cast<int>(n_local));
+      }
+      if (!(*u_best > 0.0)) continue;
+      const double frac = priced.payoff[i] / *u_best;
       ++counted;
       sum += frac;
       min_frac = std::min(min_frac, frac);

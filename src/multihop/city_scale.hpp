@@ -112,6 +112,7 @@ struct CityScaleResult {
   // byte-identical contract.
   double build_ms = 0.0;        ///< initial SpatialIndex full build
   double update_ms = 0.0;       ///< total mobility rebuilds + churn
+  double tft_ms = 0.0;          ///< total graph-TFT fixpoints
   double solve_ms = 0.0;        ///< total class-dedup pricing
   double sim_ms = 0.0;          ///< slot-sim leg, configured kernel
   /// Slot-loop oracle wall clock when sim_compare_kernels is on, -1

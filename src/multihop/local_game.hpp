@@ -26,12 +26,37 @@ inline constexpr int kMinLocalPlayers = 2;
 std::vector<int> local_efficient_cw(const Topology& topology,
                                     const game::StageGame& game);
 
-/// Trajectory of the graph-TFT dynamics W_i^{k+1} = min_{j ∈ N(i) ∪ {i}}
-/// W_j^k from the seed profile until no window changes. Stage 1 visits
-/// every node; each later stage visits only the neighbors of the nodes the
-/// previous stage changed (exact: an unchanged neighbor already bounds a
-/// node from above), so a stage costs O(edges at the frontier), not
-/// O(n + m). The topology's neighbor lists must be symmetric.
+/// Where the graph-TFT dynamics W_i^{k+1} = min_{j ∈ N(i) ∪ {i}} W_j^k
+/// end up. After k stages node i holds the smallest seed within k hops,
+/// so every node settles at its component's minimum seed, at stage d_i =
+/// its hop distance to the nearest node seeded with that minimum. This is
+/// the entry point for callers that need only the limit (run_city_scale,
+/// the paper benches): one union-find pass over the edges for each
+/// component's minimum, then one O(n + m) multi-source BFS from the
+/// minimum-seed nodes, with no stage cap and no per-stage storage.
+/// Every field equals tft_min_convergence's uncapped result. Throws
+/// std::invalid_argument where tft_min_convergence does. The topology's
+/// neighbor lists must be symmetric.
+struct TftFixpoint {
+  std::vector<int> final_profile;
+  int stages = 0;          ///< max_i d_i (0 = already stable)
+  int converged_w = 0;     ///< min over the final profile
+  bool uniform = false;    ///< all nodes equal at the end (connected graph)
+};
+
+TftFixpoint tft_min_fixpoint(const Topology& topology,
+                             const std::vector<int>& seed_profile);
+
+/// Trajectory of the same dynamics from the seed profile until no window
+/// changes or `max_stages` run out: the stage-by-stage view that the
+/// fixpoint skips, kept for callers that read intermediate profiles
+/// (perf/'s traced city pass, examples/multihop_adhoc, the adaptive and
+/// trajectory tests) and as the reference tft_min_fixpoint is tested
+/// against. Stage 1 visits every node; each later stage visits only the
+/// neighbors of the nodes the previous stage changed (exact: an unchanged
+/// neighbor already bounds a node from above), so a stage costs O(edges
+/// at the frontier), not O(n + m); storing every stage costs
+/// Θ(stages × n). The topology's neighbor lists must be symmetric.
 struct TftConvergence {
   std::vector<std::vector<int>> trajectory;  ///< [stage][node]
   int stages = 0;          ///< stages until stable (0 = already stable)

@@ -4,8 +4,9 @@
 // A SpatialIndex is the Topology it maintains: the inherited positions,
 // range and neighbor lists are the unit-disk graph of the active nodes
 // (an inactive node's list is empty), so local_efficient_cw and
-// tft_min_convergence read the index directly. Copying it into a
-// Topology (as the simulator does) keeps only the graph.
+// graph-TFT (tft_min_fixpoint, tft_min_convergence) read the index
+// directly. Copying it into a Topology (as the simulator does) keeps
+// only the graph.
 //
 // Nodes are bucketed by cell = (⌊x/r⌋, ⌊y/r⌋) with the cell edge equal to
 // the communication range r, so every unit-disk neighbor of a node lives

@@ -107,8 +107,7 @@ TEST(PaperResultsTest, SectionVIIB_MultihopQuasiOptimality) {
   const multihop::Topology topo(pos, 250.0);
   const game::StageGame game(kParams, phy::AccessMode::kRtsCts);
   const auto seeds = multihop::local_efficient_cw(topo, game);
-  const auto conv = multihop::tft_min_convergence(topo, seeds);
-  const int w_m = conv.converged_w;
+  const int w_m = multihop::tft_min_fixpoint(topo, seeds).converged_w;
 
   multihop::MultihopConfig config;
   config.seed = 5;

@@ -44,8 +44,8 @@ TEST(ClassCollapseTest, DistinctClassesAndHitRateStayPinned) {
                                phy::AccessMode::kRtsCts);
 
     const std::vector<int> seeds = local_efficient_cw(index, game);
-    const auto conv = tft_min_convergence(index, seeds);
-    const std::vector<int>& stable = conv.trajectory.back();
+    const std::vector<int> stable =
+        tft_min_fixpoint(index, seeds).final_profile;
 
     // Heterogeneous seed profile: neighborhoods differ in size AND window
     // mix, yet symmetry still collapses a visible fraction of the 2000

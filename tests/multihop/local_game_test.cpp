@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "game/equilibrium.hpp"
+#include "multihop/city_scale.hpp"
+#include "multihop/spatial_index.hpp"
 #include "util/rng.hpp"
 
 namespace smac::multihop {
@@ -82,6 +84,8 @@ TEST(TftConvergenceTest, ValidatesInput) {
   const Topology t = chain(3);
   EXPECT_THROW(tft_min_convergence(t, {16, 16}), std::invalid_argument);
   EXPECT_THROW(tft_min_convergence(t, {16, 0, 16}), std::invalid_argument);
+  EXPECT_THROW(tft_min_fixpoint(t, {16, 16}), std::invalid_argument);
+  EXPECT_THROW(tft_min_fixpoint(t, {16, 0, 16}), std::invalid_argument);
 }
 
 TEST(TftConvergenceTest, UniformSeedIsAlreadyStable) {
@@ -148,7 +152,8 @@ TEST(TftConvergenceTest, Theorem3SeededConvergence) {
 
 /// The plain graph-TFT sweep: every stage recomputes every node's
 /// closed-neighborhood minimum. tft_min_convergence must reproduce it
-/// exactly while visiting only the previous stage's frontier.
+/// exactly while visiting only the previous stage's frontier, and
+/// tft_min_fixpoint must reproduce its uncapped end without stepping.
 TftConvergence full_sweep_tft(const Topology& topology,
                               std::vector<int> current, int max_stages) {
   TftConvergence out;
@@ -211,6 +216,14 @@ TEST(TftConvergenceTest, FrontierMatchesFullSweep) {
           EXPECT_EQ(got.stages, want.stages);
           EXPECT_EQ(got.converged_w, want.converged_w);
           EXPECT_EQ(got.uniform, want.uniform);
+          if (max_stages == 10000) {
+            const TftFixpoint fix = tft_min_fixpoint(topology, seed);
+            EXPECT_EQ(fix.final_profile, want.trajectory.back())
+                << "n " << n << " side " << side;
+            EXPECT_EQ(fix.stages, want.stages);
+            EXPECT_EQ(fix.converged_w, want.converged_w);
+            EXPECT_EQ(fix.uniform, want.uniform);
+          }
           ++compared;
         }
       }
@@ -220,6 +233,82 @@ TEST(TftConvergenceTest, FrontierMatchesFullSweep) {
   EXPECT_TRUE(saw_isolated);
   EXPECT_TRUE(saw_split);
   EXPECT_TRUE(saw_connected);
+}
+
+/// tft_min_fixpoint, checked against the staged loop.
+TftFixpoint checked_fixpoint(const Topology& topology,
+                             const std::vector<int>& seed) {
+  const TftConvergence want = tft_min_convergence(topology, seed);
+  const TftFixpoint got = tft_min_fixpoint(topology, seed);
+  EXPECT_EQ(got.final_profile, want.trajectory.back());
+  EXPECT_EQ(got.stages, want.stages);
+  EXPECT_EQ(got.converged_w, want.converged_w);
+  EXPECT_EQ(got.uniform, want.uniform);
+  return got;
+}
+
+TEST(TftFixpointTest, ChurnedCityIndexMatchesStagedLoop) {
+  // A 10^4-node city layout after a few percent of the nodes crashed:
+  // their lists are empty in the index, so each is its own component and
+  // keeps its seed, whatever its former neighbors hold.
+  constexpr std::size_t kNodes = 10000;
+  const double arena = city_arena_side_m(kNodes, 250.0, 12.0);
+  util::Rng rng(20261020);
+  std::vector<Vec2> pos(kNodes);
+  for (Vec2& p : pos) {
+    p = {rng.uniform_real(0.0, arena), rng.uniform_real(0.0, arena)};
+  }
+  SpatialIndex index(pos, 250.0);
+  std::vector<std::size_t> crashed;
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    if (index.degree(i) > 0 && rng.uniform_real(0.0, 1.0) < 0.03) {
+      index.remove_node(i);
+      crashed.push_back(i);
+    }
+  }
+  ASSERT_GT(crashed.size(), 200u);
+  ASSERT_FALSE(index.connected());
+
+  const game::StageGame game(kParams, phy::AccessMode::kRtsCts);
+  std::vector<int> random_seed(kNodes);
+  for (int& w : random_seed) w = static_cast<int>(rng.uniform_int(1, 1024));
+  for (const auto& seed : {local_efficient_cw(index, game), random_seed}) {
+    const TftFixpoint fix = checked_fixpoint(index, seed);
+    for (const std::size_t i : crashed) {
+      ASSERT_EQ(fix.final_profile[i], seed[i]) << "crashed node " << i;
+    }
+  }
+}
+
+TEST(TftFixpointTest, ChainMinimumAtOneEndSettlesLast) {
+  // The far end of a 200-node chain is 199 hops from the only minimum.
+  const Topology t = chain(200);
+  std::vector<int> seed(200);
+  for (std::size_t i = 0; i < seed.size(); ++i) {
+    seed[i] = 100 + static_cast<int>(i % 7);
+  }
+  seed.front() = 16;
+  const TftFixpoint fix = checked_fixpoint(t, seed);
+  EXPECT_EQ(fix.stages, 199);
+  EXPECT_EQ(fix.converged_w, 16);
+  EXPECT_TRUE(fix.uniform);
+  EXPECT_EQ(fix.final_profile, std::vector<int>(200, 16));
+}
+
+TEST(TftFixpointTest, EqualFarApartMinimaMeetHalfway) {
+  // Two minima at the ends of a 41-node chain flood it together: the
+  // middle node is 20 hops from both, where one source would need 40.
+  const Topology t = chain(41);
+  std::vector<int> seed(41);
+  for (std::size_t i = 0; i < seed.size(); ++i) {
+    seed[i] = 60 + static_cast<int>((i * 13) % 29);
+  }
+  seed.front() = 24;
+  seed.back() = 24;
+  const TftFixpoint fix = checked_fixpoint(t, seed);
+  EXPECT_EQ(fix.stages, 20);
+  EXPECT_EQ(fix.converged_w, 24);
+  EXPECT_TRUE(fix.uniform);
 }
 
 }  // namespace

@@ -173,6 +173,13 @@ TEST(CityScaleInvarianceTest, BucketInsertionOrderCannotLeakIntoResults) {
   const auto conv_b = tft_min_convergence(shuffled, seeds_b);
   EXPECT_EQ(conv_a.trajectory, conv_b.trajectory);
   EXPECT_EQ(conv_a.converged_w, conv_b.converged_w);
+
+  const TftFixpoint fix_a = tft_min_fixpoint(natural, seeds_a);
+  const TftFixpoint fix_b = tft_min_fixpoint(shuffled, seeds_b);
+  EXPECT_EQ(fix_a.final_profile, fix_b.final_profile);
+  EXPECT_EQ(fix_a.final_profile, conv_a.trajectory.back());
+  EXPECT_EQ(fix_a.stages, fix_b.stages);
+  EXPECT_EQ(fix_a.stages, conv_a.stages);
 }
 
 }  // namespace
