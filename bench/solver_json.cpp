@@ -15,11 +15,6 @@
 // once (the tournament's workers pricing their stages through one shared
 // cache).
 //
-// Damping ablation: SolverOptions::damping ∈ {0, 0.25, 0.5, 0.75} on
-// k >= 2 profiles (k = 1 goes to the scalar Brent path, where damping
-// never acts), with the ladder's iterations, retries and final rung —
-// deterministic counts — next to the median time of each solve.
-//
 // Usage: bench_solver_json [output.json]   (default BENCH_solver.json in
 // the working directory; any other argument exits 2, an output that cannot
 // be written exits 1). Wall-clock numbers
@@ -32,7 +27,6 @@
 #include <cstdio>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "analytical/batch_solver.hpp"
@@ -191,41 +185,6 @@ double solves_per_sec(double ns_per_solve) {
   return ns_per_solve > 0.0 ? 1e9 / ns_per_solve : 0.0;
 }
 
-/// One damping-ablation row: what the retry ladder did on one profile at
-/// one damping, and the median wall clock of that solve.
-struct DampingRow {
-  const char* profile = "";
-  double damping = 0.0;
-  analytical::SolveDiagnostics diagnostics;
-  double ns = 0.0;
-};
-
-std::vector<DampingRow> damping_ablation(int reps) {
-  std::vector<int> two_class(20, 32);
-  std::fill(two_class.begin() + 15, two_class.end(), 128);
-  const std::pair<const char*, std::vector<int>> profiles[] = {
-      {"15x32+5x128", two_class},
-      {"mix(50,3)", class_mixed_profile(50, 3)},
-      {"mix(100,6)", class_mixed_profile(100, 6)},
-  };
-  std::vector<DampingRow> rows;
-  for (const auto& [label, profile] : profiles) {
-    for (const double damping : {0.0, 0.25, 0.5, 0.75}) {
-      analytical::SolverOptions opts;
-      opts.damping = damping;
-      DampingRow row;
-      row.profile = label;
-      row.damping = damping;
-      row.ns = median_ns(reps, [&] {
-        row.diagnostics =
-            analytical::try_solve_network(profile, 6, opts).diagnostics;
-      });
-      rows.push_back(row);
-    }
-  }
-  return rows;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -278,7 +237,6 @@ int main(int argc, char** argv) {
   const ContendedHit hits[] = {
       measure_contended_hit(hit_service, hit_classes, 1, hit_rounds),
       measure_contended_hit(hit_service, hit_classes, 4, hit_rounds)};
-  const std::vector<DampingRow> damping = damping_ablation(5);
 
   std::FILE* out = bench::open_output(path);
   if (out == nullptr) return 1;
@@ -333,20 +291,7 @@ int main(int argc, char** argv) {
                  hits[i].threads, hits[i].samples, hits[i].ns_per_call,
                  i + 1 < std::size(hits) ? "," : "");
   }
-  std::fprintf(out, "  ]},\n");
-  std::fprintf(out, "  \"damping_ablation\": [\n");
-  for (std::size_t i = 0; i < damping.size(); ++i) {
-    const DampingRow& d = damping[i];
-    std::fprintf(out,
-                 "    {\"profile\": \"%s\", \"damping\": %.2f, "
-                 "\"iterations\": %d, \"retries\": %d, \"rung\": \"%s\", "
-                 "\"status\": \"%s\", \"median_ns\": %.0f}%s\n",
-                 d.profile, d.damping, d.diagnostics.iterations,
-                 d.diagnostics.retries, d.diagnostics.method,
-                 analytical::to_string(d.diagnostics.status), d.ns,
-                 i + 1 < damping.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n");
+  std::fprintf(out, "  ]}\n");
   std::fprintf(out, "}\n");
   if (!bench::close_output(out, path)) return 1;
 
@@ -373,16 +318,6 @@ int main(int argc, char** argv) {
                 "samples of %d one-request hits on one service)\n",
                 hit.threads, hit.threads == 1 ? "" : "s", hit.ns_per_call,
                 hit.samples, kHitCalls);
-  }
-  std::printf("damping ablation (max_stage 6; iterations and retries are "
-              "deterministic):\n");
-  std::printf("%-12s %7s %10s %7s %-9s %-9s %12s\n", "profile", "damping",
-              "iterations", "retries", "rung", "status", "median ns");
-  for (const DampingRow& d : damping) {
-    std::printf("%-12s %7.2f %10d %7d %-9s %-9s %12.0f\n", d.profile,
-                d.damping, d.diagnostics.iterations, d.diagnostics.retries,
-                d.diagnostics.method,
-                analytical::to_string(d.diagnostics.status), d.ns);
   }
   std::printf("wrote %s\n", path.c_str());
   return 0;

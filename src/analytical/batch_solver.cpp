@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <stdexcept>
 
 #include "analytical/backoff_chain.hpp"
 #include "analytical/solver_detail.hpp"
@@ -16,24 +15,20 @@ namespace {
 /// Newton's step cap: a start inside its basin converges in 3–7 steps.
 constexpr int kNewtonSteps = 50;
 
-/// The retry-ladder rungs in attempt order (polish runs after the ladder
-/// proper, continuing from the best iterate instead of a fresh start).
-enum class Rung : std::uint8_t {
-  kNewton = 0,
-  kSeeded,
-  kDamped,
-  kRedamped,
-  kRestart,
-  kPolish,
-  kDone,
-};
+/// The damped phase's budget, 3 × max_iterations, capped so that the
+/// iteration total still fits an int.
+int damped_budget(int max_iterations) {
+  constexpr std::int64_t kCap = std::numeric_limits<int>::max() - kNewtonSteps;
+  return static_cast<int>(
+      std::min(std::int64_t{3} * max_iterations, kCap));
+}
 
-/// Per-instance ladder state machine. One call to step() performs exactly
-/// one Newton step, one damped iteration of util::solve_fixed_point's loop
-/// (same update, same max-norm step, same iteration counting — including
-/// the budget + 1 count a non-converged damped rung reports) or one rung
-/// transition, so a machine driven to completion is bitwise identical
-/// however the batch interleaves it with others.
+/// Per-instance two-phase state machine: Newton steps from the
+/// homogeneous-mean seed, then — only if Newton misses — damped iteration
+/// x ← ½·T(x) + ½·x from the same seed. One call to step() performs
+/// exactly one Newton step or one damped iteration, so a machine driven to
+/// completion is bitwise identical however the batch interleaves it with
+/// others.
 class ClassSolveMachine {
  public:
   ClassSolveMachine(const detail::ClassSolveRef& instance, double* tau_slot)
@@ -41,8 +36,11 @@ class ClassSolveMachine {
         k_(instance.classes->class_count()),
         n_(static_cast<int>(instance.classes->node_count())),
         x_(tau_slot) {
-    best_.residual = std::numeric_limits<double>::infinity();
-
+    if (!detail::valid_solver_options(*inst_.opts)) {
+      result_ = detail::invalid_solve();
+      done_ = true;
+      return;
+    }
     // k = 1: the profile is homogeneous — the whole system is one scalar
     // root problem, solved by the Brent/bisection ladder at machine
     // precision regardless of the caller's iteration budget.
@@ -59,55 +57,32 @@ class ClassSolveMachine {
         result_.state.iterations = tau.diagnostics.iterations;
         result_.state.residual = tau.diagnostics.residual;
         result_.diagnostics = tau.diagnostics;
-        rung_ = Rung::kDone;
+        done_ = true;
         return;
       }
       // Unusable scalar solve (cannot happen for validated inputs): fall
-      // through to the damped ladder below.
+      // through to the two phases below.
     }
-    enter_first_applicable(Rung::kNewton);
+    // Homogeneous-mean seed: every class starts from the mean-window fixed
+    // point's failure probability — close enough to the heterogeneous
+    // fixed point that Newton converges in a few steps, and the damped
+    // phase restarts from it. An unusable seed (cannot happen for
+    // validated inputs) becomes the cold point τ(W, PER).
+    seed_fail_ = homogeneous_mean_fail();
+    start_at(seed_fail_);
+    budget_ = std::min(inst_.opts->max_iterations, kNewtonSteps);
   }
 
-  bool done() const noexcept { return rung_ == Rung::kDone; }
+  bool done() const noexcept { return done_; }
 
-  /// One Newton step or damped iteration (or a budget-exhaustion
-  /// transition) of the current rung. `prefix`/`suffix` are caller scratch
-  /// of size k + 1, `p` of size k — shared across the batch's instances
-  /// within a sweep.
+  /// One Newton step or one damped iteration. `prefix`/`suffix` are caller
+  /// scratch of size k + 1, `p` of size k — shared across the batch's
+  /// instances within a sweep.
   void step(double* prefix, double* suffix, double* p) {
-    if (iter_ > budget_) {
-      rung_ == Rung::kNewton ? fall_back(iter_ - 1)
-                             : finish_rung(/*converged=*/false, iter_);
-      return;
-    }
-    if (rung_ == Rung::kNewton) {
-      newton_step(prefix, suffix, p);
-      return;
-    }
-    // One solve_fixed_point iteration on the class map: p from the current
-    // iterate, then x' = (1 − d)·τ(W, fail) + d·x with the max-norm step.
-    detail::class_collision_probabilities_into(
-        x_, inst_.classes->multiplicity.data(), k_, prefix, suffix, p);
-    double step_norm = 0.0;
-    for (std::size_t c = 0; c < k_; ++c) {
-      const double fail =
-          1.0 - (1.0 - p[c]) * (1.0 - inst_.packet_error_rate);
-      const double fx =
-          transmission_probability(inst_.classes->window[c], fail,
-                                   inst_.max_stage);
-      const double next = (1.0 - damping_) * fx + damping_ * x_[c];
-      step_norm = std::max(step_norm, std::abs(next - x_[c]));
-      x_[c] = next;
-    }
-    residual_ = step_norm;
-    if (step_norm <= inst_.opts->tolerance) {
-      finish_rung(/*converged=*/true, iter_);
-    } else {
-      ++iter_;
-    }
+    newton_ ? newton_step(prefix, suffix, p) : damped_step(prefix, suffix, p);
   }
 
-  /// Valid once done(): the ladder outcome, class-space.
+  /// Valid once done(): the solve's outcome, class-space.
   TrySolveResult take_result() { return std::move(result_); }
 
  private:
@@ -116,7 +91,7 @@ class ClassSolveMachine {
   /// Jacobian is D − u·vᵀ: D_c = 1 + u_c/(1 − τ_c), u_c = a_c(1 − p_c),
   /// v_c = m_c/(1 − τ_c), a_c = −(1 − PER)·T_c²·W_c·g′(f_c)/2 with g(f) =
   /// f·Σ_{r<m}(2f)^r — O(k) by Sherman–Morrison. A step that leaves
-  /// (0, 1) (non-finite included) falls back at once.
+  /// (0, 1) (non-finite included) hands over to the damped phase at once.
   void newton_step(double* prefix, double* suffix, double* p) {
     detail::class_collision_probabilities_into(
         x_, inst_.classes->multiplicity.data(), k_, prefix, suffix, p);
@@ -161,93 +136,53 @@ class ClassSolveMachine {
       x_[c] = next;
     }
     residual_ = step_norm;
-    if (!inside) {
-      fall_back(iter_);
-    } else if (step_norm <= inst_.opts->tolerance) {
-      finish_rung(/*converged=*/true, iter_);
+    if (inside && step_norm <= inst_.opts->tolerance) {
+      finish(/*converged=*/true);
+    } else if (!inside || iter_ == budget_) {
+      start_damped();
     } else {
       ++iter_;
     }
   }
 
-  /// Newton missed: its iterate is dropped (never offered to best_), and
-  /// the damped ladder starts over from the seeded start.
-  void fall_back(int iterations) {
-    total_iterations_ += iterations;
-    ++retries_;
-    enter_first_applicable(Rung::kSeeded);
+  /// Newton missed: its iterate is dropped, and the damped phase starts
+  /// over from the seed.
+  void start_damped() {
+    newton_iterations_ = iter_;
+    newton_ = false;
+    start_at(seed_fail_);
+    budget_ = damped_budget(inst_.opts->max_iterations);
+    iter_ = 1;
   }
 
-  /// Seeds the arena and iteration bookkeeping for `rung`, skipping a rung
-  /// whose start vector is unavailable (an unusable homogeneous seed).
-  /// Start vectors are pure functions of the instance, so computing them
-  /// lazily here — instead of all up front as the pre-batch ladder did —
-  /// changes which ones are computed, never a value that reaches the
-  /// result.
-  void enter_first_applicable(Rung rung) {
-    for (;;) {
-      switch (rung) {
-        case Rung::kNewton:
-          seed_fail_ = homogeneous_mean_fail();
-          [[fallthrough]];
-        case Rung::kSeeded: {
-          // Homogeneous-mean start: every class seeded from the mean-window
-          // fixed point's failure probability — close enough to the
-          // heterogeneous fixed point that Newton converges in a few steps
-          // and starved damped budgets converge where the cold start only
-          // degrades. Newton and its fallback share it: one Brent search.
-          if (std::isnan(seed_fail_)) {
-            rung = Rung::kDamped;
-            break;
-          }
-          start_at(seed_fail_);
-          begin_rung(rung, inst_.opts->damping,
-                     rung == Rung::kNewton
-                         ? std::min(inst_.opts->max_iterations, kNewtonSteps)
-                         : inst_.opts->max_iterations);
-          return;
-        }
-        case Rung::kDamped: {
-          start_at(0.0);
-          begin_rung(rung, inst_.opts->damping, inst_.opts->max_iterations);
-          return;
-        }
-        case Rung::kRedamped: {
-          start_at(0.0);
-          begin_rung(rung, std::max(inst_.opts->damping, 0.85),
-                     inst_.opts->max_iterations * 2);
-          return;
-        }
-        case Rung::kRestart: {
-          start_at(0.9);
-          begin_rung(rung, std::max(inst_.opts->damping, 0.95),
-                     inst_.opts->max_iterations * 2);
-          return;
-        }
-        case Rung::kPolish: {
-          // Every ladder rung restarts from a fixed point-agnostic start,
-          // discarding its predecessors' progress; continuing from the
-          // best iterate compounds it — under starved budgets this turns
-          // near-miss kDegraded outcomes into kConverged.
-          if (!best_.converged && std::isfinite(best_.residual) &&
-              best_.tau.size() == k_) {
-            std::copy(best_.tau.begin(), best_.tau.end(), x_);
-            begin_rung(rung, inst_.opts->damping,
-                       inst_.opts->max_iterations * 2);
-            return;
-          }
-          finish();
-          return;
-        }
-        case Rung::kDone:
-          finish();
-          return;
-      }
+  /// One damped iteration on the class map: p from the current iterate,
+  /// then x' = ½·τ(W, fail) + ½·x with the max-norm step.
+  void damped_step(double* prefix, double* suffix, double* p) {
+    detail::class_collision_probabilities_into(
+        x_, inst_.classes->multiplicity.data(), k_, prefix, suffix, p);
+    double step_norm = 0.0;
+    for (std::size_t c = 0; c < k_; ++c) {
+      const double fail =
+          1.0 - (1.0 - p[c]) * (1.0 - inst_.packet_error_rate);
+      const double fx =
+          transmission_probability(inst_.classes->window[c], fail,
+                                   inst_.max_stage);
+      const double next = 0.5 * fx + 0.5 * x_[c];
+      step_norm = std::max(step_norm, std::abs(next - x_[c]));
+      x_[c] = next;
+    }
+    residual_ = step_norm;
+    if (step_norm <= inst_.opts->tolerance) {
+      finish(/*converged=*/true);
+    } else if (iter_ == budget_) {
+      finish(/*converged=*/false);
+    } else {
+      ++iter_;
     }
   }
 
   /// The failure probability of the mean-window homogeneous fixed point
-  /// (mean in canonical class order), or NaN if that solve is unusable.
+  /// (mean in canonical class order), or PER if that solve is unusable.
   double homogeneous_mean_fail() const {
     double mean_window = 0.0;
     for (std::size_t c = 0; c < k_; ++c) {
@@ -257,9 +192,7 @@ class ClassSolveMachine {
     mean_window /= static_cast<double>(n_);
     const TryTauResult hom = try_homogeneous_tau(
         mean_window, n_, inst_.max_stage, inst_.packet_error_rate);
-    if (!usable(hom.diagnostics.status)) {
-      return std::numeric_limits<double>::quiet_NaN();
-    }
+    if (!usable(hom.diagnostics.status)) return inst_.packet_error_rate;
     const double p_hom =
         n_ == 1 ? 0.0 : 1.0 - detail::ipow(1.0 - hom.tau, n_ - 1);
     return 1.0 - (1.0 - p_hom) * (1.0 - inst_.packet_error_rate);
@@ -273,110 +206,41 @@ class ClassSolveMachine {
     }
   }
 
-  /// Enters `rung` from the start already in the arena.
-  void begin_rung(Rung rung, double damping, int budget) {
-    if (damping < 0.0 || damping >= 1.0) {
-      throw std::invalid_argument(
-          "solve_fixed_point: damping must be in [0,1)");
-    }
-    rung_ = rung;
-    damping_ = damping;
-    budget_ = budget;
-    iter_ = 1;
-    residual_ = 0.0;
-  }
-
-  /// Ends the current rung exactly as the sequential ladder did: fold the
-  /// (sanitized) iterate into `best`, then break out, advance, or polish.
-  void finish_rung(bool converged, int iterations) {
-    total_iterations_ += iterations;
-    NetworkState state;
+  /// The current iterate (sanitized) is the answer: Newton's when it
+  /// converged, the damped phase's otherwise.
+  void finish(bool converged) {
+    NetworkState& state = result_.state;
     state.tau.assign(x_, x_ + k_);
     detail::sanitize_probabilities(state.tau);
     state.p = detail::class_collision_probabilities(
         state.tau, inst_.classes->multiplicity);
-    state.converged = converged;
-    state.iterations = iterations;
+    state.iterations = iter_;
     state.residual = residual_;
 
-    if (rung_ == Rung::kPolish) {
-      ++retries_;
-      if (state.converged || state.residual < best_.residual) {
-        best_ = std::move(state);
-        best_method_ = "polish";
-      }
-      finish();
-      return;
-    }
-
-    if (state.converged || state.residual < best_.residual) {
-      best_ = std::move(state);
-      best_method_ = method_name(rung_);
-    }
-    if (best_.converged) {
-      finish();
-      return;
-    }
-    ++retries_;
-    enter_first_applicable(next_rung(rung_));
-  }
-
-  void finish() {
-    result_.diagnostics.iterations = total_iterations_;
-    result_.diagnostics.retries = retries_;
-    result_.diagnostics.residual = best_.residual;
-    result_.diagnostics.method = best_method_;
-    result_.diagnostics.status =
-        best_.converged ? SolveStatus::kConverged
-        : best_.residual <= kDegradedResidual ? SolveStatus::kDegraded
-                                              : SolveStatus::kFailed;
-    best_.converged = result_.diagnostics.status == SolveStatus::kConverged;
-    result_.state = std::move(best_);
-    rung_ = Rung::kDone;
-  }
-
-  static Rung next_rung(Rung rung) {
-    switch (rung) {
-      case Rung::kNewton:
-      case Rung::kSeeded: return Rung::kDamped;
-      case Rung::kDamped: return Rung::kRedamped;
-      case Rung::kRedamped: return Rung::kRestart;
-      case Rung::kRestart: return Rung::kPolish;
-      case Rung::kPolish:
-      case Rung::kDone: return Rung::kDone;
-    }
-    return Rung::kDone;
-  }
-
-  static const char* method_name(Rung rung) {
-    switch (rung) {
-      case Rung::kNewton: return "newton";
-      case Rung::kSeeded: return "seeded";
-      case Rung::kDamped: return "damped";
-      case Rung::kRedamped: return "redamped";
-      case Rung::kRestart: return "restart";
-      case Rung::kPolish: return "polish";
-      case Rung::kDone: return "damped";
-    }
-    return "damped";
+    SolveDiagnostics& diagnostics = result_.diagnostics;
+    diagnostics.iterations = newton_iterations_ + iter_;
+    diagnostics.retries = newton_ ? 0 : 1;
+    diagnostics.residual = residual_;
+    diagnostics.method = newton_ ? "newton" : "seeded";
+    diagnostics.status = converged                       ? SolveStatus::kConverged
+                         : residual_ <= kDegradedResidual ? SolveStatus::kDegraded
+                                                          : SolveStatus::kFailed;
+    state.converged = converged;
+    done_ = true;
   }
 
   const detail::ClassSolveRef& inst_;
   std::size_t k_;
   int n_;
   double* x_;  ///< this instance's segment of the batch tau arena
-  double seed_fail_ = std::numeric_limits<double>::quiet_NaN();
+  double seed_fail_ = 0.0;
 
-  Rung rung_ = Rung::kDamped;
-  double damping_ = 0.5;
+  bool newton_ = true;
+  bool done_ = false;
   int budget_ = 0;
   int iter_ = 1;
+  int newton_iterations_ = 0;
   double residual_ = 0.0;
-
-  NetworkState best_;
-  const char* best_method_ = "damped";
-  int total_iterations_ = 0;
-  int retries_ = 0;
   TrySolveResult result_;
 };
 

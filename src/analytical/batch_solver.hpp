@@ -2,23 +2,18 @@
 // lockstep.
 //
 // Tournaments, deviation scans, and detection/reaction loops generate
-// thousands of independent (class-profile, PER) instances per run; solving
-// them one at a time leaves the whole retry ladder's bookkeeping (start
-// vectors, rung transitions) on the critical path of every instance.
-// try_solve_classes_batch instead advances every instance by one step per
-// sweep over a contiguous arena — one Newton step on the ladder's first
-// rung, one damped iteration on the fallback rungs: the prefix/suffix
-// product inner loop runs back to back across instances, finished
-// instances drop out via a convergence mask without desynchronizing the
-// sweep, and rung start vectors are computed lazily on rung entry (an
-// instance that converges under Newton never builds the damped rungs'
-// starts).
+// thousands of independent (class-profile, PER) instances per run.
+// try_solve_classes_batch advances every instance by one step per sweep
+// over a contiguous arena — one Newton step in the first phase, one
+// damped iteration in the fallback phase: the prefix/suffix product inner
+// loop runs back to back across instances, and finished instances drop
+// out via a convergence mask without desynchronizing the sweep.
 //
 // Contract: the batch result is **bitwise identical** to solving each
-// instance in a batch of its own — every instance runs its own ladder
-// state machine (this file is the single implementation of the ladder;
-// try_solve_network is a batch of one), and no arithmetic ever crosses
-// instances. Pinned over a seeded (n, k, PER, batch-size) grid by
+// instance in a batch of its own — every instance runs its own two-phase
+// state machine (this file is the single implementation of the class
+// solve; try_solve_network is a batch of one), and no arithmetic ever
+// crosses instances. Pinned over a seeded (n, k, PER, batch-size) grid by
 // tests/analytical/batch_solver_test.cpp.
 #pragma once
 
@@ -30,8 +25,9 @@
 namespace smac::analytical {
 
 /// One independent solve request: a class system plus its model knobs.
-/// Inputs are assumed valid (non-empty classes, windows >= 1,
-/// max_stage >= 0, PER in [0, 1)).
+/// The class system and model inputs are assumed valid (non-empty
+/// classes, windows >= 1, max_stage >= 0, PER in [0, 1)); invalid
+/// SolverOptions yield kFailed, method "invalid", with an empty state.
 struct ClassProfileInstance {
   ClassProfile classes;
   int max_stage = 0;

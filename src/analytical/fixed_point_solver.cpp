@@ -78,13 +78,15 @@ NetworkState expand_classes(const NetworkState& class_state,
 TrySolveResult try_solve_network(const std::vector<int>& w, int max_stage,
                                  const SolverOptions& opts,
                                  double packet_error_rate) {
-  if (w.empty() || !detail::valid_solve_inputs(*std::ranges::min_element(w),
-                                               max_stage, packet_error_rate)) {
+  if (w.empty() ||
+      !detail::valid_solve_inputs(*std::ranges::min_element(w), max_stage,
+                                  packet_error_rate) ||
+      !detail::valid_solver_options(opts)) {
     return detail::invalid_solve();
   }
   const ClassProfile classes = classify_profile(w);
   // A batch of one: the lockstep kernel in batch_solver.cpp is the single
-  // implementation of the retry ladder, so the per-profile and batched
+  // implementation of the class solve, so the per-profile and batched
   // entry points cannot drift apart.
   const detail::ClassSolveRef instance{&classes, max_stage, packet_error_rate,
                                        &opts};

@@ -13,8 +13,11 @@
 //   p_c = 1 − (1 − τ_c)^(m_c − 1) · Π_{c'≠c} (1 − τ_{c'})^{m_{c'}}
 //
 // expanding back to per-node vectors afterwards — O(k) per iteration
-// instead of O(n), identical fixed point (nodes of one class are
-// exchangeable, so the solution is class-symmetric). The k = 1 case
+// instead of O(n). The class solve returns the class-symmetric fixed
+// point, every node of a class at one τ. The per-node system can also
+// have asymmetric fixed points, which it never returns: two W = 1 nodes
+// at m = 6 among wide windows can also settle at τ ≈ 0.95 and ≈ 0.04
+// (tests/analytical/symmetry_collapse_test.cpp). The k = 1 case
 // delegates to the scalar Brent path. The pre-collapse full-dimension
 // kernel lives outside the library, as the test-support reference
 // tests/support/reference_solver.hpp.
@@ -34,40 +37,46 @@ struct NetworkState {
   double residual = 0.0;
 };
 
+/// Convergence knobs of the class solve. Valid options have
+/// max_iterations >= 1 and a finite tolerance > 0; any other value is
+/// invalid input (kFailed, method "invalid").
 struct SolverOptions {
-  double damping = 0.5;
-  double tolerance = 1e-13;
+  double tolerance = 1e-13;  ///< max-norm step that declares convergence
+  /// Caps Newton at min(max_iterations, 50) steps and the damped phase
+  /// at 3 × max_iterations iterations.
   int max_iterations = 20000;
 };
 
 /// Outcome classification of the non-throwing solver entry points.
 ///
 ///   kConverged — residual below tolerance; the state is the fixed point.
-///   kDegraded  — the retry ladder exhausted its rungs but the best
-///                iterate's residual is small (≤ kDegradedResidual); the
-///                state is usable as an approximation and callers should
-///                carry the diagnostics forward (DegradationReport).
-///   kFailed    — no rung produced a usable iterate (or the inputs were
-///                invalid); the state holds the best effort, clamped to
-///                [0, 1], and must not be trusted.
+///   kDegraded  — the solve used up its budget, but its last step is
+///                small (≤ kDegradedResidual); the state is
+///                usable as an approximation and callers should carry the
+///                diagnostics forward (DegradationReport).
+///   kFailed    — the solve produced no usable iterate; the state holds
+///                the last iterate, clamped to [0, 1], and must not be
+///                trusted. Invalid inputs also read kFailed, with an empty
+///                state.
 enum class SolveStatus { kConverged, kDegraded, kFailed };
 
 /// Residual threshold separating kDegraded from kFailed.
 inline constexpr double kDegradedResidual = 1e-6;
 
-/// What the retry ladder did to produce a result.
+/// What the solver did to produce a result.
 struct SolveDiagnostics {
   SolveStatus status = SolveStatus::kConverged;
-  int iterations = 0;      ///< total across every ladder rung attempted
-  int retries = 0;         ///< rungs attempted beyond the first
+  int iterations = 0;      ///< steps or iterations, over every phase run
+  /// 1 when the solve fell back: Newton to the damped phase, or (k = 1)
+  /// Brent to bisection.
+  int retries = 0;
   double residual = 0.0;   ///< residual of the returned state
-  /// Rung that produced the returned state: "newton" (Newton steps from
-  /// the homogeneous-mean start, the first rung of every k >= 2 solve),
-  /// the damped fallback rungs "seeded" (same start), "damped",
-  /// "redamped", "restart" and "polish" (continuation from the best
-  /// iterate of the earlier rungs), "bisection"/"brent"/"closed-form"
-  /// (scalar k = 1 path), or "invalid" (bad inputs).
-  const char* method = "damped";
+  /// Phase that produced the returned state: "newton" (Newton steps from
+  /// the homogeneous-mean start, the first phase of every k >= 2 solve),
+  /// "seeded" (the damped phase from the same start, run only when Newton
+  /// misses), "bisection"/"brent"/"closed-form" (scalar k = 1 path), or
+  /// "invalid" (bad inputs).
+  const char* method = "newton";
 };
 
 constexpr bool usable(SolveStatus s) noexcept {
@@ -111,16 +120,17 @@ NetworkState expand_classes(const NetworkState& class_state,
                             const ClassProfile& classes);
 
 /// The heterogeneous solve for contention-window profile `w` (one entry
-/// per node) with maximum backoff stage `max_stage`, through a retry
-/// ladder. Never throws and never returns non-finite values: Newton from a
+/// per node) with maximum backoff stage `max_stage`, in two phases. Never
+/// throws and never returns non-finite values: Newton from a
 /// homogeneous-mean seeded start first; when a Newton step leaves (0, 1)
-/// or misses the tolerance, damped iteration from the same start, then
-/// stronger damping and a restart from a high-collision initial point —
-/// and it reports how far it got in the diagnostics (NetworkState::converged
-/// reflects SolveStatus::kConverged). Invalid inputs (empty profile,
-/// w < 1, max_stage < 0, PER outside [0, 1) or NaN) yield kFailed,
-/// method "invalid", with an empty state. For n = 1 the collision
-/// probability is identically zero.
+/// or Newton misses the tolerance within min(max_iterations, 50) steps,
+/// damped iteration x ← ½·T(x) + ½·x from the same start, for up to
+/// 3 × max_iterations iterations — and it reports how far it got in the
+/// diagnostics (NetworkState::converged reflects SolveStatus::kConverged).
+/// Invalid inputs (empty profile, w < 1, max_stage < 0, PER outside
+/// [0, 1) or NaN, max_iterations < 1, a tolerance that is not finite and
+/// > 0) yield kFailed, method "invalid", with an empty state. For n = 1
+/// the collision probability is identically zero.
 /// `packet_error_rate` adds channel-noise losses: the backoff chain
 /// escalates on failure probability 1 − (1 − p_i)(1 − PER), while the
 /// returned NetworkState::p stays the *collision* probability (channel

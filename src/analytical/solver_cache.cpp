@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <stdexcept>
 #include <utility>
 
+#include "analytical/solver_detail.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace smac::analytical {
@@ -96,6 +98,11 @@ NetworkSolveCache::Key NetworkSolveCache::owned(const KeyView& view) {
 NetworkSolveCache::NetworkSolveCache(SolverOptions opts,
                                      std::size_t max_entries)
     : opts_(opts), max_entries_(max_entries) {
+  if (!detail::valid_solver_options(opts_)) {
+    throw std::invalid_argument(
+        "NetworkSolveCache: invalid SolverOptions (need max_iterations >= 1 "
+        "and a finite tolerance > 0)");
+  }
   tables_.push_back(std::make_unique<Table>(kInitialSlots));
   table_.store(tables_.back().get(), std::memory_order_relaxed);
 }

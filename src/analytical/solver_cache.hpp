@@ -68,6 +68,8 @@ struct ClassGroup {
 /// recomputes the identical value.
 class NetworkSolveCache {
  public:
+  /// Throws std::invalid_argument on invalid `opts` (max_iterations < 1,
+  /// or a tolerance that is not finite and > 0).
   explicit NetworkSolveCache(SolverOptions opts = {},
                              std::size_t max_entries = 1 << 16);
   ~NetworkSolveCache();

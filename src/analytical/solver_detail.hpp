@@ -1,10 +1,10 @@
-// Shared arithmetic of the class-space solver kernels (internal).
+// Shared arithmetic of the class-space solver (internal).
 //
-// The sequential ladder (fixed_point_solver.cpp) and the lockstep batch
-// kernel (batch_solver.cpp) must produce bitwise-identical iterates: both
-// therefore evaluate the class-collision map through these inline helpers,
-// so there is exactly one operation order for p_c and for the sanitation
-// of a finished iterate. Nothing here is part of the public API.
+// Every entry point shares the input checks here, and the lockstep batch
+// kernel (batch_solver.cpp) evaluates the class-collision map and
+// sanitizes a finished iterate through these inline helpers, so there is
+// exactly one operation order for each. Nothing here is part of the
+// public API.
 #pragma once
 
 #include <algorithm>
@@ -26,7 +26,15 @@ inline bool valid_solve_inputs(double min_window, int max_stage,
          packet_error_rate >= 0.0 && packet_error_rate < 1.0;
 }
 
-/// Every solve path's answer to inputs that fail valid_solve_inputs:
+/// The check on SolverOptions: a budget of at least one iteration and a
+/// finite tolerance > 0. NaN fails the tolerance bound.
+inline bool valid_solver_options(const SolverOptions& opts) {
+  return opts.max_iterations >= 1 && opts.tolerance > 0.0 &&
+         std::isfinite(opts.tolerance);
+}
+
+/// Every solve path's answer to inputs that fail valid_solve_inputs or
+/// valid_solver_options:
 /// kFailed, method "invalid", an empty state.
 inline TrySolveResult invalid_solve() {
   TrySolveResult out;

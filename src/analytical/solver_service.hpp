@@ -49,6 +49,8 @@ class SolverService {
   };
 
   SolverService() : SolverService(Options{}) {}
+  /// Throws std::invalid_argument on invalid `options.solver`
+  /// (max_iterations < 1, or a tolerance that is not finite and > 0).
   explicit SolverService(Options options);
 
   /// What solve_classes returns: one class-space result (tau/p sized k)

@@ -68,18 +68,4 @@ std::optional<double> EquilibriumFinder::w_star_continuous() const {
                                                game_.mode());
 }
 
-RefinementReport EquilibriumFinder::refine() const {
-  RefinementReport report;
-  report.nash_set = nash_set();
-  report.all_fair = true;  // symmetric profiles ⇒ identical payoffs
-  report.social_welfare_maximizer = report.nash_set.w_efficient;
-  report.pareto_optimal = report.nash_set.w_efficient;
-  const double u_star = game_.homogeneous_utility_rate(
-      report.nash_set.w_efficient, n_);
-  const double u_worst = game_.homogeneous_utility_rate(
-      report.nash_set.w_min_viable, n_);
-  report.worst_ne_efficiency = u_star > 0.0 ? u_worst / u_star : 0.0;
-  return report;
-}
-
 }  // namespace smac::game

@@ -4,7 +4,9 @@
 // every common profile with W_c ∈ [W_c0, W_c*] is a NE, where W_c* is the
 // stage-utility maximizer and W_c0 the smallest window with positive
 // payoff. Refinement by social-welfare maximization / Pareto optimality
-// singles out (W_c*, …, W_c*) as the unique efficient NE.
+// (§V.B) singles out (W_c*, …, W_c*) as the unique efficient NE: every
+// symmetric NE is fair, and W_c* = efficient_cw() maximizes the common
+// payoff, so the refinement needs no computation of its own.
 #pragma once
 
 #include <optional>
@@ -25,21 +27,7 @@ struct NashSet {
   }
 };
 
-/// Outcome of the NE refinement (§V.B): which equilibria survive each
-/// criterion.
-struct RefinementReport {
-  NashSet nash_set;
-  /// Every symmetric NE is fair (identical payoffs); kept for the record.
-  bool all_fair = true;
-  /// The unique social-welfare-maximizing NE (= w_efficient).
-  int social_welfare_maximizer = 0;
-  /// The unique Pareto-optimal NE (= w_efficient).
-  int pareto_optimal = 0;
-  /// Payoff loss of the worst surviving-before-refinement NE vs W_c*.
-  double worst_ne_efficiency = 0.0;  ///< u(W_c0)/u(W_c*) ∈ (0, 1]
-};
-
-/// Computes W_c*, W_c0 and refinement facts for an n-player homogeneous
+/// Computes W_c*, W_c0 and the NE interval for an n-player homogeneous
 /// game.
 class EquilibriumFinder {
  public:
@@ -67,9 +55,6 @@ class EquilibriumFinder {
   /// Continuous benchmark values from Lemma 3 (Q-root).
   std::optional<double> tau_star_continuous() const;
   std::optional<double> w_star_continuous() const;
-
-  /// Refinement per §V.B.
-  RefinementReport refine() const;
 
  private:
   const StageGame& game_;

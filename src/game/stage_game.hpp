@@ -39,7 +39,8 @@ class StageGame {
   /// Same, with explicit SolverService options — the way to hand the
   /// owned service a ThreadPool (city-scale pricing chunks its per-node
   /// loops and miss batches across it; results stay bitwise
-  /// jobs-invariant). The pool, if any, must outlive this game.
+  /// jobs-invariant). The pool, if any, must outlive this game. Invalid
+  /// SolverOptions throw std::invalid_argument, as SolverService's do.
   StageGame(phy::Parameters params, phy::AccessMode mode,
             analytical::SolverService::Options solver_options);
 

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "analytical/backoff_chain.hpp"
 #include "analytical/fixed_point_solver.hpp"
 #include "util/stats.hpp"
 

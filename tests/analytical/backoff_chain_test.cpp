@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "support/backoff_chain_oracle.hpp"
+
 namespace smac::analytical {
 namespace {
 
@@ -76,19 +78,6 @@ TEST(TransmissionProbabilityTest, MoreStagesLowerTau) {
               transmission_probability(32, p, 3));
     EXPECT_GT(transmission_probability(32, p, 3),
               transmission_probability(32, p, 8));
-  }
-}
-
-TEST(TransmissionProbabilityTest, DerivativeMatchesFiniteDifference) {
-  for (int w : {8, 64, 512}) {
-    for (double p : {0.0, 0.25, 0.5}) {
-      const double h = 1e-4;
-      const double fd = (transmission_probability_cont(w + h, p, 6) -
-                         transmission_probability_cont(w - h, p, 6)) /
-                        (2.0 * h);
-      EXPECT_NEAR(transmission_probability_derivative_w(w, p, 6), fd,
-                  std::abs(fd) * 1e-4 + 1e-12);
-    }
   }
 }
 

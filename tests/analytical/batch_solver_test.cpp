@@ -2,7 +2,7 @@
 //
 // try_solve_classes_batch promises results bitwise identical to solving
 // each instance in a batch of its own (src/analytical/batch_solver.hpp) —
-// every instance runs its own ladder machine, and no arithmetic crosses
+// every instance runs its own solve machine, and no arithmetic crosses
 // instances. This suite pins the contract over a seeded (n, k, PER,
 // batch-size) grid, over batches mixing converged/degraded/failed
 // outcomes under a starved iteration budget, over a batch mixing Newton,
@@ -154,7 +154,7 @@ TEST(BatchSolverTest, MixedStatusBatchMatchesSequentialBitwise) {
 
 TEST(BatchSolverTest, NewtonFallbackAndScalarInstancesMatchSequentialBitwise) {
   // Newton finishes in a few sweeps, a fallback instance goes on through
-  // the damped seeded rung for tens more, and k = 1 never enters the
+  // the damped phase for tens more, and k = 1 never enters the
   // sweep: one batch must still give each instance its sequential bits.
   std::vector<ClassProfileInstance> instances;
   instances.push_back(make_instance({16, 64, 64, 256, 1024}, 6, 0.0));

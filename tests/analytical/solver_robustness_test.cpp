@@ -9,7 +9,9 @@
 #include <thread>
 #include <vector>
 
+#include "analytical/batch_solver.hpp"
 #include "analytical/fixed_point_solver.hpp"
+#include "analytical/solver_cache.hpp"
 #include "analytical/solver_service.hpp"
 #include "gtest/gtest.h"
 #include "support/service_solve.hpp"
@@ -107,6 +109,44 @@ TEST(SolverRobustness, NonFiniteInputReadsInvalidOnEveryPath) {
   EXPECT_THROW(solve_network_homogeneous(64.0, 5, 6, nan),
                std::invalid_argument);
   EXPECT_THROW(solve_network_homogeneous(inf, 5, 6), std::invalid_argument);
+}
+
+// A budget below one iteration, or a tolerance that is not finite and
+// > 0, is invalid input on every path. Run anyway, such options report a
+// residual no iteration measured: max_iterations = 0 read kDegraded with
+// residual 0 at a τ that is not the fixed point.
+TEST(SolverRobustness, InvalidSolverOptionsReadInvalid) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<SolverOptions> bad{
+      {.max_iterations = 0}, {.max_iterations = -3}, {.tolerance = nan},
+      {.tolerance = inf},    {.tolerance = 0.0},     {.tolerance = -1e-13}};
+  ClassProfileInstance instance;
+  instance.classes = classify_profile({16, 64, 64});
+  instance.max_stage = 6;
+  for (const SolverOptions& opts : bad) {
+    // k = 3 and the homogeneous k = 1 path alike.
+    for (const std::vector<int>& w :
+         {std::vector<int>{16, 64, 64}, std::vector<int>(8, 32)}) {
+      const TrySolveResult r = try_solve_network(w, 6, opts);
+      EXPECT_EQ(r.diagnostics.status, SolveStatus::kFailed);
+      EXPECT_STREQ(r.diagnostics.method, "invalid");
+      EXPECT_TRUE(r.state.tau.empty());
+    }
+    instance.opts = opts;
+    const TrySolveResult batched =
+        try_solve_classes_batch({&instance, 1}).front();
+    EXPECT_EQ(batched.diagnostics.status, SolveStatus::kFailed);
+    EXPECT_STREQ(batched.diagnostics.method, "invalid");
+    EXPECT_TRUE(batched.state.tau.empty());
+    EXPECT_THROW(NetworkSolveCache cache(opts), std::invalid_argument);
+    EXPECT_THROW(SolverService service({.solver = opts}),
+                 std::invalid_argument);
+  }
+  // One iteration is the smallest valid budget.
+  EXPECT_STRNE(try_solve_network({16, 64, 64}, 6, {.max_iterations = 1})
+                   .diagnostics.method,
+               "invalid");
 }
 
 TEST(SolverRobustness, TryHomogeneousTauEdgeCases) {

@@ -1,7 +1,7 @@
 // Symmetry-class reduction invariants (PR 4 tentpole).
 //
 // The collapsed kernel solves the k-class system and expands per node, so
-// three properties must hold exactly or to tight tolerance:
+// four properties must hold exactly or to tight tolerance:
 //   1. permutation equivariance, *bitwise*: try_solve_network(perm(w))
 //      equals the permuted try_solve_network(w) (canonical class ordering
 //      makes the arithmetic identical regardless of node order);
@@ -9,13 +9,17 @@
 //      returns bitwise-identical expansions;
 //   3. the collapsed kernel agrees with the full-dimension reference
 //      (try_solve_network_full, tests/support/reference_solver.hpp) to
-//      <= 1e-12 across a grid of (n, class-mix, PER) profiles.
+//      <= 1e-12 across a grid of (n, class-mix, PER) profiles;
+//   4. the expanded class answer solves the per-node equations, even on a
+//      profile whose per-node system also has an asymmetric fixed point.
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <numeric>
 #include <string>
 #include <vector>
 
+#include "analytical/backoff_chain.hpp"
 #include "analytical/batch_solver.hpp"
 #include "analytical/fixed_point_solver.hpp"
 #include "analytical/solver_service.hpp"
@@ -158,10 +162,55 @@ TEST(SymmetryCollapse, CollapsedAgreesWithFullAcrossGrid) {
   }
 }
 
+/// max_i |τ_i − T(W_i, f_i)| with p_i = 1 − Π_{j≠i}(1 − τ_j) taken from
+/// the per-node τ: how far a per-node state is from solving the per-node
+/// equations (paper eqs. 2–3).
+double per_node_residual(const std::vector<int>& w,
+                         const std::vector<double>& tau, int max_stage,
+                         double per) {
+  double residual = 0.0;
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    double others_idle = 1.0;
+    for (std::size_t j = 0; j < w.size(); ++j) {
+      if (j != i) others_idle *= 1.0 - tau[j];
+    }
+    const double fail = 1.0 - others_idle * (1.0 - per);
+    residual = std::max(
+        residual,
+        std::abs(tau[i] - transmission_probability(w[i], fail, max_stage)));
+  }
+  return residual;
+}
+
+TEST(SymmetryCollapse, ClassAnswerSolvesThePerNodeSystem) {
+  // Profile 46 of DegradedSolveFuzzTest.RandomValidProfilesNeverThrow:
+  // n = 43, m = 6, PER 0, nodes 26 and 41 at W = 1. The per-node system
+  // has two fixed points here. The class solve returns the
+  // class-symmetric one; the per-node reference, iterated to a 1e-15 step
+  // from its cold start, reaches an asymmetric one, with the two W = 1
+  // nodes near τ = 0.95 and 0.04.
+  const std::vector<int> w{
+      512, 256,  4008, 896,  1024, 1024, 4,    64,   4096, 1142, 4096,
+      2808, 4094, 16,  32,   2329, 64,   3968, 1024, 3052, 16,   4096,
+      512, 8,    44,   2048, 1,    3035, 1522, 2840, 32,   128,  2782,
+      32,  2603, 1024, 2992, 4,    8,    4,    3736, 1,    976};
+  const TrySolveResult collapsed = try_solve_network(w, 6);
+  ASSERT_EQ(collapsed.diagnostics.status, SolveStatus::kConverged);
+  EXPECT_EQ(collapsed.state.tau[26], collapsed.state.tau[41]);
+  EXPECT_LE(per_node_residual(w, collapsed.state.tau, 6, 0.0), 1e-12);
+
+  SolverOptions tight;
+  tight.tolerance = 1e-15;
+  const TrySolveResult full = try_solve_network_full(w, 6, tight);
+  ASSERT_EQ(full.diagnostics.status, SolveStatus::kConverged);
+  EXPECT_LE(per_node_residual(w, full.state.tau, 6, 0.0), 1e-12);
+  EXPECT_GT(std::abs(full.state.tau[26] - full.state.tau[41]), 0.5);
+}
+
 TEST(SymmetryCollapse, HomogeneousDelegatesToScalarPath) {
   const TrySolveResult r = try_solve_network(std::vector<int>(20, 64), 5);
   EXPECT_EQ(r.diagnostics.status, SolveStatus::kConverged);
-  // k = 1 routes through try_homogeneous_tau, not the damped ladder.
+  // k = 1 routes through try_homogeneous_tau, not Newton or damping.
   EXPECT_STREQ(r.diagnostics.method, "brent");
   const NetworkState scalar = solve_network_homogeneous(64.0, 20, 5);
   EXPECT_EQ(r.state.tau[0], scalar.tau[0]);

@@ -125,14 +125,17 @@ TEST(EquilibriumFinderTest, TauStarInUnitInterval) {
 }
 
 TEST(EquilibriumFinderTest, RefinementSelectsEfficientNe) {
+  // §V.B: refinement keeps W_c* = efficient_cw(), the top of the NE band;
+  // the least efficient NE, W_c0, still earns a positive share of it.
   const StageGame game(kParams, kBasic);
   const EquilibriumFinder finder(game, 5);
-  const RefinementReport report = finder.refine();
-  EXPECT_TRUE(report.all_fair);
-  EXPECT_EQ(report.social_welfare_maximizer, report.nash_set.w_efficient);
-  EXPECT_EQ(report.pareto_optimal, report.nash_set.w_efficient);
-  EXPECT_GT(report.worst_ne_efficiency, 0.0);
-  EXPECT_LE(report.worst_ne_efficiency, 1.0);
+  const NashSet set = finder.nash_set();
+  EXPECT_EQ(set.w_efficient, finder.efficient_cw());
+  const double u_star = game.homogeneous_utility_rate(set.w_efficient, 5);
+  const double worst_ne_efficiency =
+      game.homogeneous_utility_rate(set.w_min_viable, 5) / u_star;
+  EXPECT_GT(worst_ne_efficiency, 0.0);
+  EXPECT_LE(worst_ne_efficiency, 1.0);
 }
 
 TEST(EquilibriumFinderTest, EveryNeIsWeaklyWorseThanEfficient) {

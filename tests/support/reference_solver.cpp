@@ -96,9 +96,9 @@ TrySolveResult try_solve_network_full(const std::vector<int>& w,
     int iteration_scale;
   };
   const Rung ladder[] = {
-      {"damped", &cold, opts.damping, 1},
-      {"redamped", &cold, std::max(opts.damping, 0.85), 2},
-      {"restart", &hot, std::max(opts.damping, 0.95), 2},
+      {"damped", &cold, 0.5, 1},
+      {"redamped", &cold, 0.85, 2},
+      {"restart", &hot, 0.95, 2},
   };
 
   NetworkState best;
