@@ -6,27 +6,14 @@
 #include <cstdio>
 #include <vector>
 
-#include "analytical/utility.hpp"
 #include "bench_common.hpp"
+#include "game/equilibrium.hpp"
 #include "sim/simulator.hpp"
-#include "util/optimize.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
 namespace {
-
 using namespace smac;
-
-int exact_ne(const phy::Parameters& params, int n) {
-  const auto r = util::ternary_int_max(
-      [&](std::int64_t w) {
-        return analytical::homogeneous_utility_rate(
-            static_cast<double>(w), n, params, phy::AccessMode::kBasic);
-      },
-      1, params.w_max);
-  return static_cast<int>(r.x);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -40,6 +27,8 @@ int main(int argc, char** argv) {
   bench::print_jobs(jobs);
 
   const phy::Parameters base = phy::Parameters::paper();
+  const game::StageGame clean(base, phy::AccessMode::kBasic);
+  const int w_star = game::EquilibriumFinder(clean, 10).efficient_cw();
 
   // Every sweep point below is a self-contained experiment with its own
   // fixed seed; each table fans its points across --jobs into per-index
@@ -48,17 +37,16 @@ int main(int argc, char** argv) {
 
   // 1. PER sweep: NE window and achievable utility.
   util::TextTable per_table({"PER", "W_c*", "u at W_c*", "vs clean %"});
-  const double u_clean = analytical::homogeneous_utility_rate(
-      exact_ne(base, 10), 10, base, phy::AccessMode::kBasic);
+  const double u_clean = clean.homogeneous_utility_rate(w_star, 10);
   const std::vector<double> pers{0.0, 0.05, 0.15, 0.3, 0.5};
   std::vector<std::vector<std::string>> per_rows(pers.size());
   pool.for_each_index(pers.size(), [&](std::size_t k) {
     phy::Parameters params = base;
     params.packet_error_rate = pers[k];
-    const int w_star = exact_ne(params, 10);
-    const double u = analytical::homogeneous_utility_rate(
-        w_star, 10, params, phy::AccessMode::kBasic);
-    per_rows[k] = {util::fmt_double(pers[k], 2), std::to_string(w_star),
+    const game::StageGame noisy(params, phy::AccessMode::kBasic);
+    const int w_noisy = game::EquilibriumFinder(noisy, 10).efficient_cw();
+    const double u = noisy.homogeneous_utility_rate(w_noisy, 10);
+    per_rows[k] = {util::fmt_double(pers[k], 2), std::to_string(w_noisy),
                    util::fmt_double(u * 1e6, 3) + "e-6",
                    util::fmt_double(u / u_clean * 100.0, 1)};
   });
@@ -67,7 +55,6 @@ int main(int argc, char** argv) {
 
   // 2. Capture sweep: throughput and the aggressor's premium (one node at
   //    W/8 among conformers at the NE window).
-  const int w_star = exact_ne(base, 10);
   util::TextTable cap_table({"capture p", "throughput", "aggr. premium x"});
   const std::vector<double> captures{0.0, 0.25, 0.5, 0.9};
   std::vector<std::vector<std::string>> cap_rows(captures.size());

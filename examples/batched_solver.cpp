@@ -11,19 +11,17 @@
 // Build & run:  ./build/examples/batched_solver [requests]
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "analytical/solver_service.hpp"
+#include "example_args.hpp"
 
 int main(int argc, char** argv) {
   using namespace smac;
   using Clock = std::chrono::steady_clock;
-  const int requests = argc > 1 ? std::atoi(argv[1]) : 1000;
-  if (requests < 1) {
-    std::fprintf(stderr, "usage: %s [requests >= 1]\n", argv[0]);
-    return 1;
-  }
+  constexpr const char* kUsage = "[requests >= 1]";
+  examples::check_arg_count(argc, argv, 1, kUsage);
+  const int requests = examples::int_arg(argc, argv, 1, 1000, 1, kUsage);
 
   analytical::SolverService service;
 

@@ -8,20 +8,18 @@
 //
 // Build & run:  ./build/examples/cw_search_demo [n] [w_start]
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
+#include "example_args.hpp"
 #include "game/equilibrium.hpp"
 #include "sim/search_protocol.hpp"
 
 int main(int argc, char** argv) {
   using namespace smac;
-  const int n = argc > 1 ? std::atoi(argv[1]) : 8;
-  const int w_start = argc > 2 ? std::atoi(argv[2]) : 4;
-  if (n < 2 || w_start < 1) {
-    std::fprintf(stderr, "usage: %s [n >= 2] [w_start >= 1]\n", argv[0]);
-    return 1;
-  }
+  constexpr const char* kUsage = "[n >= 2] [w_start >= 1]";
+  examples::check_arg_count(argc, argv, 2, kUsage);
+  const int n = examples::int_arg(argc, argv, 1, 8, 2, kUsage);
+  const int w_start = examples::int_arg(argc, argv, 2, 4, 1, kUsage);
 
   const phy::Parameters params = phy::Parameters::paper();
   const auto mode = phy::AccessMode::kRtsCts;

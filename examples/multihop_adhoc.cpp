@@ -12,14 +12,16 @@
 #include <cstdio>
 #include <vector>
 
+#include "example_args.hpp"
 #include "game/equilibrium.hpp"
 #include "multihop/local_game.hpp"
 #include "multihop/mobility.hpp"
 #include "multihop/multihop_simulator.hpp"
 #include "util/stats.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace smac;
+  examples::check_arg_count(argc, argv, 0, "(no arguments)");
   constexpr int kNodes = 40;
   constexpr double kRangeM = 250.0;
 

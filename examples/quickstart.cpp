@@ -7,21 +7,19 @@
 //
 // Build & run:  ./build/examples/quickstart [n]
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "analytical/throughput.hpp"
 #include "analytical/utility.hpp"
+#include "example_args.hpp"
 #include "game/equilibrium.hpp"
 #include "sim/simulator.hpp"
 
 int main(int argc, char** argv) {
   using namespace smac;
-  const int n = argc > 1 ? std::atoi(argv[1]) : 10;
-  if (n < 2) {
-    std::fprintf(stderr, "usage: %s [n >= 2]\n", argv[0]);
-    return 1;
-  }
+  constexpr const char* kUsage = "[n >= 2]";
+  examples::check_arg_count(argc, argv, 1, kUsage);
+  const int n = examples::int_arg(argc, argv, 1, 10, 2, kUsage);
 
   // 1. Parameters: 1 Mbit/s 802.11 with the paper's frame sizes and the
   //    game constants g = 1, e = 0.01, T = 10 s, delta = 0.9999.

@@ -19,6 +19,7 @@
 #include <memory>
 #include <vector>
 
+#include "example_args.hpp"
 #include "game/deviation.hpp"
 #include "game/equilibrium.hpp"
 #include "game/repeated_game.hpp"
@@ -42,7 +43,8 @@ void print_history(const game::History& history, std::size_t highlight) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  examples::check_arg_count(argc, argv, 0, "(no arguments)");
   const phy::Parameters params = phy::Parameters::paper();
   const auto mode = phy::AccessMode::kBasic;
   const game::StageGame game(params, mode);

@@ -45,18 +45,11 @@ class ClassSolveMachine {
     // root problem, solved by the Brent/bisection ladder at machine
     // precision regardless of the caller's iteration budget.
     if (k_ == 1) {
-      const TryTauResult tau = try_homogeneous_tau(
-          static_cast<double>(inst_.classes->window[0]), n_, inst_.max_stage,
+      TrySolveResult hom = detail::homogeneous_class_state(
+          inst_.classes->window[0], n_, inst_.max_stage,
           inst_.packet_error_rate);
-      if (usable(tau.diagnostics.status)) {
-        result_.state.tau.assign(1, tau.tau);
-        result_.state.p = detail::class_collision_probabilities(
-            result_.state.tau, inst_.classes->multiplicity);
-        result_.state.converged =
-            tau.diagnostics.status == SolveStatus::kConverged;
-        result_.state.iterations = tau.diagnostics.iterations;
-        result_.state.residual = tau.diagnostics.residual;
-        result_.diagnostics = tau.diagnostics;
+      if (usable(hom.diagnostics.status)) {
+        result_ = std::move(hom);
         done_ = true;
         return;
       }

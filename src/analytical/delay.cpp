@@ -11,6 +11,21 @@
 
 namespace smac::analytical {
 
+namespace {
+
+/// The geometric service model of one node: E[D] = T_slot/q and SD[D] =
+/// T_slot·√(1 − q)/q with q = τ(1 − p); infinite when q <= 0.
+DelayEstimate delay_of(double tau, double p, double t_slot_us) {
+  const double q = tau * (1.0 - p);
+  if (q <= 0.0) {
+    const double inf = std::numeric_limits<double>::infinity();
+    return {inf, inf};
+  }
+  return {t_slot_us / q, t_slot_us * std::sqrt(1.0 - q) / q};
+}
+
+}  // namespace
+
 std::vector<DelayEstimate> access_delays(const NetworkState& state,
                                          const phy::Parameters& params,
                                          phy::AccessMode mode) {
@@ -20,28 +35,19 @@ std::vector<DelayEstimate> access_delays(const NetworkState& state,
   const ChannelMetrics metrics = channel_metrics(state.tau, params, mode);
   std::vector<DelayEstimate> out(state.tau.size());
   for (std::size_t i = 0; i < out.size(); ++i) {
-    const double q = state.tau[i] * (1.0 - state.p[i]);
-    if (q <= 0.0) {
-      out[i].mean_us = std::numeric_limits<double>::infinity();
-      out[i].stddev_us = std::numeric_limits<double>::infinity();
-      continue;
-    }
-    out[i].mean_us = metrics.t_slot_us / q;
-    out[i].stddev_us = metrics.t_slot_us * std::sqrt(1.0 - q) / q;
+    out[i] = delay_of(state.tau[i], state.p[i], metrics.t_slot_us);
   }
   return out;
 }
 
-DelayEstimate homogeneous_access_delay(double w, int n,
+DelayEstimate homogeneous_access_delay(int w, int n,
                                        const phy::Parameters& params,
                                        phy::AccessMode mode) {
-  const NetworkState state =
-      solve_network_homogeneous(w, n, params.max_backoff_stage,
-                                params.packet_error_rate);
-  return access_delays(state, params, mode).front();
+  const HomogeneousPoint point = homogeneous_point(w, n, params, mode);
+  return delay_of(point.tau, point.p, point.t_slot_us);
 }
 
-double delay_aware_utility_rate(double w, int n, const phy::Parameters& params,
+double delay_aware_utility_rate(int w, int n, const phy::Parameters& params,
                                 phy::AccessMode mode, double lambda) {
   if (!(lambda >= 0.0)) {
     throw std::invalid_argument("delay_aware_utility_rate: lambda not >= 0");
@@ -55,8 +61,8 @@ int delay_aware_efficient_cw(int n, const phy::Parameters& params,
                              phy::AccessMode mode, double lambda) {
   const auto r = util::ternary_int_max(
       [&](std::int64_t w) {
-        return delay_aware_utility_rate(static_cast<double>(w), n, params,
-                                        mode, lambda);
+        return delay_aware_utility_rate(static_cast<int>(w), n, params, mode,
+                                        lambda);
       },
       1, params.w_max);
   return static_cast<int>(r.x);
@@ -112,13 +118,8 @@ std::optional<int> delay_constrained_efficient_cw(
 
   // Unimodal utility clamped to the feasible interval: the constrained
   // optimum is the unconstrained argmax projected onto [lo, hi]_feasible.
-  const auto r = util::ternary_int_max(
-      [&](std::int64_t w) {
-        return homogeneous_utility_rate(static_cast<double>(w), n, params,
-                                        mode);
-      },
-      1, params.w_max);
-  return std::clamp(static_cast<int>(r.x), lo_feasible, hi_feasible);
+  return std::clamp(delay_aware_efficient_cw(n, params, mode, 0.0),
+                    lo_feasible, hi_feasible);
 }
 
 }  // namespace smac::analytical

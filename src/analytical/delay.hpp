@@ -33,9 +33,9 @@ std::vector<DelayEstimate> access_delays(const NetworkState& state,
                                          const phy::Parameters& params,
                                          phy::AccessMode mode);
 
-/// Delay of one node in a homogeneous network of n nodes on window w,
-/// solved at params.packet_error_rate.
-DelayEstimate homogeneous_access_delay(double w, int n,
+/// Delay of one node in a homogeneous network of n nodes on window w, at
+/// its homogeneous_point. Throws like homogeneous_point.
+DelayEstimate homogeneous_access_delay(int w, int n,
                                        const phy::Parameters& params,
                                        phy::AccessMode mode);
 
@@ -43,7 +43,7 @@ DelayEstimate homogeneous_access_delay(double w, int n,
 /// (gain per µs) per µs of delay. λ = 0 recovers the paper's utility;
 /// larger λ prices responsiveness and pulls the optimum toward smaller
 /// windows. Throws std::invalid_argument unless λ >= 0 (NaN throws).
-double delay_aware_utility_rate(double w, int n, const phy::Parameters& params,
+double delay_aware_utility_rate(int w, int n, const phy::Parameters& params,
                                 phy::AccessMode mode, double lambda);
 
 /// Argmax over integer windows of the delay-penalized utility.

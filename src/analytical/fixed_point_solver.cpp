@@ -11,25 +11,6 @@
 
 namespace smac::analytical {
 
-namespace {
-
-/// try_homogeneous_tau for the throwing entry points: invalid input throws
-/// std::invalid_argument, a failed root search std::runtime_error.
-double homogeneous_tau_or_throw(double w, int n, int max_stage,
-                                double packet_error_rate) {
-  const TryTauResult r =
-      try_homogeneous_tau(w, n, max_stage, packet_error_rate);
-  if (r.diagnostics.status != SolveStatus::kFailed) return r.tau;
-  if (std::string_view(r.diagnostics.method) == "invalid") {
-    throw std::invalid_argument(
-        "homogeneous_tau: invalid input (need n >= 1, finite w >= 1, "
-        "max_stage >= 0, PER in [0,1))");
-  }
-  throw std::runtime_error("homogeneous_tau: root finding failed");
-}
-
-}  // namespace
-
 const char* to_string(SolveStatus status) noexcept {
   switch (status) {
     case SolveStatus::kConverged: return "converged";
@@ -154,32 +135,42 @@ TryTauResult try_homogeneous_tau(double w, int n, int max_stage,
   return out;
 }
 
-NetworkState solve_network_homogeneous(double w, int n, int max_stage,
-                                       double packet_error_rate) {
-  const double tau =
-      homogeneous_tau_or_throw(w, n, max_stage, packet_error_rate);
-  const double p =
-      n == 1 ? 0.0 : 1.0 - std::pow(1.0 - tau, n - 1);
-  NetworkState state;
-  state.tau.assign(static_cast<std::size_t>(n), tau);
-  state.p.assign(static_cast<std::size_t>(n), p);
-  state.converged = true;
-  state.iterations = 0;
-  state.residual = 0.0;
-  return state;
+TrySolveResult detail::homogeneous_class_state(int w, int n, int max_stage,
+                                               double packet_error_rate) {
+  const TryTauResult tau = try_homogeneous_tau(static_cast<double>(w), n,
+                                               max_stage, packet_error_rate);
+  TrySolveResult out;
+  out.diagnostics = tau.diagnostics;
+  if (!usable(tau.diagnostics.status)) return out;
+  out.state.tau.assign(1, tau.tau);
+  out.state.p.assign(1,
+                     std::clamp(1.0 - ipow(1.0 - tau.tau, n - 1), 0.0, 1.0));
+  out.state.converged = tau.diagnostics.status == SolveStatus::kConverged;
+  out.state.iterations = tau.diagnostics.iterations;
+  out.state.residual = tau.diagnostics.residual;
+  return out;
 }
 
-double window_for_tau(double tau_target, int n, int max_stage) {
+double window_for_tau(double tau_target, int n, int max_stage,
+                      double packet_error_rate) {
   if (!(tau_target > 0.0) || !(tau_target <= 1.0)) {
     throw std::invalid_argument("window_for_tau: tau_target outside (0,1]");
   }
+  const auto tau_at = [&](double w) {
+    const TryTauResult r =
+        try_homogeneous_tau(w, n, max_stage, packet_error_rate);
+    if (usable(r.diagnostics.status)) return r.tau;
+    if (std::string_view(r.diagnostics.method) == "invalid") {
+      throw std::invalid_argument(
+          "window_for_tau: need n >= 1, max_stage >= 0, PER in [0,1)");
+    }
+    throw std::runtime_error("window_for_tau: root finding failed");
+  };
   // τ(w) is strictly decreasing in w; check the left edge first.
-  if (homogeneous_tau_or_throw(1.0, n, max_stage, 0.0) <= tau_target) {
-    return 1.0;
-  }
+  if (tau_at(1.0) <= tau_target) return 1.0;
 
   double hi = 2.0;
-  while (homogeneous_tau_or_throw(hi, n, max_stage, 0.0) > tau_target) {
+  while (tau_at(hi) > tau_target) {
     hi *= 2.0;
     if (hi > kWindowForTauCap) {
       // No window up to the cap reaches a τ this small: return the
@@ -188,9 +179,7 @@ double window_for_tau(double tau_target, int n, int max_stage) {
       return kWindowForTauCap;
     }
   }
-  auto f = [&](double w) {
-    return homogeneous_tau_or_throw(w, n, max_stage, 0.0) - tau_target;
-  };
+  auto f = [&](double w) { return tau_at(w) - tau_target; };
   const auto root = util::brent(f, hi / 2.0, hi, {1e-9, 1e-14, 300});
   if (!root) {
     throw std::runtime_error("window_for_tau: bracketing failed");

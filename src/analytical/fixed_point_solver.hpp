@@ -148,20 +148,18 @@ TrySolveResult try_solve_network(const std::vector<int>& w, int max_stage,
 TryTauResult try_homogeneous_tau(double w, int n, int max_stage,
                                  double packet_error_rate = 0.0);
 
-/// Per-node state of the homogeneous fixed point (try_homogeneous_tau).
-/// Throws std::invalid_argument on invalid inputs and std::runtime_error
-/// when the root search reports kFailed.
-NetworkState solve_network_homogeneous(double w, int n, int max_stage,
-                                       double packet_error_rate = 0.0);
-
-/// Inverts the homogeneous model: the (continuous) window w such that the
-/// n-node fixed point transmits with probability `tau_target`. Monotone
-/// bisection over w ∈ [1, w_hi]; expands w_hi as needed. Returns w clamped
-/// to >= 1 when even w = 1 yields τ < tau_target, and clamped to the
-/// expansion cap kWindowForTauCap when no window up to the cap reaches a
-/// τ as small as `tau_target` (instead of aborting a sweep mid-run).
-/// Throws like solve_network_homogeneous.
-double window_for_tau(double tau_target, int n, int max_stage);
+/// Inverts the homogeneous model at `packet_error_rate`: the (continuous)
+/// window w such that the n-node fixed point transmits with probability
+/// `tau_target`. Monotone bisection over w ∈ [1, w_hi]; expands w_hi as
+/// needed. Returns w clamped to >= 1 when even w = 1 yields τ <
+/// tau_target, and clamped to the expansion cap kWindowForTauCap when no
+/// window up to the cap reaches a τ as small as `tau_target` (instead of
+/// aborting a sweep mid-run). Throws std::invalid_argument on invalid
+/// inputs (tau_target outside (0, 1], n < 1, max_stage < 0, PER outside
+/// [0, 1) or NaN) and std::runtime_error when a try_homogeneous_tau root
+/// search reports kFailed.
+double window_for_tau(double tau_target, int n, int max_stage,
+                      double packet_error_rate = 0.0);
 
 /// Upper clamp of window_for_tau's bracket expansion.
 inline constexpr double kWindowForTauCap = 1e9;

@@ -93,6 +93,13 @@ inline std::vector<double> class_collision_probabilities(
   return p;
 }
 
+/// The class solve's k = 1 state (tau/p of size 1, try_homogeneous_tau's
+/// diagnostics; empty when unusable): τ is the scalar root, p = 1 − (1 −
+/// τ)^(n−1) by ipow. The batch kernel's homogeneous answers and every
+/// homogeneous price (homogeneous_point) read it, so they cannot round apart.
+TrySolveResult homogeneous_class_state(int w, int n, int max_stage,
+                                       double packet_error_rate);
+
 /// Clamps every entry into [0, 1] and replaces non-finite values by 0, so
 /// a failed solve can never leak NaN/Inf into utilities downstream.
 inline void sanitize_probabilities(std::vector<double>& xs) {

@@ -1,6 +1,9 @@
 #include "analytical/throughput.hpp"
 
 #include <stdexcept>
+#include <string_view>
+
+#include "analytical/solver_detail.hpp"
 
 namespace smac::analytical {
 
@@ -73,13 +76,33 @@ double slot_length_us(std::span<const double> tau, const phy::SlotTimes& t,
   return slot_length(1.0 - sums.all_idle, sums.success_total, t);
 }
 
-ChannelMetrics homogeneous_channel_metrics(double w, int n,
+HomogeneousPoint homogeneous_point(int w, int n,
+                                   const phy::Parameters& params,
+                                   phy::AccessMode mode) {
+  const TrySolveResult solved = detail::homogeneous_class_state(
+      w, n, params.max_backoff_stage, params.packet_error_rate);
+  if (!usable(solved.diagnostics.status)) {
+    if (std::string_view(solved.diagnostics.method) == "invalid") {
+      throw std::invalid_argument(
+          "homogeneous_point: need w, n >= 1, m >= 0, PER in [0,1)");
+    }
+    throw std::runtime_error("homogeneous_point: root finding failed");
+  }
+  // class_utility_rates' slot length: n copies of τ, then prefix/suffix.
+  const auto nodes = static_cast<std::size_t>(n);
+  std::vector<double> scratch(3 * nodes + 2, solved.state.tau[0]);
+  return {solved.state.tau[0], solved.state.p[0],
+          slot_length_us({scratch.data(), nodes}, params.slot_times(mode),
+                         scratch.data() + nodes,
+                         scratch.data() + 2 * nodes + 1)};
+}
+
+ChannelMetrics homogeneous_channel_metrics(int w, int n,
                                            const phy::Parameters& params,
                                            phy::AccessMode mode) {
-  const NetworkState state =
-      solve_network_homogeneous(w, n, params.max_backoff_stage,
-                                params.packet_error_rate);
-  return channel_metrics(state.tau, params, mode);
+  const double tau = homogeneous_point(w, n, params, mode).tau;
+  return channel_metrics(std::vector<double>(static_cast<std::size_t>(n), tau),
+                         params, mode);
 }
 
 }  // namespace smac::analytical

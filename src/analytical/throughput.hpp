@@ -34,9 +34,27 @@ ChannelMetrics channel_metrics(const std::vector<double>& tau,
 double slot_length_us(std::span<const double> tau, const phy::SlotTimes& t,
                       double* prefix, double* suffix);
 
-/// Convenience: solve (at params.packet_error_rate) + measure for a
-/// homogeneous network of n nodes on window w.
-ChannelMetrics homogeneous_channel_metrics(double w, int n,
+/// One node of a homogeneous network: its τ, its collision probability p
+/// and the network's E[slot length] in µs.
+struct HomogeneousPoint {
+  double tau = 0.0;
+  double p = 0.0;
+  double t_slot_us = 0.0;
+};
+
+/// The homogeneous network of n nodes on window w, solved at
+/// params.packet_error_rate: the class solve's k = 1 (τ, p) and the slot
+/// length class_utility_rates sums over the n nodes. Every homogeneous
+/// price reads it, so each is bitwise the class path's price of (w, …, w).
+/// Throws std::invalid_argument on invalid input (w < 1, n < 1, bad m or
+/// PER) and std::runtime_error when the root search fails.
+HomogeneousPoint homogeneous_point(int w, int n,
+                                   const phy::Parameters& params,
+                                   phy::AccessMode mode);
+
+/// Channel metrics of the homogeneous network of n nodes on window w (τ
+/// from homogeneous_point). Throws like homogeneous_point.
+ChannelMetrics homogeneous_channel_metrics(int w, int n,
                                            const phy::Parameters& params,
                                            phy::AccessMode mode);
 

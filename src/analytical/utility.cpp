@@ -49,33 +49,11 @@ void class_utility_rates(const NetworkState& class_state,
   }
 }
 
-double homogeneous_utility_rate(double w, int n, const phy::Parameters& params,
+double homogeneous_utility_rate(int w, int n, const phy::Parameters& params,
                                 phy::AccessMode mode) {
-  const NetworkState state = solve_network_homogeneous(
-      w, n, params.max_backoff_stage, params.packet_error_rate);
-  return utility_rates(state, params, mode).front();
-}
-
-double homogeneous_stage_utility(double w, int n,
-                                 const phy::Parameters& params,
-                                 phy::AccessMode mode) {
-  return homogeneous_utility_rate(w, n, params, mode) *
-         params.stage_duration_s * 1e6;
-}
-
-double homogeneous_discounted_utility(double w, int n,
-                                      const phy::Parameters& params,
-                                      phy::AccessMode mode) {
-  return homogeneous_stage_utility(w, n, params, mode) /
-         (1.0 - params.discount);
-}
-
-double normalized_global_payoff(double w, int n, const phy::Parameters& params,
-                                phy::AccessMode mode) {
-  // U_global/C with U_global = n·u·T/(1−δ) and C = g·T/(σ(1−δ)):
-  // the T and (1−δ) factors cancel, leaving n·u·σ/g.
-  const double u = homogeneous_utility_rate(w, n, params, mode);
-  return static_cast<double>(n) * u * params.sigma_us / params.gain;
+  const HomogeneousPoint point = homogeneous_point(w, n, params, mode);
+  return utility_rate(point.tau, point.p, params.gain, params.cost,
+                      params.packet_error_rate, point.t_slot_us);
 }
 
 double lemma3_q(double tau, int n, const phy::Parameters& params,
@@ -101,7 +79,8 @@ std::optional<double> optimal_window_continuous(int n,
                                                 phy::AccessMode mode) {
   const auto tau = optimal_tau_continuous(n, params, mode);
   if (!tau) return std::nullopt;
-  return window_for_tau(*tau, n, params.max_backoff_stage);
+  return window_for_tau(*tau, n, params.max_backoff_stage,
+                        params.packet_error_rate);
 }
 
 }  // namespace smac::analytical

@@ -51,24 +51,11 @@ void class_utility_rates(const NetworkState& class_state,
                          double packet_error_rate,
                          std::vector<double>& scratch, std::span<double> out);
 
-/// u for one node of a homogeneous network: all n nodes on window w.
-double homogeneous_utility_rate(double w, int n, const phy::Parameters& params,
-                                phy::AccessMode mode);
-
-/// Stage utility U_i^s = u_i·T (gain per stage; T in µs internally).
-double homogeneous_stage_utility(double w, int n,
-                                 const phy::Parameters& params,
-                                 phy::AccessMode mode);
-
-/// Discounted repeated-game utility of the stationary profile (w,…,w):
-/// U = u·T / (1 − δ).
-double homogeneous_discounted_utility(double w, int n,
-                                      const phy::Parameters& params,
-                                      phy::AccessMode mode);
-
-/// Normalized global payoff U_global/C with C = g·T/(σ(1−δ)) — the y-axis
-/// of the paper's Figures 2 and 3. Simplifies to n·u·σ/g.
-double normalized_global_payoff(double w, int n, const phy::Parameters& params,
+/// u for one node of a homogeneous network, all n nodes on window w: the
+/// class solve's k = 1 price (homogeneous_point), bitwise the rate
+/// class_utility_rates gives every node of (w, …, w). Throws like
+/// homogeneous_point on invalid input or an unusable solve.
+double homogeneous_utility_rate(int w, int n, const phy::Parameters& params,
                                 phy::AccessMode mode);
 
 /// Lemma 3's first-order condition Q(τ) (sign-corrected, see file header).
@@ -81,7 +68,8 @@ std::optional<double> optimal_tau_continuous(int n,
                                              const phy::Parameters& params,
                                              phy::AccessMode mode);
 
-/// Continuous window corresponding to τ_c* (via window_for_tau).
+/// Continuous window corresponding to τ_c* (via window_for_tau, at
+/// params.packet_error_rate).
 std::optional<double> optimal_window_continuous(int n,
                                                 const phy::Parameters& params,
                                                 phy::AccessMode mode);

@@ -77,16 +77,11 @@ double AsymmetricGame::common_window_utility(std::size_t c, int w) const {
     throw std::invalid_argument("AsymmetricGame: class out of range");
   }
   if (w < 1) throw std::invalid_argument("AsymmetricGame: w < 1");
-  const int n = static_cast<int>(player_count());
-  const analytical::NetworkState state = analytical::solve_network_homogeneous(
-      static_cast<double>(w), n, params_.max_backoff_stage,
-      params_.packet_error_rate);
-  const analytical::ChannelMetrics metrics =
-      analytical::channel_metrics(state.tau, params_, mode_);
+  const analytical::HomogeneousPoint point = analytical::homogeneous_point(
+      w, static_cast<int>(player_count()), params_, mode_);
   const PlayerClass& cls = classes_[c];
-  return analytical::utility_rate(state.tau[0], state.p[0], cls.gain,
-                                  cls.cost, params_.packet_error_rate,
-                                  metrics.t_slot_us);
+  return analytical::utility_rate(point.tau, point.p, cls.gain, cls.cost,
+                                  params_.packet_error_rate, point.t_slot_us);
 }
 
 int AsymmetricGame::preferred_common_window(std::size_t c) const {

@@ -133,8 +133,7 @@ double StageGame::homogeneous_utility_rate(int w, int n) const {
   }
   // Solve outside the lock: concurrent misses on the same key may both
   // compute, but the solver is deterministic so they agree.
-  const double u = analytical::homogeneous_utility_rate(
-      static_cast<double>(w), n, params_, mode_);
+  const double u = analytical::homogeneous_utility_rate(w, n, params_, mode_);
   std::lock_guard<std::mutex> lock(cache_mutex_);
   homogeneous_cache_.emplace(key, u);
   return u;

@@ -28,10 +28,14 @@ namespace smac::game {
 
 /// Evaluates stage payoffs of contention-window profiles.
 ///
-/// Homogeneous evaluations are memoized: equilibrium sweeps and repeated
-/// games revisit the same (w, n) points thousands of times. The memo
-/// cache is mutex-guarded, so const evaluation is safe from concurrent
-/// threads (parallel tournaments share one StageGame across workers).
+/// Homogeneous evaluations are memoized per (w, n): equilibrium searches
+/// revisit their probe points, and set-ups sharing one game across layouts
+/// rerun the W* search of each player count. The memo holds the class
+/// solve's k = 1 price, so homogeneous_stage_utility(w, n) is bitwise the
+/// payoff try_stage_utilities gives each node of (w, …, w), and it never
+/// touches the solve cache's counters. It is mutex-guarded, so const
+/// evaluation is safe from concurrent threads (parallel tournaments share
+/// one StageGame across workers).
 class StageGame {
  public:
   StageGame(phy::Parameters params, phy::AccessMode mode);

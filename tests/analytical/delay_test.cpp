@@ -18,7 +18,7 @@ const phy::Parameters kParams = phy::Parameters::paper();
 constexpr auto kBasic = phy::AccessMode::kBasic;
 
 TEST(AccessDelayTest, MatchesManualGeometricFormula) {
-  const NetworkState s = solve_network_homogeneous(64, 5, 6);
+  const NetworkState s = try_solve_network(std::vector<int>(5, 64), 6).state;
   const auto d = access_delays(s, kParams, kBasic);
   const ChannelMetrics m = channel_metrics(s.tau, kParams, kBasic);
   const double q = s.tau[0] * (1.0 - s.p[0]);
@@ -61,7 +61,9 @@ TEST(AccessDelayTest, HomogeneousDelaySolvesAtTheConfiguredPer) {
   phy::Parameters noisy = kParams;
   noisy.packet_error_rate = 0.2;
   const NetworkState at_per =
-      solve_network_homogeneous(55, 5, noisy.max_backoff_stage, 0.2);
+      try_solve_network(std::vector<int>(5, 55), noisy.max_backoff_stage, {},
+                        0.2)
+          .state;
   const double want = access_delays(at_per, noisy, kBasic).front().mean_us;
   const double got = homogeneous_access_delay(55, 5, noisy, kBasic).mean_us;
   EXPECT_DOUBLE_EQ(got, want);

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "analytical/backoff_chain.hpp"
+#include "analytical/throughput.hpp"
 
 namespace smac::analytical {
 namespace {
@@ -70,9 +71,9 @@ TEST(SolveNetworkTest, AgreesWithScalarHomogeneousPath) {
   for (int n : {2, 5, 20}) {
     for (int w : {8, 64, 512}) {
       const NetworkState het = solve(std::vector<int>(n, w), kM);
-      const NetworkState hom = solve_network_homogeneous(w, n, kM);
-      EXPECT_NEAR(het.tau[0], hom.tau[0], 1e-8) << "n=" << n << " w=" << w;
-      EXPECT_NEAR(het.p[0], hom.p[0], 1e-8);
+      const double tau = tau_hom(w, n, kM);
+      EXPECT_NEAR(het.tau[0], tau, 1e-8) << "n=" << n << " w=" << w;
+      EXPECT_NEAR(het.p[0], 1.0 - std::pow(1.0 - tau, n - 1), 1e-8);
     }
   }
 }
@@ -137,8 +138,13 @@ TEST(HomogeneousTauTest, SingleNodeShortCircuit) {
 TEST(HomogeneousTauTest, RejectsBadInput) {
   EXPECT_STREQ(try_homogeneous_tau(0.5, 5, kM).diagnostics.method, "invalid");
   EXPECT_STREQ(try_homogeneous_tau(8.0, 0, kM).diagnostics.method, "invalid");
-  EXPECT_THROW(solve_network_homogeneous(0.5, 5, kM), std::invalid_argument);
-  EXPECT_THROW(solve_network_homogeneous(8.0, 0, kM), std::invalid_argument);
+  const phy::Parameters params = phy::Parameters::paper();
+  EXPECT_THROW(homogeneous_point(0, 5, params, phy::AccessMode::kBasic),
+               std::invalid_argument);
+  EXPECT_THROW(homogeneous_point(8, 0, params, phy::AccessMode::kBasic),
+               std::invalid_argument);
+  EXPECT_THROW(window_for_tau(0.05, 0, kM), std::invalid_argument);
+  EXPECT_THROW(window_for_tau(0.05, 5, -1), std::invalid_argument);
 }
 
 TEST(WindowForTauTest, InvertsHomogeneousTau) {

@@ -13,6 +13,7 @@
 #include "analytical/fixed_point_solver.hpp"
 #include "analytical/solver_cache.hpp"
 #include "analytical/solver_service.hpp"
+#include "analytical/throughput.hpp"
 #include "gtest/gtest.h"
 #include "support/service_solve.hpp"
 
@@ -91,7 +92,8 @@ TEST(SolverRobustness, InvalidInputsFailInsteadOfThrowing) {
 // NaN fails every bound of the solver's one input check, so a NaN PER or
 // an infinite window reads "invalid" on every solve path — not a root
 // search that ends in a failed "bisection" — and the throwing homogeneous
-// entry point reports it as std::invalid_argument.
+// entry points (window_for_tau, homogeneous_point) report it as
+// std::invalid_argument.
 TEST(SolverRobustness, NonFiniteInputReadsInvalidOnEveryPath) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
@@ -106,9 +108,11 @@ TEST(SolverRobustness, NonFiniteInputReadsInvalidOnEveryPath) {
   SolverService service;
   EXPECT_STREQ(solve_profile(service, {16, 32}, 6, nan).diagnostics.method,
                "invalid");
-  EXPECT_THROW(solve_network_homogeneous(64.0, 5, 6, nan),
+  EXPECT_THROW(window_for_tau(0.05, 5, 6, nan), std::invalid_argument);
+  smac::phy::Parameters noisy = smac::phy::Parameters::paper();
+  noisy.packet_error_rate = nan;
+  EXPECT_THROW(homogeneous_point(64, 5, noisy, smac::phy::AccessMode::kBasic),
                std::invalid_argument);
-  EXPECT_THROW(solve_network_homogeneous(inf, 5, 6), std::invalid_argument);
 }
 
 // A budget below one iteration, or a tolerance that is not finite and

@@ -212,8 +212,7 @@ TEST(SymmetryCollapse, HomogeneousDelegatesToScalarPath) {
   EXPECT_EQ(r.diagnostics.status, SolveStatus::kConverged);
   // k = 1 routes through try_homogeneous_tau, not Newton or damping.
   EXPECT_STREQ(r.diagnostics.method, "brent");
-  const NetworkState scalar = solve_network_homogeneous(64.0, 20, 5);
-  EXPECT_EQ(r.state.tau[0], scalar.tau[0]);
+  EXPECT_EQ(r.state.tau[0], try_homogeneous_tau(64.0, 20, 5).tau);
 }
 
 TEST(SymmetryCollapse, ExpandClassesPreservesNodeOrder) {

@@ -89,7 +89,9 @@ TEST(ChannelMetricsTest, HomogeneousMetricsSolveAtTheConfiguredPer) {
   phy::Parameters noisy = kParams;
   noisy.packet_error_rate = 0.2;
   const NetworkState at_per =
-      solve_network_homogeneous(55, 5, noisy.max_backoff_stage, 0.2);
+      try_solve_network(std::vector<int>(5, 55), noisy.max_backoff_stage, {},
+                        0.2)
+          .state;
   const ChannelMetrics want =
       channel_metrics(at_per.tau, noisy, phy::AccessMode::kBasic);
   const ChannelMetrics got =

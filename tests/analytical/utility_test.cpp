@@ -79,22 +79,6 @@ TEST(UtilityTest, UnimodalInWindow) {
   }
 }
 
-TEST(UtilityTest, StageAndDiscountedScaling) {
-  const double rate = homogeneous_utility_rate(100, 5, kParams, kBasic);
-  EXPECT_NEAR(homogeneous_stage_utility(100, 5, kParams, kBasic),
-              rate * 10.0 * 1e6, std::abs(rate) * 10);
-  EXPECT_NEAR(homogeneous_discounted_utility(100, 5, kParams, kBasic),
-              rate * 10.0 * 1e6 / (1.0 - 0.9999),
-              std::abs(rate) * 1e6);
-}
-
-TEST(UtilityTest, NormalizedGlobalPayoffIdentity) {
-  // U/C must equal n·u·σ/g.
-  const double u = homogeneous_utility_rate(76, 5, kParams, kBasic);
-  EXPECT_NEAR(normalized_global_payoff(76, 5, kParams, kBasic),
-              5.0 * u * kParams.sigma_us / kParams.gain, 1e-15);
-}
-
 TEST(Lemma2Test, UtilityConcaveInOwnTau) {
   // Lemma 2: U_i(τ_i) is concave in the own transmission probability when
   // g >> e (others held fixed). Check second differences numerically: fix
@@ -170,7 +154,7 @@ TEST(Lemma3Test, ContinuousWindowNearDiscreteArgmax) {
     ASSERT_TRUE(w_cont.has_value());
     const auto argmax = util::ternary_int_max(
         [&](std::int64_t w) {
-          return homogeneous_utility_rate(static_cast<double>(w), n, kParams,
+          return homogeneous_utility_rate(static_cast<int>(w), n, kParams,
                                           kBasic);
         },
         1, kParams.w_max);
@@ -187,7 +171,7 @@ TEST(UtilityTest, PaperTableIIBallpark) {
   for (const auto& [n, w_paper] : expectations) {
     const auto argmax = util::ternary_int_max(
         [&](std::int64_t w) {
-          return homogeneous_utility_rate(static_cast<double>(w), n, kParams,
+          return homogeneous_utility_rate(static_cast<int>(w), n, kParams,
                                           kBasic);
         },
         1, kParams.w_max);

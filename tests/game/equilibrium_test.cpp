@@ -115,6 +115,31 @@ TEST(EquilibriumFinderTest, ContinuousAndDiscreteAgreeBasic) {
   }
 }
 
+TEST(EquilibriumFinderTest, ContinuousWindowSolvesAtTheConfiguredPer) {
+  // Noise losses escalate the backoff like collisions do, so the window
+  // that transmits at τ* shrinks with the PER: the homogeneous τ at
+  // w_star_continuous, solved at that PER, must be the Q-root τ*.
+  phy::Parameters noisy = kParams;
+  noisy.packet_error_rate = 0.2;
+  const struct {
+    phy::AccessMode mode;
+    int n;
+    double w;  // W at PER 0.2 (77.585 and 47.109 if solved at PER 0)
+  } cases[] = {{kBasic, 5, 54.511}, {kRtsCts, 20, 26.636}};
+  for (const auto& c : cases) {
+    const StageGame game(noisy, c.mode);
+    const EquilibriumFinder finder(game, c.n);
+    const auto w = finder.w_star_continuous();
+    const auto tau_star = finder.tau_star_continuous();
+    ASSERT_TRUE(w.has_value() && tau_star.has_value());
+    const double tau =
+        analytical::try_homogeneous_tau(*w, c.n, noisy.max_backoff_stage, 0.2)
+            .tau;
+    EXPECT_NEAR(tau, *tau_star, 1e-9) << "n " << c.n;
+    EXPECT_NEAR(*w, c.w, 1e-3) << "n " << c.n;
+  }
+}
+
 TEST(EquilibriumFinderTest, TauStarInUnitInterval) {
   const StageGame game(kParams, kRtsCts);
   const EquilibriumFinder finder(game, 20);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
 #include <vector>
 
@@ -68,10 +69,56 @@ TEST(StageGameTest, CacheReturnsIdenticalValues) {
 }
 
 TEST(StageGameTest, HomogeneousProfileAgreesWithVectorPath) {
+  // One homogeneous price: the memoized (w, n) lookup is, bit for bit, what
+  // the class path gives every node of the all-w profile, on a grid of
+  // windows and player counts, in both access modes, with and without
+  // channel noise. Counts the (w, n) points where any node differs.
+  for (const phy::AccessMode mode : {kBasic, phy::AccessMode::kRtsCts}) {
+    for (const double per : {0.0, 0.2}) {
+      phy::Parameters params = kParams;
+      params.packet_error_rate = per;
+      const StageGame game(params, mode);
+      int points = 0;
+      int differing = 0;
+      for (int n = 2; n <= 60; ++n) {
+        for (int w = 1; w <= 197; w += 7) {
+          const std::vector<int> profile(static_cast<std::size_t>(n), w);
+          const StageGame::StagePayoffs payoffs =
+              game.try_stage_utilities(profile);
+          ASSERT_TRUE(analytical::usable(payoffs.diagnostics.status))
+              << "w " << w << " n " << n;
+          const std::vector<double> rates = game.utility_rates(profile);
+          const double payoff = game.homogeneous_stage_utility(w, n);
+          const double rate = game.homogeneous_utility_rate(w, n);
+          bool differs = false;
+          for (std::size_t i = 0; i < profile.size(); ++i) {
+            differs = differs || payoffs.utilities[i] != payoff ||
+                      rates[i] != rate;
+          }
+          ++points;
+          if (differs) ++differing;
+        }
+      }
+      EXPECT_EQ(points, 59 * 29);
+      EXPECT_EQ(differing, 0) << (mode == kBasic ? "basic" : "rts/cts")
+                              << ", PER " << per;
+    }
+  }
+}
+
+TEST(StageGameTest, HomogeneousStageUtilityScaling) {
   const StageGame game(kParams, kBasic);
-  const auto rates = game.utility_rates(std::vector<int>(5, 76));
-  const double fast = game.homogeneous_utility_rate(76, 5);
-  for (double r : rates) EXPECT_NEAR(r, fast, 1e-10);
+  const double rate = game.homogeneous_utility_rate(100, 5);
+  EXPECT_NEAR(game.homogeneous_stage_utility(100, 5), rate * 10.0 * 1e6,
+              std::abs(rate) * 10);
+}
+
+TEST(StageGameTest, NormalizedGlobalPayoffIdentity) {
+  // U/C must equal n·u·σ/g.
+  const StageGame game(kParams, kBasic);
+  const double u = game.homogeneous_utility_rate(76, 5);
+  EXPECT_NEAR(game.normalized_global_payoff(76, 5),
+              5.0 * u * kParams.sigma_us / kParams.gain, 1e-15);
 }
 
 TEST(StageGameTest, SocialWelfareIsNTimesIndividual) {

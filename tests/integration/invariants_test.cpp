@@ -28,8 +28,10 @@ class InvariantSweep : public ::testing::TestWithParam<Case> {
 TEST_P(InvariantSweep, FixedPointIsConsistent) {
   const auto [mode, n, per] = GetParam();
   (void)mode;
-  const auto state = analytical::solve_network_homogeneous(
-      64.0, n, params_.max_backoff_stage, per);
+  const auto state =
+      analytical::try_solve_network(std::vector<int>(n, 64),
+                                    params_.max_backoff_stage, {}, per)
+          .state;
   // τ, p in range and mutually consistent.
   EXPECT_GT(state.tau[0], 0.0);
   EXPECT_LT(state.tau[0], 1.0);
@@ -41,8 +43,10 @@ TEST_P(InvariantSweep, FixedPointIsConsistent) {
 
 TEST_P(InvariantSweep, ChannelProbabilitiesPartition) {
   const auto [mode, n, per] = GetParam();
-  const auto state = analytical::solve_network_homogeneous(
-      48.0, n, params_.max_backoff_stage, per);
+  const auto state =
+      analytical::try_solve_network(std::vector<int>(n, 48),
+                                    params_.max_backoff_stage, {}, per)
+          .state;
   const auto m = analytical::channel_metrics(state.tau, params_, mode);
   // Idle + success + collision probabilities sum to 1.
   double p_succ = 0.0;
@@ -89,8 +93,10 @@ TEST_P(InvariantSweep, DelayThroughputDuality) {
   const auto [mode, n, per] = GetParam();
   // Per-node delivery rate × mean delay ≈ 1 (Little's-law flavor of the
   // geometric service model).
-  const auto state = analytical::solve_network_homogeneous(
-      64.0, n, params_.max_backoff_stage, per);
+  const auto state =
+      analytical::try_solve_network(std::vector<int>(n, 64),
+                                    params_.max_backoff_stage, {}, per)
+          .state;
   const auto metrics = analytical::channel_metrics(state.tau, params_, mode);
   const auto delay = analytical::access_delays(state, params_, mode)[0];
   const double q = state.tau[0] * (1.0 - state.p[0]);

@@ -8,6 +8,7 @@
 // try_stage_utilities payoff bitwise) and run_city_scale's config checks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
@@ -102,6 +103,38 @@ TEST(ClassCollapseTest, ClassPayoffMatchesPerNodePricingBitwise) {
     ++compared;
   }
   EXPECT_GE(compared, 20u);
+}
+
+TEST(ClassCollapseTest, HomogeneousNeighborhoodPaysTheHomogeneousPrice) {
+  // TFT leaves every neighbourhood at one window, so each node's local game
+  // is the homogeneous (w, deg + 1)-player game: the city's class pricing
+  // and StageGame's memoized homogeneous price are one price, bit for bit.
+  constexpr std::size_t kNodes = 400;
+  const double arena = city_arena_side_m(kNodes, 250.0, 12.0);
+  const auto pos = random_layout(kNodes, arena, 7);
+  const SpatialIndex index(pos, 250.0);
+  const game::StageGame game(phy::Parameters::paper(),
+                             phy::AccessMode::kRtsCts);
+
+  const std::vector<int> stable =
+      tft_min_fixpoint(index, local_efficient_cw(index, game)).final_profile;
+  const NeighborhoodPricing priced = price_neighborhoods(index, stable, game);
+
+  std::size_t compared = 0;
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    bool homogeneous = true;
+    for (const std::size_t j : index.neighbors(i)) {
+      homogeneous = homogeneous && stable[j] == stable[i];
+    }
+    if (!homogeneous) continue;
+    const int players = std::max(kMinLocalPlayers,
+                                 static_cast<int>(index.degree(i)) + 1);
+    EXPECT_EQ(priced.payoff[i],
+              game.homogeneous_stage_utility(stable[i], players))
+        << "node " << i << " w " << stable[i] << " players " << players;
+    ++compared;
+  }
+  EXPECT_EQ(compared, kNodes);
 }
 
 TEST(CityScaleTest, RejectsInvalidConfigUpFront) {

@@ -52,7 +52,8 @@ TEST(MultihopSimTest, CliqueTauMatchesSingleHopModel) {
   const int w = 22;
   MultihopSimulator sim(make_config(2), clique(n), std::vector<int>(n, w));
   const MultihopResult r = sim.run_slots(300000);
-  const auto model = analytical::solve_network_homogeneous(w, n, 6);
+  const auto model =
+      analytical::try_solve_network(std::vector<int>(n, w), 6).state;
   for (const auto& node : r.node) {
     EXPECT_NEAR(node.measured_tau, model.tau[0], 0.06 * model.tau[0]);
     EXPECT_NEAR(node.measured_p, model.p[0], 0.05);

@@ -61,7 +61,8 @@ TEST(NodePowerDrawTest, ValidatesState) {
 
 TEST(NodePowerDrawTest, BoundedByRadioStates) {
   const PowerProfile power;
-  const auto state = analytical::solve_network_homogeneous(64, 5, 6);
+  const auto state =
+      analytical::try_solve_network(std::vector<int>(5, 64), 6).state;
   const auto draw =
       node_power_draw_mw(state.tau, state.p, kParams, AccessMode::kBasic,
                          power);

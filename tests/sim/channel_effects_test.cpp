@@ -57,7 +57,8 @@ TEST(PerTest, SimulatorMatchesModelUnderNoise) {
   Simulator sim(config, std::vector<int>(5, 64));
   const auto r = sim.run_slots(400000);
 
-  const auto model = analytical::solve_network_homogeneous(64, 5, 6, per);
+  const auto model =
+      analytical::try_solve_network(std::vector<int>(5, 64), 6, {}, per).state;
   for (int i = 0; i < 5; ++i) {
     EXPECT_NEAR(r.measured_tau[i], model.tau[0], 0.06 * model.tau[0]);
     // measured_p counts collisions AND corrupted frames: compare with the

@@ -82,7 +82,8 @@ TEST(SimulatorTest, MeasuredTauMatchesModelHomogeneous) {
   Simulator sim(make_config(phy::AccessMode::kBasic, 5),
                 std::vector<int>(n, w));
   const SimResult r = sim.run_slots(400000);
-  const auto model = analytical::solve_network_homogeneous(w, n, 6);
+  const auto model =
+      analytical::try_solve_network(std::vector<int>(n, w), 6).state;
   for (int i = 0; i < n; ++i) {
     EXPECT_NEAR(r.measured_tau[i], model.tau[0], 0.05 * model.tau[0]);
     EXPECT_NEAR(r.measured_p[i], model.p[0], 0.05);
