@@ -9,10 +9,10 @@
 // All knobs are key=value arguments, e.g.:
 //   ./build/examples/asymmetric_classes n_per_class=4 e_dear=0.5 mode=basic
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "example_args.hpp"
 #include "game/asymmetric.hpp"
 #include "phy/energy.hpp"
 
@@ -28,14 +28,12 @@ int main(int argc, char** argv) {
     const std::string key = token.substr(0, eq);
     const std::string value =
         eq == std::string::npos ? "" : token.substr(eq + 1);
-    char* end = nullptr;
     bool ok = !value.empty();
     if (ok && key == "n_per_class") {
-      n_per_class = static_cast<int>(std::strtol(value.c_str(), &end, 10));
-      ok = *end == '\0' && n_per_class >= 1;
+      ok = examples::parse_int(value.c_str(), 1, n_per_class);
     } else if (ok && (key == "e_cheap" || key == "e_dear")) {
-      (key == "e_cheap" ? e_cheap : e_dear) = std::strtod(value.c_str(), &end);
-      ok = *end == '\0';
+      double& cost = key == "e_cheap" ? e_cheap : e_dear;
+      ok = examples::parse_finite(value.c_str(), cost) && cost >= 0.0;
     } else if (ok && key == "mode") {
       ok = value == "basic" || value == "rts-cts";
       if (value == "rts-cts") mode = phy::AccessMode::kRtsCts;
@@ -44,8 +42,9 @@ int main(int argc, char** argv) {
     }
     if (!ok) {
       std::fprintf(stderr,
-                   "bad argument '%s' (expected n_per_class=N, e_cheap=X, "
-                   "e_dear=X or mode=basic|rts-cts)\n",
+                   "bad argument '%s' (expected n_per_class=N >= 1, "
+                   "e_cheap=X or e_dear=X finite and >= 0, or "
+                   "mode=basic|rts-cts)\n",
                    argv[i]);
       return 1;
     }

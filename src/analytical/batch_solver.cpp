@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 
 #include "analytical/backoff_chain.hpp"
 #include "analytical/solver_detail.hpp"
@@ -12,23 +11,18 @@ namespace smac::analytical {
 
 namespace {
 
-/// Newton's step cap: a start inside its basin converges in 3–7 steps.
+/// Plain Newton's step cap: a start inside its basin converges in 3–7
+/// steps.
 constexpr int kNewtonSteps = 50;
 
-/// The damped phase's budget, 3 × max_iterations, capped so that the
-/// iteration total still fits an int.
-int damped_budget(int max_iterations) {
-  constexpr std::int64_t kCap = std::numeric_limits<int>::max() - kNewtonSteps;
-  return static_cast<int>(
-      std::min(std::int64_t{3} * max_iterations, kCap));
-}
-
-/// Per-instance two-phase state machine: Newton steps from the
-/// homogeneous-mean seed, then — only if Newton misses — damped iteration
-/// x ← ½·T(x) + ½·x from the same seed. One call to step() performs
-/// exactly one Newton step or one damped iteration, so a machine driven to
-/// completion is bitwise identical however the batch interleaves it with
-/// others.
+/// Per-instance solve: Newton steps from the homogeneous-mean seed, with
+/// the damped map x ← ½·T(x) + ½·x as the step taken in place of a
+/// refused one. Plain Newton takes every step until its first refused
+/// step or kNewtonSteps steps; after that a Newton step is tried only
+/// once the fixed-point residual has halved since the last try, and every
+/// other step is damped. One call to step() takes exactly one step, so a
+/// machine driven to completion is bitwise identical however the batch
+/// interleaves it with others.
 class ClassSolveMachine {
  public:
   ClassSolveMachine(const detail::ClassSolveRef& instance, double* tau_slot)
@@ -54,46 +48,40 @@ class ClassSolveMachine {
         return;
       }
       // Unusable scalar solve (cannot happen for validated inputs): fall
-      // through to the two phases below.
+      // through to the loop below.
     }
     // Homogeneous-mean seed: every class starts from the mean-window fixed
     // point's failure probability — close enough to the heterogeneous
-    // fixed point that Newton converges in a few steps, and the damped
-    // phase restarts from it. An unusable seed (cannot happen for
-    // validated inputs) becomes the cold point τ(W, PER).
-    seed_fail_ = homogeneous_mean_fail();
-    start_at(seed_fail_);
-    budget_ = std::min(inst_.opts->max_iterations, kNewtonSteps);
+    // fixed point that Newton converges in a few steps. An unusable seed
+    // (cannot happen for validated inputs) becomes the cold point τ(W, PER).
+    const double fail = homogeneous_mean_fail();
+    for (std::size_t c = 0; c < k_; ++c) {
+      x_[c] = transmission_probability(inst_.classes->window[c], fail,
+                                       inst_.max_stage);
+    }
   }
 
   bool done() const noexcept { return done_; }
 
-  /// One Newton step or one damped iteration. `prefix`/`suffix` are caller
-  /// scratch of size k + 1, `p` of size k — shared across the batch's
-  /// instances within a sweep.
+  /// One step on F_c = τ_c − T(W_c, f_c), f_c = 1 − (1 − p_c)(1 − PER):
+  /// Newton's, or the damped one. As p_c = 1 − X/(1 − τ_c) with X = Π (1 −
+  /// τ_c)^{m_c}, the Jacobian is D − u·vᵀ: D_c = 1 + u_c/(1 − τ_c), u_c =
+  /// a_c(1 − p_c), v_c = m_c/(1 − τ_c), a_c = −(1 − PER)·T_c²·W_c·g′(f_c)/2
+  /// with g(f) = f·Σ_{r<m}(2f)^r — O(k) by Sherman–Morrison. A Newton step
+  /// that would leave (0, 1) (non-finite included) is refused.
+  /// `prefix`/`suffix` are caller scratch of size k + 1, `p` of size k —
+  /// shared across the batch's instances within a sweep.
   void step(double* prefix, double* suffix, double* p) {
-    newton_ ? newton_step(prefix, suffix, p) : damped_step(prefix, suffix, p);
-  }
-
-  /// Valid once done(): the solve's outcome, class-space.
-  TrySolveResult take_result() { return std::move(result_); }
-
- private:
-  /// One Newton step on F_c = τ_c − T(W_c, f_c), f_c = 1 − (1 − p_c)(1 −
-  /// PER). As p_c = 1 − X/(1 − τ_c) with X = Π (1 − τ_c)^{m_c}, the
-  /// Jacobian is D − u·vᵀ: D_c = 1 + u_c/(1 − τ_c), u_c = a_c(1 − p_c),
-  /// v_c = m_c/(1 − τ_c), a_c = −(1 − PER)·T_c²·W_c·g′(f_c)/2 with g(f) =
-  /// f·Σ_{r<m}(2f)^r — O(k) by Sherman–Morrison. A step that leaves
-  /// (0, 1) (non-finite included) hands over to the damped phase at once.
-  void newton_step(double* prefix, double* suffix, double* p) {
     detail::class_collision_probabilities_into(
         x_, inst_.classes->multiplicity.data(), k_, prefix, suffix, p);
-    // With p known, prefix/suffix are free: y = D⁻¹F and z = D⁻¹u.
+    // With p known, prefix/suffix are free: y = D⁻¹F and z = D⁻¹u; each
+    // p[c], once read, holds T_c for the damped step.
     double* y = prefix;
     double* z = suffix;
     const double keep = 1.0 - inst_.packet_error_rate;
     double vy = 0.0;
     double vz = 0.0;
+    double gap = 0.0;  // max_c |x_c − T_c(x)|
     for (std::size_t c = 0; c < k_; ++c) {
       const double idle = 1.0 - p[c];
       const double fail = 1.0 - idle * keep;
@@ -118,62 +106,47 @@ class ClassSolveMachine {
       z[c] = u * inv_d;
       vy += v * y[c];
       vz += v * z[c];
+      p[c] = t;
+      gap = std::max(gap, std::abs(x_[c] - t));
     }
-    const double scale = vy / (1.0 - vz);
+    // Newton's candidate goes into y; a refused try, or no try, takes the
+    // damped step instead.
     double step_norm = 0.0;
-    bool inside = true;
-    for (std::size_t c = 0; c < k_; ++c) {
-      const double next = x_[c] - (y[c] + z[c] * scale);
-      inside = inside && next > 0.0 && next < 1.0;
-      step_norm = std::max(step_norm, std::abs(next - x_[c]));
-      x_[c] = next;
+    bool newton = plain_ || gap < 0.5 * tried_gap_;
+    if (newton) {
+      tried_gap_ = gap;
+      const double scale = vy / (1.0 - vz);
+      for (std::size_t c = 0; c < k_; ++c) {
+        y[c] = x_[c] - (y[c] + z[c] * scale);
+        newton = newton && y[c] > 0.0 && y[c] < 1.0;
+        step_norm = std::max(step_norm, std::abs(y[c] - x_[c]));
+      }
+      if (newton) std::copy(y, y + k_, x_);
     }
-    residual_ = step_norm;
-    if (inside && step_norm <= inst_.opts->tolerance) {
-      finish(/*converged=*/true);
-    } else if (!inside || iter_ == budget_) {
-      start_damped();
-    } else {
-      ++iter_;
+    if (!newton) {
+      step_norm = 0.0;
+      for (std::size_t c = 0; c < k_; ++c) {
+        const double next = 0.5 * p[c] + 0.5 * x_[c];
+        step_norm = std::max(step_norm, std::abs(next - x_[c]));
+        x_[c] = next;
+      }
+      damped_ = true;
     }
-  }
-
-  /// Newton missed: its iterate is dropped, and the damped phase starts
-  /// over from the seed.
-  void start_damped() {
-    newton_iterations_ = iter_;
-    newton_ = false;
-    start_at(seed_fail_);
-    budget_ = damped_budget(inst_.opts->max_iterations);
-    iter_ = 1;
-  }
-
-  /// One damped iteration on the class map: p from the current iterate,
-  /// then x' = ½·τ(W, fail) + ½·x with the max-norm step.
-  void damped_step(double* prefix, double* suffix, double* p) {
-    detail::class_collision_probabilities_into(
-        x_, inst_.classes->multiplicity.data(), k_, prefix, suffix, p);
-    double step_norm = 0.0;
-    for (std::size_t c = 0; c < k_; ++c) {
-      const double fail =
-          1.0 - (1.0 - p[c]) * (1.0 - inst_.packet_error_rate);
-      const double fx =
-          transmission_probability(inst_.classes->window[c], fail,
-                                   inst_.max_stage);
-      const double next = 0.5 * fx + 0.5 * x_[c];
-      step_norm = std::max(step_norm, std::abs(next - x_[c]));
-      x_[c] = next;
-    }
+    plain_ = plain_ && newton && iter_ < kNewtonSteps;
     residual_ = step_norm;
     if (step_norm <= inst_.opts->tolerance) {
       finish(/*converged=*/true);
-    } else if (iter_ == budget_) {
+    } else if (iter_ == inst_.opts->max_iterations) {
       finish(/*converged=*/false);
     } else {
       ++iter_;
     }
   }
 
+  /// Valid once done(): the solve's outcome, class-space.
+  TrySolveResult take_result() { return std::move(result_); }
+
+ private:
   /// The failure probability of the mean-window homogeneous fixed point
   /// (mean in canonical class order), or PER if that solve is unusable.
   double homogeneous_mean_fail() const {
@@ -191,16 +164,7 @@ class ClassSolveMachine {
     return 1.0 - (1.0 - p_hom) * (1.0 - inst_.packet_error_rate);
   }
 
-  /// Writes the start τ_c = τ(W_c, fail) of every class into the arena.
-  void start_at(double fail) {
-    for (std::size_t c = 0; c < k_; ++c) {
-      x_[c] = transmission_probability(inst_.classes->window[c], fail,
-                                       inst_.max_stage);
-    }
-  }
-
-  /// The current iterate (sanitized) is the answer: Newton's when it
-  /// converged, the damped phase's otherwise.
+  /// The current iterate (sanitized) is the answer, converged or not.
   void finish(bool converged) {
     NetworkState& state = result_.state;
     state.tau.assign(x_, x_ + k_);
@@ -211,10 +175,10 @@ class ClassSolveMachine {
     state.residual = residual_;
 
     SolveDiagnostics& diagnostics = result_.diagnostics;
-    diagnostics.iterations = newton_iterations_ + iter_;
-    diagnostics.retries = newton_ ? 0 : 1;
+    diagnostics.iterations = iter_;
+    diagnostics.retries = damped_ ? 1 : 0;
     diagnostics.residual = residual_;
-    diagnostics.method = newton_ ? "newton" : "seeded";
+    diagnostics.method = "newton";
     diagnostics.status = converged                       ? SolveStatus::kConverged
                          : residual_ <= kDegradedResidual ? SolveStatus::kDegraded
                                                           : SolveStatus::kFailed;
@@ -226,13 +190,12 @@ class ClassSolveMachine {
   std::size_t k_;
   int n_;
   double* x_;  ///< this instance's segment of the batch tau arena
-  double seed_fail_ = 0.0;
 
-  bool newton_ = true;
+  bool plain_ = true;    ///< every Newton step taken so far
+  bool damped_ = false;  ///< some step was damped
   bool done_ = false;
-  int budget_ = 0;
   int iter_ = 1;
-  int newton_iterations_ = 0;
+  double tried_gap_ = 0.0;  ///< the residual where Newton was last tried
   double residual_ = 0.0;
   TrySolveResult result_;
 };
@@ -283,9 +246,9 @@ std::vector<TrySolveResult> detail::solve_classes_batch(
     }
   }
 
-  // Lockstep sweeps: every active instance advances one Newton step or one
-  // damped iteration per sweep; finished instances are masked out in place
-  // (stable order, so the arena is walked front to back every sweep).
+  // Lockstep sweeps: every active instance advances one step per sweep;
+  // finished instances are masked out in place (stable order, so the
+  // arena is walked front to back every sweep).
   while (!active.empty()) {
     std::size_t kept = 0;
     for (const std::uint32_t i : active) {

@@ -4,14 +4,14 @@
 // Tournaments, deviation scans, and detection/reaction loops generate
 // thousands of independent (class-profile, PER) instances per run.
 // try_solve_classes_batch advances every instance by one step per sweep
-// over a contiguous arena — one Newton step in the first phase, one
-// damped iteration in the fallback phase: the prefix/suffix product inner
-// loop runs back to back across instances, and finished instances drop
-// out via a convergence mask without desynchronizing the sweep.
+// over a contiguous arena — a Newton step, or the damped step taken in
+// its place: the prefix/suffix product inner loop runs back to back
+// across instances, and finished instances drop out via a convergence
+// mask without desynchronizing the sweep.
 //
 // Contract: the batch result is **bitwise identical** to solving each
-// instance in a batch of its own — every instance runs its own two-phase
-// state machine (this file is the single implementation of the class
+// instance in a batch of its own — every instance runs its own Newton
+// loop (batch_solver.cpp is the single implementation of the class
 // solve; try_solve_network is a batch of one), and no arithmetic ever
 // crosses instances. Pinned over a seeded (n, k, PER, batch-size) grid by
 // tests/analytical/batch_solver_test.cpp.

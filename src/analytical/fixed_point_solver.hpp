@@ -42,9 +42,7 @@ struct NetworkState {
 /// invalid input (kFailed, method "invalid").
 struct SolverOptions {
   double tolerance = 1e-13;  ///< max-norm step that declares convergence
-  /// Caps Newton at min(max_iterations, 50) steps and the damped phase
-  /// at 3 × max_iterations iterations.
-  int max_iterations = 20000;
+  int max_iterations = 20000;  ///< caps the steps of the class solve
 };
 
 /// Outcome classification of the non-throwing solver entry points.
@@ -66,16 +64,15 @@ inline constexpr double kDegradedResidual = 1e-6;
 /// What the solver did to produce a result.
 struct SolveDiagnostics {
   SolveStatus status = SolveStatus::kConverged;
-  int iterations = 0;      ///< steps or iterations, over every phase run
-  /// 1 when the solve fell back: Newton to the damped phase, or (k = 1)
-  /// Brent to bisection.
+  int iterations = 0;      ///< steps (k >= 2) or root-search iterations
+  /// 1 when the solve fell back: some step of the Newton loop was damped,
+  /// or (k = 1) Brent gave way to bisection.
   int retries = 0;
   double residual = 0.0;   ///< residual of the returned state
-  /// Phase that produced the returned state: "newton" (Newton steps from
-  /// the homogeneous-mean start, the first phase of every k >= 2 solve),
-  /// "seeded" (the damped phase from the same start, run only when Newton
-  /// misses), "bisection"/"brent"/"closed-form" (scalar k = 1 path), or
-  /// "invalid" (bad inputs).
+  /// Path that produced the returned state: "newton" (the Newton loop from
+  /// the homogeneous-mean start, every k >= 2 solve),
+  /// "bisection"/"brent"/"closed-form" (scalar k = 1 path), or "invalid"
+  /// (bad inputs).
   const char* method = "newton";
 };
 
@@ -120,13 +117,13 @@ NetworkState expand_classes(const NetworkState& class_state,
                             const ClassProfile& classes);
 
 /// The heterogeneous solve for contention-window profile `w` (one entry
-/// per node) with maximum backoff stage `max_stage`, in two phases. Never
-/// throws and never returns non-finite values: Newton from a
-/// homogeneous-mean seeded start first; when a Newton step leaves (0, 1)
-/// or Newton misses the tolerance within min(max_iterations, 50) steps,
-/// damped iteration x ← ½·T(x) + ½·x from the same start, for up to
-/// 3 × max_iterations iterations — and it reports how far it got in the
-/// diagnostics (NetworkState::converged reflects SolveStatus::kConverged).
+/// per node) with maximum backoff stage `max_stage`, in one loop of at
+/// most max_iterations steps. Never throws and never returns non-finite
+/// values: Newton steps from a homogeneous-mean seeded start, with the
+/// damped step x ← ½·T(x) + ½·x taken in place of a Newton step that
+/// would leave (0, 1) (docs/SOLVER_API.md has the rule) — and it reports
+/// how far it got in the diagnostics (NetworkState::converged reflects
+/// SolveStatus::kConverged).
 /// Invalid inputs (empty profile, w < 1, max_stage < 0, PER outside
 /// [0, 1) or NaN, max_iterations < 1, a tolerance that is not finite and
 /// > 0) yield kFailed, method "invalid", with an empty state. For n = 1

@@ -1,6 +1,7 @@
 #include "game/asymmetric.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -20,11 +21,13 @@ AsymmetricGame::AsymmetricGame(phy::Parameters params, phy::AccessMode mode,
   }
   for (std::size_t c = 0; c < classes_.size(); ++c) {
     const PlayerClass& cls = classes_[c];
-    if (!(cls.gain > 0.0)) {
-      throw std::invalid_argument("AsymmetricGame: gain must be positive");
+    if (!(cls.gain > 0.0) || !std::isfinite(cls.gain)) {
+      throw std::invalid_argument(
+          "AsymmetricGame: gain must be positive and finite");
     }
-    if (cls.cost < 0.0) {
-      throw std::invalid_argument("AsymmetricGame: cost must be non-negative");
+    if (!(cls.cost >= 0.0) || !std::isfinite(cls.cost)) {
+      throw std::invalid_argument(
+          "AsymmetricGame: cost must be non-negative and finite");
     }
     if (cls.count < 1) {
       throw std::invalid_argument("AsymmetricGame: class count < 1");

@@ -36,6 +36,9 @@ class AsymmetricGame {
  public:
   /// Base `params` supply PHY timing and the strategy space; the per-class
   /// (gain, cost) pairs override params.gain/params.cost per player.
+  /// Throws std::invalid_argument on no classes, a gain that is not
+  /// positive and finite, a cost that is not non-negative and finite, a
+  /// class count < 1, or fewer than 2 players.
   AsymmetricGame(phy::Parameters params, phy::AccessMode mode,
                  std::vector<PlayerClass> classes);
 

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "analytical/fixed_point_solver.hpp"
+#include "analytical/throughput.hpp"
 #include "game/equilibrium.hpp"
 #include "game/stage_game.hpp"
 #include "util/optimize.hpp"
@@ -32,15 +32,13 @@ RateGame::RateGame(RateGameConfig config) : config_(std::move(config)) {
     w_common_ = config_.w_common;
   }
 
-  const analytical::TryTauResult tau = analytical::try_homogeneous_tau(
-      static_cast<double>(w_common_), config_.n,
-      config_.params.max_backoff_stage);
-  if (!analytical::usable(tau.diagnostics.status)) {
-    throw std::runtime_error("RateGame: homogeneous tau root finding failed");
-  }
-  tau_ = tau.tau;
-  q_slot_ = tau_ * std::pow(1.0 - tau_, config_.n - 1);
-  p_idle_ = std::pow(1.0 - tau_, config_.n);
+  // The one homogeneous price at the configured PER: (τ, p) of the class
+  // solve's k = 1 state.
+  const analytical::HomogeneousPoint point = analytical::homogeneous_point(
+      w_common_, config_.n, config_.params, config_.mode);
+  tau_ = point.tau;
+  q_slot_ = tau_ * (1.0 - point.p);
+  p_idle_ = (1.0 - tau_) * (1.0 - point.p);
   gain_per_bit_ = config_.params.gain / config_.params.payload_bits;
 }
 

@@ -10,7 +10,8 @@
 //
 //   u_i = [ q_i · (1 − BER)^{L_i + H_bits} · L_i·g_bit  −  τ·e ] / T_slot
 //
-// where q_i = τ(1−τ)^{n−1} is the per-slot success probability (identical
+// where q_i = τ(1−p) = τ(1−τ)^{n−1} is the per-slot success probability
+// (τ and p the homogeneous fixed point at the configured PER; identical
 // across players since the window is common), g_bit normalizes the MAC
 // game's per-packet gain to bits, and the average slot length now depends
 // on everyone's frame length: successes occupy T_s(L_i) of the successful
@@ -88,8 +89,8 @@ class RateGame {
   RateGameConfig config_;
   int w_common_;
   double tau_;       ///< per-node transmission probability at w_common_
-  double q_slot_;    ///< τ(1−τ)^{n−1}: per-node per-slot success prob
-  double p_idle_;    ///< (1−τ)^n
+  double q_slot_;    ///< τ(1−p): per-node per-slot success prob
+  double p_idle_;    ///< (1−τ)(1−p): every node silent
   double gain_per_bit_;
 };
 

@@ -5,9 +5,9 @@
 // every instance runs its own solve machine, and no arithmetic crosses
 // instances. This suite pins the contract over a seeded (n, k, PER,
 // batch-size) grid, over batches mixing converged/degraded/failed
-// outcomes under a starved iteration budget, over a batch mixing Newton,
-// its damped fallback and the scalar k = 1 path, over duplicate
-// instances, and over the empty batch.
+// outcomes under a starved iteration budget, over a batch mixing plain
+// Newton, Newton with damped steps and the scalar k = 1 path, over
+// duplicate instances, and over the empty batch.
 #include "analytical/batch_solver.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -153,9 +154,10 @@ TEST(BatchSolverTest, MixedStatusBatchMatchesSequentialBitwise) {
 }
 
 TEST(BatchSolverTest, NewtonFallbackAndScalarInstancesMatchSequentialBitwise) {
-  // Newton finishes in a few sweeps, a fallback instance goes on through
-  // the damped phase for tens more, and k = 1 never enters the
-  // sweep: one batch must still give each instance its sequential bits.
+  // Plain Newton finishes in a few sweeps, an instance whose Newton steps
+  // are refused takes damped steps for several more, and k = 1 never
+  // enters the sweep: one batch must still give each instance its
+  // sequential bits.
   std::vector<ClassProfileInstance> instances;
   instances.push_back(make_instance({16, 64, 64, 256, 1024}, 6, 0.0));
   instances.push_back(make_instance({1, 8, 8, 64, 512, 512}, 6, 0.0));
@@ -170,12 +172,15 @@ TEST(BatchSolverTest, NewtonFallbackAndScalarInstancesMatchSequentialBitwise) {
 
   const std::vector<TrySolveResult> batched =
       try_solve_classes_batch(instances);
-  std::set<std::string> methods;
+  // (method, retries) of every instance: scalar, plain Newton, and Newton
+  // with damped steps.
+  std::set<std::pair<std::string, int>> kinds;
   for (const TrySolveResult& r : batched) {
     EXPECT_EQ(r.diagnostics.status, SolveStatus::kConverged);
-    methods.insert(r.diagnostics.method);
+    kinds.emplace(r.diagnostics.method, r.diagnostics.retries);
   }
-  EXPECT_EQ(methods, (std::set<std::string>{"brent", "newton", "seeded"}));
+  EXPECT_EQ(kinds, (std::set<std::pair<std::string, int>>{
+                       {"brent", 0}, {"newton", 0}, {"newton", 1}}));
 
   check_batch_matches_sequential(instances, "newton-fallback-scalar");
 }

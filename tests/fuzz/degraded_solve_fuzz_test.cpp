@@ -3,8 +3,8 @@
 // Sweeps valid-but-extreme inputs through the non-throwing solver entry
 // points: profiles up to n = 200, window mixes across 1..4096, PER up to
 // 0.999, max_stage 0 and 6, with a deliberately starved iteration budget
-// so the damped fallback phase actually runs. The contract under test
-// (src/analytical/fixed_point_solver.hpp): try_solve_network
+// so a solve that needs its damped steps has few to spare. The contract
+// under test (src/analytical/fixed_point_solver.hpp): try_solve_network
 // and try_homogeneous_tau never throw on valid inputs, never return
 // non-finite values, keep τ and p inside [0, 1], and classify every
 // outcome honestly (usable statuses carry a residual no worse than
@@ -170,13 +170,12 @@ TEST(DegradedSolveFuzzTest, RandomValidProfilesNeverThrow) {
 // Promoted fixtures: the pre-collapse solver left these valid random
 // profiles (printed by RandomValidProfilesNeverThrow before PR 4) at
 // kDegraded — or, for the n = 56 one, kFailed with residual 5.4e-5 —
-// under the starved max_iterations = 60 budget. The class solve converges
-// all of them: Newton from the homogeneous-mean seed answers the n = 35,
-// PER 0.25 one, and the other five fall back once to the damped phase
-// from the same seed, which converges within 64–157 iterations in all,
-// Newton's steps included. Pin status, method, retries and work, so a
-// solver regression cannot silently reintroduce degraded solves or a
-// longer fallback on the game's own profile shapes.
+// under the starved max_iterations = 60 budget. The class solve's Newton
+// loop converges all of them: plain Newton answers the n = 35, PER 0.25
+// one, and the other five take damped steps in place of refused Newton
+// steps and converge within 9–35 steps. Pin status, method, retries and
+// work, so a solver regression cannot silently reintroduce degraded
+// solves or longer solves on the game's own profile shapes.
 TEST(DegradedSolveFuzzTest, PreviouslyDegradedFixturesNowConverge) {
   struct Fixture {
     std::vector<int> w;
@@ -235,11 +234,9 @@ TEST(DegradedSolveFuzzTest, PreviouslyDegradedFixturesNowConverge) {
     EXPECT_EQ(r.diagnostics.status, SolveStatus::kConverged)
         << label << " -> " << to_string(r.diagnostics.status)
         << " residual=" << r.diagnostics.residual;
-    const std::string method = r.diagnostics.method;
-    EXPECT_TRUE(method == "newton" || method == "seeded")
-        << label << " method=" << method;
+    EXPECT_STREQ(r.diagnostics.method, "newton") << label;
     EXPECT_LE(r.diagnostics.retries, 1) << label;
-    EXPECT_LE(r.diagnostics.iterations, 160) << label;
+    EXPECT_LE(r.diagnostics.iterations, 40) << label;
   }
 }
 

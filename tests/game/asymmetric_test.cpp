@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "game/equilibrium.hpp"
 #include "game/stage_game.hpp"
 
@@ -27,6 +29,18 @@ TEST(AsymmetricGameTest, ValidatesConstruction) {
                std::invalid_argument);
   EXPECT_THROW(AsymmetricGame(kParams, kBasic, {{1.0, 0.01, 1}}),
                std::invalid_argument);  // single player overall
+  // A NaN or infinite coefficient would price every window as NaN/∞ and
+  // pick an arbitrary "preferred" window instead of failing.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const PlayerClass bad : {PlayerClass{inf, 0.01, 2},
+                                PlayerClass{nan, 0.01, 2},
+                                PlayerClass{1.0, nan, 2},
+                                PlayerClass{1.0, inf, 2}}) {
+    EXPECT_THROW(AsymmetricGame(kParams, kBasic, {{1.0, 0.01, 2}, bad}),
+                 std::invalid_argument)
+        << "gain " << bad.gain << " cost " << bad.cost;
+  }
 }
 
 TEST(AsymmetricGameTest, ClassBookkeeping) {

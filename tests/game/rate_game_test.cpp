@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
+#include "analytical/throughput.hpp"
 #include "game/equilibrium.hpp"
 #include "game/stage_game.hpp"
 
@@ -55,6 +58,20 @@ TEST(RateGameTest, DefaultsToMacGameEfficientWindow) {
   EXPECT_EQ(game.common_window(), EquilibriumFinder(mac, 10).efficient_cw());
   EXPECT_GT(game.tau(), 0.0);
   EXPECT_LT(game.tau(), 1.0);
+}
+
+TEST(RateGameTest, TauIsTheHomogeneousPriceAtTheConfiguredPer) {
+  // W* comes from a StageGame at PER 0.2 (116 for the default config), so
+  // τ must be that window's homogeneous fixed point at PER 0.2 as well,
+  // bit for bit, not the PER-0 root (0.014679 where this one is 0.010777).
+  RateGameConfig config = base_config();
+  config.params.packet_error_rate = 0.2;
+  const RateGame game(config);
+  const analytical::HomogeneousPoint point = analytical::homogeneous_point(
+      game.common_window(), config.n, config.params, config.mode);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(game.tau()),
+            std::bit_cast<std::uint64_t>(point.tau))
+      << game.tau() << " vs " << point.tau;
 }
 
 TEST(RateGameTest, RejectsBadProfiles) {
